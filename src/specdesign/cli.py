@@ -62,6 +62,17 @@ EXIT_NUMERICAL = 3
 _CONTINUUM_BASES = ("box", "free-line", "half-line", "potential-csv")
 _BASES = _CONTINUUM_BASES + ("comb", "lattice-single-site", "lattice-stark")
 
+#: the keys each step kind requires; n and aux_level take integers, every
+#: other value a step reads takes a number
+_STEP_KEYS = {
+    "shift": ("n", "dE"),
+    "create": ("E",),
+    "remove": ("n",),
+    "scale_swf": ("n", "lambda"),
+    "bsec": ("E", "lambda"),
+    "shift_zone": ("dE",),
+}
+
 
 @dataclass
 class RunConfig:
@@ -77,11 +88,19 @@ class RunConfig:
         for key, value in self.numerics.items():
             if key in ("tol_spectrum", "tol_reflection", "truncation") and value <= 0:
                 raise ValidationError(f"numerics option {key} must be positive, got {value}")
-        kinds = {"shift", "create", "remove", "scale_swf", "bsec", "shift_zone"}
         for step in self.chain:
             kind = step.get("kind")
-            if kind not in kinds:
+            if kind not in _STEP_KEYS:
                 raise ValidationError(f"unknown step kind {kind!r}")
+            for key in _STEP_KEYS[kind]:
+                if key not in step:
+                    raise ValidationError(f"{kind} step needs a value for {key}")
+            for key in _STEP_KEYS[kind] + ("sigma", "aux_level"):
+                value = step.get(key, 0)
+                integral = key in ("n", "aux_level")
+                if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+                    wanted = "an integer" if integral else "a number"
+                    raise ValidationError(f"{kind} step: {key} must be {wanted}, got {value!r}")
             continuum = self.base in _CONTINUUM_BASES
             if kind == "shift_zone" and self.base != "comb":
                 raise ValidationError("shift_zone steps require the comb base")

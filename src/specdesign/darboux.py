@@ -27,8 +27,12 @@ from .grid import Grid, SampledFn, cumulative_integral, integrate, make_grid
 from .potentials import DECAYING_HALF_LINE, DECAYING_LINE, HARD_WALLS, Potential, free_line
 from .solver import (
     BoundState,
-    _shoot,
+    _count_sign_changes,
+    _launch,
+    _match_index,
+    _node_count,
     _state_swf,
+    _sweep,
     bound_states,
     derivative_samples,
     scattering_curve,
@@ -41,6 +45,10 @@ DEFAULT_CAP = 1e6
 
 #: relative denominator floor below which a transformation is declared singular
 SINGULAR_FLOOR = 1e-12
+
+#: a level-shift seed is preferred when its Wronskian, relative to its peak,
+#: takes at least this many grid steps to rise from a hard wall
+WALL_NODES = 20
 
 _STEP_KINDS = ("remove", "create", "shift", "scale_swf", "bsec")
 
@@ -121,43 +129,17 @@ def _make_state(v_new: Potential, energy: float, values: np.ndarray, label: int)
     first = np.nonzero(np.abs(y) > 0.05 * peak)[0][0]
     if y[first] < 0:
         y = -y
-    nodes = 0
-    prev = 0.0
-    for t in y[1:-1]:
-        if t == 0.0:
-            continue
-        if prev != 0.0 and (t > 0) != (prev > 0):
-            nodes += 1
-        prev = t
-    return BoundState(n=label, nodes=nodes, energy=float(energy),
+    return BoundState(n=label, nodes=_count_sign_changes(y[1:-1]), energy=float(energy),
                       psi=SampledFn(v_new.grid, y), swf=_state_swf(v_new, energy, y))
 
 
 def _center_seed(v: Potential, eps: float, u0: float, du0: float) -> np.ndarray:
     """Solution of -u'' + V u = eps u launched from the grid midpoint."""
-    g = v.grid
-    mid = g.mid_index
-    vals = v.values.tolist()
-    right = _shoot(vals[mid:], g.h, eps, ("value-slope", u0, du0))
-    left = _shoot(vals[: mid + 1][::-1], g.h, eps, ("value-slope", u0, -du0))[::-1]
-    return np.array(left[:-1] + right)
-
-
-def _edge_seed(v: Potential, eps: float, from_left: bool) -> np.ndarray:
-    """One-sided solution regular at the chosen edge (wall zero or decaying tail)."""
-    g = v.grid
-    vals = v.values.tolist()
-    if from_left:
-        if v.bc_kind == DECAYING_LINE:
-            start = ("decay", math.sqrt(v.values[0] - eps))
-        else:
-            start = ("wall",)
-        return np.array(_shoot(vals, g.h, eps, start))
-    if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE):
-        start = ("decay", math.sqrt(v.values[-1] - eps))
-    else:
-        start = ("wall",)
-    return np.array(_shoot(vals[::-1], g.h, eps, start)[::-1])
+    mid = v.grid.mid_index
+    right, e_r = _launch(v.values[mid:], v.grid.h, eps, u0, du0)
+    left, e_l = _launch(v.values[mid::-1], v.grid.h, eps, u0, -du0)
+    top = max(e_l, e_r)
+    return np.concatenate((np.ldexp(left[:0:-1, 0], e_l - top), np.ldexp(right[:, 0], e_r - top)))
 
 
 def _mix_seed(v: Potential, eps: float, sigma: float):
@@ -169,8 +151,8 @@ def _mix_seed(v: Potential, eps: float, sigma: float):
     """
     g = v.grid
     f = v.values - eps
-    u_l = _edge_seed(v, eps, True)
-    u_r = _edge_seed(v, eps, False)
+    u_l = _sweep(v, eps, True)
+    u_r = _sweep(v, eps, False)
     if np.any(u_l[1:] <= 0) or np.any(u_r[:-1] <= 0):
         raise SingularityError("one-sided factorization solution acquired a node; "
                                "is the energy really below the spectrum?")
@@ -219,8 +201,6 @@ def factorization_solution(v: Potential, eps: float, sigma: float = 0.5) -> Samp
         raise ValidationError(f"sigma must lie in [0, 1), got {sigma}")
     if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE) and eps >= v.continuum_edge():
         raise ValidationError(f"eps={eps} is not below the continuum edge")
-
-    from .solver import _node_count  # local import to keep module tops tidy
 
     nodes_above = _node_count(v, eps + 1e-9 * max(1.0, abs(eps)), v.delta_nodes())
     if nodes_above > 0:
@@ -394,25 +374,29 @@ def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray, e_n
     for every symmetric well), then sign/weight mixtures of the two
     edge-regular solutions (the flattened form of the peeled creation's
     nodeless-mix freedom, needed for asymmetric wells).  The first candidate
-    whose Wronskian neither changes sign nor collapses at a wall wins.
+    whose Wronskian neither changes sign nor collapses at a wall wins; on
+    hard walls it must also rise over at least WALL_NODES grid steps, and
+    when no valid candidate does, the one that rises slowest wins.
     """
     g = v.grid
     f_u = v.values - eps
     mid = g.mid_index
     candidates = [("midpoint", _center_seed(v, eps, -dpsi[mid], psi[mid]))]
-    u_l = _edge_seed(v, eps, True)
-    u_r = _edge_seed(v, eps, False)
+    u_l = _sweep(v, eps, True)
+    u_r = _sweep(v, eps, False)
     u_l = u_l / np.max(np.abs(u_l))
     u_r = u_r / np.max(np.abs(u_r))
     for a, b_ in ((1.0, -1.0), (1.0, 1.0), (1.0, -3.0), (3.0, -1.0), (1.0, 3.0), (3.0, 1.0)):
         candidates.append((f"edge mix {a:g}*L{b_:+g}*R", a * u_l + b_ * u_r))
 
     last_err = None
+    steep = None
     for name, u in candidates:
         du = derivative_samples(u, f_u, g.h)
         w = psi * du - dpsi * u
         peak = np.max(np.abs(w))
-        if peak == 0.0 or min(abs(w[0]), abs(w[-1])) < 1e-9 * peak:
+        wall = min(abs(w[0]), abs(w[-1])) / peak if peak else 0.0
+        if wall < 1e-9:
             last_err = SingularityError(f"{name}: Wronskian collapses at a wall")
             continue
         nz = w[w != 0.0]
@@ -423,7 +407,15 @@ def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray, e_n
                 f"{name}: Wronskian changes sign near x = {g.x[j]:.6g}", x=float(g.x[j])
             )
             continue
-        return u, du, w, float(np.min(np.abs(w)) / peak), name
+        seed = (u, du, w, float(np.min(np.abs(w)) / peak), name)
+        # a Wronskian that rises from a hard wall over fewer than WALL_NODES
+        # grid steps puts a spike there too narrow for the grid to resolve
+        if v.bc_kind != HARD_WALLS or wall * (g.n_points - 1) >= WALL_NODES:
+            return seed
+        if steep is None or wall > steep[0]:
+            steep = (wall, seed)
+    if steep is not None:
+        return steep[1]
     raise last_err if last_err is not None else SingularityError("no regular shift seed found")
 
 
@@ -499,15 +491,10 @@ def box_shift_closed_form(t: float, grid: Grid) -> tuple[SampledFn, SampledFn]:
 
 def _integrated_state(v: Potential, energy: float) -> np.ndarray:
     """Bidirectionally integrated, normalized eigenfunction at a known energy."""
-    g = v.grid
-    vals = v.values.tolist()
-    yl = _shoot(vals, g.h, energy, ("wall",))
-    yr = _shoot(vals[::-1], g.h, energy, ("wall",))[::-1]
-    allowed = np.nonzero(v.values <= energy)[0]
-    m = int(allowed[-1]) if allowed.size else g.mid_index
-    m = min(max(m, 4), g.n_points - 5)
-    y = np.array(yl[:m] + [t * (yl[m] / yr[m]) for t in yr[m:]])
-    y /= math.sqrt(integrate(SampledFn(g, y * y)))
+    yl, yr = _sweep(v, energy, True), _sweep(v, energy, False)
+    m = _match_index(v, energy)
+    y = np.concatenate((yl[:m], yr[m:] * (yl[m] / yr[m])))
+    y /= math.sqrt(integrate(SampledFn(v.grid, y * y)))
     peak = np.max(np.abs(y))
     first = np.nonzero(np.abs(y) > 0.05 * peak)[0][0]
     return y if y[first] > 0 else -y

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ValidationError
+from .solver import _count_sign_changes
 
 HARD_WALLS = "hard-walls"
 DECAYING = "decaying"
@@ -73,18 +74,6 @@ def single_site(v0: float, half_width: int = 25) -> LatticeSystem:
     v = np.zeros(2 * half_width + 1)
     v[half_width] = v0
     return LatticeSystem(-half_width, half_width, v, DECAYING)
-
-
-def _count_sign_changes(psi: np.ndarray) -> int:
-    count = 0
-    prev = 0.0
-    for t in psi:
-        if t == 0.0:
-            continue
-        if prev != 0.0 and (t > 0) != (prev > 0):
-            count += 1
-        prev = t
-    return count
 
 
 def _make_states(energies, vectors) -> list[LatticeState]:

@@ -69,9 +69,12 @@ class Potential:
         return self.body.values
 
     def delta_nodes(self, interior_only: bool = True) -> list[tuple[int, float]]:
-        """Delta (node index, strength) pairs, positions snapped to nodes."""
+        """Delta (node index, strength) pairs, positions snapped to nodes.
+
+        Deltas that snap to the same node add up into one.
+        """
         g = self.grid
-        out = []
+        out: dict[int, float] = {}
         for pos, strength in self.deltas:
             j = g.index_of(pos)
             if abs(g.x[j] - pos) > 0.5 * g.h * (1 + 1e-9):
@@ -80,8 +83,8 @@ class Potential:
                 raise ValidationError(
                     f"delta at {pos} too close to the domain edge for this operation"
                 )
-            out.append((j, strength))
-        return sorted(out)
+            out[j] = out.get(j, 0.0) + strength
+        return sorted(out.items())
 
     def with_body(self, values: np.ndarray) -> "Potential":
         return Potential(SampledFn(self.grid, values), self.bc_kind, self.deltas)

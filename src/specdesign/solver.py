@@ -6,16 +6,25 @@ Potential and recomputes spectra from scratch.
 
 Method summary
 --------------
-* Numerov integration (O(h^4)) of -psi'' + V psi = E psi, integrated from
-  both ends and matched at the rightmost classical turning point, which keeps
-  the scheme stable inside deep classically forbidden tails.
+* Numerov integration (O(h^4)) of -psi'' + V psi = E psi.  A sweep is
+  forward substitution on the lower-banded system
+  c[j+1] y[j+1] - (12 - 10 c[j]) y[j] + c[j-1] y[j-1] = 0 with the two start
+  values fixed, solved by LAPACK ``dtbtrs`` for one or more start pairs at
+  once (one right-hand side each).  The solve runs in fixed-length chunks
+  and the carried pair is rescaled by a power of two between chunks, so
+  deep exponential tails cannot overflow and the rescaling is exact.
+* Bound states are integrated from both ends and matched at the rightmost
+  classical turning point, which keeps the scheme stable inside deep
+  classically forbidden tails.
 * Eigenvalues are bracketed by interior-node counts of the left-shot
   solution (node theorem), seeded by finite-difference tridiagonal estimates,
   then polished with Brent's method on the matching Wronskian.
 * Delta spikes enter exactly through the derivative jump
-  psi'(x+) = psi'(x-) + g psi(x); they are never smeared.
-* Scattering and band discriminants reuse the same propagation, vectorized
-  across energies for scans.
+  psi'(x+) = psi'(x-) + g psi(x); they are never smeared.  The banded solve
+  stops at each delta node, applies the jump and restarts with a Taylor step.
+* Scattering scans and band discriminants loop over energies, one banded
+  solve each: the real and imaginary parts of the transmitted wave, or the
+  two columns of the transfer matrix, are the right-hand sides.
 """
 
 from __future__ import annotations
@@ -25,13 +34,19 @@ import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 
 from .errors import NumericalFailure, ValidationError
 from .grid import SampledFn, integrate
 from .potentials import DECAYING_HALF_LINE, DECAYING_LINE, Potential
 
-_RESCALE = 1e250
+#: nodes per banded solve; the carried pair is rescaled between chunks
+_CHUNK = 4096
+#: a full sweep keeps the scale it was launched with unless it grows past
+#: 2**_MAX_EXP (about 1e250); then its largest values sit there and the
+#: smallest ones underflow first
+_MAX_EXP = 830
 
 
 @dataclass(frozen=True)
@@ -116,95 +131,120 @@ def derivative_samples(y: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _shoot(vvals, h, energy, start, delta_nodes=()):
-    """Numerov sweep left-to-right over the whole sample array.
+def _numerov(v, h, energy, y0, y1, jumps=(), tail=0):
+    """Numerov solutions of -y'' + V y = E y across the sample array v.
 
-    start is ('wall',) for y(0)=0, or ('decay', kappa) for an exponential
-    tail start, or ('value-slope', y0, dy0).  delta_nodes is a sorted list of
-    (node index, strength) applied as exact derivative jumps.  Returns the
-    solution as a python list with an arbitrary overall positive scale
-    (rescaled wholesale when it threatens overflow).
+    y0 and y1 are the values at nodes 0 and 1, scalars or one entry per
+    start pair; each pair is one right-hand side of the same banded solve.
+    jumps lists (node, strength) pairs on distinct nodes, sorted, with
+    5 <= node <= n - 2: the slope jumps by strength * y there and the
+    recurrence restarts with a Taylor step.  A chunk that overflows is
+    solved again in halves.
+
+    Returns (y, e) with the solution equal to y * 2**e; y has one column per
+    start pair and holds every node, or only the last `tail` nodes.
     """
-    n = len(vvals)
-    f = [v - energy for v in vvals]
-    c = [1.0 - h * h * fj / 12.0 for fj in f]
-
-    y = [0.0] * n
-    if start[0] == "wall":
-        y[0] = 0.0
-        y[1] = h
-    elif start[0] == "decay":
-        kappa = start[1]
-        y[0] = 1.0
-        y[1] = math.exp(kappa * h)
-    else:
-        y0, dy0 = start[1], start[2]
-        dv, ddv = _fd_derivs(vvals, 0, h)
-        y[0] = y0
-        y[1] = _taylor_step(y0, dy0, h, f[0], dv, ddv)
-
-    jumps = {j: g for j, g in delta_nodes}
-    ym, yc = y[0], y[1]
-    j = 1
-    while j < n - 1:
-        if j in jumps and j >= 5:
-            # cross the delta: one-sided slope from the computed side,
-            # jump it, restart the recurrence by a Taylor step
-            dy = _onesided_slope(y[j - 5 : j + 1], h, False)
-            dy += jumps[j] * yc
-            dv, ddv = _fd_derivs(vvals, j, h)
-            yp = _taylor_step(yc, dy, h, f[j], dv, ddv)
+    n = len(v)
+    c = 1.0 - h * h * (v - energy) / 12.0
+    ab = np.empty((3, n), order="F")  # lower band: diagonal, first and second subdiagonal
+    ab[0] = c
+    ab[1] = 10.0 * c - 12.0
+    ab[2] = c
+    recent = np.array([y0, y1], dtype=float).reshape(2, -1)  # last rows, at scale 2**e
+    out = None if tail else np.empty((n, recent.shape[1]))
+    if out is not None:
+        out[:2] = recent
+    e = 0
+    scales = [(0, 0)]  # (first node, exponent) of each stretch of out
+    jumps = list(jumps)
+    pos, length = 2, _CHUNK
+    while pos < n:
+        if jumps and pos == jumps[0][0] + 1:
+            # node j is the last one solved: jump its slope, restart by Taylor
+            j, strength = jumps.pop(0)
+            dy = _onesided_slope(recent, h, False) + strength * recent[-1]
+            dv, ddv = _fd_derivs(v, j, h)
+            nxt = _taylor_step(recent[-1], dy, h, v[j] - energy, dv, ddv)
+            recent = np.concatenate((recent[1:], nxt[None]))
+            if out is not None:
+                out[pos] = nxt
+            pos += 1
         else:
-            yp = ((12.0 - 10.0 * c[j]) * yc - c[j - 1] * ym) / c[j + 1]
-        y[j + 1] = yp
-        ym, yc = yc, yp
-        if abs(yp) > _RESCALE:
-            s = 1.0 / abs(yp)
-            for i in range(j + 2):
-                y[i] *= s
-            ym *= s
-            yc *= s
-        j += 1
-    return y
+            stop = min(n, pos + length, jumps[0][0] + 1 if jumps else n)
+            rhs = np.zeros((stop - pos, recent.shape[1]), order="F")
+            rhs[0] = (12.0 - 10.0 * c[pos - 1]) * recent[-1] - c[pos - 2] * recent[-2]
+            if stop - pos > 1:
+                rhs[1] = -c[pos - 1] * recent[-1]
+            x, info = dtbtrs(ab[:, pos:stop], rhs, uplo="L", overwrite_b=1)
+            if info > 0:
+                raise NumericalFailure(f"Numerov coefficient vanishes at node {pos + info - 1}")
+            if stop - pos > 1 and not math.isfinite(x[-1].sum()):
+                length = (stop - pos) // 2
+                continue
+            length = _CHUNK
+            if out is not None:
+                out[pos:stop] = x
+            recent = np.concatenate((recent, x[-6:]))[-6:]
+            pos = stop
+        if pos < n:
+            s = math.frexp(np.abs(recent[-2:]).max())[1]
+            if s:
+                recent = np.ldexp(recent, -s)
+                e += s
+                scales.append((pos, e))
+    if tail:
+        return recent[-tail:], e
+    exps = [s for _, s in scales]
+    ref = max(min(exps), max(exps) - _MAX_EXP)
+    for (a, s), (b, _) in zip(scales, scales[1:] + [(n, 0)]):
+        if s != ref:
+            out[a:b] = np.ldexp(out[a:b], s - ref)
+    return out, ref
 
 
-def _count_sign_changes(y, lo, hi):
-    """Sign changes of y over indices [lo, hi], zeros carried through."""
-    count = 0
-    prev = 0.0
-    for j in range(lo, hi + 1):
-        v = y[j]
-        if v == 0.0:
-            continue
-        if prev != 0.0 and (v > 0.0) != (prev > 0.0):
-            count += 1
-        prev = v
-    return count
+def _launch(v, h, energy, y0, dy0, jumps=(), tail=0):
+    """_numerov started from (value, slope) = (y0, dy0) at node 0 of v."""
+    dv, ddv = _fd_derivs(v, 0, h)
+    y1 = _taylor_step(y0, dy0, h, v[0] - energy, dv, ddv)
+    return _numerov(v, h, energy, y0, y1, jumps, tail)
 
 
-def _left_start(v: Potential, energy):
-    if v.bc_kind == DECAYING_LINE:
-        kap2 = v.values[0] - energy
+def _unit(y: np.ndarray) -> np.ndarray:
+    """y rescaled by a power of two (exactly) to a peak magnitude in [0.5, 1)."""
+    return np.ldexp(y, -math.frexp(np.max(np.abs(y)))[1])
+
+
+def _count_sign_changes(y) -> int:
+    """Sign changes of y, zeros carried through; the last sample counts."""
+    y = np.asarray(y)
+    positive = y[y != 0.0] > 0.0
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))
+
+
+def _sweep(v: Potential, energy, from_left: bool, deltas=()) -> np.ndarray:
+    """Solution regular at one edge (wall zero or decaying tail), in grid order.
+
+    The overall positive scale is arbitrary.
+    """
+    h = v.grid.h
+    y0, y1 = 0.0, h
+    if v.bc_kind == DECAYING_LINE or (v.bc_kind == DECAYING_HALF_LINE and not from_left):
+        kap2 = (v.values[0] if from_left else v.values[-1]) - energy
         if kap2 <= 0.0:
-            raise ValidationError(f"energy {energy} not below the left continuum edge")
-        return ("decay", math.sqrt(kap2))
-    return ("wall",)
-
-
-def _right_start(v: Potential, energy):
-    if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE):
-        kap2 = v.values[-1] - energy
-        if kap2 <= 0.0:
-            raise ValidationError(f"energy {energy} not below the right continuum edge")
-        return ("decay", math.sqrt(kap2))
-    return ("wall",)
+            side = "left" if from_left else "right"
+            raise ValidationError(f"energy {energy} not below the {side} continuum edge")
+        y0, y1 = 1.0, math.exp(math.sqrt(kap2) * h)
+    if from_left:
+        return _numerov(v.values, h, energy, y0, y1, deltas)[0][:, 0]
+    last = v.grid.n_points - 1
+    mirrored = [(last - j, g) for j, g in reversed(deltas)]
+    return _numerov(v.values[::-1], h, energy, y0, y1, mirrored)[0][::-1, 0]
 
 
 def _node_count(v: Potential, energy, deltas) -> int:
     # the full range matters: near-degenerate pairs press nodes into the
     # final grid interval, and the terminal sample still carries their sign
-    y = _shoot(v.values.tolist(), v.grid.h, energy, _left_start(v, energy), deltas)
-    return _count_sign_changes(y, 0, v.grid.n_points - 1)
+    return _count_sign_changes(_sweep(v, energy, True, deltas))
 
 
 def _fd_estimates(v: Potential, count: int) -> np.ndarray:
@@ -234,47 +274,43 @@ class _Matcher:
 
     def __init__(self, v: Potential, m: int, deltas):
         self.v = v
-        self.vlist = v.values.tolist()
         self.h = v.grid.h
         self.m = m
         self.deltas = deltas
-        self.deltas_rev = [(v.grid.n_points - 1 - j, g) for j, g in reversed(deltas)]
 
     def sweeps(self, energy):
-        yl = _shoot(self.vlist, self.h, energy, _left_start(self.v, energy), self.deltas)
-        yr = _shoot(self.vlist[::-1], self.h, energy, _right_start(self.v, energy), self.deltas_rev)[::-1]
-        return yl, yr
+        return _sweep(self.v, energy, True, self.deltas), _sweep(self.v, energy, False, self.deltas)
 
     def mismatch(self, energy):
-        yl, yr = self.sweeps(energy)
         m, h = self.m, self.h
-        fl = self.vlist[m - 1] - energy, self.vlist[m + 1] - energy
-        dl = (yl[m + 1] - yl[m - 1]) / (2 * h) - (h / 12.0) * (fl[1] * yl[m + 1] - fl[0] * yl[m - 1])
-        dr = (yr[m + 1] - yr[m - 1]) / (2 * h) - (h / 12.0) * (fl[1] * yr[m + 1] - fl[0] * yr[m - 1])
-        raw = dl * yr[m] - dr * yl[m]
-        scale = abs(dl * yr[m]) + abs(dr * yl[m]) + 1e-300
-        return raw / scale
+        # each branch is rescaled by a power of two around m: the ratio below
+        # is unchanged and its products cannot underflow
+        yl, yr = (_unit(y[m - 1 : m + 2]) for y in self.sweeps(energy))
+        fl = self.v.values[m - 1] - energy, self.v.values[m + 1] - energy
+        dl = (yl[2] - yl[0]) / (2 * h) - (h / 12.0) * (fl[1] * yl[2] - fl[0] * yl[0])
+        dr = (yr[2] - yr[0]) / (2 * h) - (h / 12.0) * (fl[1] * yr[2] - fl[0] * yr[0])
+        raw = dl * yr[1] - dr * yl[1]
+        scale = abs(dl * yr[1]) + abs(dr * yl[1]) + 1e-300
+        return float(raw / scale)
 
     def good_match_point(self, energy) -> bool:
         yl, yr = self.sweeps(energy)
         m = self.m
-        peak_l = max(abs(t) for t in yl[: m + 1])
-        peak_r = max(abs(t) for t in yr[m:])
-        return abs(yl[m]) > 1e-3 * peak_l and abs(yr[m]) > 1e-3 * peak_r
+        peak_l = np.max(np.abs(yl[: m + 1]))
+        peak_r = np.max(np.abs(yr[m:]))
+        return bool(abs(yl[m]) > 1e-3 * peak_l and abs(yr[m]) > 1e-3 * peak_r)
 
 
 def _assemble_state(v: Potential, energy, m, deltas) -> tuple[np.ndarray, int]:
-    matcher = _Matcher(v, m, deltas)
-    yl, yr = matcher.sweeps(energy)
+    yl, yr = _Matcher(v, m, deltas).sweeps(energy)
     # splice at the dominant lobe left of the turning point, not at the
     # turning point itself: the tiny branch mismatch then lands where
     # relative errors (and u'/u) are smallest
-    peak = max(range(4, m + 1), key=lambda j: abs(yl[j]))
-    if abs(yr[peak]) > 1e-6 * max(abs(t) for t in yr[peak:]):
+    peak = 4 + int(np.argmax(np.abs(yl[4 : m + 1])))
+    if abs(yr[peak]) > 1e-6 * np.max(np.abs(yr[peak:])):
         m = peak
-    scale = yl[m] / yr[m]
-    y = np.array(yl[: m] + [scale * t for t in yr[m:]])
-    nodes = _count_sign_changes(y.tolist(), 1, len(y) - 2)
+    y = _unit(np.concatenate((yl[:m], (yl[m] / yr[m]) * yr[m:])))
+    nodes = _count_sign_changes(y[1:-1])
     norm = integrate(SampledFn(v.grid, y * y))
     y = y / math.sqrt(norm)
     # deterministic sign: first significant lobe positive
@@ -389,81 +425,47 @@ def bound_states(v: Potential, count: int, *, rel_tol: float = 1e-11) -> list[Bo
 
 
 # ---------------------------------------------------------------------------
-# scattering (vectorized across energies)
-
-
-def _sweep_multi(vvals, h, energies, delta_nodes, y0, y1, keep=6):
-    """Right-to-left Numerov sweep carried simultaneously for many energies.
-
-    y0, y1 are vectors for the two RIGHTMOST nodes; returns the final `keep`
-    columns [psi(x0), psi(x1), ...] as an array of shape (keep, n_energies).
-    Works on the reversed axis internally.
-    """
-    v = np.asarray(vvals)[::-1]
-    n = v.size
-    e = np.asarray(energies)
-    jumps = {n - 1 - j: g for j, g in delta_nodes}
-
-    cm = 1.0 - h * h * (v[0] - e) / 12.0
-    cc = 1.0 - h * h * (v[1] - e) / 12.0
-    ym = np.array(y0, dtype=complex)
-    yc = np.array(y1, dtype=complex)
-    buf = [ym, yc]
-    for j in range(1, n - 1):
-        cp = 1.0 - h * h * (v[j + 1] - e) / 12.0
-        if j in jumps and j >= 5:
-            # slope w.r.t. the reversed axis; jump sign is invariant under x -> -x
-            dy = _onesided_slope(buf[-6:], h, False)
-            dy = dy + jumps[j] * yc
-            dv, ddv = _fd_derivs(v, j, h)
-            yp = _taylor_step(yc, dy, h, v[j] - e, dv, ddv)
-        else:
-            yp = ((12.0 - 10.0 * cc) * yc - cm * ym) / cp
-        ym, yc = yc, yp
-        cm, cc = cc, cp
-        buf.append(yp)
-        if len(buf) > keep:
-            buf.pop(0)
-    return np.array(buf[::-1])
+# scattering
 
 
 def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
-    """Reflection/transmission amplitudes at several energies in one sweep."""
+    """Reflection/transmission amplitudes at several energies, one sweep each."""
     if v.bc_kind != DECAYING_LINE:
         raise ValidationError("scattering requires a decaying-line potential")
     e = np.asarray(list(energies), dtype=float)
     v_l, v_r = float(v.values[0]), float(v.values[-1])
     if np.any(e <= max(v_l, v_r)):
         raise ValidationError("every energy must lie above both asymptotic levels")
-    deltas = v.delta_nodes(interior_only=True)
     g = v.grid
+    mirrored = [(g.n_points - 1 - j, s) for j, s in reversed(v.delta_nodes(interior_only=True))]
     k_l = np.sqrt(e - v_l)
     k_r = np.sqrt(e - v_r)
 
-    # transmitted wave exp(i k_r x) seeds the two rightmost nodes
+    # transmitted wave exp(i k_r x) seeds the two rightmost nodes; its real
+    # and imaginary parts are the two start pairs of a right-to-left sweep
     y_last = np.exp(1j * k_r * g.x[-1])
     y_prev = np.exp(1j * k_r * g.x[-2])
-    cols = _sweep_multi(v.values.tolist(), g.h, e, deltas, y_last, y_prev)
-    psi0, psi1 = cols[0], cols[1]
+    vrev = v.values[::-1]
+    psi = np.empty((2, e.size), dtype=complex)
+    exps = np.empty(e.size, dtype=int)
+    for i in range(e.size):
+        starts = (y_last[i].real, y_last[i].imag), (y_prev[i].real, y_prev[i].imag)
+        y, exps[i] = _numerov(vrev, g.h, e[i], *starts, mirrored, tail=2)
+        psi[:, i] = y[::-1, 0] + 1j * y[::-1, 1]
+    psi0, psi1 = psi  # at scale 2**exps
 
     ph0 = np.exp(1j * k_l * g.x[0])
     ph1 = np.exp(1j * k_l * g.x[1])
     det = ph0 / ph1 - ph1 / ph0
     a = (psi0 / ph1 - psi1 / ph0) / det
     b = (psi1 * ph0 - psi0 * ph1) / det
+    t = np.ldexp(1.0, -exps) / a
 
-    out = []
-    for i in range(e.size):
-        out.append(
-            ScatteringResult(
-                energy=float(e[i]),
-                R=complex(b[i] / a[i]),
-                T=complex(1.0 / a[i]),
-                k_left=float(k_l[i]),
-                k_right=float(k_r[i]),
-            )
-        )
-    return out
+    return [
+        ScatteringResult(energy=float(e[i]), R=complex(b[i] / a[i]), T=complex(t[i]),
+                         k_left=float(k_l[i]), k_right=float(k_r[i]))
+        for i in range(e.size)
+    ]
 
 
 def scattering(v: Potential, energy: float) -> ScatteringResult:
@@ -475,79 +477,43 @@ def scattering(v: Potential, energy: float) -> ScatteringResult:
 # transfer matrix over one period
 
 
-def _propagate_columns(vvals, h, energies, delta_nodes):
-    """One-period transfer matrix entries for each energy.
+def _transfer_matrices(cell: Potential, energies) -> list[np.ndarray]:
+    """One-period transfer matrices [[u, w], [u', w']] at the right cell edge.
 
-    Returns (u_a, du_a, w_a, dw_a): the end values and slopes of the two
-    solutions with (value, slope) = (1, 0) and (0, 1) at the left cell edge.
-    A delta on the left edge is applied once before propagation.
+    u and w start from (value, slope) = (1, 0) and (0, 1) at the left edge,
+    as the two start pairs of one sweep per energy; a delta on the left edge
+    is applied once before propagation.
     """
-    v = np.asarray(vvals)
-    n = v.size
-    e = np.asarray(energies, dtype=float)
-    edge = [g for j, g in delta_nodes if j == 0]
-    interior = [(j, g) for j, g in delta_nodes if j > 0]
-    for j, _ in interior:
-        if j < 5 or j > n - 6:
-            raise ValidationError("interior delta too close to the cell edge")
-
-    results = []
-    for y0val, dy0val in ((1.0, 0.0), (0.0, 1.0)):
-        y0 = np.full(e.shape, y0val, dtype=float)
-        dy0 = np.full(e.shape, dy0val, dtype=float)
-        for g_ in edge:
-            dy0 = dy0 + g_ * y0
-        dv, ddv = _fd_derivs(v, 0, h)
-        y1 = _taylor_step(y0, dy0, h, v[0] - e, dv, ddv)
-
-        jumps = dict(interior)
-        cm = 1.0 - h * h * (v[0] - e) / 12.0
-        cc = 1.0 - h * h * (v[1] - e) / 12.0
-        ym, yc = y0, y1
-        buf = [ym, yc]
-        for j in range(1, n - 1):
-            cp = 1.0 - h * h * (v[j + 1] - e) / 12.0
-            if j in jumps:
-                dy = _onesided_slope(buf[-6:], h, False)
-                dy = dy + jumps[j] * yc
-                dvj, ddvj = _fd_derivs(v, j, h)
-                yp = _taylor_step(yc, dy, h, v[j] - e, dvj, ddvj)
-            else:
-                yp = ((12.0 - 10.0 * cc) * yc - cm * ym) / cp
-            ym, yc = yc, yp
-            cm, cc = cc, cp
-            buf.append(yp)
-            if len(buf) > 6:
-                buf.pop(0)
-        y_end = buf[-1]
-        dy_end = _onesided_slope(buf, h, False)
-        results.append((y_end, dy_end))
-    (u_a, du_a), (w_a, dw_a) = results
-    return u_a, du_a, w_a, dw_a
-
-
-def band_discriminant_curve(cell: Potential, energies) -> np.ndarray:
-    """Discriminant Delta(E) = trace of the one-period transfer matrix."""
     deltas = cell.delta_nodes(interior_only=False)
-    u_a, _, _, dw_a = _propagate_columns(cell.values, cell.grid.h, energies, deltas)
-    return u_a + dw_a
+    v = cell.values
+    h = cell.grid.h
+    interior = [(j, g) for j, g in deltas if j > 0]
+    if any(j < 5 or j > v.size - 6 for j, _ in interior):
+        raise ValidationError("interior delta too close to the cell edge")
+    edge = sum(g for j, g in deltas if j == 0)
+    dv, ddv = (float(d) for d in _fd_derivs(v, 0, h))
+    out = []
+    for energy in np.asarray(energies, dtype=float).tolist():
+        f0 = float(v[0]) - energy
+        y1 = (_taylor_step(1.0, edge, h, f0, dv, ddv), _taylor_step(0.0, 1.0, h, f0, dv, ddv))
+        y, e = _numerov(v, h, energy, (1.0, 0.0), y1, interior, tail=6)
+        u, w = y.T.tolist()
+        ends = [[u[-1], w[-1]], [_onesided_slope(u, h, False), _onesided_slope(w, h, False)]]
+        out.append(np.ldexp(ends, e))
+    return out
 
 
 def transfer_matrix(cell: Potential, energy: float) -> np.ndarray:
     """Full one-period transfer matrix (det = 1 up to discretization)."""
-    deltas = cell.delta_nodes(interior_only=False)
-    vlist = cell.values.tolist()
-    h = cell.grid.h
-    edge = sum(g for j, g in deltas if j == 0)
-    interior = [(j, g) for j, g in deltas if j > 0]
-    cols = []
-    for y0, dy0 in ((1.0, 0.0), (0.0, 1.0)):
-        y = _shoot(vlist, h, energy, ("value-slope", y0, dy0 + edge * y0), interior)
-        cols.append((y[-1], _onesided_slope(y, h, False)))
-    return np.array([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+    return _transfer_matrices(cell, [energy])[0]
 
 
 def band_discriminant(cell: Potential, energy: float) -> float:
     """Delta(E); |Delta| <= 2 exactly when E lies in an allowed zone."""
-    m = transfer_matrix(cell, energy)
+    m = _transfer_matrices(cell, [energy])[0]
     return float(m[0, 0] + m[1, 1])
+
+
+def band_discriminant_curve(cell: Potential, energies) -> np.ndarray:
+    """Discriminant Delta(E) = trace of the one-period transfer matrix."""
+    return np.array([m[0, 0] + m[1, 1] for m in _transfer_matrices(cell, energies)])

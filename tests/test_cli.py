@@ -198,6 +198,15 @@ class TestMainEntry:
     def test_validation_exit_code(self, tmp_path):
         assert main(["figure", "nothing_here", "--out", str(tmp_path)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("step", ["kind = shift\ndE = 0.5\n", "kind = shift\nn = 1.5\ndE = 0.5\n"])
+    def test_bad_step_exit_code(self, tmp_path, step):
+        # a missing key or a non-integer level index is invalid input
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("base = box\n[step]\n" + step)
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_figure_list(self, capsys):
         assert main(["figure", "--list"]) == EXIT_OK
         out = capsys.readouterr().out.split()

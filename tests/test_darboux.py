@@ -205,6 +205,17 @@ class TestShiftLevel:
         check = isospectral_check(res.potential, target, tol=1e-5)
         assert check["pass"], check
 
+    def test_seed_steep_at_a_wall_is_passed_over(self, the_box):
+        # on this well the midpoint seed's Wronskian rises from a wall within
+        # two grid steps; the spike it leaves there misplaces level 3 by 3e-5
+        v = shift_level(the_box, 2, 0.37432642414555417).potential
+        v = scale_swf(v, 1, 2.000329872397271).potential
+        res = shift_level(v, 3, 2.459433468522784)
+        assert "midpoint" not in res.step_log[0]["realization"]
+        target = [1.0, 4.0 + 0.37432642414555417, 9.0 + 2.459433468522784, 16.0]
+        check = isospectral_check(res.potential, target, tol=1e-5)
+        assert check["pass"], check
+
     def test_line_shift_slides_along_soliton_family(self):
         # the one-level reflectionless well stays in its family when its
         # level moves: V must be -2 kappa^2 sech^2(kappa (x - x0))

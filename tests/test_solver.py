@@ -13,7 +13,14 @@ from specdesign.potentials import (
     single_delta,
     soliton_well,
 )
+from specdesign.darboux import bargmann_reflectionless
 from specdesign.solver import (
+    _count_sign_changes,
+    _fd_derivs,
+    _numerov,
+    _onesided_slope,
+    _sweep,
+    _taylor_step,
     band_discriminant,
     band_discriminant_curve,
     bound_states,
@@ -65,6 +72,11 @@ class TestBoundStates:
         # V = g delta(x), g = -2: single level at -g^2/4 = -1, psi ~ e^{-|x|}
         states = bound_states(single_delta(-2.0), 1)
         assert states[0].energy == pytest.approx(-1.0, abs=1e-6)
+
+    def test_deltas_on_one_node_add(self):
+        line = free_line()
+        v = Potential(line.body, "decaying-line", ((0.0, -1.0), (0.0, -1.0)))
+        assert bound_states(v, 1)[0].energy == pytest.approx(-1.0, abs=1e-6)
 
     def test_orthonormality(self):
         states = bound_states(box(), 4)
@@ -198,3 +210,80 @@ class TestBandDiscriminant:
         curve = band_discriminant_curve(cell, es)
         for e, d in zip(es, curve):
             assert d == pytest.approx(band_discriminant(cell, float(e)), abs=1e-12)
+
+
+def reference_sweep(v, h, energy, y0, y1, jumps):
+    """Node-by-node Numerov loop with the same restart at delta nodes."""
+    c = [1.0 - h * h * (x - energy) / 12.0 for x in v]
+    y = [y0, y1]
+    for j in range(1, len(v) - 1):
+        if j in jumps:
+            dy = _onesided_slope(y[-6:], h, False) + jumps[j] * y[j]
+            dv, ddv = _fd_derivs(v, j, h)
+            y.append(_taylor_step(y[j], dy, h, v[j] - energy, dv, ddv))
+        else:
+            y.append(((12.0 - 10.0 * c[j]) * y[j] - c[j - 1] * y[j - 1]) / c[j + 1])
+    return np.array(y)
+
+
+class TestPropagator:
+    def test_banded_solve_matches_node_loop(self):
+        # more nodes than one chunk, with a delta just past the chunk boundary
+        x = np.linspace(-15.0, 15.0, 9001)
+        h = x[1] - x[0]
+        v = -2.0 / np.cosh(x) ** 2
+        jumps = {4100: 1.3}
+        for energy in (-0.5, 0.3, 1.7):
+            want = reference_sweep(v, h, energy, 0.0, h, jumps)
+            y, e = _numerov(v, h, energy, 0.0, h, sorted(jumps.items()))
+            got = np.ldexp(y[:, 0], e)
+            assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+    def test_overflowing_chunk_is_split(self):
+        # a flat barrier grows the solution by e^0.31 per node, e^2821 in all:
+        # a whole chunk would overflow, so it is solved again in halves
+        n, h, barrier = 9001, math.pi / 2000, 4e4
+        c = 1.0 - h * h * barrier / 12.0
+        theta = math.acosh((12.0 - 10.0 * c) / (2.0 * c))  # y_j = h sinh(j theta) / sinh(theta)
+        y, e = _numerov(np.full(n, barrier), h, 0.0, 0.0, h, tail=1)
+        log_end = math.log(y[-1, 0]) + e * math.log(2.0)
+        exact = math.log(h) + theta * (n - 1) - math.log(2.0 * math.sinh(theta))
+        assert log_end == pytest.approx(exact, rel=1e-12)
+
+    def test_sign_changes_skip_zeros_and_count_the_last_sample(self):
+        assert _count_sign_changes([0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 3.0]) == 2
+        assert _count_sign_changes([1.0, 2.0, -1e-300]) == 1
+        assert _count_sign_changes([0.0, 0.0]) == 0
+
+    def test_scalar_discriminant_is_one_point_curve(self):
+        cell = comb_cell()
+        for e in (0.5, 1.0, 2.2, 7.9):
+            assert band_discriminant(cell, e) == band_discriminant_curve(cell, [e])[0]
+
+    def test_single_energy_scattering_matches_curve(self):
+        v = soliton_well()
+        energies = [0.4, 1.0, 3.3]
+        for e, res in zip(energies, scattering_curve(v, energies)):
+            single = scattering(v, e)
+            assert (single.R, single.T) == (res.R, res.T)
+
+    def test_wall_start_sweep_is_fourth_order(self):
+        # free particle from a wall: the sweep follows sin(k (x - x_min)), and
+        # halving h cuts the relative error by 2^4 (coarse grids, where the
+        # truncation error still dominates the rounding error)
+        k = 2.3
+        errors = []
+        for n in (251, 501):
+            v = box(n_points=n)
+            y = _sweep(v, k * k, True)
+            exact = np.sin(k * (v.grid.x - v.grid.x_min)) / math.sin(k * v.grid.h)
+            errors.append(np.max(np.abs(y / y[1] - exact)) / np.max(np.abs(exact)))
+        assert errors[1] < 1e-9
+        assert math.log2(errors[0] / errors[1]) == pytest.approx(4.0, abs=0.2)
+
+    def test_deep_well_shot_is_rescaled(self):
+        # kappa * L = 580: a left shot grows by about e^1160, beyond the range
+        # of a double, so the sweep must rescale as it goes
+        well = bargmann_reflectionless([2.0, 1.0], [2.0, 1.5], half_width=290.0).potential
+        energies = [s.energy for s in bound_states(well, 2)]
+        assert energies == pytest.approx([-4.0, -1.0], abs=1e-8)
