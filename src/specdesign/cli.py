@@ -52,7 +52,7 @@ from .potentials import (
     free_line,
     half_line,
 )
-from .solver import bound_states, scattering_curve
+from .solver import bound_states, oracle_scope, scattering_curve
 from .verify import isospectral_check, reflection_check
 
 EXIT_OK = 0
@@ -210,7 +210,10 @@ def _apply_step(v: Potential, step: dict, n_track: int, cap: float = 1e6):
     if kind == "remove":
         n = int(step["n"])
         if n == 1:
-            return darboux_remove_ground(v, bound_states(v, 1)[0], n_track=n_track, cap=cap)
+            ground = bound_states(v, 1)
+            if not ground:
+                raise ValidationError("remove step: the potential has no bound level")
+            return darboux_remove_ground(v, ground[0], n_track=n_track, cap=cap)
         return remove_level_by_swf(v, n, n_track=n_track, cap=cap)
     if kind == "scale_swf":
         return scale_swf(v, int(step["n"]), float(step["lambda"]), n_track=n_track, cap=cap)
@@ -228,9 +231,9 @@ def _edit_expected(expected: list[float], step: dict, result) -> list[float]:
     if kind == "create":
         return sorted(expected + [float(step["E"])])
     if kind == "remove":
-        out = list(expected)
-        out.pop(int(step["n"]) - 1)
-        return out
+        # a level above the tracked ones leaves them as they are
+        n = int(step["n"])
+        return expected[: n - 1] + expected[n:]
     return list(expected)
 
 
@@ -272,23 +275,25 @@ def run(config: RunConfig) -> dict:
             manifest["resolved"]["truncation"] = g.x_max
     status_ok = True
 
-    try:
-        if isinstance(base, Potential) and config.base in _CONTINUUM_BASES:
-            status_ok = _run_chain(base, config, manifest, artifacts, timing,
-                                   tol_spec, tol_refl, verify_levels, cap)
-        elif isinstance(base, PeriodicSystem):
-            status_ok = _run_band(base, config, manifest, artifacts, timing)
-        else:
-            status_ok = _run_lattice(base, config, manifest, artifacts, timing)
-    except (NumericalFailure, SingularityError) as exc:
-        manifest["status"] = "numerical-failure"
-        manifest["error"] = str(exc)
-        manifest["failed_step"] = len(manifest["steps"])
-        status_ok = False
+    with oracle_scope() as work:
+        try:
+            if isinstance(base, Potential) and config.base in _CONTINUUM_BASES:
+                status_ok = _run_chain(base, config, manifest, artifacts, timing,
+                                       tol_spec, tol_refl, verify_levels, cap)
+            elif isinstance(base, PeriodicSystem):
+                status_ok = _run_band(base, config, manifest, artifacts, timing)
+            else:
+                status_ok = _run_lattice(base, config, manifest, artifacts, timing)
+        except (NumericalFailure, SingularityError) as exc:
+            manifest["status"] = "numerical-failure"
+            manifest["error"] = str(exc)
+            manifest["failed_step"] = len(manifest["steps"])
+            status_ok = False
 
     if manifest["status"] == "ok" and not status_ok:
         manifest["status"] = "verification-failed"
     timing["total_ms"] = 1000.0 * (time.perf_counter() - t_start)
+    manifest["oracle_work"] = work.ledger()
     manifest["timing"] = timing
     manifest["artifacts"] = artifacts.write(out_dir)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
@@ -551,11 +556,7 @@ def _dispatch(args) -> int:
     manifest = run(cfg)
     worst = manifest["status"]
     print(f"status: {worst}; artifacts in {cfg.out}")
-    if worst == "ok":
-        return EXIT_OK
-    if worst == "numerical-failure" or worst == "verification-failed":
-        return EXIT_NUMERICAL
-    return EXIT_NUMERICAL
+    return EXIT_OK if worst == "ok" else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ callers can buffer output and only touch the filesystem once.
 
 from __future__ import annotations
 
-import io
+from itertools import islice
 
 import numpy as np
 
@@ -15,16 +15,31 @@ from .errors import ValidationError
 from .grid import Grid, SampledFn, make_grid
 
 
+#: rows formatted at a time; bounds the cells held besides the output
+_BLOCK_ROWS = 4096
+
+
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
 def _table(header: list[str], rows) -> bytes:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(c) if not isinstance(c, str) else c for c in row) + "\n")
-    return buf.getvalue().encode()
+    """Header line plus one line per row; numbers take 17 significant digits.
+
+    Rows are formatted in blocks: an all-numeric block by one %-format over
+    its flattened rows (the same digits as _fmt), a block holding a string
+    cell by cell.
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    out = [",".join(header) + "\n"]
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        try:
+            out.append(line * len(block) % tuple(c for row in block for c in row))
+        except TypeError:  # a string cell
+            out.extend(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n"
+                       for row in block)
+    return "".join(out).encode()
 
 
 def sampled_fn_bytes(f: SampledFn, value_name: str = "value") -> bytes:

@@ -15,10 +15,23 @@ Method summary
   deep exponential tails cannot overflow and the rescaling is exact.
 * Bound states are integrated from both ends and matched at the rightmost
   classical turning point, which keeps the scheme stable inside deep
-  classically forbidden tails.
-* Eigenvalues are bracketed by interior-node counts of the left-shot
-  solution (node theorem), seeded by finite-difference tridiagonal estimates,
-  then polished with Brent's method on the matching Wronskian.
+  classically forbidden tails.  Matching only sweeps the left shot up to
+  m + 1 and the right shot back to m - 1 (m the match node); the state is
+  spliced from the left shot and a right shot reaching back to its peak.
+* Level k is seeded by the k-th eigenvalue of a finite-difference
+  tridiagonal on a coarse grid (at least 512 intervals), computed on its
+  own so that no level depends on how many were asked for.  Newton steps on
+  Cooley's correction (psi_L'(m) - psi_R'(m)) psi(m) / int psi^2 (J. W.
+  Cooley, Math. Comp. 15, 363 (1961)) refine it until the signs of the
+  corrections bracket it within 2 rel_tol max(1, |E|); the assembled state
+  must have k - 1 nodes.  If that fails, the level is bracketed by
+  interior-node counts of the left shot (node theorem) and polished with
+  Brent's method on the matching Wronskian.
+* Inside ``oracle_scope()`` (the CLI opens one per run) the solved levels of
+  each sampled potential are kept, keyed on its exact values, boundary kind,
+  deltas, grid and rel_tol, and a repeated or shorter request is served
+  from them; a longer one solves only the missing levels.  The scope also
+  counts the oracle's work (``OracleWork.ledger``).
 * Delta spikes enter exactly through the derivative jump
   psi'(x+) = psi'(x-) + g psi(x); they are never smeared.  The banded solve
   stops at each delta node, applies the jump and restarts with a Taylor step.
@@ -29,12 +42,13 @@ Method summary
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dstebz, dtbtrs
 from scipy.optimize import brentq
 
 from .errors import NumericalFailure, ValidationError
@@ -77,6 +91,57 @@ class ScatteringResult:
     def flux_defect(self) -> float:
         """|R|^2 + (k_R/k_L)|T|^2 - 1; zero for an exact solution."""
         return abs(self.R) ** 2 + (self.k_right / self.k_left) * abs(self.T) ** 2 - 1.0
+
+
+class OracleWork:
+    """Memo of bound-state solves and a ledger of the oracle's work, for one scope.
+
+    The memo is keyed on the exact sampled values, boundary kind, deltas,
+    grid and rel_tol, never on anything a transform reports.  The counts
+    depend only on what was asked, so they repeat exactly for the same run.
+    """
+
+    def __init__(self):
+        self.memo: dict = {}
+        self.calls = 0  # bound_states calls
+        self.memo_hits = 0  # calls whose potential was already stored
+        self.levels_solved = 0
+        self.bracketed_levels = 0  # levels the Cooley steps left to Brent
+        self.numerov_calls = 0  # all sweeps, transforms' seeds included
+        self.nodes_swept = 0
+        self.level_numerov_calls = 0  # the share made inside bound_states
+        self.level_nodes_swept = 0
+        self.level_sweeps = 0.0  # that share in full-domain sweeps
+
+    def ledger(self) -> dict:
+        solved = max(1, self.levels_solved)
+        return {
+            "bound_states": {
+                "calls": self.calls,
+                "memo_hits": self.memo_hits,
+                "levels_solved": self.levels_solved,
+                "bracketed_levels": self.bracketed_levels,
+                "numerov_calls": self.level_numerov_calls,
+                "nodes_swept": self.level_nodes_swept,
+                "sweeps_per_level": self.level_sweeps / solved,
+                "numerov_calls_per_level": self.level_numerov_calls / solved,
+            },
+            "numerov_calls": self.numerov_calls,
+            "nodes_swept": self.nodes_swept,
+        }
+
+
+_WORK: ContextVar[OracleWork | None] = ContextVar("specdesign_oracle_work", default=None)
+
+
+@contextmanager
+def oracle_scope():
+    """Open a fresh memo and work ledger for the calls made inside the block."""
+    token = _WORK.set(OracleWork())
+    try:
+        yield _WORK.get()
+    finally:
+        _WORK.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +210,10 @@ def _numerov(v, h, energy, y0, y1, jumps=(), tail=0):
     start pair and holds every node, or only the last `tail` nodes.
     """
     n = len(v)
+    work = _WORK.get()
+    if work is not None:
+        work.numerov_calls += 1
+        work.nodes_swept += n
     c = 1.0 - h * h * (v - energy) / 12.0
     ab = np.empty((3, n), order="F")  # lower band: diagonal, first and second subdiagonal
     ab[0] = c
@@ -221,12 +290,17 @@ def _count_sign_changes(y) -> int:
     return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
-def _sweep(v: Potential, energy, from_left: bool, deltas=()) -> np.ndarray:
+def _sweep(v: Potential, energy, from_left: bool, deltas=(), reach=None) -> np.ndarray:
     """Solution regular at one edge (wall zero or decaying tail), in grid order.
 
-    The overall positive scale is arbitrary.
+    Only the `reach` nodes nearest the starting edge are swept (all by
+    default); forward substitution on a prefix gives the same numbers as on
+    the whole array, up to an exact power-of-two scale.  The overall positive
+    scale is arbitrary.
     """
     h = v.grid.h
+    n = v.grid.n_points
+    reach = n if reach is None else reach
     y0, y1 = 0.0, h
     if v.bc_kind == DECAYING_LINE or (v.bc_kind == DECAYING_HALF_LINE and not from_left):
         kap2 = (v.values[0] if from_left else v.values[-1]) - energy
@@ -234,11 +308,12 @@ def _sweep(v: Potential, energy, from_left: bool, deltas=()) -> np.ndarray:
             side = "left" if from_left else "right"
             raise ValidationError(f"energy {energy} not below the {side} continuum edge")
         y0, y1 = 1.0, math.exp(math.sqrt(kap2) * h)
+    # a jump on the last swept node would only act beyond it
     if from_left:
-        return _numerov(v.values, h, energy, y0, y1, deltas)[0][:, 0]
-    last = v.grid.n_points - 1
-    mirrored = [(last - j, g) for j, g in reversed(deltas)]
-    return _numerov(v.values[::-1], h, energy, y0, y1, mirrored)[0][::-1, 0]
+        jumps = [(j, g) for j, g in deltas if j <= reach - 2]
+        return _numerov(v.values[:reach], h, energy, y0, y1, jumps)[0][:, 0]
+    mirrored = [(n - 1 - j, g) for j, g in reversed(deltas) if n - 1 - j <= reach - 2]
+    return _numerov(v.values[::-1][:reach], h, energy, y0, y1, mirrored)[0][::-1, 0]
 
 
 def _node_count(v: Potential, energy, deltas) -> int:
@@ -247,18 +322,44 @@ def _node_count(v: Potential, energy, deltas) -> int:
     return _count_sign_changes(_sweep(v, energy, True, deltas))
 
 
-def _fd_estimates(v: Potential, count: int) -> np.ndarray:
-    """O(h^2) eigenvalue estimates from the finite-difference tridiagonal."""
+#: the finite-difference seed runs on every s-th node, s the largest divisor
+#: of the interval count that leaves at least this many intervals
+_SEED_INTERVALS = 512
+
+
+def _seed_matrix(v: Potential) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-difference Hamiltonian (diagonal, off-diagonal) on a coarse grid.
+
+    Coarse nodes are every s-th node, walls included; deltas add to their
+    nearest coarse node.  Its eigenvalues are O((s h)^2) seeds that the
+    Cooley steps refine.
+    """
     g = v.grid
-    h = g.h
-    vals = v.values[1:-1].copy()
+    intervals = g.n_points - 1
+    s = max(1, intervals // _SEED_INTERVALS)
+    while intervals % s:
+        s -= 1
+    h = s * g.h
+    vals = v.values[s:-1:s].copy()
     for j, strength in v.delta_nodes(interior_only=False):
-        if 1 <= j <= g.n_points - 2:
-            vals[j - 1] += strength / h
-    diag = 2.0 / h**2 + vals
-    off = np.full(g.n_points - 3, -1.0 / h**2)
-    hi = min(count - 1, diag.size - 1)
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, hi), eigvals_only=True)
+        c = round(j / s)
+        if 1 <= c <= vals.size:
+            vals[c - 1] += strength / h
+    return 2.0 / h**2 + vals, np.full(vals.size - 1, -1.0 / h**2)
+
+
+def _fd_estimate(fd: tuple[np.ndarray, np.ndarray], k: int) -> float:
+    """Seed for level k: the k-th eigenvalue of the coarse FD matrix.
+
+    Level k is computed on its own, so the seed (and every digit that
+    follows from it) does not depend on how many levels a call asks for.
+    """
+    diag, off = fd
+    top = min(k, diag.size)
+    found, w, _, _, info = dstebz(diag, off, 3, 0.0, 0.0, top, top, 0.0, "E")
+    if info or found != 1:
+        raise NumericalFailure(f"finite-difference estimate of level {k} failed (info {info})")
+    return float(w[0]) + k - top
 
 
 def _match_index(v: Potential, energy) -> int:
@@ -270,55 +371,92 @@ def _match_index(v: Potential, energy) -> int:
 
 
 class _Matcher:
-    """Bidirectional shoot-and-match at a fixed interior node."""
+    """Shoot-and-match at an interior node m from two half-domain sweeps.
+
+    The left shot covers nodes 0 .. m+1 and the right shot m-1 .. N-1: all
+    that the matching Wronskian, the match-point test and the Cooley
+    correction read.  The last pair of shots is kept.
+    """
 
     def __init__(self, v: Potential, m: int, deltas):
         self.v = v
         self.h = v.grid.h
         self.m = m
         self.deltas = deltas
+        self._last = None
 
     def sweeps(self, energy):
-        return _sweep(self.v, energy, True, self.deltas), _sweep(self.v, energy, False, self.deltas)
+        """(yl, yr): yl[i] is node i, yr[i] is node m - 1 + i."""
+        if self._last is None or self._last[0] != (energy, self.m):
+            n = self.v.grid.n_points
+            yl = _sweep(self.v, energy, True, self.deltas, self.m + 2)
+            yr = _sweep(self.v, energy, False, self.deltas, n - self.m + 1)
+            self._last = (energy, self.m), yl, yr
+        return self._last[1:]
+
+    def _slopes(self, energy, yl, yr):
+        """Numerov-corrected slopes at m of the left and right branches."""
+        m, h = self.m, self.h
+        f0, f1 = self.v.values[m - 1] - energy, self.v.values[m + 1] - energy
+        dl = (yl[2] - yl[0]) / (2 * h) - (h / 12.0) * (f1 * yl[2] - f0 * yl[0])
+        dr = (yr[2] - yr[0]) / (2 * h) - (h / 12.0) * (f1 * yr[2] - f0 * yr[0])
+        return dl, dr
 
     def mismatch(self, energy):
-        m, h = self.m, self.h
+        yl, yr = self.sweeps(energy)
+        m = self.m
         # each branch is rescaled by a power of two around m: the ratio below
         # is unchanged and its products cannot underflow
-        yl, yr = (_unit(y[m - 1 : m + 2]) for y in self.sweeps(energy))
-        fl = self.v.values[m - 1] - energy, self.v.values[m + 1] - energy
-        dl = (yl[2] - yl[0]) / (2 * h) - (h / 12.0) * (fl[1] * yl[2] - fl[0] * yl[0])
-        dr = (yr[2] - yr[0]) / (2 * h) - (h / 12.0) * (fl[1] * yr[2] - fl[0] * yr[0])
+        yl, yr = _unit(yl[m - 1 : m + 2]), _unit(yr[:3])
+        dl, dr = self._slopes(energy, yl, yr)
         raw = dl * yr[1] - dr * yl[1]
         scale = abs(dl * yr[1]) + abs(dr * yl[1]) + 1e-300
         return float(raw / scale)
+
+    def correction(self, energy) -> float:
+        """Cooley's energy correction (psi_L'(m) - psi_R'(m)) psi(m) / int psi^2.
+
+        Both branches are scaled to 1 at m; the match-point test keeps that
+        scaling within a factor 1e3 of each branch's peak.
+        """
+        yl, yr = self.sweeps(energy)
+        m = self.m
+        left = yl / yl[m]
+        right = yr / yr[1]
+        dl, dr = self._slopes(energy, left[m - 1 :], right)
+        norm = self.h * (np.dot(left[: m + 1], left[: m + 1]) + np.dot(right[2:], right[2:]))
+        return float((dl - dr) / norm)
 
     def good_match_point(self, energy) -> bool:
         yl, yr = self.sweeps(energy)
         m = self.m
         peak_l = np.max(np.abs(yl[: m + 1]))
-        peak_r = np.max(np.abs(yr[m:]))
-        return bool(abs(yl[m]) > 1e-3 * peak_l and abs(yr[m]) > 1e-3 * peak_r)
+        peak_r = np.max(np.abs(yr[1:]))
+        return bool(abs(yl[m]) > 1e-3 * peak_l and abs(yr[1]) > 1e-3 * peak_r)
 
-
-def _assemble_state(v: Potential, energy, m, deltas) -> tuple[np.ndarray, int]:
-    yl, yr = _Matcher(v, m, deltas).sweeps(energy)
-    # splice at the dominant lobe left of the turning point, not at the
-    # turning point itself: the tiny branch mismatch then lands where
-    # relative errors (and u'/u) are smallest
-    peak = 4 + int(np.argmax(np.abs(yl[4 : m + 1])))
-    if abs(yr[peak]) > 1e-6 * np.max(np.abs(yr[peak:])):
-        m = peak
-    y = _unit(np.concatenate((yl[:m], (yl[m] / yr[m]) * yr[m:])))
-    nodes = _count_sign_changes(y[1:-1])
-    norm = integrate(SampledFn(v.grid, y * y))
-    y = y / math.sqrt(norm)
-    # deterministic sign: first significant lobe positive
-    peak = np.max(np.abs(y))
-    first = np.nonzero(np.abs(y) > 0.05 * peak)[0][0]
-    if y[first] < 0:
-        y = -y
-    return y, nodes
+    def state(self, energy) -> tuple[np.ndarray, int]:
+        """Normalised spliced state at `energy` and its interior node count."""
+        yl, yr = self.sweeps(energy)
+        m, start = self.m, self.m - 1  # yr[i] is node start + i
+        # splice at the dominant lobe left of the turning point, not at the
+        # turning point itself: the tiny branch mismatch then lands where
+        # relative errors (and u'/u) are smallest
+        peak = 4 + int(np.argmax(np.abs(yl[4 : m + 1])))
+        if peak < start:
+            n = self.v.grid.n_points
+            yr, start = _sweep(self.v, energy, False, self.deltas, n - peak), peak
+        if abs(yr[peak - start]) > 1e-6 * np.max(np.abs(yr[peak - start :])):
+            m = peak
+        y = _unit(np.concatenate((yl[:m], (yl[m] / yr[m - start]) * yr[m - start :])))
+        nodes = _count_sign_changes(y[1:-1])
+        norm = integrate(SampledFn(self.v.grid, y * y))
+        y = y / math.sqrt(norm)
+        # deterministic sign: first significant lobe positive
+        peak = np.max(np.abs(y))
+        first = np.nonzero(np.abs(y) > 0.05 * peak)[0][0]
+        if y[first] < 0:
+            y = -y
+        return y, nodes
 
 
 def _state_swf(v: Potential, energy, psi: np.ndarray) -> float:
@@ -330,67 +468,133 @@ def _state_swf(v: Potential, energy, psi: np.ndarray) -> float:
     return float(_onesided_slope(psi, h, True))
 
 
-def bound_states(v: Potential, count: int, *, rel_tol: float = 1e-11) -> list[BoundState]:
-    """The lowest `count` bound states of a potential, ordered by energy.
+#: Cooley steps tried from the finite-difference seed before the bracketed path
+_COOLEY_STEPS = 12
 
-    Energies are refined to |dE| < rel_tol * max(1, |E|).  For decaying
-    boundary kinds only the levels genuinely below the continuum edge are
-    returned, so the list may be shorter than requested.
 
-    Raises
-    ------
-    ValidationError
-        for bad arguments or deltas too close to the domain edge.
-    NumericalFailure
-        if bracketing or refinement fails to converge.
+class _Spectrum:
+    """The bound levels of one potential solved so far, lowest first.
+
+    Levels are solved one at a time and each depends only on the potential,
+    its index and rel_tol, so a stored prefix equals a fresh solve bit for bit.
     """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    if v.grid.n_points < 11:
-        raise ValidationError("grid too coarse for the shooting solver (need >= 11 points)")
-    deltas = v.delta_nodes(interior_only=True)
 
-    n_want = count
-    e_top = None
-    if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE):
-        edge = v.continuum_edge()
-        e_top = edge - 1e-9 * max(1.0, abs(edge))
-        n_exist = _node_count(v, e_top, deltas)
-        n_want = min(count, n_exist)
-        if n_want == 0:
-            return []
+    def __init__(self, v: Potential, rel_tol: float):
+        self.v = v
+        self.rel_tol = rel_tol
+        self.deltas = v.delta_nodes(interior_only=True)
+        self.levels: list[BoundState] = []
+        self.e_top = None
+        self.n_exist = math.inf
+        self._fd = None
+        if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE):
+            edge = v.continuum_edge()
+            self.e_top = edge - 1e-9 * max(1.0, abs(edge))
+            self.n_exist = _node_count(v, self.e_top, self.deltas)
 
-    est = _fd_estimates(v, n_want)
-    states = []
-    for k in range(1, n_want + 1):
-        e0 = float(est[k - 1]) if k - 1 < est.size else float(est[-1]) + k - est.size
-        lo, hi, width = e0, e0, max(1e-6, 1e-4 * max(1.0, abs(e0)))
+    def first(self, count: int) -> list[BoundState]:
+        while len(self.levels) < min(count, self.n_exist):
+            self.levels.append(self._solve(len(self.levels) + 1))
+        return self.levels[:count]
+
+    def _solve(self, k: int) -> BoundState:
+        v = self.v
+        if self._fd is None:
+            self._fd = _seed_matrix(v)
+        e0 = _fd_estimate(self._fd, k)
+        if self.e_top is not None:
+            e0 = min(e0, self.e_top)
+        found = self._cooley(k, e0)
+        work = _WORK.get()
+        if work is not None:
+            work.levels_solved += 1
+            work.bracketed_levels += found is None
+        energy, psi = found or self._bracketed(k, e0)
+        psi.flags.writeable = False
+        return BoundState(n=k, nodes=k - 1, energy=float(energy), psi=SampledFn(v.grid, psi),
+                          swf=_state_swf(v, energy, psi))
+
+    def _matcher(self, energy) -> _Matcher:
+        """Matcher at the turning point of `energy`, moved left until neither
+        branch is near a node there."""
+        v = self.v
+        matcher = _Matcher(v, _match_index(v, energy), self.deltas)
+        for _ in range(12):
+            if matcher.good_match_point(energy):
+                break
+            matcher.m = max(4, matcher.m - max(1, v.grid.n_points // 40))
+        return matcher
+
+    def _cooley(self, k: int, e0: float):
+        """(energy, state) of level k by Cooley steps from the seed, or None.
+
+        Newton steps on Cooley's correction, kept inside the interval that
+        the signs of the corrections seen so far bracket, and halving it
+        where a step would leave it, until that interval is 2 xtol wide.
+        The sign change is what ends the search, not a small step: the
+        Numerov coefficients 1 - h^2 (V - E) / 12 resolve E only to about
+        12 eps / h^2, so over stretches of a few 1e-10 the correction can
+        be flat or point at a root that is not there.  None (and the
+        node-count bracket takes over) when this leaves the bound region or
+        does not end in a state with k - 1 nodes.
+        """
+        matcher = self._matcher(e0)
+        energy, last = e0, math.inf
+        lo, hi = -math.inf, math.inf if self.e_top is None else self.e_top
+        for _ in range(_COOLEY_STEPS):
+            step = matcher.correction(energy)
+            if not math.isfinite(step):
+                return None
+            if step > 0:
+                lo = energy
+            else:
+                hi = energy
+            xtol = self.rel_tol * max(1.0, abs(energy))
+            if step == 0.0 or hi - lo <= 2 * xtol:
+                psi, nodes = matcher.state(energy)
+                return (energy, psi) if nodes == k - 1 else None
+            # a root predicted closer than xtol is stepped past by xtol, so
+            # that the next correction changes sign and closes the bracket
+            target = energy + step + (math.copysign(xtol, step) if abs(step) < xtol else 0.0)
+            # a Newton step that no longer halves the last move is crawling
+            # across a rounding plateau: halve the bracket once it is narrow
+            if lo < target < hi and (abs(step) <= 0.5 * last or hi - lo > 4 * abs(step)):
+                energy, last = target, abs(step)
+            elif math.isinf(hi - lo):
+                return None
+            else:
+                energy, last = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return None
+
+    def _bracketed(self, k: int, e0: float):
+        """(energy, state) of level k inside a node-count bracket (Brent)."""
+        v, deltas, e_top = self.v, self.deltas, self.e_top
+        width = max(1e-6, 1e-4 * max(1.0, abs(e0)))
         for attempt in range(80):
             lo, hi = e0 - width, e0 + width
             if e_top is not None:
                 hi = min(hi, e_top)
-            if _node_count(v, lo, deltas) <= k - 1 and _node_count(v, hi, deltas) >= k:
-                break
+            n_lo = _node_count(v, lo, deltas)
+            if n_lo <= k - 1:
+                n_hi = _node_count(v, hi, deltas)
+                if n_hi >= k:
+                    break
             width *= 3.0
         else:
             raise NumericalFailure(f"could not bracket level {k} near E={e0}")
         # shrink to a bracket holding exactly this level
-        while _node_count(v, lo, deltas) < k - 1 or _node_count(v, hi, deltas) > k or hi - lo > max(0.5, 0.05 * abs(e0)):
+        while n_lo < k - 1 or n_hi > k or hi - lo > max(0.5, 0.05 * abs(e0)):
             mid = 0.5 * (lo + hi)
-            if _node_count(v, mid, deltas) <= k - 1:
-                lo = mid
+            n_mid = _node_count(v, mid, deltas)
+            if n_mid <= k - 1:
+                lo, n_lo = mid, n_mid
             else:
-                hi = mid
+                hi, n_hi = mid, n_mid
             if hi - lo < 4e-16 * max(1.0, abs(hi)):
                 break
 
-        m = _match_index(v, 0.5 * (lo + hi))
-        matcher = _Matcher(v, m, deltas)
-        for _ in range(12):
-            if matcher.good_match_point(0.5 * (lo + hi)):
-                break
-            matcher.m = max(4, matcher.m - max(1, v.grid.n_points // 40))
-        xtol = rel_tol * max(1.0, abs(hi))
+        matcher = self._matcher(0.5 * (lo + hi))
+        xtol = self.rel_tol * max(1.0, abs(hi))
         flo, fhi = matcher.mismatch(lo), matcher.mismatch(hi)
         if flo == 0.0:
             energy = lo
@@ -412,16 +616,51 @@ def bound_states(v: Potential, count: int, *, rel_tol: float = 1e-11) -> list[Bo
                 raise NumericalFailure(f"node bisection did not converge for level {k}")
             energy = 0.5 * (lo + hi)
 
-        psi, nodes = _assemble_state(v, energy, matcher.m, deltas)
+        psi, nodes = matcher.state(energy)
         if nodes != k - 1:
             raise NumericalFailure(
                 f"level {k}: assembled state has {nodes} nodes (expected {k - 1})"
             )
-        states.append(
-            BoundState(n=k, nodes=nodes, energy=float(energy), psi=SampledFn(v.grid, psi),
-                       swf=_state_swf(v, energy, psi))
-        )
-    return states
+        return energy, psi
+
+
+def bound_states(v: Potential, count: int, *, rel_tol: float = 1e-11) -> list[BoundState]:
+    """The lowest `count` bound states of a potential, ordered by energy.
+
+    Energies are refined to |dE| < rel_tol * max(1, |E|).  For decaying
+    boundary kinds only the levels genuinely below the continuum edge are
+    returned, so the list may be shorter than requested.  The state arrays
+    are read-only.  Inside an ``oracle_scope`` the levels of each sampled
+    potential are kept and a repeated request is served from them; the
+    result is the same, bit for bit.
+
+    Raises
+    ------
+    ValidationError
+        for bad arguments or deltas too close to the domain edge.
+    NumericalFailure
+        if bracketing or refinement fails to converge.
+    """
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    if v.grid.n_points < 11:
+        raise ValidationError("grid too coarse for the shooting solver (need >= 11 points)")
+    work = _WORK.get()
+    if work is None:
+        return _Spectrum(v, rel_tol).first(count)
+    key = (v.values.tobytes(), v.bc_kind, v.deltas, v.grid, rel_tol)
+    spectrum = work.memo.get(key)
+    work.calls += 1
+    work.memo_hits += spectrum is not None
+    calls, nodes = work.numerov_calls, work.nodes_swept
+    try:
+        if spectrum is None:
+            spectrum = work.memo[key] = _Spectrum(v, rel_tol)
+        return spectrum.first(count)
+    finally:
+        work.level_numerov_calls += work.numerov_calls - calls
+        work.level_nodes_swept += work.nodes_swept - nodes
+        work.level_sweeps += (work.nodes_swept - nodes) / v.grid.n_points
 
 
 # ---------------------------------------------------------------------------

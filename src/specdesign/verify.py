@@ -67,14 +67,6 @@ def interval_mass(state, x_lo: float, x_hi: float) -> float:
     return integrate(SampledFn(g, w))
 
 
-def central_mass(states, fraction: float = 0.5) -> float:
-    """Combined probability mass of states inside the central `fraction` of the domain."""
-    g = states[0].psi.grid
-    half = 0.5 * fraction * (g.x_max - g.x_min)
-    mid = 0.5 * (g.x_min + g.x_max)
-    return sum(interval_mass(s, mid - half, mid + half) for s in states)
-
-
 def peak_width(energies, values, *, level: float = 0.5) -> tuple[float, float, float]:
     """Peak position, height and width of a resonance curve.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specdesign.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, main, parse_config, run
-from specdesign.csvio import read_sampled_fn, sampled_fn_bytes
+from specdesign.csvio import _table, read_sampled_fn, sampled_fn_bytes
 from specdesign.errors import ValidationError
 from specdesign.figures import build_figure_bundle, figure_tags
 from specdesign.grid import make_grid, sample
@@ -118,6 +118,26 @@ class TestRun:
         m0["config"].pop("out"), m1["config"].pop("out")
         assert m0 == m1
 
+    def test_oracle_work_repeats_and_stays_in_its_run(self, tmp_path):
+        # the memo lives for one run: a second run of the same config
+        # repeats the first one's counts exactly instead of hitting its memo
+        text = ("base = box\nverify_levels = 3\n[step]\nkind = scale_swf\nn = 2\n"
+                "lambda = 1.5\n[step]\nkind = shift\nn = 1\ndE = -2\n")
+        outs, work = [], []
+        for name in ("a", "b"):
+            cfg = parse_config(text)
+            cfg.out = str(tmp_path / name)
+            manifest = run(cfg)
+            assert manifest["status"] == "ok"
+            outs.append(tmp_path / name)
+            work.append(manifest["oracle_work"])
+        assert work[0] == work[1]
+        solved = work[0]["bound_states"]
+        assert 0 < solved["memo_hits"] < solved["calls"]
+        assert solved["sweeps_per_level"] <= 10.0
+        for f in ("potential.csv", "spectrum.csv", "states.csv", "steplog.csv"):
+            assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
     def test_band_tracking(self, tmp_path):
         cfg = RunConfig(base="comb", out=str(tmp_path / "band"),
                         chain=[{"kind": "shift_zone", "aux_level": 2, "dE": 0.5}],
@@ -207,6 +227,22 @@ class TestMainEntry:
         assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("base", ["free-line", "half-line"])
+    def test_remove_without_a_level_exit_code(self, tmp_path, base):
+        # neither base has a bound level to remove
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"base = {base}\n[step]\nkind = remove\nn = 1\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_remove_above_the_tracked_levels(self, tmp_path):
+        manifest = run(RunConfig(base="box", chain=[{"kind": "remove", "n": 5}],
+                                 out=str(tmp_path / "rm")))
+        assert manifest["status"] == "ok"
+        measured = [row["measured"] for row in manifest["steps"][0]["oracle"]["levels"]]
+        assert measured == pytest.approx([1.0, 4.0, 9.0, 16.0], abs=1e-6)
+
     def test_figure_list(self, capsys):
         assert main(["figure", "--list"]) == EXIT_OK
         out = capsys.readouterr().out.split()
@@ -256,3 +292,21 @@ class TestCsvRoundTrip:
         back = read_sampled_fn(sampled_fn_bytes(f))
         assert np.array_equal(back.values, f.values)
         assert back.grid == f.grid
+
+    def test_tables_match_the_cell_by_cell_formatter(self):
+        def cell_by_cell(header, rows):
+            lines = [",".join(header)]
+            for row in rows:
+                lines.append(",".join(c if isinstance(c, str) else format(float(c), ".17g")
+                                      for c in row))
+            return ("\n".join(lines) + "\n").encode()
+
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1]
+        values = np.resize(special, 3 * 9001).reshape(9001, 3)  # three blocks of rows
+        rows = [(n, *v) for n, v in enumerate(values.tolist(), start=1)]
+        rows[7] = (np.int64(8), np.float64(values[7, 0]), 2**60 + 1, True)
+        header = ["n", "a", "b", "c"]
+        assert _table(header, rows) == cell_by_cell(header, rows)
+        mixed = [("1", "shift", "dE=0.5;n=1", -0.0), ("2", "remove", "", np.nan)]
+        assert _table(header, mixed) == cell_by_cell(header, mixed)
+        assert _table(header, []) == cell_by_cell(header, [])

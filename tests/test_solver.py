@@ -14,7 +14,9 @@ from specdesign.potentials import (
     soliton_well,
 )
 from specdesign.darboux import bargmann_reflectionless
+import specdesign.solver as solver_module
 from specdesign.solver import (
+    _Matcher,
     _count_sign_changes,
     _fd_derivs,
     _numerov,
@@ -24,6 +26,7 @@ from specdesign.solver import (
     band_discriminant,
     band_discriminant_curve,
     bound_states,
+    oracle_scope,
     scattering,
     scattering_curve,
     transfer_matrix,
@@ -287,3 +290,124 @@ class TestPropagator:
         well = bargmann_reflectionless([2.0, 1.0], [2.0, 1.5], half_width=290.0).potential
         energies = [s.energy for s in bound_states(well, 2)]
         assert energies == pytest.approx([-4.0, -1.0], abs=1e-8)
+
+
+def same_states(a, b) -> bool:
+    """Bit-for-bit equality of two bound-state lists."""
+    return len(a) == len(b) and all(
+        (x.n, x.nodes, x.energy, x.swf) == (y.n, y.nodes, y.energy, y.swf)
+        and np.array_equal(x.psi.values, y.psi.values)
+        for x, y in zip(a, b)
+    )
+
+
+def equal_up_to_power_of_two(part, whole) -> bool:
+    """part == whole * 2**k exactly, for one integer k."""
+    ratio = whole[np.argmax(np.abs(whole))] / part[np.argmax(np.abs(whole))]
+    return math.frexp(ratio)[0] == 0.5 and np.array_equal(part * ratio, whole)
+
+
+class TestOracleScope:
+    @pytest.mark.parametrize("make", [box, poschl_teller, soliton_well])
+    def test_memo_is_transparent(self, make):
+        v = make()
+        fresh = {k: bound_states(v, k) for k in range(1, 6)}
+        for k in range(1, 5):  # a level does not depend on how many were asked for
+            assert same_states(fresh[k], fresh[5][:k])
+        for order in ([1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [3, 1, 5, 2, 4]):
+            with oracle_scope() as work:
+                for k in order:
+                    assert same_states(bound_states(v, k), fresh[k])
+            assert (work.calls, work.memo_hits) == (5, 4)
+
+    def test_memo_solves_only_missing_levels(self):
+        v = poschl_teller()
+        with oracle_scope() as work:
+            bound_states(v, 2)
+            bound_states(v, 4)
+            bound_states(v, 3)
+        assert work.levels_solved == 4
+
+    def test_memo_key_is_the_samples(self):
+        v = box()
+        twin = Potential(SampledFn(v.grid, v.values.copy()), v.bc_kind)
+        nudged = v.values.copy()
+        nudged[1000] = np.nextafter(nudged[1000], 1.0)
+        with oracle_scope() as work:
+            bound_states(v, 1)
+            bound_states(twin, 1)
+            bound_states(Potential(SampledFn(v.grid, nudged), v.bc_kind), 1)
+        assert (work.calls, work.memo_hits, work.levels_solved) == (3, 1, 2)
+
+    def test_scope_ends_with_its_block(self):
+        v = box()
+        with oracle_scope() as first:
+            bound_states(v, 2)
+        with oracle_scope() as second:
+            bound_states(v, 2)
+        assert (first.memo_hits, second.memo_hits) == (0, 0)
+        assert second.levels_solved == 2
+        bound_states(v, 2)  # outside any scope: nothing is counted or kept
+        assert (first.calls, second.calls) == (1, 1)
+
+    def test_states_are_read_only(self):
+        v = box()
+        with oracle_scope():
+            inside = bound_states(v, 2)
+        for s in inside + bound_states(v, 2):
+            with pytest.raises(ValueError):
+                s.psi.values[0] = 1.0
+
+    def test_work_per_level_stays_in_budget(self):
+        with oracle_scope() as work:
+            bound_states(poschl_teller(), 4)
+        ledger = work.ledger()["bound_states"]
+        assert ledger["sweeps_per_level"] <= 10.0
+        assert ledger["numerov_calls_per_level"] <= 12.0
+
+
+class TestHalfSweeps:
+    @pytest.mark.parametrize("offset", [-2, 0, 2])
+    def test_half_sweeps_are_prefix_and_suffix_of_full_sweeps(self, offset):
+        # 19,109 nodes (several chunks), a delta at m + offset
+        v = single_delta(-2.0)
+        deltas = v.delta_nodes()
+        m = deltas[0][0] - offset
+        n = v.grid.n_points
+        for energy in (-1.3, -1.0, -0.4):
+            yl, yr = _Matcher(v, m, deltas).sweeps(energy)
+            assert equal_up_to_power_of_two(yl, _sweep(v, energy, True, deltas)[: m + 2])
+            assert equal_up_to_power_of_two(yr, _sweep(v, energy, False, deltas)[m - 1 :])
+            assert yl.size == m + 2 and yr.size == n - m + 1
+
+    def test_hard_wall_half_sweeps(self):
+        v = poschl_teller()
+        for m in (40, 1000, 1996):
+            for energy in (3.0, 9.0, 20.5):
+                yl, yr = _Matcher(v, m, ()).sweeps(energy)
+                assert equal_up_to_power_of_two(yl, _sweep(v, energy, True)[: m + 2])
+                assert equal_up_to_power_of_two(yr, _sweep(v, energy, False)[m - 1 :])
+
+
+class TestRefinement:
+    def double_well(self, height=400.0):
+        b = box()
+        v = np.where(np.abs(b.grid.x) < 0.4, height, b.values)
+        return Potential(SampledFn(b.grid, v), "hard-walls")
+
+    def test_near_degenerate_doublet(self):
+        states = bound_states(self.double_well(), 4)
+        assert [s.nodes for s in states] == [0, 1, 2, 3]
+        assert 0.0 < states[1].energy - states[0].energy < 1e-6
+
+    @pytest.mark.parametrize("make", [poschl_teller, soliton_well, "double_well"])
+    def test_bracketed_fallback_agrees(self, monkeypatch, make):
+        # with no Cooley steps every level takes the node-count bracket and Brent
+        v = self.double_well() if make == "double_well" else make()
+        cooley = bound_states(v, 4)
+        monkeypatch.setattr(solver_module, "_COOLEY_STEPS", 0)
+        brent = bound_states(v, 4)
+        assert len(cooley) == len(brent)
+        for a, b in zip(cooley, brent):
+            assert a.energy == pytest.approx(b.energy, rel=1e-10, abs=1e-10)
+            assert np.max(np.abs(a.psi.values - b.psi.values)) < 1e-9 * np.max(np.abs(b.psi.values))
