@@ -1,25 +1,36 @@
 """Band-structure control for periodic systems built from one repeated cell.
 
-Allowed zones are tracked through the discriminant Delta(E) (trace of the
-one-period transfer matrix, |Delta| <= 2 inside a zone), and zone edges are
-moved by shifting a level of the auxiliary hard-wall problem on one period
-and continuing the resulting potential change periodically.
+Allowed zones are where the discriminant Delta(E) (trace of the one-period
+transfer matrix) has |Delta| <= 2.  Their edges are the periodic
+(Delta = +2) and antiperiodic (Delta = -2) eigenvalues of one cell, which
+come in Hill's order lam_0 < mu_1 <= mu_2 < lam_1 <= lam_2 < mu_3 <= ...
+(Magnus & Winkler, Hill's Equation, 1966; Eastham, The Spectral Theory of
+Periodic Differential Equations, 1973): zone k runs from edge 2k-2 to edge
+2k-1 of that merged list, and in gap k, up to edge 2k, (-1)^k Delta > 2.
+A gap whose two edges coincide is closed and its zones touch.  The k-th
+level of the cell with hard walls (Dirichlet level) lies in the closure of
+gap k.
+
+Zone edges are moved by shifting a level of the auxiliary hard-wall problem
+on one period and continuing the resulting potential change periodically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .darboux import shift_level
 from .errors import NumericalFailure, ValidationError
 from .grid import SampledFn
 from .potentials import HARD_WALLS, Potential
-from .solver import band_discriminant, band_discriminant_curve, bound_states
+from .solver import band_discriminant, bound_states, current_work, secant_root
 
-#: gaps narrower than this are reported as closed (below scan resolution)
+#: a tracked gap narrower than this counts as closed: the resolution in dE to
+#: which the gap-closure experiments bisect (zone edges themselves are
+#: resolved to edge_tol)
 GAP_CLOSED = 1e-3
 
 
@@ -52,115 +63,158 @@ class Zone:
         return self.e_hi - self.e_lo
 
 
-def zones(p: PeriodicSystem, e_max: float, *, scan_step: float = 0.01,
-          edge_tol: float = 1e-8) -> list[Zone]:
-    """All allowed zones starting below e_max.
+def zones(p: PeriodicSystem, e_max: float, *, edge_tol: float = 1e-8) -> list[Zone]:
+    """All allowed zones starting below e_max, the last one cut at e_max.
 
-    Scans the discriminant with the given step, brackets every |Delta| = 2
-    crossing and bisects it to edge_tol; interior tangencies (touching zones,
-    as in the free limit) are located by maximizing |Delta| and reported as
-    coincident edges.
+    The edges are the periodic and antiperiodic eigenvalues of the cell, in
+    Hill's order (see the module docstring).  Each is seeded by the
+    eigenvalue of a coarse finite-difference cell and refined to edge_tol
+    on the sampled cell's discriminant: by secant steps on Delta -+ 2 inside
+    a sign bracket, or, where the two edges of a gap lie closer than the
+    seeds can tell apart, on dDelta/dE = 0 first.  A gap whose extremum
+    reaches +-2 only to within 1e-7 is closed (touching zones, as in the
+    free limit) and reported as two coincident edges.
     """
     v_min = float(p.cell.values.min())
     if e_max <= v_min:
         raise ValidationError(f"e_max={e_max} must exceed the cell potential minimum {v_min}")
-    e_lo_scan = v_min - 1.0
-    n_steps = int(np.ceil((e_max - e_lo_scan) / scan_step)) + 1
-    es = np.linspace(e_lo_scan, e_max, n_steps)
-    disc = band_discriminant_curve(p.cell, es)
-
-    def delta(e):
-        return band_discriminant(p.cell, e)
-
-    allowed = np.abs(disc) <= 2.0
-    edges = []
-    for j in range(len(es) - 1):
-        if allowed[j] == allowed[j + 1]:
-            continue
-        # |Delta| - 2 changes sign against one of the two rails
-        rail = 2.0 if max(disc[j], disc[j + 1]) > 2.0 else -2.0
-        f = lambda e, r=rail: delta(e) - r
-        try:
-            edges.append(brentq(f, es[j], es[j + 1], xtol=edge_tol, rtol=8.9e-16))
-        except ValueError as exc:
-            # refine once at tenth the step before giving up
-            fine = np.linspace(es[j], es[j + 1], 11)
-            fd = band_discriminant_curve(p.cell, fine)
-            hit = np.nonzero(np.diff(np.abs(fd) <= 2.0))[0]
-            if hit.size == 0:
-                raise NumericalFailure(
-                    f"could not bracket a zone edge between E={es[j]} and E={es[j + 1]}"
-                ) from exc
-            k = hit[0]
-            rail = 2.0 if max(fd[k], fd[k + 1]) > 2.0 else -2.0
-            edges.append(brentq(lambda e: delta(e) - rail, fine[k], fine[k + 1],
-                                xtol=edge_tol, rtol=8.9e-16))
-
-    # assemble alternating runs into zones
-    out = []
-    idx = 1
-    inside = bool(allowed[0])
-    open_lo = float(es[0]) if inside else None
-    for e_edge in edges:
-        if inside:
-            out.append((open_lo, e_edge))
-            inside = False
-        else:
-            open_lo = e_edge
-            inside = True
-    if inside:
-        out.append((open_lo, float(e_max)))
-
-    # split runs where |Delta| comes back up to 2 inside: either a tangency
-    # (touching zones) or a gap narrower than the scan step
-    final = []
-    for lo, hi in out:
-        bounds = [lo]
-        for a, b in _interior_splits(p.cell, lo, hi, edge_tol):
-            bounds.extend((a, b))
-        bounds.append(hi)
-        for a, b in zip(bounds[0::2], bounds[1::2]):
-            final.append(Zone(index=idx, e_lo=float(a), e_hi=float(b)))
-            idx += 1
-    return [z for z in final if z.e_lo < e_max]
+    seeds = _edge_seeds(p.cell)
+    # lam_0 and every pair of edges with a seed below the cut, plus the next
+    # seed, which bounds the zone above the last pair
+    count = int(np.searchsorted(seeds, e_max + _SEED_MARGIN * max(1.0, e_max - v_min)))
+    count += 1 - count % 2
+    if count >= seeds.size:
+        raise ValidationError(f"e_max={e_max} lies beyond the reach of the cell's grid")
+    seeds = seeds[: count + 1]
+    search = _EdgeSearch(p.cell, edge_tol)
+    edges = search.refine(seeds)
+    work = current_work()
+    if work is not None:
+        work.zone_calls += 1
+        work.zone_edges_seeded += count
+        work.zone_evaluations += len(search.values)
+        work.zone_tangencies += search.tangencies
+    edges = [float(e) for e in edges if e < e_max] + [float(e_max)]
+    return [Zone(index=k + 1, e_lo=lo, e_hi=hi)
+            for k, (lo, hi) in enumerate(zip(edges[0::2], edges[1::2]))]
 
 
-def _interior_splits(cell: Potential, lo: float, hi: float, tol: float) -> list[tuple[float, float]]:
-    """Points inside an allowed run where |Delta| reaches 2 again.
+#: intervals of the finite-difference cell that seeds the edges (fewer only
+#: on a cell with fewer)
+_SEED_INTERVALS = 128
+#: seeds up to this fraction of e_max - min V above e_max are refined, so that
+#: an edge below e_max whose seed lies above it is not missed
+_SEED_MARGIN = 0.1
+#: a gap's extremum this far short of +-2 still closes it; one that passes
+#: +-2 by more than _GAP_OPEN opens it
+_GAP_SHORTFALL = 1e-7
+_GAP_OPEN = 1e-9
+#: half-step of the central difference for dDelta/dE
+_SLOPE_STEP = 1e-4
 
-    Local maxima of |Delta| near 2 are refined on the derivative (a direct
-    maximization could not place a tangency to 1e-8); a refined maximum
-    beyond 2 is a sub-scan-width gap and is resolved into its two crossings.
+
+def _edge_seeds(cell: Potential) -> np.ndarray:
+    """Periodic and antiperiodic eigenvalues of a coarse finite-difference cell, merged.
+
+    The coarse cell has m equal intervals and takes V from the nearest
+    sample; its node m is node 0 of the next cell, so the matrix wraps
+    around with corners -1/h^2 (periodic) or +1/h^2 (antiperiodic).  Every
+    delta goes on the diagonal of its nearest coarse node as g/h, the edge
+    delta on node 0.
     """
-    if hi - lo < 100 * tol:
-        return []
-    es = np.linspace(lo, hi, max(32, int((hi - lo) / 0.01)))[1:-1]
-    disc = np.abs(band_discriminant_curve(cell, es))
+    g = cell.grid
+    intervals = g.n_points - 1
+    m = min(intervals, _SEED_INTERVALS)
+    if m < 3:
+        raise ValidationError(f"a cell of {g.n_points} nodes is too coarse for zone edges")
+    h = (g.x_max - g.x_min) / m
+    diag = cell.values[np.rint(np.arange(m) * (intervals / m)).astype(int)] + 2.0 / h**2
+    for j, strength in cell.delta_nodes(interior_only=False):
+        diag[round(j * m / intervals) % m] += strength / h
+    mat = np.diag(diag) - (np.eye(m, k=1) + np.eye(m, k=-1)) / h**2
+    seeds = []
+    for corner in (-1.0, 1.0):
+        mat[0, -1] = mat[-1, 0] = corner / h**2
+        seeds.append(np.linalg.eigvalsh(mat))
+    return np.sort(np.concatenate(seeds))
 
-    def delta_abs(e):
-        return abs(band_discriminant(cell, e))
 
-    def dslope(e, step=1e-5):
-        return (delta_abs(e + step) - delta_abs(e - step)) / (2 * step)
+class _EdgeSearch:
+    """Refines seeded zone edges on the discriminant of one cell.
 
-    splits = []
-    for j in range(1, len(es) - 1):
-        if not (disc[j] >= disc[j - 1] and disc[j] >= disc[j + 1] and disc[j] > 2.0 - 1e-3):
-            continue
-        try:
-            e_peak = brentq(dslope, es[j - 1], es[j + 1], xtol=tol, rtol=8.9e-16)
-        except ValueError:
-            continue
-        top = delta_abs(e_peak)
-        if top > 2.0 + 1e-9:
-            left = brentq(lambda e: delta_abs(e) - 2.0, es[j - 1], e_peak,
-                          xtol=tol, rtol=8.9e-16)
-            right = brentq(lambda e: delta_abs(e) - 2.0, e_peak, es[j + 1],
-                           xtol=tol, rtol=8.9e-16)
-            splits.append((left, right))
-        elif top > 2.0 - 1e-7:
-            splits.append((e_peak, e_peak))
-    return sorted(splits)
+    Each energy's Delta is evaluated once; ``values`` holds them all.
+    """
+
+    def __init__(self, cell: Potential, edge_tol: float):
+        self.cell = cell
+        self.edge_tol = edge_tol
+        self.values: dict[float, float] = {}
+        self.tangencies = 0
+
+    def delta(self, e: float) -> float:
+        if e not in self.values:
+            self.values[e] = band_discriminant(self.cell, e)
+        return self.values[e]
+
+    def slope(self, e: float) -> float:
+        return (self.delta(e + _SLOPE_STEP) - self.delta(e - _SLOPE_STEP)) / (2 * _SLOPE_STEP)
+
+    def refine(self, seeds: np.ndarray) -> list[float]:
+        """Edges from the merged seeds lam_0, mu_1, mu_2, lam_1, ... and one more.
+
+        Zone k lies between seeds 2k-2 and 2k-1, and its midpoint there must
+        be inside it (|Delta| < 2); gap k, between seeds 2k-1 and 2k, is
+        where (-1)^k Delta > 2.
+        """
+        mids = 0.5 * (seeds[0::2] + seeds[1::2])
+        for e in mids:
+            if not abs(self.delta(e)) < 2.0:
+                raise NumericalFailure(
+                    f"zone around E={e} is narrower than the error of its seeded edges"
+                )
+        # below lam_0 Delta grows past 2: step down until it does
+        step = max(1.0, seeds[1] - seeds[0])
+        lo = seeds[0] - step
+        for _ in range(60):
+            if self.delta(lo) > 2.0:
+                break
+            step *= 2.0
+            lo = seeds[0] - step
+        else:
+            raise NumericalFailure(f"no energy below the seed {seeds[0]} with Delta > 2")
+        edges = [self._root(1.0, lo, mids[0], seeds[0])]
+        for k in range(1, mids.size):
+            edges.extend(self._gap(-1.0 if k % 2 else 1.0, mids[k - 1], mids[k],
+                                   seeds[2 * k - 1], seeds[2 * k]))
+        return edges
+
+    def _gap(self, sign, below, above, a0, b0):
+        """Both edges of the gap where sign * Delta > 2, between zone points."""
+        centre = 0.5 * (a0 + b0)
+        if sign * self.delta(centre) <= 2.0:
+            # the seeds do not resolve the gap: find the extremum first
+            d_below, d_above = sign * self.slope(below), sign * self.slope(above)
+            if not (d_below > 0.0 > d_above):
+                raise NumericalFailure(
+                    f"Delta has no single extremum between E={below} and E={above}"
+                )
+            centre = secant_root(lambda e: sign * self.slope(e), below, d_below,
+                                 above, d_above, centre, self.edge_tol)
+            excess = sign * self.delta(centre) - 2.0
+            if excess < -_GAP_SHORTFALL:
+                raise NumericalFailure(
+                    f"Delta peaks {-excess:.3g} short of {2 * sign:+g} at E={centre}"
+                )
+            if excess <= _GAP_OPEN:
+                self.tangencies += 1
+                return [centre, centre]
+        return [self._root(sign, below, centre, a0), self._root(sign, above, centre, b0)]
+
+    def _root(self, sign, a, b, seed):
+        """Root of sign * Delta - 2 between a and b, where its signs differ."""
+        f = lambda e: sign * self.delta(e) - 2.0
+        lo, hi = sorted((a, b))
+        return secant_root(f, lo, f(lo), hi, f(hi), seed, self.edge_tol)
 
 
 def auxiliary_box(p: PeriodicSystem) -> Potential:
@@ -198,14 +252,16 @@ def track_zone_shift(p: PeriodicSystem, aux_level: int, d_e_values, e_max: float
 
     Convenience wrapper for the gap-closure experiments; rows record the
     moving-edge position (the shifted auxiliary level) and the gap between
-    the zones adjacent to it.
+    the zones adjacent to it.  The auxiliary levels 1 .. aux_level must each
+    lie in the closure of their own gap of the unshifted layout.
     """
     aux_states = bound_states(auxiliary_box(p), aux_level)
+    base = zones(p, e_max)
+    check_dirichlet_levels(base, [s.energy for s in aux_states], e_max)
     e_aux = aux_states[aux_level - 1].energy
     rows = []
     for d_e in d_e_values:
-        system = shift_zone(p, aux_level, d_e) if d_e != 0.0 else p
-        zs = zones(system, e_max)
+        zs = zones(shift_zone(p, aux_level, d_e), e_max) if d_e != 0.0 else base
         gaps = [gap_between(zs, k) for k in range(1, len(zs))]
         edge = e_aux + d_e
         tracked = 0.0
@@ -224,3 +280,20 @@ def track_zone_shift(p: PeriodicSystem, aux_level: int, d_e_values, e_max: float
             "tracked_gap": float(tracked),
         })
     return rows
+
+
+def check_dirichlet_levels(zs: list[Zone], levels, e_max: float, *, edge_tol: float = 1e-8):
+    """Raise NumericalFailure unless hard-wall level k lies in the closure of gap k.
+
+    zs is the layout below e_max and levels the cell's hard-wall (Dirichlet)
+    levels, lowest first.  Gap k runs from the top of zone k to the bottom of
+    zone k + 1; where the layout stops below either, e_max or infinity
+    stands in for it.
+    """
+    for k, e in enumerate(levels, start=1):
+        lo = zs[k - 1].e_hi if k <= len(zs) else e_max
+        hi = zs[k].e_lo if k < len(zs) else math.inf
+        if not lo - edge_tol <= e <= hi + edge_tol:
+            raise NumericalFailure(
+                f"hard-wall level {k} at E={e} lies outside the closure [{lo}, {hi}] of gap {k}"
+            )

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .bands import PeriodicSystem, track_zone_shift, zones
+from .bands import GAP_CLOSED, PeriodicSystem, track_zone_shift, zones
 from .darboux import (
     darboux_create,
     darboux_remove_ground,
@@ -395,7 +395,7 @@ def _run_band(system, config, manifest, artifacts, timing):
     return True
 
 
-def _bisect_gap_closure(system, aux_level, rows, e_max, tol=1e-3):
+def _bisect_gap_closure(system, aux_level, rows, e_max, tol=GAP_CLOSED):
     """Shift size at which the tracked gap closes, if the scan brackets it."""
     lo = hi = None
     for a, b in zip(rows, rows[1:]):

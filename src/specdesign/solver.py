@@ -15,9 +15,11 @@ Method summary
   deep exponential tails cannot overflow and the rescaling is exact.
 * Bound states are integrated from both ends and matched at the rightmost
   classical turning point, which keeps the scheme stable inside deep
-  classically forbidden tails.  Matching only sweeps the left shot up to
-  m + 1 and the right shot back to m - 1 (m the match node); the state is
-  spliced from the left shot and a right shot reaching back to its peak.
+  classically forbidden tails; where a branch comes near a node there (as
+  next to a hard wall), the match point moves left.  Matching only
+  sweeps the left shot up to m + 1 and the right shot back to m - 1 (m the
+  match node); the state is spliced from the left shot and a right shot
+  reaching back to its peak.
 * Level k is seeded by the k-th eigenvalue of a finite-difference
   tridiagonal on a coarse grid (at least 512 intervals), computed on its
   own so that no level depends on how many were asked for.  Newton steps on
@@ -26,7 +28,7 @@ Method summary
   corrections bracket it within 2 rel_tol max(1, |E|); the assembled state
   must have k - 1 nodes.  If that fails, the level is bracketed by
   interior-node counts of the left shot (node theorem) and polished with
-  Brent's method on the matching Wronskian.
+  secant steps on the matching Wronskian inside that bracket.
 * Inside ``oracle_scope()`` (the CLI opens one per run) the solved levels of
   each sampled potential are kept, keyed on its exact values, boundary kind,
   deltas, grid and rel_tol, and a repeated or shorter request is served
@@ -49,7 +51,6 @@ import math
 
 import numpy as np
 from scipy.linalg.lapack import dstebz, dtbtrs
-from scipy.optimize import brentq
 
 from .errors import NumericalFailure, ValidationError
 from .grid import SampledFn, integrate
@@ -106,12 +107,16 @@ class OracleWork:
         self.calls = 0  # bound_states calls
         self.memo_hits = 0  # calls whose potential was already stored
         self.levels_solved = 0
-        self.bracketed_levels = 0  # levels the Cooley steps left to Brent
+        self.bracketed_levels = 0  # levels the Cooley steps left to the node-count bracket
         self.numerov_calls = 0  # all sweeps, transforms' seeds included
         self.nodes_swept = 0
         self.level_numerov_calls = 0  # the share made inside bound_states
         self.level_nodes_swept = 0
         self.level_sweeps = 0.0  # that share in full-domain sweeps
+        self.zone_calls = 0  # bands.zones calls
+        self.zone_edges_seeded = 0
+        self.zone_evaluations = 0  # discriminant evaluations refining them
+        self.zone_tangencies = 0  # closed gaps refined on dDelta/dE = 0
 
     def ledger(self) -> dict:
         solved = max(1, self.levels_solved)
@@ -125,6 +130,12 @@ class OracleWork:
                 "nodes_swept": self.level_nodes_swept,
                 "sweeps_per_level": self.level_sweeps / solved,
                 "numerov_calls_per_level": self.level_numerov_calls / solved,
+            },
+            "zones": {
+                "calls": self.zone_calls,
+                "edges_seeded": self.zone_edges_seeded,
+                "evaluations": self.zone_evaluations,
+                "tangencies": self.zone_tangencies,
             },
             "numerov_calls": self.numerov_calls,
             "nodes_swept": self.nodes_swept,
@@ -142,6 +153,11 @@ def oracle_scope():
         yield _WORK.get()
     finally:
         _WORK.reset(token)
+
+
+def current_work() -> OracleWork | None:
+    """The ledger of the innermost open ``oracle_scope``, or None."""
+    return _WORK.get()
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +484,45 @@ def _state_swf(v: Potential, energy, psi: np.ndarray) -> float:
     return float(_onesided_slope(psi, h, True))
 
 
+def secant_root(f, lo, f_lo, hi, f_hi, x, xtol, max_evals=200) -> float:
+    """Root of f in [lo, hi], where f_lo = f(lo) and f_hi = f(hi) differ in sign.
+
+    Secant steps through the last two points, starting from x and the
+    nearer end.  A step that would leave the bracket bisects it instead, as
+    does every third step if the last three have not halved the bracket.
+    Returns when a secant step is within xtol (the secant converges
+    superlinearly, so the error is then well below xtol) or a bisected
+    bracket is 2 xtol wide.
+    """
+    if (f_lo > 0) == (f_hi > 0):
+        raise NumericalFailure(f"no sign change between {lo} and {hi}")
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    prev, f_prev = (lo, f_lo) if x - lo < hi - x else (hi, f_hi)
+    width = hi - lo
+    for i in range(max_evals):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0) == (f_lo > 0):
+            lo, f_lo = x, fx
+        else:
+            hi, f_hi = x, fx
+        nxt = x - fx * (x - prev) / (fx - f_prev) if fx != f_prev else math.nan
+        if i % 3 == 2:
+            if hi - lo > 0.5 * width:
+                nxt = math.nan
+            width = hi - lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if hi - lo <= 2 * xtol:
+                return nxt
+        elif abs(nxt - x) <= xtol:
+            return nxt
+        prev, f_prev, x = x, fx, nxt
+    raise NumericalFailure(f"no root within {xtol} after {max_evals} evaluations in [{lo}, {hi}]")
+
+
 #: Cooley steps tried from the finite-difference seed before the bracketed path
 _COOLEY_STEPS = 12
 
@@ -534,15 +589,29 @@ class _Spectrum:
         The sign change is what ends the search, not a small step: the
         Numerov coefficients 1 - h^2 (V - E) / 12 resolve E only to about
         12 eps / h^2, so over stretches of a few 1e-10 the correction can
-        be flat or point at a root that is not there.  None (and the
-        node-count bracket takes over) when this leaves the bound region or
-        does not end in a state with k - 1 nodes.
+        be flat or point at a root that is not there.  Until the level is
+        bracketed, a correction that does not halve the last move has the
+        match point checked at its energy: next to a hard wall psi(m) can
+        fall to a small fraction of its peak as E nears the level, and the
+        correction then changes sign away from the level.  If a branch has
+        come near a node at m, the match point moves left and the search
+        restarts from that energy.
+        None (and the node-count bracket takes over) when this leaves the
+        bound region or does not end in a state with k - 1 nodes.
         """
         matcher = self._matcher(e0)
         energy, last = e0, math.inf
-        lo, hi = -math.inf, math.inf if self.e_top is None else self.e_top
+        top = math.inf if self.e_top is None else self.e_top
+        lo, hi = -math.inf, top
         for _ in range(_COOLEY_STEPS):
             step = matcher.correction(energy)
+            if (math.isinf(hi - lo) and abs(step) > 0.5 * last
+                    and not matcher.good_match_point(energy)):
+                # the corrections so far may point the wrong way: restart
+                # from here with a match point that is good at this energy
+                matcher = self._matcher(energy)
+                step = matcher.correction(energy)
+                lo, hi = -math.inf, top
             if not math.isfinite(step):
                 return None
             if step > 0:
@@ -567,7 +636,7 @@ class _Spectrum:
         return None
 
     def _bracketed(self, k: int, e0: float):
-        """(energy, state) of level k inside a node-count bracket (Brent)."""
+        """(energy, state) of level k inside a node-count bracket (secant steps)."""
         v, deltas, e_top = self.v, self.deltas, self.e_top
         width = max(1e-6, 1e-4 * max(1.0, abs(e0)))
         for attempt in range(80):
@@ -601,7 +670,7 @@ class _Spectrum:
         elif fhi == 0.0:
             energy = hi
         elif (flo > 0) != (fhi > 0):
-            energy = brentq(matcher.mismatch, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=200)
+            energy = secant_root(matcher.mismatch, lo, flo, hi, fhi, 0.5 * (lo + hi), xtol)
         else:
             # fall back to bisection on the node count
             for _ in range(200):

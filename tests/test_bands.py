@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from specdesign import bands
 from specdesign.bands import (
     PeriodicSystem,
     Zone,
     auxiliary_box,
+    check_dirichlet_levels,
     gap_between,
     shift_zone,
     track_zone_shift,
     zones,
 )
-from specdesign.errors import ValidationError
+from specdesign.errors import NumericalFailure, ValidationError
 from specdesign.grid import SampledFn, make_grid
 from specdesign.potentials import Potential, comb_cell
-from specdesign.solver import bound_states
+from specdesign.solver import bound_states, oracle_scope, secant_root
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,75 @@ class TestZones:
     def test_emax_validation(self, comb):
         with pytest.raises(ValidationError):
             zones(comb, -5.0)
+
+    @pytest.mark.parametrize("g", [-3.0, -1.0, 0.5, 2.0, 7.0])
+    def test_every_edge_solves_the_dispersion(self, g):
+        # Kronig-Penney: the edges solve cos(ka) + (g/2k) sin(ka) = +-1 with
+        # a = pi; k = i kappa below E = 0 (an attractive comb)
+        def half_delta(e):
+            if e > 0:
+                k = math.sqrt(e)
+                return math.cos(k * math.pi) + g / (2 * k) * math.sin(k * math.pi)
+            kap = math.sqrt(-e)
+            return math.cosh(kap * math.pi) + g / (2 * kap) * math.sinh(kap * math.pi)
+
+        zs = zones(PeriodicSystem(comb_cell(strength=g), math.pi), 30.0)
+        edges = [e for z in zs for e in (z.e_lo, z.e_hi) if e < 30.0]
+        assert len(edges) == 11
+        for e in edges:
+            assert abs(half_delta(e)) == pytest.approx(1.0, abs=1e-7)
+        # lam_0 lies below the cell minimum for an attractive comb
+        assert (zs[0].e_lo < 0.0) == (g < 0.0)
+
+    def test_e_max_below_the_first_edge(self, comb):
+        assert zones(comb, 0.1) == []
+
+    def test_last_zone_cut_at_e_max(self, comb):
+        zs = zones(comb, 8.0)
+        assert len(zs) == 3 and zs[-1].e_hi == 8.0
+        zs = zones(comb, 4.5)   # inside the second gap: no zone is cut
+        assert len(zs) == 2 and zs[-1].e_hi == pytest.approx(4.0, abs=1e-8)
+
+    def test_edge_seeds_in_hill_order(self, comb):
+        seeds = bands._edge_seeds(comb.cell)
+        # lam_0 < mu_1 <= mu_2 < lam_1 <= lam_2 < ...: every second gap
+        # between merged seeds is a zone and strictly positive
+        assert np.all(np.diff(seeds) >= 0.0)
+        assert np.all(np.diff(seeds)[0::2] > 0.1)
+        assert seeds[:7] == pytest.approx([0.41, 1.0, 1.95, 4.0, 5.13, 9.0, 10.2], abs=0.05)
+
+    def test_work_ledger(self, comb):
+        with oracle_scope() as work:
+            zones(comb, 11.0)
+            zones(free_system(), 10.0)
+        ledger = work.ledger()["zones"]
+        assert ledger["calls"] == 2
+        # 7 edges below 11 on the comb; 7 below 10 + 10% on the free cell
+        assert ledger["edges_seeded"] == 14
+        assert ledger["tangencies"] == 3
+        assert ledger["evaluations"] < 120
+
+
+class TestSecantRoot:
+    def test_converges_past_xtol(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.cos(x) - x
+
+        root = secant_root(f, 0.0, 1.0, 1.0, math.cos(1.0) - 1.0, 0.7, 1e-10)
+        assert root == pytest.approx(0.7390851332151607, abs=1e-14)
+        assert len(calls) <= 6
+
+    def test_bisects_a_flat_function(self):
+        # a step function gives every secant step a zero slope
+        root = secant_root(lambda x: -1.0 if x < 0.3 else 1.0, 0.0, -1.0, 1.0, 1.0, 0.5, 1e-9)
+        assert root == pytest.approx(0.3, abs=1e-9)
+
+    def test_needs_a_sign_change(self):
+        with pytest.raises(NumericalFailure):
+            secant_root(lambda x: x * x + 1.0, -1.0, 2.0, 1.0, 2.0, 0.0, 1e-9)
 
 
 class TestShiftZone:
@@ -136,6 +207,23 @@ class TestShiftZone:
 
 
 class TestTracking:
+    def test_dirichlet_levels_lie_in_their_gaps(self, comb):
+        zs = zones(comb, 10.0)
+        levels = [s.energy for s in bound_states(auxiliary_box(comb), 4)]
+        check_dirichlet_levels(zs, levels, 10.0)
+        # the comb's hard-wall levels are the pinned zone tops
+        assert levels[:3] == pytest.approx([z.e_hi for z in zs], abs=1e-8)
+
+    def test_dirichlet_check_rejects_a_wrong_layout(self, comb, monkeypatch):
+        right = zones(comb, 10.0)
+        wrong = [Zone(z.index, z.e_lo + 0.5, z.e_hi + 0.5) for z in right]
+        with pytest.raises(NumericalFailure, match="level 1"):
+            check_dirichlet_levels(wrong, [1.0, 4.0], 10.0)
+        # track_zone_shift checks the layout it computes
+        monkeypatch.setattr(bands, "zones", lambda p, e_max: wrong)
+        with pytest.raises(NumericalFailure, match="outside the closure"):
+            track_zone_shift(comb, 2, [0.0, 0.25], e_max=10.0)
+
     def test_track_rows(self, comb):
         rows = track_zone_shift(comb, 2, [0.0, 0.25], e_max=10.0)
         assert rows[0]["edge_energy"] == pytest.approx(4.0, abs=1e-6)

@@ -1,4 +1,8 @@
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +142,44 @@ class TestRun:
         for f in ("potential.csv", "spectrum.csv", "states.csv", "steplog.csv"):
             assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
 
+        # a band run that brackets a gap closure: the zone ledger repeats too
+        text = ("base = comb\ne_max = 11\n[step]\nkind = shift_zone\naux_level = 2\ndE = 0.25\n"
+                "[step]\nkind = shift_zone\naux_level = 2\ndE = 1.0\n")
+        work = []
+        for name in ("band_a", "band_b"):
+            cfg = parse_config(text)
+            cfg.out = str(tmp_path / name)
+            manifest = run(cfg)
+            assert manifest["status"] == "ok"
+            assert "gap_closure_dE" in manifest["resolved"]
+            work.append(manifest["oracle_work"])
+        assert work[0] == work[1]
+        zones = work[0]["zones"]
+        # three tracked layouts plus the closure bisection from dE 0.25 to 1.0
+        assert zones["calls"] == 3 + 10
+        assert zones["edges_seeded"] == 7 * zones["calls"]
+        assert zones["evaluations"] <= 60 * zones["calls"]
+        assert zones["tangencies"] == 0
+        for f in ("zones.csv", "zone_track.csv", "discriminant.csv"):
+            assert (tmp_path / "band_a" / f).read_bytes() == (tmp_path / "band_b" / f).read_bytes()
+
+    def test_match_point_moves_off_the_wall(self, tmp_path):
+        # after these steps level 1 of one potential sits where V <= E up to
+        # the right wall; matching 4 nodes from the wall, where psi is 5e-4
+        # of its peak, sent the Cooley steps off to E = 169 and the level to
+        # the node-count bracket
+        cfg = parse_config(
+            "base = box\nverify_levels = 4\n"
+            "[step]\nkind = shift\nn = 3\ndE = 3.761707094863045\n"
+            "[step]\nkind = scale_swf\nn = 3\nlambda = 2.8395381050032427\n"
+            "[step]\nkind = shift\nn = 1\ndE = -2.691264362090315\n"
+            "[step]\nkind = remove\nn = 4\n"
+        )
+        cfg.out = str(tmp_path / "wall")
+        manifest = run(cfg)
+        assert manifest["status"] == "ok"
+        assert manifest["oracle_work"]["bound_states"]["bracketed_levels"] == 0
+
     def test_band_tracking(self, tmp_path):
         cfg = RunConfig(base="comb", out=str(tmp_path / "band"),
                         chain=[{"kind": "shift_zone", "aux_level": 2, "dE": 0.5}],
@@ -212,6 +254,15 @@ class TestRun:
 
 
 class TestMainEntry:
+    def test_import_leaves_out_scipy_optimize(self):
+        code = "import sys, specdesign.cli; print('scipy.optimize' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
+
     def test_solve_exit_code(self, tmp_path):
         assert main(["solve", "--base", "box", "--out", str(tmp_path / "s")]) == EXIT_OK
 
