@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.linalg import eig_banded
 
 from .darboux import shift_level
 from .errors import NumericalFailure, ValidationError
@@ -28,9 +29,12 @@ from .grid import SampledFn
 from .potentials import HARD_WALLS, Potential
 from .solver import band_discriminant, bound_states, current_work, secant_root
 
+#: the accuracy of every zone edge, and how far a hard-wall level may lie
+#: outside the closure of its gap
+EDGE_TOL = 1e-8
 #: a tracked gap narrower than this counts as closed: the resolution in dE to
 #: which the gap-closure experiments bisect (zone edges themselves are
-#: resolved to edge_tol)
+#: resolved to EDGE_TOL)
 GAP_CLOSED = 1e-3
 
 
@@ -63,35 +67,48 @@ class Zone:
         return self.e_hi - self.e_lo
 
 
-def zones(p: PeriodicSystem, e_max: float, *, edge_tol: float = 1e-8) -> list[Zone]:
+def zones(p: PeriodicSystem, e_max: float) -> list[Zone]:
     """All allowed zones starting below e_max, the last one cut at e_max.
 
     The edges are the periodic and antiperiodic eigenvalues of the cell, in
     Hill's order (see the module docstring).  Each is seeded by the
-    eigenvalue of a coarse finite-difference cell and refined to edge_tol
+    eigenvalue of a coarse finite-difference cell and refined to EDGE_TOL
     on the sampled cell's discriminant: by secant steps on Delta -+ 2 inside
     a sign bracket, or, where the two edges of a gap lie closer than the
     seeds can tell apart, on dDelta/dE = 0 first.  A gap whose extremum
     reaches +-2 only to within 1e-7 is closed (touching zones, as in the
-    free limit) and reported as two coincident edges.
+    free limit) and reported as two coincident edges.  The coarse cell
+    resolves the highest wave number below the cut; where its seeds still
+    miss a zone it is refined twice over, up to the cell's own grid.
     """
-    v_min = float(p.cell.values.min())
+    cell = p.cell
+    v_min = float(cell.values.min())
     if e_max <= v_min:
         raise ValidationError(f"e_max={e_max} must exceed the cell potential minimum {v_min}")
-    seeds = _edge_seeds(p.cell)
-    # lam_0 and every pair of edges with a seed below the cut, plus the next
-    # seed, which bounds the zone above the last pair
-    count = int(np.searchsorted(seeds, e_max + _SEED_MARGIN * max(1.0, e_max - v_min)))
-    count += 1 - count % 2
-    if count >= seeds.size:
-        raise ValidationError(f"e_max={e_max} lies beyond the reach of the cell's grid")
-    seeds = seeds[: count + 1]
-    search = _EdgeSearch(p.cell, edge_tol)
+    # seeds up to e_cut are refined, so that an edge below e_max whose seed
+    # lies above it is not missed
+    e_cut = e_max + _SEED_MARGIN * max(1.0, e_max - v_min)
+    intervals = cell.grid.n_points - 1
+    if intervals < 3:
+        raise ValidationError(f"a cell of {cell.grid.n_points} nodes is too coarse for zone edges")
+    k_max = math.sqrt(max(1.0, e_cut - v_min))
+    m = min(intervals, max(_SEED_INTERVALS, math.ceil(_SEED_RESOLUTION * p.period * k_max)))
+    search = _EdgeSearch(cell)
+    while True:
+        seeds = _edge_seeds(cell, m, e_cut)
+        if seeds is not None and search.resolves(seeds):
+            break
+        if m == intervals:
+            if seeds is None:
+                raise ValidationError(f"e_max={e_max} lies beyond the reach of the cell's grid")
+            raise NumericalFailure(f"the zones below E={e_max} are narrower than the error "
+                                   f"of their seeded edges on the cell's grid")
+        m = min(intervals, 2 * m)
     edges = search.refine(seeds)
     work = current_work()
     if work is not None:
         work.zone_calls += 1
-        work.zone_edges_seeded += count
+        work.zone_edges_seeded += seeds.size - 1
         work.zone_evaluations += len(search.values)
         work.zone_tangencies += search.tangencies
     edges = [float(e) for e in edges if e < e_max] + [float(e_max)]
@@ -99,11 +116,13 @@ def zones(p: PeriodicSystem, e_max: float, *, edge_tol: float = 1e-8) -> list[Zo
             for k, (lo, hi) in enumerate(zip(edges[0::2], edges[1::2]))]
 
 
-#: intervals of the finite-difference cell that seeds the edges (fewer only
-#: on a cell with fewer)
+#: fewest intervals of the finite-difference cell that seeds the edges (fewer
+#: only on a cell with fewer)
 _SEED_INTERVALS = 128
-#: seeds up to this fraction of e_max - min V above e_max are refined, so that
-#: an edge below e_max whose seed lies above it is not missed
+#: intervals per unit of 1/k at the highest wave number k below the cut: with
+#: k h <= 1/4 a seed sits low by about E (k h)^2 / 12, at most 0.5% of E
+_SEED_RESOLUTION = 4.0
+#: seeds up to this fraction of e_max - min V above e_max are refined
 _SEED_MARGIN = 0.1
 #: a gap's extremum this far short of +-2 still closes it; one that passes
 #: +-2 by more than _GAP_OPEN opens it
@@ -113,30 +132,52 @@ _GAP_OPEN = 1e-9
 _SLOPE_STEP = 1e-4
 
 
-def _edge_seeds(cell: Potential) -> np.ndarray:
-    """Periodic and antiperiodic eigenvalues of a coarse finite-difference cell, merged.
+def _edge_seeds(cell: Potential, m: int, e_cut: float) -> np.ndarray | None:
+    """Zone-edge seeds below e_cut from a finite-difference cell of m intervals.
 
-    The coarse cell has m equal intervals and takes V from the nearest
-    sample; its node m is node 0 of the next cell, so the matrix wraps
-    around with corners -1/h^2 (periodic) or +1/h^2 (antiperiodic).  Every
-    delta goes on the diagonal of its nearest coarse node as g/h, the edge
-    delta on node 0.
+    The periodic and antiperiodic eigenvalues of the coarse cell, merged:
+    lam_0 and every pair with a member below e_cut, then one more, which
+    bounds the zone above the last pair.  None when the coarse cell has too
+    few eigenvalues for that.
+
+    The coarse cell takes V from the nearest sample; its node m is node 0 of
+    the next cell, so the matrix wraps around with corners -1/h^2 (periodic)
+    or +1/h^2 (antiperiodic).  Every delta goes on the diagonal of its
+    nearest coarse node as g/h, the edge delta on node 0.  Numbered
+    0, m-1, 1, m-2, ..., the wrapped matrix is pentadiagonal, and LAPACK's
+    banded solver finds just the eigenvalues asked for.
     """
-    g = cell.grid
-    intervals = g.n_points - 1
-    m = min(intervals, _SEED_INTERVALS)
-    if m < 3:
-        raise ValidationError(f"a cell of {g.n_points} nodes is too coarse for zone edges")
-    h = (g.x_max - g.x_min) / m
+    intervals = cell.grid.n_points - 1
+    h = (cell.grid.x_max - cell.grid.x_min) / m
     diag = cell.values[np.rint(np.arange(m) * (intervals / m)).astype(int)] + 2.0 / h**2
     for j, strength in cell.delta_nodes(interior_only=False):
         diag[round(j * m / intervals) % m] += strength / h
-    mat = np.diag(diag) - (np.eye(m, k=1) + np.eye(m, k=-1)) / h**2
+    order = np.empty(m, dtype=int)
+    order[0::2] = np.arange((m + 1) // 2)
+    order[1::2] = m - 1 - np.arange(m // 2)
+    pos = np.empty(m, dtype=int)
+    pos[order] = np.arange(m)
+    # coupling of node j to node j + 1 (mod m), in upper band storage
+    lo, hi = np.sort([pos, np.roll(pos, -1)], axis=0)
+    band = np.zeros((3, m))
+    band[2] = diag[order]
+    bottom = diag.min() - 2.0 / h**2 - 1.0   # below every eigenvalue (Gershgorin)
     seeds = []
     for corner in (-1.0, 1.0):
-        mat[0, -1] = mat[-1, 0] = corner / h**2
-        seeds.append(np.linalg.eigvalsh(mat))
-    return np.sort(np.concatenate(seeds))
+        band[2 - (hi - lo), hi] = -1.0 / h**2
+        band[2 - (hi[-1] - lo[-1]), hi[-1]] = corner / h**2
+        below = eig_banded(band, eigvals_only=True, select="v",
+                           select_range=(bottom, e_cut), check_finite=False)
+        above = []
+        if below.size < m:
+            above = eig_banded(band, eigvals_only=True, select="i", check_finite=False,
+                               select_range=(below.size, min(m - 1, below.size + 1)))
+        seeds.extend(below)
+        seeds.extend(above)
+    seeds = np.sort(seeds)
+    count = int(np.searchsorted(seeds, e_cut))
+    count += 1 - count % 2
+    return seeds[: count + 1] if count < seeds.size else None
 
 
 class _EdgeSearch:
@@ -145,9 +186,8 @@ class _EdgeSearch:
     Each energy's Delta is evaluated once; ``values`` holds them all.
     """
 
-    def __init__(self, cell: Potential, edge_tol: float):
+    def __init__(self, cell: Potential):
         self.cell = cell
-        self.edge_tol = edge_tol
         self.values: dict[float, float] = {}
         self.tangencies = 0
 
@@ -159,19 +199,18 @@ class _EdgeSearch:
     def slope(self, e: float) -> float:
         return (self.delta(e + _SLOPE_STEP) - self.delta(e - _SLOPE_STEP)) / (2 * _SLOPE_STEP)
 
+    def resolves(self, seeds: np.ndarray) -> bool:
+        """Whether every zone holds the midpoint of its two seeds (|Delta| < 2)."""
+        return all(abs(self.delta(e)) < 2.0 for e in 0.5 * (seeds[0::2] + seeds[1::2]))
+
     def refine(self, seeds: np.ndarray) -> list[float]:
         """Edges from the merged seeds lam_0, mu_1, mu_2, lam_1, ... and one more.
 
-        Zone k lies between seeds 2k-2 and 2k-1, and its midpoint there must
-        be inside it (|Delta| < 2); gap k, between seeds 2k-1 and 2k, is
-        where (-1)^k Delta > 2.
+        Zone k lies between seeds 2k-2 and 2k-1, and holds their midpoint
+        (see `resolves`); gap k, between seeds 2k-1 and 2k, is where
+        (-1)^k Delta > 2.
         """
         mids = 0.5 * (seeds[0::2] + seeds[1::2])
-        for e in mids:
-            if not abs(self.delta(e)) < 2.0:
-                raise NumericalFailure(
-                    f"zone around E={e} is narrower than the error of its seeded edges"
-                )
         # below lam_0 Delta grows past 2: step down until it does
         step = max(1.0, seeds[1] - seeds[0])
         lo = seeds[0] - step
@@ -199,7 +238,7 @@ class _EdgeSearch:
                     f"Delta has no single extremum between E={below} and E={above}"
                 )
             centre = secant_root(lambda e: sign * self.slope(e), below, d_below,
-                                 above, d_above, centre, self.edge_tol)
+                                 above, d_above, centre, EDGE_TOL)
             excess = sign * self.delta(centre) - 2.0
             if excess < -_GAP_SHORTFALL:
                 raise NumericalFailure(
@@ -214,7 +253,7 @@ class _EdgeSearch:
         """Root of sign * Delta - 2 between a and b, where its signs differ."""
         f = lambda e: sign * self.delta(e) - 2.0
         lo, hi = sorted((a, b))
-        return secant_root(f, lo, f(lo), hi, f(hi), seed, self.edge_tol)
+        return secant_root(f, lo, f(lo), hi, f(hi), seed, EDGE_TOL)
 
 
 def auxiliary_box(p: PeriodicSystem) -> Potential:
@@ -282,18 +321,18 @@ def track_zone_shift(p: PeriodicSystem, aux_level: int, d_e_values, e_max: float
     return rows
 
 
-def check_dirichlet_levels(zs: list[Zone], levels, e_max: float, *, edge_tol: float = 1e-8):
+def check_dirichlet_levels(zs: list[Zone], levels, e_max: float):
     """Raise NumericalFailure unless hard-wall level k lies in the closure of gap k.
 
     zs is the layout below e_max and levels the cell's hard-wall (Dirichlet)
     levels, lowest first.  Gap k runs from the top of zone k to the bottom of
     zone k + 1; where the layout stops below either, e_max or infinity
-    stands in for it.
+    stands in for it.  A level may lie up to EDGE_TOL outside.
     """
     for k, e in enumerate(levels, start=1):
         lo = zs[k - 1].e_hi if k <= len(zs) else e_max
         hi = zs[k].e_lo if k < len(zs) else math.inf
-        if not lo - edge_tol <= e <= hi + edge_tol:
+        if not lo - EDGE_TOL <= e <= hi + EDGE_TOL:
             raise NumericalFailure(
                 f"hard-wall level {k} at E={e} lies outside the closure [{lo}, {hi}] of gap {k}"
             )

@@ -484,15 +484,22 @@ def _state_swf(v: Potential, energy, psi: np.ndarray) -> float:
     return float(_onesided_slope(psi, h, True))
 
 
-def secant_root(f, lo, f_lo, hi, f_hi, x, xtol, max_evals=200) -> float:
-    """Root of f in [lo, hi], where f_lo = f(lo) and f_hi = f(hi) differ in sign.
+#: evaluations secant_root makes before it gives up
+_SECANT_EVALS = 200
+
+
+def secant_root(f, lo, f_lo, hi, f_hi, x, xtol) -> float:
+    """Sign change of f in [lo, hi], where f_lo = f(lo) and f_hi = f(hi) differ in sign.
 
     Secant steps through the last two points, starting from x and the
     nearer end.  A step that would leave the bracket bisects it instead, as
     does every third step if the last three have not halved the bracket.
-    Returns when a secant step is within xtol (the secant converges
-    superlinearly, so the error is then well below xtol) or a bisected
-    bracket is 2 xtol wide.
+    Only the bracket ends the search: a secant step shorter than xtol / 2
+    is lengthened by xtol / 2 past its estimate, so that the next point
+    closes the bracket if f is smooth there.  Once the bracket is xtol wide
+    the root is interpolated linearly between its ends: within xtol of the
+    sign change even where f is a staircase whose flat steps send the
+    secant astray, and far closer where f is smooth.
     """
     if (f_lo > 0) == (f_hi > 0):
         raise NumericalFailure(f"no sign change between {lo} and {hi}")
@@ -500,7 +507,9 @@ def secant_root(f, lo, f_lo, hi, f_hi, x, xtol, max_evals=200) -> float:
         x = 0.5 * (lo + hi)
     prev, f_prev = (lo, f_lo) if x - lo < hi - x else (hi, f_hi)
     width = hi - lo
-    for i in range(max_evals):
+    for i in range(_SECANT_EVALS):
+        if hi - lo <= xtol:
+            return lo - f_lo * (hi - lo) / (f_hi - f_lo)
         fx = f(x)
         if fx == 0.0:
             return x
@@ -508,19 +517,18 @@ def secant_root(f, lo, f_lo, hi, f_hi, x, xtol, max_evals=200) -> float:
             lo, f_lo = x, fx
         else:
             hi, f_hi = x, fx
-        nxt = x - fx * (x - prev) / (fx - f_prev) if fx != f_prev else math.nan
+        step = -fx * (x - prev) / (fx - f_prev) if fx != f_prev else math.nan
+        if abs(step) < 0.5 * xtol:
+            step += math.copysign(0.5 * xtol, step)
+        nxt = x + step
         if i % 3 == 2:
             if hi - lo > 0.5 * width:
                 nxt = math.nan
             width = hi - lo
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-            if hi - lo <= 2 * xtol:
-                return nxt
-        elif abs(nxt - x) <= xtol:
-            return nxt
         prev, f_prev, x = x, fx, nxt
-    raise NumericalFailure(f"no root within {xtol} after {max_evals} evaluations in [{lo}, {hi}]")
+    raise NumericalFailure(f"no root within {xtol} after {_SECANT_EVALS} evaluations in [{lo}, {hi}]")
 
 
 #: Cooley steps tried from the finite-difference seed before the bracketed path

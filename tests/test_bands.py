@@ -95,6 +95,25 @@ class TestZones:
         # lam_0 lies below the cell minimum for an attractive comb
         assert (zs[0].e_lo < 0.0) == (g < 0.0)
 
+    @pytest.mark.parametrize("period, n_points, e_max, count", [
+        (100.0, 4001, 10.0, 101),    # zones far narrower than on the pi cell
+        (math.pi, 2001, 7000.0, 84),  # past the top (4/h^2) of a 128-interval cell
+    ])
+    def test_every_zone_of_a_long_cell_or_a_high_cut(self, period, n_points, e_max, count):
+        # on a repulsive comb zone n runs from a root of |cos(ka) + (g/2k)
+        # sin(ka)| = 1 above ((n-1) pi/a)^2 up to the pinned edge (n pi/a)^2
+        def half_delta(e):
+            k = math.sqrt(e)
+            return math.cos(k * period) + 1.0 / k * math.sin(k * period)
+
+        zs = zones(PeriodicSystem(comb_cell(period, 2.0, n_points), period), e_max)
+        assert len(zs) == count and zs[-1].e_hi == e_max
+        for n, z in enumerate(zs, start=1):
+            assert ((n - 1) * math.pi / period) ** 2 < z.e_lo < (n * math.pi / period) ** 2
+            assert abs(half_delta(z.e_lo)) == pytest.approx(1.0, abs=1e-4)
+        tops = [(n * math.pi / period) ** 2 for n in range(1, count)]
+        assert [z.e_hi for z in zs[:-1]] == pytest.approx(tops, rel=1e-6, abs=1e-5)
+
     def test_e_max_below_the_first_edge(self, comb):
         assert zones(comb, 0.1) == []
 
@@ -105,12 +124,25 @@ class TestZones:
         assert len(zs) == 2 and zs[-1].e_hi == pytest.approx(4.0, abs=1e-8)
 
     def test_edge_seeds_in_hill_order(self, comb):
-        seeds = bands._edge_seeds(comb.cell)
+        seeds = bands._edge_seeds(comb.cell, 128, 11.0)
         # lam_0 < mu_1 <= mu_2 < lam_1 <= lam_2 < ...: every second gap
         # between merged seeds is a zone and strictly positive
         assert np.all(np.diff(seeds) >= 0.0)
         assert np.all(np.diff(seeds)[0::2] > 0.1)
         assert seeds[:7] == pytest.approx([0.41, 1.0, 1.95, 4.0, 5.13, 9.0, 10.2], abs=0.05)
+
+    @pytest.mark.parametrize("m", [3, 4, 127, 128])
+    def test_edge_seeds_of_the_free_cell(self, m):
+        # the wrapped finite-difference Laplacian has eigenvalues
+        # (4/h^2) sin^2(theta/2), theta = 2 pi j/m (periodic) or
+        # (2j+1) pi/m (antiperiodic)
+        h = math.pi / m
+        theta = np.pi * np.arange(2 * m) / m
+        exact = np.sort(4.0 / h**2 * np.sin(theta / 2) ** 2)
+        seeds = bands._edge_seeds(free_system().cell, m, 0.6 * exact[-1])
+        assert seeds.size % 2 == 0 and seeds.size > m // 2
+        assert seeds == pytest.approx(exact[: seeds.size], rel=1e-12, abs=1e-12)
+        assert bands._edge_seeds(free_system().cell, m, exact[-1] + 1.0) is None
 
     def test_work_ledger(self, comb):
         with oracle_scope() as work:
@@ -140,6 +172,20 @@ class TestSecantRoot:
         # a step function gives every secant step a zero slope
         root = secant_root(lambda x: -1.0 if x < 0.3 else 1.0, 0.0, -1.0, 1.0, 1.0, 0.5, 1e-9)
         assert root == pytest.approx(0.3, abs=1e-9)
+
+    def test_ends_on_the_bracket_of_a_staircase(self):
+        # a smooth function of E rounded down to a grid 50 xtol wide, as the
+        # Numerov mismatch is: secant steps between two points on either side
+        # of one riser are short however far the sign change is
+        xtol = 1e-11
+        w = 50 * xtol
+        for i in range(5):
+            r = 0.5 + 0.123 * i * w + 1e-3 * i
+            f = lambda x: (lambda d: d**3 + 1e-6 * d)(w * math.floor(x / w) - r)
+            edge = w * math.ceil(r / w)   # the first grid point at or above r
+            for j in range(1, 20):
+                root = secant_root(f, 0.0, f(0.0), 1.0, f(1.0), 0.05 * j, xtol)
+                assert abs(root - edge) <= xtol
 
     def test_needs_a_sign_change(self):
         with pytest.raises(NumericalFailure):
