@@ -114,6 +114,23 @@ class TestZones:
         tops = [(n * math.pi / period) ** 2 for n in range(1, count)]
         assert [z.e_hi for z in zs[:-1]] == pytest.approx(tops, rel=1e-6, abs=1e-5)
 
+    def test_narrow_zone_of_an_attractive_comb(self):
+        # the level E = -g^2/4 = -4 of one delta widens into a zone 1.5e-3
+        # wide, narrower than the error of the 128-interval cell's seeds:
+        # the seed cell is refined until every zone holds its seeds' midpoint
+        def half_delta(e):
+            if e > 0:
+                k = math.sqrt(e)
+                return math.cos(5 * k) - 2 / k * math.sin(5 * k)
+            kap = math.sqrt(-e)
+            return math.cosh(5 * kap) - 2 / kap * math.sinh(5 * kap)
+
+        zs = zones(PeriodicSystem(comb_cell(5.0, -4.0), 5.0), 10.0)
+        assert len(zs) == 6
+        assert zs[0].e_lo < -4.0 < zs[0].e_hi and zs[0].width < 2e-3
+        for e in [e for z in zs for e in (z.e_lo, z.e_hi) if e < 10.0]:
+            assert (abs(half_delta(e - 1e-7)) - 1) * (abs(half_delta(e + 1e-7)) - 1) < 0
+
     def test_e_max_below_the_first_edge(self, comb):
         assert zones(comb, 0.1) == []
 
