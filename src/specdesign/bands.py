@@ -79,7 +79,7 @@ def zones(p: PeriodicSystem, e_max: float) -> list[Zone]:
     reaches +-2 only to within 1e-7 is closed (touching zones, as in the
     free limit) and reported as two coincident edges.  The coarse cell
     resolves the highest wave number below the cut; where its seeds still
-    miss a zone it is refined twice over, up to the cell's own grid.
+    miss a zone its intervals are doubled, up to the cell's own grid.
     """
     cell = p.cell
     v_min = float(cell.values.min())
