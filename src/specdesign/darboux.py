@@ -769,8 +769,6 @@ def degeneration_family(v: Potential, n: int, deltas) -> list[TransformResult]:
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
         raise ValidationError("gaps must be strictly positive (no exact degeneracy in 1-D)")
-    if any(b >= a for a, b in zip(deltas, deltas[1:])) and len(deltas) > 1:
-        pass  # ordering checked below
     if list(deltas) != sorted(deltas, reverse=True) or len(set(deltas)) != len(deltas):
         raise ValidationError("gaps must be strictly decreasing")
     states = bound_states(v, n + 1)

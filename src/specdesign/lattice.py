@@ -19,9 +19,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ValidationError
+from .potentials import HARD_WALLS
 from .solver import _count_sign_changes
 
-HARD_WALLS = "hard-walls"
 DECAYING = "decaying"
 
 #: the free lattice band [BAND_LO, BAND_HI]; center is BAND_CENTER

@@ -37,9 +37,17 @@ Method summary
 * Delta spikes enter exactly through the derivative jump
   psi'(x+) = psi'(x-) + g psi(x); they are never smeared.  The banded solve
   stops at each delta node, applies the jump and restarts with a Taylor step.
-* Scattering scans and band discriminants loop over energies, one banded
-  solve each: the real and imaginary parts of the transmitted wave, or the
-  two columns of the transfer matrix, are the right-hand sides.
+* Scattering scans sweep every energy at once.  The steps are cut into up
+  to 1024 segments (the count depends on the grid only); each segment's
+  2 x 2 map of (mean, difference) = ((y[j-1] + y[j]) / 2, (y[j] - y[j-1]) / h)
+  is found for a block of energies in one pass of numpy array steps, using
+  the summed form of the same recurrence, and the maps are chained by
+  pairwise products rescaled by powers of two.  A delta node and the five
+  values its jump reads lie inside one run of segments, swept by the banded
+  solve.  Every energy's arithmetic is its own, so a one-energy call equals
+  the same element of a longer scan bit for bit.
+* Band discriminants loop over energies, one banded solve each; the two
+  columns of the transfer matrix are the right-hand sides.
 """
 
 from __future__ import annotations
@@ -100,6 +108,9 @@ class OracleWork:
     The memo is keyed on the exact sampled values, boundary kind, deltas,
     grid and rel_tol, never on anything a transform reports.  The counts
     depend only on what was asked, so they repeat exactly for the same run.
+    Scattering scans are counted in their own block and add nothing to
+    ``numerov_calls`` or ``nodes_swept``, not even for the ``_numerov``
+    sweeps across their delta nodes.
     """
 
     def __init__(self):
@@ -108,7 +119,7 @@ class OracleWork:
         self.memo_hits = 0  # calls whose potential was already stored
         self.levels_solved = 0
         self.bracketed_levels = 0  # levels the Cooley steps left to the node-count bracket
-        self.numerov_calls = 0  # all sweeps, transforms' seeds included
+        self.numerov_calls = 0  # _numerov sweeps outside scattering scans, transforms' seeds included
         self.nodes_swept = 0
         self.level_numerov_calls = 0  # the share made inside bound_states
         self.level_nodes_swept = 0
@@ -117,6 +128,10 @@ class OracleWork:
         self.zone_edges_seeded = 0
         self.zone_evaluations = 0  # discriminant evaluations refining them
         self.zone_tangencies = 0  # closed gaps refined on dDelta/dE = 0
+        self.scattering_calls = 0  # scattering_curve calls
+        self.scattering_energies = 0
+        self.scattering_node_energies = 0
+        self.scattering_segments = 0  # segments of their sweep layouts
 
     def ledger(self) -> dict:
         solved = max(1, self.levels_solved)
@@ -136,6 +151,12 @@ class OracleWork:
                 "edges_seeded": self.zone_edges_seeded,
                 "evaluations": self.zone_evaluations,
                 "tangencies": self.zone_tangencies,
+            },
+            "scattering": {
+                "calls": self.scattering_calls,
+                "energies": self.scattering_energies,
+                "node_energies": self.scattering_node_energies,
+                "segments": self.scattering_segments,
             },
             "numerov_calls": self.numerov_calls,
             "nodes_swept": self.nodes_swept,
@@ -744,8 +765,185 @@ def bound_states(v: Potential, count: int, *, rel_tol: float = 1e-11) -> list[Bo
 # scattering
 
 
+#: a scattering sweep is cut into at most this many segments ...
+_SEGMENTS = 1024
+#: ... of at least this many steps each
+_SEGMENT_STEPS = 8
+#: energies are swept in blocks whose (energy, segment) arrays hold about this many doubles
+_BLOCK_DOUBLES = 2**14
+#: the segments' values are rescaled by powers of two every this many steps.  A
+#: nonzero c is at least 2**-53 in magnitude (1 - x is exact for x near 1), so
+#: while |c| <= 2 one step grows them by less than 2**59, and this many steps
+#: by less than 2**1023
+_RESCALE_STEPS = 16
+
+
+def _segment_bounds(steps: int) -> np.ndarray:
+    """First step of each segment, then one past the last step.
+
+    Step j (1 <= j <= steps) makes node j + 1.  The count depends on the
+    step count only; the longer segments (one step more) come first, so the
+    last step of a sweep acts on a contiguous prefix of the segments.
+    """
+    count = max(1, min(_SEGMENTS, steps // _SEGMENT_STEPS))
+    length, extra = divmod(steps, count)
+    sizes = np.full(count, length)
+    sizes[:extra] += 1
+    return np.concatenate(([1], 1 + np.cumsum(sizes)))
+
+
+def _rescaled(m, exps):
+    """m (2, 2, ...) with each matrix rescaled by a power of two to a peak in [0.5, 1)."""
+    s = np.frexp(np.abs(m).max(axis=(0, 1)))[1]
+    return np.ldexp(m, -s), exps + s
+
+
+def _segment_maps(v, h, energies, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Numerov map of every segment for every energy, in (mean, difference) form.
+
+    A pair (y[j-1], y[j]) is written as m = (y[j-1] + y[j]) / 2 and
+    d = (y[j] - y[j-1]) / h.  All segments step at once from (m, d) = (1, 0)
+    and (0, 1), with the coefficients c = 1 - h^2 (V - E) / 12 and 12 - 10 c
+    that ``_numerov`` uses.  The recurrence
+    c[j+1] y[j+1] = (12 - 10 c[j]) y[j] - c[j-1] y[j-1] is solved in its
+    summed form: with D[j] = y[j] - y[j-1],
+    c[j+1] D[j+1] = q[j] y[j] + c[j-1] D[j], q[j] = (12 - 10 c[j]) - c[j+1] - c[j-1],
+    which is the same equation, but rounds y against itself only where the
+    small D[j+1] is added.  Returns the maps, shape (2, 2, E, S), at scale 2**exps.
+    """
+    starts = bounds[:-1]
+    count = starts.size
+    length, extra = divmod(int(bounds[-1] - bounds[0]), count)
+    e = energies[:, None]
+    hh = h * h
+
+    def coefficient(nodes, c, u, w):
+        """c = 1 - h^2 (V - E) / 12 at `nodes`, u = c - 1 and w = (12 - 10 c) - 2.
+
+        u and w are exact while 0.5 <= c <= 2, so q = w[j] - u[j+1] - u[j-1]
+        keeps its relative precision however close c is to 1.
+        """
+        np.subtract(v[nodes], e, out=c)
+        c *= hh
+        c /= 12.0
+        np.subtract(1.0, c, out=c)
+        np.subtract(c, 1.0, out=u)
+        np.multiply(c, 10.0, out=w)
+        np.subtract(10.0, w, out=w)
+
+    shape = (energies.size, count)
+    c, u, w = (np.empty((3,) + shape) for _ in range(3))  # rows: previous, this, next node
+    coefficient(starts - 1, c[0], u[0], w[0])
+    coefficient(starts, c[1], u[1], w[1])
+    q = np.empty(shape)
+    y, dy, tmp = np.empty((2,) + shape), np.empty((2,) + shape), np.empty((2,) + shape)
+    y[0], dy[0], y[1], dy[1] = 1.0, 0.0, 0.5 * h, h
+    exps = np.zeros(shape, dtype=int)
+
+    def step(nodes, c_prev, u_prev, w_here, c_next, u_next, w_next, y, dy, q, tmp):
+        coefficient(nodes, c_next, u_next, w_next)
+        np.subtract(w_here, u_next, out=q)
+        np.subtract(q, u_prev, out=q)
+        np.multiply(q, y, out=tmp)
+        np.multiply(c_prev, dy, out=dy)
+        np.add(dy, tmp, out=dy)
+        np.divide(dy, c_next, out=dy)
+        np.add(y, dy, out=y)
+
+    prev, here, nxt = zip(c, u, w)
+    for t in range(length):
+        step(starts + t + 1, *prev[:2], here[2], *nxt, y, dy, q, tmp)
+        prev, here, nxt = here, nxt, prev
+        if t % _RESCALE_STEPS == _RESCALE_STEPS - 1:
+            s = np.frexp(np.maximum(np.abs(y), np.abs(dy)).max(axis=0))[1]
+            np.ldexp(y, -s, out=y)
+            np.ldexp(dy, -s, out=dy)
+            exps += s
+    if extra:  # the last step of the longer segments
+        step(starts[:extra] + length + 1, *(a[:, :extra] for a in prev[:2] + here[2:] + nxt),
+             y[..., :extra], dy[..., :extra], q[:, :extra], tmp[..., :extra])
+    return np.stack((y - 0.5 * dy, dy / h)), exps
+
+
+def _jump_ranges(bounds, jumps) -> list[tuple[int, int]]:
+    """Runs of segments (first, last) that hold a delta jump and the five values before it.
+
+    The jump at node j reads nodes j-5 .. j and makes node j + 1 (steps
+    j - 4 .. j); overlapping runs are merged.
+    """
+    ranges = []
+    for j, _ in jumps:
+        first, last = np.searchsorted(bounds, [j - 4, j], side="right") - 1
+        if ranges and first <= ranges[-1][1]:
+            first = ranges.pop()[0]
+        ranges.append((int(first), int(last)))
+    return ranges
+
+
+def _propagator(v, h, energies, jumps=()) -> tuple[np.ndarray, np.ndarray]:
+    """Map of the Numerov sweep across v from nodes (0, 1) to (n-2, n-1), per energy.
+
+    The map acts on pairs in (mean, difference) form (see ``_segment_maps``)
+    and equals the returned (2, 2, E) array times 2**exps.  The steps are
+    cut into segments (``_segment_bounds``) whose maps are found for a block
+    of energies at once and chained by pairwise products, each rescaled by
+    a power of two.  A run of segments that holds a delta jump is swept by
+    ``_numerov`` instead, one energy at a time.  No number depends on the
+    other energies asked for.
+    """
+    bounds = _segment_bounds(len(v) - 2)
+    ranges = _jump_ranges(bounds, jumps)
+    block = max(1, _BLOCK_DOUBLES // (bounds.size - 1))
+    out = np.empty((2, 2, energies.size))
+    out_exps = np.empty(energies.size, dtype=int)
+    for lo in range(0, energies.size, block):
+        es = energies[lo : lo + block]
+        m, exps = _segment_maps(v, h, es, bounds)
+        token = _WORK.set(None)  # these sweeps are part of the scan, not counted apart
+        try:
+            for first, last in ranges:
+                a, b = bounds[first], bounds[last + 1]
+                local = [(j - a + 1, g) for j, g in jumps if a <= j < b]
+                for i, energy in enumerate(es.tolist()):
+                    y, exps[i, last] = _numerov(v[a - 1 : b + 1], h, energy, (1.0, -0.5 * h),
+                                                (1.0, 0.5 * h), local, tail=2)
+                    m[:, :, i, last] = 0.5 * (y[0] + y[1]), (y[1] - y[0]) / h
+                m[..., first:last] = np.eye(2)[:, :, None, None]
+                exps[:, first:last] = 0
+        finally:
+            _WORK.reset(token)
+        out[:, :, lo : lo + block], out_exps[lo : lo + block] = _chain(*_rescaled(m, exps))
+    return out, out_exps
+
+
+def _chain(m, exps) -> tuple[np.ndarray, np.ndarray]:
+    """Product of the maps m (2, 2, E, S) at scale 2**exps (E, S), last segment leftmost.
+
+    Neighbours are multiplied pairwise, level by level, each product written
+    out by components and rescaled by a power of two; the order depends
+    only on S.  Returns the (2, 2, E) product and its exponents.
+    """
+    while m.shape[-1] > 1:
+        pairs = m.shape[-1] // 2
+        a, b = m[..., 1 : 2 * pairs : 2], m[..., 0 : 2 * pairs : 2]  # later, earlier
+        prod = np.empty(a.shape)
+        for r in range(2):
+            for c in range(2):
+                prod[r, c] = a[r, 0] * b[0, c] + a[r, 1] * b[1, c]
+        prod, prod_exps = _rescaled(prod, exps[:, 1 : 2 * pairs : 2] + exps[:, 0 : 2 * pairs : 2])
+        if m.shape[-1] % 2:
+            prod = np.concatenate((prod, m[..., -1:]), axis=-1)
+            prod_exps = np.concatenate((prod_exps, exps[:, -1:]), axis=-1)
+        m, exps = prod, prod_exps
+    return m[..., 0], exps[:, 0]
+
+
 def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
-    """Reflection/transmission amplitudes at several energies, one sweep each."""
+    """Reflection/transmission amplitudes at several energies.
+
+    One right-to-left sweep per energy, all of them at once through the
+    segment maps of ``_propagator``.
+    """
     if v.bc_kind != DECAYING_LINE:
         raise ValidationError("scattering requires a decaying-line potential")
     e = np.asarray(list(energies), dtype=float)
@@ -756,19 +954,31 @@ def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
     mirrored = [(g.n_points - 1 - j, s) for j, s in reversed(v.delta_nodes(interior_only=True))]
     k_l = np.sqrt(e - v_l)
     k_r = np.sqrt(e - v_r)
+    work = _WORK.get()
+    if work is not None:
+        work.scattering_calls += 1
+        work.scattering_energies += e.size
+        work.scattering_node_energies += g.n_points * e.size
+        work.scattering_segments += _segment_bounds(g.n_points - 2).size - 1
 
-    # transmitted wave exp(i k_r x) seeds the two rightmost nodes; its real
-    # and imaginary parts are the two start pairs of a right-to-left sweep
+    # the transmitted wave exp(i k_r x) at the two rightmost nodes starts a
+    # right-to-left sweep, as (mean, difference) of the reversed pair
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p, exps = _propagator(v.values[::-1], g.h, e, mirrored)
+    bad = ~np.isfinite(p.sum(axis=(0, 1)))
+    if bad.any():
+        energy = float(e[bad][0])
+        c = 1.0 - g.h * g.h * (v.values - energy) / 12.0
+        zeros = np.nonzero(c[:-2] == 0.0)[0]  # the sweep divides by c at every node but the last two
+        if zeros.size:
+            raise NumericalFailure(f"Numerov coefficient vanishes at node {zeros[-1]}")
+        raise NumericalFailure(f"scattering sweep overflows at E={energy}")
+    (p00, p01), (p10, p11) = p
     y_last = np.exp(1j * k_r * g.x[-1])
     y_prev = np.exp(1j * k_r * g.x[-2])
-    vrev = v.values[::-1]
-    psi = np.empty((2, e.size), dtype=complex)
-    exps = np.empty(e.size, dtype=int)
-    for i in range(e.size):
-        starts = (y_last[i].real, y_last[i].imag), (y_prev[i].real, y_prev[i].imag)
-        y, exps[i] = _numerov(vrev, g.h, e[i], *starts, mirrored, tail=2)
-        psi[:, i] = y[::-1, 0] + 1j * y[::-1, 1]
-    psi0, psi1 = psi  # at scale 2**exps
+    m0, d0 = 0.5 * (y_last + y_prev), (y_prev - y_last) / g.h
+    m, d = p00 * m0 + p01 * d0, p10 * m0 + p11 * d0
+    psi0, psi1 = m + 0.5 * g.h * d, m - 0.5 * g.h * d  # at scale 2**exps
 
     ph0 = np.exp(1j * k_l * g.x[0])
     ph1 = np.exp(1j * k_l * g.x[1])

@@ -163,6 +163,26 @@ class TestRun:
         for f in ("zones.csv", "zone_track.csv", "discriminant.csv"):
             assert (tmp_path / "band_a" / f).read_bytes() == (tmp_path / "band_b" / f).read_bytes()
 
+    def test_scattering_ledger_repeats_on_a_line_chain(self, tmp_path):
+        text = ("base = free-line\n[step]\nkind = create\nE = -1\n"
+                "[step]\nkind = shift\nn = 1\ndE = 0.4\n")
+        work = []
+        for name in ("a", "b"):
+            cfg = parse_config(text)
+            cfg.out = str(tmp_path / name)
+            manifest = run(cfg)
+            assert manifest["status"] == "ok"
+            work.append(manifest["oracle_work"])
+        assert work[0] == work[1]
+        scans = work[0]["scattering"]
+        # a four-energy reflection check after each step, then scattering.csv
+        assert scans["calls"] == 3
+        assert scans["energies"] == 2 * 4 + 40
+        assert scans["node_energies"] == 19109 * scans["energies"]
+        assert scans["segments"] == 3 * 1024
+        assert (tmp_path / "a" / "scattering.csv").read_bytes() == \
+            (tmp_path / "b" / "scattering.csv").read_bytes()
+
     def test_match_point_moves_off_the_wall(self, tmp_path):
         # after these steps level 1 of one potential sits where V <= E up to
         # the right wall; matching 4 nodes from the wall, where psi is 5e-4

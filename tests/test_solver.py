@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specdesign.errors import ValidationError
+from specdesign.errors import NumericalFailure, ValidationError
 from specdesign.grid import SampledFn, integrate, make_grid
 from specdesign.potentials import (
     Potential,
@@ -21,6 +21,7 @@ from specdesign.solver import (
     _fd_derivs,
     _numerov,
     _onesided_slope,
+    _segment_bounds,
     _sweep,
     _taylor_step,
     band_discriminant,
@@ -290,6 +291,138 @@ class TestPropagator:
         well = bargmann_reflectionless([2.0, 1.0], [2.0, 1.5], half_width=290.0).potential
         energies = [s.energy for s in bound_states(well, 2)]
         assert energies == pytest.approx([-4.0, -1.0], abs=1e-8)
+
+
+def plane_wave_amplitudes(v, energies, psi0, psi1, scale):
+    """R and T from the sweep's values at nodes 0 and 1, times 2**scale."""
+    g = v.grid
+    k_l = np.sqrt(energies - v.values[0])
+    ph0, ph1 = np.exp(1j * k_l * g.x[0]), np.exp(1j * k_l * g.x[1])
+    det = ph0 / ph1 - ph1 / ph0
+    a = (psi0 / ph1 - psi1 / ph0) / det
+    b = (psi1 * ph0 - psi0 * ph1) / det
+    return b / a, np.ldexp(1.0, -scale) / a
+
+
+def numerov_scattering(v, energy):
+    """R and T from one banded ``_numerov`` sweep from the right edge."""
+    g = v.grid
+    mirrored = [(g.n_points - 1 - j, s) for j, s in reversed(v.delta_nodes())]
+    k_r = math.sqrt(energy - v.values[-1])
+    last, prev = np.exp(1j * k_r * g.x[-1]), np.exp(1j * k_r * g.x[-2])
+    y, e = _numerov(v.values[::-1], g.h, energy, (last.real, last.imag),
+                    (prev.real, prev.imag), mirrored, tail=2)
+    psi1, psi0 = y[:, 0] + 1j * y[:, 1]
+    return plane_wave_amplitudes(v, np.array(energy), psi0, psi1, e)
+
+
+def long_double_scattering(v, energies):
+    """R and T from a node-by-node sweep in long double, with the double-rounded
+    c = 1 - h^2 (V - E) / 12 and 12 - 10 c of the propagator (no deltas)."""
+    g = v.grid
+    e = np.asarray(energies, dtype=float)
+    vrev = v.values[::-1]
+    k_r = np.sqrt(e - vrev[0]).astype(np.longdouble)
+    x = g.x.astype(np.longdouble)
+    c = [(1.0 - g.h * g.h * (vrev[j] - e) / 12.0) for j in range(3)]
+    y = [np.exp(1j * k_r * x[-1]), np.exp(1j * k_r * x[-2])]
+    for j in range(1, g.n_points - 1):
+        b = (12.0 - 10.0 * c[1]).astype(np.longdouble)
+        y = [y[1], (b * y[1] - c[0].astype(np.longdouble) * y[0]) / c[2].astype(np.longdouble)]
+        nxt = vrev[j + 2] if j + 2 < g.n_points else vrev[-1]
+        c = [c[1], c[2], 1.0 - g.h * g.h * (nxt - e) / 12.0]
+    psi1, psi0 = (np.asarray(z, dtype=complex) for z in y)
+    return plane_wave_amplitudes(v, e, psi0, psi1, 0)
+
+
+def with_deltas(v, nodes, strength=1.5):
+    """v with a delta of the given strength on each grid node."""
+    return Potential(v.body, v.bc_kind, tuple((v.grid.x[j], strength) for j in nodes))
+
+
+class TestSegmentScattering:
+    """scattering_curve's segment maps against sweeps that step node by node."""
+
+    @staticmethod
+    def step_potential():
+        v0 = free_line()
+        x = v0.grid.x
+        body = 0.5 * (1.0 + np.tanh(x)) - 1.5 * np.exp(-((x - 2.0) / 1.3) ** 2)
+        return Potential(SampledFn(v0.grid, body), "decaying-line")
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended precision")
+    def test_matches_long_double_sweep(self):
+        # a banded node-form sweep lands about 7e-12 from this reference, the
+        # summed segment sweep about 7e-13
+        v = self.step_potential()
+        energies = np.array([1.2, 1.6, 2.5, 4.0, 7.5])
+        want_r, want_t = long_double_scattering(v, energies)
+        got = scattering_curve(v, energies)
+        assert max(abs(r.R - w) for r, w in zip(got, want_r)) < 3e-12
+        assert max(abs(r.T - w) for r, w in zip(got, want_t)) < 3e-12
+
+    @pytest.mark.parametrize("layout", ["single", "six apart", "five apart", "boundaries"])
+    def test_deltas_match_numerov_sweep(self, layout):
+        v = free_line()
+        n = v.grid.n_points
+        bounds = _segment_bounds(n - 2)
+        # nodes of the right-to-left sweep; node j of the sweep is grid node n - 1 - j
+        sweep_nodes = {
+            "single": [n // 2],
+            "six apart": [9000, 9006],
+            "five apart": [9000, 9005, 9007],
+            # the jump on the last step of a segment, on its first step, and
+            # with its five earlier values starting a segment
+            "boundaries": [bounds[100] - 1, bounds[300], bounds[500] + 4],
+        }[layout]
+        v = with_deltas(v, [n - 1 - j for j in sweep_nodes])
+        if layout == "single":
+            v = single_delta(2.0)
+        energies = [0.3, 1.0, 4.2, 9.0]
+        for res in scattering_curve(v, energies):
+            want_r, want_t = numerov_scattering(v, res.energy)
+            assert abs(res.R - want_r) < 1e-10
+            assert abs(res.T - want_t) < 1e-10
+
+    def test_one_point_equals_long_curve_element(self):
+        v = with_deltas(soliton_well(), [4000, 4003, 12000])
+        steps = v.grid.n_points - 2
+        assert steps % (_segment_bounds(steps).size - 1)  # the segments differ in length
+        energies = np.linspace(0.05, 12.0, 41)
+        for res in scattering_curve(v, energies):
+            single = scattering(v, res.energy)
+            assert (single.R, single.T) == (res.R, res.T)
+
+    def test_tall_barrier_transmits_tiny_but_finite(self):
+        v0 = free_line()
+        x = v0.grid.x
+        v = Potential(SampledFn(v0.grid, 2500.0 / np.cosh(x / 4.0) ** 8), "decaying-line")
+        for energy in (2.0, 5.0):
+            res = scattering(v, energy)
+            want_r, want_t = numerov_scattering(v, energy)
+            assert 0.0 < abs(res.T) < 1e-100
+            assert abs(res.T - want_t) < 1e-9 * abs(want_t)
+            assert abs(res.R - want_r) < 1e-9
+
+    def test_vanishing_coefficient_raises(self):
+        g = make_grid(-10.0, 10.0, 41)  # h = 1/2
+        body = np.zeros(41)
+        body[20] = 49.0  # h^2 (V - E) / 12 = 1 at E = 1
+        v = Potential(SampledFn(g, body), "decaying-line")
+        with pytest.raises(NumericalFailure, match="node 20"):
+            scattering(v, 1.0)
+        assert math.isfinite(scattering(v, 1.5).T.real)
+
+    def test_scans_count_in_their_own_ledger(self):
+        v = soliton_well()
+        with oracle_scope() as work:
+            scattering_curve(v, [0.5, 1.0, 2.0])
+            scattering(v, 3.0)
+        assert work.ledger()["scattering"] == {
+            "calls": 2, "energies": 4, "node_energies": 4 * v.grid.n_points,
+            "segments": 2 * (_segment_bounds(v.grid.n_points - 2).size - 1),
+        }
+        assert work.numerov_calls == 0 and work.nodes_swept == 0
 
 
 def same_states(a, b) -> bool:
