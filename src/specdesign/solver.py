@@ -899,19 +899,15 @@ def _propagator(v, h, energies, jumps=()) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, energies.size, block):
         es = energies[lo : lo + block]
         m, exps = _segment_maps(v, h, es, bounds)
-        token = _WORK.set(None)  # these sweeps are part of the scan, not counted apart
-        try:
-            for first, last in ranges:
-                a, b = bounds[first], bounds[last + 1]
-                local = [(j - a + 1, g) for j, g in jumps if a <= j < b]
-                for i, energy in enumerate(es.tolist()):
-                    y, exps[i, last] = _numerov(v[a - 1 : b + 1], h, energy, (1.0, -0.5 * h),
-                                                (1.0, 0.5 * h), local, tail=2)
-                    m[:, :, i, last] = 0.5 * (y[0] + y[1]), (y[1] - y[0]) / h
-                m[..., first:last] = np.eye(2)[:, :, None, None]
-                exps[:, first:last] = 0
-        finally:
-            _WORK.reset(token)
+        for first, last in ranges:
+            a, b = bounds[first], bounds[last + 1]
+            local = [(j - a + 1, g) for j, g in jumps if a <= j < b]
+            for i, energy in enumerate(es.tolist()):
+                y, exps[i, last] = _numerov(v[a - 1 : b + 1], h, energy, (1.0, -0.5 * h),
+                                            (1.0, 0.5 * h), local, tail=2)
+                m[:, :, i, last] = 0.5 * (y[0] + y[1]), (y[1] - y[0]) / h
+            m[..., first:last] = np.eye(2)[:, :, None, None]
+            exps[:, first:last] = 0
         out[:, :, lo : lo + block], out_exps[lo : lo + block] = _chain(*_rescaled(m, exps))
     return out, out_exps
 
@@ -961,10 +957,12 @@ def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
         work.scattering_node_energies += g.n_points * e.size
         work.scattering_segments += _segment_bounds(g.n_points - 2).size - 1
 
-    # the transmitted wave exp(i k_r x) at the two rightmost nodes starts a
-    # right-to-left sweep, as (mean, difference) of the reversed pair
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p, exps = _propagator(v.values[::-1], g.h, e, mirrored)
+    token = _WORK.set(None)  # its banded sweeps across delta nodes count as part of the scan
+    try:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            p, exps = _propagator(v.values[::-1], g.h, e, mirrored)
+    finally:
+        _WORK.reset(token)
     bad = ~np.isfinite(p.sum(axis=(0, 1)))
     if bad.any():
         energy = float(e[bad][0])
@@ -973,18 +971,26 @@ def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
         if zeros.size:
             raise NumericalFailure(f"Numerov coefficient vanishes at node {zeros[-1]}")
         raise NumericalFailure(f"scattering sweep overflows at E={energy}")
-    (p00, p01), (p10, p11) = p
-    y_last = np.exp(1j * k_r * g.x[-1])
-    y_prev = np.exp(1j * k_r * g.x[-2])
-    m0, d0 = 0.5 * (y_last + y_prev), (y_prev - y_last) / g.h
-    m, d = p00 * m0 + p01 * d0, p10 * m0 + p11 * d0
-    psi0, psi1 = m + 0.5 * g.h * d, m - 0.5 * g.h * d  # at scale 2**exps
 
-    ph0 = np.exp(1j * k_l * g.x[0])
-    ph1 = np.exp(1j * k_l * g.x[1])
-    det = ph0 / ph1 - ph1 / ph0
-    a = (psi0 / ph1 - psi1 / ph0) / det
-    b = (psi1 * ph0 - psi0 * ph1) / det
+    # Plane waves exp(+-i k x) on an end pair have (mean, difference)
+    # exp(+-i k x_mid) (cos(k h / 2), +-2i sin(k h / 2) / h), x_mid the pair's
+    # midpoint.  Taking the two nodes exactly h apart leaves the rounding of
+    # k x in a common phase, out of the difference that 1 / (k h) amplifies.
+    # The sweep starts from the transmitted wave exp(i k_r x) on the right
+    # pair (its differences run right to left) ...
+    # (cos and sin come from one complex exp, which takes the same path for
+    # every array length: a one-energy call must equal a longer scan bit for bit)
+    wave, half = np.exp(1j * k_r * (g.x[-1] - 0.5 * g.h)), np.exp(0.5j * k_r * g.h)
+    m0, d0 = wave * half.real, -2j * wave * half.imag / g.h
+    (p00, p01), (p10, p11) = p
+    m, d = p00 * m0 + p01 * d0, p10 * m0 + p11 * d0  # at scale 2**exps
+    # ... and ends on a exp(i k_l x) + b exp(-i k_l x) on the left pair, where
+    # a wave = (fwd + bwd) / 2 and b / wave = (fwd - bwd) / 2
+    wave, half = np.exp(1j * k_l * (g.x[0] + 0.5 * g.h)), np.exp(0.5j * k_l * g.h)
+    fwd = m / half.real
+    bwd = 0.5j * g.h * d / half.imag
+    a = 0.5 * (fwd + bwd) / wave
+    b = 0.5 * (fwd - bwd) * wave
     t = np.ldexp(1.0, -exps) / a
 
     return [

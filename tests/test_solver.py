@@ -293,11 +293,9 @@ class TestPropagator:
         assert energies == pytest.approx([-4.0, -1.0], abs=1e-8)
 
 
-def plane_wave_amplitudes(v, energies, psi0, psi1, scale):
-    """R and T from the sweep's values at nodes 0 and 1, times 2**scale."""
-    g = v.grid
-    k_l = np.sqrt(energies - v.values[0])
-    ph0, ph1 = np.exp(1j * k_l * g.x[0]), np.exp(1j * k_l * g.x[1])
+def plane_wave_amplitudes(k_l, x0, x1, psi0, psi1, scale=0):
+    """R and T from the sweep's values psi0, psi1 at x0, x1, times 2**scale."""
+    ph0, ph1 = np.exp(1j * k_l * x0), np.exp(1j * k_l * x1)
     det = ph0 / ph1 - ph1 / ph0
     a = (psi0 / ph1 - psi1 / ph0) / det
     b = (psi1 * ph0 - psi0 * ph1) / det
@@ -313,7 +311,8 @@ def numerov_scattering(v, energy):
     y, e = _numerov(v.values[::-1], g.h, energy, (last.real, last.imag),
                     (prev.real, prev.imag), mirrored, tail=2)
     psi1, psi0 = y[:, 0] + 1j * y[:, 1]
-    return plane_wave_amplitudes(v, np.array(energy), psi0, psi1, e)
+    k_l = math.sqrt(energy - v.values[0])
+    return plane_wave_amplitudes(k_l, g.x[0], g.x[1], psi0, psi1, e)
 
 
 def long_double_scattering(v, energies):
@@ -323,7 +322,7 @@ def long_double_scattering(v, energies):
     e = np.asarray(energies, dtype=float)
     vrev = v.values[::-1]
     k_r = np.sqrt(e - vrev[0]).astype(np.longdouble)
-    x = g.x.astype(np.longdouble)
+    x = np.longdouble(g.x_min) + np.arange(g.n_points) * np.longdouble(g.h)  # exactly h apart
     c = [(1.0 - g.h * g.h * (vrev[j] - e) / 12.0) for j in range(3)]
     y = [np.exp(1j * k_r * x[-1]), np.exp(1j * k_r * x[-2])]
     for j in range(1, g.n_points - 1):
@@ -331,8 +330,8 @@ def long_double_scattering(v, energies):
         y = [y[1], (b * y[1] - c[0].astype(np.longdouble) * y[0]) / c[2].astype(np.longdouble)]
         nxt = vrev[j + 2] if j + 2 < g.n_points else vrev[-1]
         c = [c[1], c[2], 1.0 - g.h * g.h * (nxt - e) / 12.0]
-    psi1, psi0 = (np.asarray(z, dtype=complex) for z in y)
-    return plane_wave_amplitudes(v, e, psi0, psi1, 0)
+    k_l = np.sqrt(e - v.values[0]).astype(np.longdouble)
+    return plane_wave_amplitudes(k_l, x[0], x[1], y[1], y[0])
 
 
 def with_deltas(v, nodes, strength=1.5):
@@ -352,14 +351,14 @@ class TestSegmentScattering:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended precision")
     def test_matches_long_double_sweep(self):
-        # a banded node-form sweep lands about 7e-12 from this reference, the
-        # summed segment sweep about 7e-13
+        # a banded node-form sweep lands about 8e-12 from this reference, the
+        # summed segment sweep with its exactly spaced end pairs about 1e-13
         v = self.step_potential()
         energies = np.array([1.2, 1.6, 2.5, 4.0, 7.5])
         want_r, want_t = long_double_scattering(v, energies)
         got = scattering_curve(v, energies)
-        assert max(abs(r.R - w) for r, w in zip(got, want_r)) < 3e-12
-        assert max(abs(r.T - w) for r, w in zip(got, want_t)) < 3e-12
+        assert max(abs(r.R - w) for r, w in zip(got, want_r)) < 1e-12
+        assert max(abs(r.T - w) for r, w in zip(got, want_t)) < 1e-12
 
     @pytest.mark.parametrize("layout", ["single", "six apart", "five apart", "boundaries"])
     def test_deltas_match_numerov_sweep(self, layout):
