@@ -360,23 +360,21 @@ class TestSegmentScattering:
         assert max(abs(r.R - w) for r, w in zip(got, want_r)) < 1e-12
         assert max(abs(r.T - w) for r, w in zip(got, want_t)) < 1e-12
 
-    @pytest.mark.parametrize("layout", ["single", "six apart", "five apart", "boundaries"])
+    @pytest.mark.parametrize("layout", ["single", "six apart", "closer", "boundaries"])
     def test_deltas_match_numerov_sweep(self, layout):
-        v = free_line()
-        n = v.grid.n_points
-        bounds = _segment_bounds(n - 2)
-        # nodes of the right-to-left sweep; node j of the sweep is grid node n - 1 - j
-        sweep_nodes = {
-            "single": [n // 2],
-            "six apart": [9000, 9006],
-            "five apart": [9000, 9005, 9007],
-            # the jump on the last step of a segment, on its first step, and
-            # with its five earlier values starting a segment
-            "boundaries": [bounds[100] - 1, bounds[300], bounds[500] + 4],
-        }[layout]
-        v = with_deltas(v, [n - 1 - j for j in sweep_nodes])
-        if layout == "single":
-            v = single_delta(2.0)
+        v = single_delta(2.0)
+        if layout != "single":
+            n = v.grid.n_points
+            bounds = _segment_bounds(n - 2)
+            # nodes of the right-to-left sweep; node j of the sweep is grid node n - 1 - j
+            sweep_nodes = {
+                "six apart": [9000, 9006],
+                "closer": [9000, 9005, 9007],
+                # the jump on the last step of a segment, on its first step, and
+                # with its five earlier values starting a segment
+                "boundaries": [bounds[100] - 1, bounds[300], bounds[500] + 4],
+            }[layout]
+            v = with_deltas(free_line(), [n - 1 - j for j in sweep_nodes])
         energies = [0.3, 1.0, 4.2, 9.0]
         for res in scattering_curve(v, energies):
             want_r, want_t = numerov_scattering(v, res.energy)
