@@ -178,13 +178,20 @@ def _build_base(cfg: RunConfig) -> Potential | PeriodicSystem | tuple:
 
 
 class _Artifacts:
-    """Buffered output: nothing hits the disk until the run decides to."""
+    """Buffered output: nothing hits the disk until the run decides to.
+
+    ``format_s`` sums the seconds spent formatting the files' bytes.
+    """
 
     def __init__(self):
         self.files: dict[str, bytes] = {}
+        self.format_s = 0.0
 
-    def add(self, name: str, data: bytes):
-        self.files[name] = data
+    def add(self, name: str, fmt, *args):
+        """Store the bytes fmt(*args) as file `name`."""
+        t0 = time.perf_counter()
+        self.files[name] = fmt(*args)
+        self.format_s += time.perf_counter() - t0
 
     def write(self, out_dir: Path) -> list[dict]:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -248,7 +255,7 @@ def run(config: RunConfig) -> dict:
     base = _build_base(config)
     out_dir = Path(config.out)
     artifacts = _Artifacts()
-    timing: dict = {"steps_ms": []}
+    timing: dict = {"steps_ms": [], "scattering_ms": 0.0}
     manifest: dict = {
         "config": {
             "base": config.base, "params": config.params,
@@ -293,6 +300,7 @@ def run(config: RunConfig) -> dict:
     if manifest["status"] == "ok" and not status_ok:
         manifest["status"] = "verification-failed"
     timing["total_ms"] = 1000.0 * (time.perf_counter() - t_start)
+    timing["csv_ms"] = 1000.0 * artifacts.format_s
     manifest["oracle_work"] = work.ledger()
     manifest["timing"] = timing
     manifest["artifacts"] = artifacts.write(out_dir)
@@ -347,17 +355,19 @@ def _run_chain(v, config, manifest, artifacts, timing, tol_spec, tol_refl, verif
     else:
         count = 0 if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE) else verify_levels
     states = bound_states(v, count) if count else []
-    artifacts.add("potential.csv", csvio.sampled_fn_bytes(v.body, "V"))
+    artifacts.add("potential.csv", csvio.sampled_fn_bytes, v.body, "V")
     if states:
-        artifacts.add("spectrum.csv", csvio.spectrum_bytes(states))
-        artifacts.add("states.csv", csvio.states_bytes(v.grid, states))
+        artifacts.add("spectrum.csv", csvio.spectrum_bytes, states)
+        artifacts.add("states.csv", csvio.states_bytes, v.grid, states)
     else:
-        artifacts.add("spectrum.csv", csvio.spectrum_bytes([]))
+        artifacts.add("spectrum.csv", csvio.spectrum_bytes, [])
     if step_log_all:
-        artifacts.add("steplog.csv", csvio.steplog_bytes(step_log_all))
+        artifacts.add("steplog.csv", csvio.steplog_bytes, step_log_all)
     if v.bc_kind == DECAYING_LINE:
-        energies = np.linspace(0.25, 10.0, 40)
-        artifacts.add("scattering.csv", csvio.scattering_bytes(scattering_curve(v, energies)))
+        t0 = time.perf_counter()
+        curve = scattering_curve(v, np.linspace(0.25, 10.0, 40))
+        timing["scattering_ms"] = 1000.0 * (time.perf_counter() - t0)
+        artifacts.add("scattering.csv", csvio.scattering_bytes, curve)
     return all_ok
 
 
@@ -370,7 +380,7 @@ def _run_band(system, config, manifest, artifacts, timing):
     if track_values:
         aux_level = int(config.chain[0].get("aux_level", 2))
         rows = track_zone_shift(system, aux_level, [0.0] + track_values, e_max)
-        artifacts.add("zone_track.csv", csvio.zone_track_bytes(rows))
+        artifacts.add("zone_track.csv", csvio.zone_track_bytes, rows)
         manifest["steps"].append({
             "step": {"kind": "shift_zone", "aux_level": aux_level, "dE_values": track_values},
             "rows": [
@@ -385,12 +395,12 @@ def _run_band(system, config, manifest, artifacts, timing):
         final = rows[-1]["zones"]
     else:
         final = zones(system, e_max)
-    artifacts.add("zones.csv", csvio.zones_bytes(final))
+    artifacts.add("zones.csv", csvio.zones_bytes, final)
     from .solver import band_discriminant_curve
 
     es = np.linspace(float(system.cell.values.min()) - 1.0, e_max, 501)
     artifacts.add("discriminant.csv",
-                  csvio.discriminant_bytes(es, band_discriminant_curve(system.cell, es)))
+                  csvio.discriminant_bytes, es, band_discriminant_curve(system.cell, es))
     timing["steps_ms"].append(1000.0 * (time.perf_counter() - t0))
     return True
 
@@ -429,8 +439,8 @@ def _run_lattice(base, config, manifest, artifacts, timing):
         which = str(config.params.get("which", "lowest"))
         states = lattice_bound_states(base, count, which)
         sites = base.sites
-    artifacts.add("lattice_spectrum.csv", csvio.lattice_spectrum_bytes(states))
-    artifacts.add("lattice_states.csv", csvio.lattice_states_bytes(sites, states))
+    artifacts.add("lattice_spectrum.csv", csvio.lattice_spectrum_bytes, states)
+    artifacts.add("lattice_states.csv", csvio.lattice_states_bytes, sites, states)
     manifest["steps"].append({"step": {"kind": "lattice"},
                               "levels": [s.energy for s in states]})
     timing["steps_ms"].append(1000.0 * (time.perf_counter() - t0))

@@ -40,9 +40,12 @@ Method summary
 * Scattering scans sweep every energy at once.  The steps are cut into up
   to 1024 segments (the count depends on the grid only); each segment's
   2 x 2 map of (mean, difference) = ((y[j-1] + y[j]) / 2, (y[j] - y[j-1]) / h)
-  is found for a block of energies in one pass of numpy array steps, using
-  the summed form of the same recurrence, and the maps are chained by
-  pairwise products rescaled by powers of two.  A delta node and the five
+  is found for a block of energies in one pass of numpy array steps.  The
+  steps use the same double coefficients c and 12 - 10 c, but carry Blatt's
+  summed variables w = c y and D[j] = w[j] - w[j-1] (D[j+1] = D[j] + G[j] w[j]
+  with G = (12 - 10 c - 2 c) / c); y is taken into w at each segment's start
+  pair and back at its end pair.  The maps are chained by pairwise
+  products rescaled by powers of two.  A delta node and the five
   values its jump reads lie inside one run of segments, swept by the banded
   solve.  Every energy's arithmetic is its own, so a one-energy call equals
   the same element of a longer scan bit for bit.
@@ -771,10 +774,13 @@ _SEGMENTS = 1024
 _SEGMENT_STEPS = 8
 #: energies are swept in blocks whose (energy, segment) arrays hold about this many doubles
 _BLOCK_DOUBLES = 2**14
-#: the segments' values are rescaled by powers of two every this many steps.  A
-#: nonzero c is at least 2**-53 in magnitude (1 - x is exact for x near 1), so
-#: while |c| <= 2 one step grows them by less than 2**59, and this many steps
-#: by less than 2**1023
+#: the segments' (w, D) values are rescaled by powers of two, to a peak below 1,
+#: every this many steps.  A nonzero c is at least 2**-53 in magnitude (1 - x is
+#: exact for x near 1), so |G| = |B - 2c| / |c| <= 12 / |c| + 12 < 2**57 - 2
+#: whatever the size of c, and one step grows max(|w|, |D|) by at most
+#: 2 + |G| < 2**57: this many steps by less than 2**912.  That leaves 2**111
+#: for the size of the start pairs (at most 2 |c|), the conversion of the end
+#: pairs back to y (a factor below 2**55) and the division of their difference by h
 _RESCALE_STEPS = 16
 
 
@@ -803,13 +809,19 @@ def _segment_maps(v, h, energies, bounds) -> tuple[np.ndarray, np.ndarray]:
 
     A pair (y[j-1], y[j]) is written as m = (y[j-1] + y[j]) / 2 and
     d = (y[j] - y[j-1]) / h.  All segments step at once from (m, d) = (1, 0)
-    and (0, 1), with the coefficients c = 1 - h^2 (V - E) / 12 and 12 - 10 c
-    that ``_numerov`` uses.  The recurrence
-    c[j+1] y[j+1] = (12 - 10 c[j]) y[j] - c[j-1] y[j-1] is solved in its
-    summed form: with D[j] = y[j] - y[j-1],
-    c[j+1] D[j+1] = q[j] y[j] + c[j-1] D[j], q[j] = (12 - 10 c[j]) - c[j+1] - c[j-1],
-    which is the same equation, but rounds y against itself only where the
-    small D[j+1] is added.  Returns the maps, shape (2, 2, E, S), at scale 2**exps.
+    and (0, 1), with the coefficients c = 1 - h^2 (V - E) / 12 and
+    B = 12 - 10 c that ``_numerov`` uses.  The recurrence
+    c[j+1] y[j+1] = B[j] y[j] - c[j-1] y[j-1] is stepped in Blatt's variables
+    w[j] = c[j] y[j] and D[j] = w[j] - w[j-1] (J. M. Blatt, J. Comput. Phys.
+    1, 382 (1967)):
+
+        D[j+1] = D[j] + G[j] w[j],  w[j+1] = w[j] + D[j+1],  G[j] = (B[j] - 2 c[j]) / c[j],
+
+    which is the same equation, but rounds w against itself only where the
+    small D[j+1] is added.  B - 2c is exact wherever c is near 1, so G keeps
+    its relative precision there.  The start pairs are taken into (w, D) with
+    c at each segment's first two nodes, and the end pairs back into y with
+    c at its last two.  Returns the maps, shape (2, 2, E, S), at scale 2**exps.
     """
     starts = bounds[:-1]
     count = starts.size
@@ -817,52 +829,75 @@ def _segment_maps(v, h, energies, bounds) -> tuple[np.ndarray, np.ndarray]:
     e = energies[:, None]
     hh = h * h
 
-    def coefficient(nodes, c, u, w):
-        """c = 1 - h^2 (V - E) / 12 at `nodes`, u = c - 1 and w = (12 - 10 c) - 2.
+    def coefficient(nodes, out):
+        """c = 1 - h^2 (V - E) / 12 at `nodes`, rounded as ``_numerov`` rounds it."""
+        np.subtract(v[nodes], e, out=out)
+        out *= hh
+        out /= 12.0
+        np.subtract(1.0, out, out=out)
 
-        u and w are exact while 0.5 <= c <= 2, so q = w[j] - u[j+1] - u[j-1]
-        keeps its relative precision however close c is to 1.
+    def step(c, g, w, d, tmp):
+        """One step of (w, d) from the node with coefficient c; g and tmp are scratch."""
+        np.multiply(c, 10.0, out=g)
+        np.subtract(12.0, g, out=g)
+        np.add(c, c, out=tmp[0])
+        np.subtract(g, tmp[0], out=g)
+        np.divide(g, c, out=g)
+        np.multiply(g, w, out=tmp)
+        d += tmp
+        w += d
+
+    def to_pairs(w, d, c_prev, c_end):
+        """(mean, difference) of y from (w, D) on a pair with coefficients c_prev, c_end.
+
+        y[j] - y[j-1] = D[j] / c[j-1] + w[j] (1 / c[j] - 1 / c[j-1]) keeps the
+        difference's relative precision, as c[j-1] - c[j] is exact for
+        neighbouring coefficients within a factor of two of each other.
         """
-        np.subtract(v[nodes], e, out=c)
-        c *= hh
-        c /= 12.0
-        np.subtract(1.0, c, out=c)
-        np.subtract(c, 1.0, out=u)
-        np.multiply(c, 10.0, out=w)
-        np.subtract(10.0, w, out=w)
+        y = w / c_end
+        dy = d / c_prev + w * ((c_prev - c_end) / (c_end * c_prev))
+        return y - 0.5 * dy, dy / h
 
     shape = (energies.size, count)
-    c, u, w = (np.empty((3,) + shape) for _ in range(3))  # rows: previous, this, next node
-    coefficient(starts - 1, c[0], u[0], w[0])
-    coefficient(starts, c[1], u[1], w[1])
-    q = np.empty(shape)
-    y, dy, tmp = np.empty((2,) + shape), np.empty((2,) + shape), np.empty((2,) + shape)
-    y[0], dy[0], y[1], dy[1] = 1.0, 0.0, 0.5 * h, h
+    c, g = np.empty(shape), np.empty(shape)
+    w, d, tmp = np.empty((2,) + shape), np.empty((2,) + shape), np.empty((2,) + shape)
+    coefficient(starts - 1, g)
+    coefficient(starts, c)
+    # (m, d) = (1, 0) is y = (1, 1), and (0, 1) is y = (-h/2, h/2)
+    w[0] = c
+    np.subtract(c, g, out=d[0])
+    np.multiply(c, 0.5 * h, out=w[1])
+    np.add(c, g, out=d[1])
+    d[1] *= 0.5 * h
     exps = np.zeros(shape, dtype=int)
-
-    def step(nodes, c_prev, u_prev, w_here, c_next, u_next, w_next, y, dy, q, tmp):
-        coefficient(nodes, c_next, u_next, w_next)
-        np.subtract(w_here, u_next, out=q)
-        np.subtract(q, u_prev, out=q)
-        np.multiply(q, y, out=tmp)
-        np.multiply(c_prev, dy, out=dy)
-        np.add(dy, tmp, out=dy)
-        np.divide(dy, c_next, out=dy)
-        np.add(y, dy, out=y)
-
-    prev, here, nxt = zip(c, u, w)
+    s = np.empty(shape, dtype=np.int32)
     for t in range(length):
-        step(starts + t + 1, *prev[:2], here[2], *nxt, y, dy, q, tmp)
-        prev, here, nxt = here, nxt, prev
+        if t:
+            coefficient(starts + t, c)
+        step(c, g, w, d, tmp)
         if t % _RESCALE_STEPS == _RESCALE_STEPS - 1:
-            s = np.frexp(np.maximum(np.abs(y), np.abs(dy)).max(axis=0))[1]
-            np.ldexp(y, -s, out=y)
-            np.ldexp(dy, -s, out=dy)
-            exps += s
+            np.abs(w, out=tmp)
+            np.maximum(tmp[0], tmp[1], out=g)
+            np.abs(d, out=tmp)
+            np.maximum(tmp[0], tmp[1], out=tmp[0])
+            np.maximum(g, tmp[0], out=g)
+            np.frexp(g, out=(g, s))
+            np.negative(s, out=s)
+            np.ldexp(w, s, out=w)
+            np.ldexp(d, s, out=d)
+            exps -= s
+    # c holds the coefficient of each segment's node starts + length - 1, g
+    # that of node starts + length: the end pair of the shorter segments
+    coefficient(starts + length, g)
+    out = np.empty((2, 2) + shape)
+    out[:, :, :, extra:] = to_pairs(w[..., extra:], d[..., extra:], c[:, extra:], g[:, extra:])
     if extra:  # the last step of the longer segments
-        step(starts[:extra] + length + 1, *(a[:, :extra] for a in prev[:2] + here[2:] + nxt),
-             y[..., :extra], dy[..., :extra], q[:, :extra], tmp[..., :extra])
-    return np.stack((y - 0.5 * dy, dy / h)), exps
+        c, g = g[:, :extra], c[:, :extra]
+        w, d = w[..., :extra], d[..., :extra]
+        step(c, g, w, d, tmp[..., :extra])
+        coefficient(starts[:extra] + length + 1, g)
+        out[:, :, :, :extra] = to_pairs(w, d, c, g)
+    return out, exps
 
 
 def _jump_ranges(bounds, jumps) -> list[tuple[int, int]]:
@@ -889,7 +924,8 @@ def _propagator(v, h, energies, jumps=()) -> tuple[np.ndarray, np.ndarray]:
     of energies at once and chained by pairwise products, each rescaled by
     a power of two.  A run of segments that holds a delta jump is swept by
     ``_numerov`` instead, one energy at a time.  No number depends on the
-    other energies asked for.
+    other energies asked for.  Where a coefficient c vanishes, the map is
+    not finite.
     """
     bounds = _segment_bounds(len(v) - 2)
     ranges = _jump_ranges(bounds, jumps)
@@ -903,8 +939,11 @@ def _propagator(v, h, energies, jumps=()) -> tuple[np.ndarray, np.ndarray]:
             a, b = bounds[first], bounds[last + 1]
             local = [(j - a + 1, g) for j, g in jumps if a <= j < b]
             for i, energy in enumerate(es.tolist()):
-                y, exps[i, last] = _numerov(v[a - 1 : b + 1], h, energy, (1.0, -0.5 * h),
-                                            (1.0, 0.5 * h), local, tail=2)
+                try:
+                    y, exps[i, last] = _numerov(v[a - 1 : b + 1], h, energy, (1.0, -0.5 * h),
+                                                (1.0, 0.5 * h), local, tail=2)
+                except NumericalFailure:  # c vanishes in the run: a non-finite map, as elsewhere
+                    y = np.full((2, 2), np.nan)
                 m[:, :, i, last] = 0.5 * (y[0] + y[1]), (y[1] - y[0]) / h
             m[..., first:last] = np.eye(2)[:, :, None, None]
             exps[:, first:last] = 0
@@ -967,7 +1006,7 @@ def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
     if bad.any():
         energy = float(e[bad][0])
         c = 1.0 - g.h * g.h * (v.values - energy) / 12.0
-        zeros = np.nonzero(c[:-2] == 0.0)[0]  # the sweep divides by c at every node but the last two
+        zeros = np.nonzero(c[:-1] == 0.0)[0]  # the sweep divides by c at every node but the last
         if zeros.size:
             raise NumericalFailure(f"Numerov coefficient vanishes at node {zeros[-1]}")
         raise NumericalFailure(f"scattering sweep overflows at E={energy}")

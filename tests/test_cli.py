@@ -74,6 +74,9 @@ class TestRun:
         assert np.max(np.abs(v.values)) == 0.0
         spectrum = (tmp_path / "fl" / "spectrum.csv").read_text().strip().splitlines()
         assert spectrum == ["n,energy,swf"]
+        # the scan and the CSV formatting are timed apart from the steps
+        assert manifest["timing"]["scattering_ms"] >= 0.0
+        assert manifest["timing"]["csv_ms"] >= 0.0
 
     def test_involution_chain(self, tmp_path):
         cfg = parse_config(

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from specdesign.potentials import (
     single_delta,
     soliton_well,
 )
-from specdesign.darboux import bargmann_reflectionless
+from specdesign.darboux import bargmann_reflectionless, bsec_whole_line
 import specdesign.solver as solver_module
 from specdesign.solver import (
     _Matcher,
@@ -22,6 +24,7 @@ from specdesign.solver import (
     _numerov,
     _onesided_slope,
     _segment_bounds,
+    _segment_maps,
     _sweep,
     _taylor_step,
     band_discriminant,
@@ -409,6 +412,65 @@ class TestSegmentScattering:
         with pytest.raises(NumericalFailure, match="node 20"):
             scattering(v, 1.0)
         assert math.isfinite(scattering(v, 1.5).T.real)
+
+    @pytest.mark.parametrize("where", ["first node", "extra-step node", "last node"])
+    def test_vanishing_coefficient_at_segment_edges_raises(self, where):
+        g = make_grid(-15.0, 15.0, 61)  # h = 1/2
+        bounds = _segment_bounds(59)  # 1, 10, 19, 28, 36, ...: segments 0-2 take one extra step
+        assert list(bounds[:5]) == [1, 10, 19, 28, 36]
+        # nodes of the right-to-left sweep: the first node of a shorter segment,
+        # the node a longer one takes its extra step from, and the node that step makes
+        sweep_node = {"first node": bounds[4], "extra-step node": bounds[2] - 1,
+                      "last node": bounds[2]}[where]
+        node = g.n_points - 1 - sweep_node
+        body = np.zeros(g.n_points)
+        body[node] = 49.0  # h^2 (V - E) / 12 = 1 at E = 1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            m, _ = _segment_maps(body[::-1], g.h, np.array([1.0]), bounds)
+        # the map of every segment that steps from the node or ends on it, and no other
+        broken = ~np.isfinite(m.sum(axis=(0, 1)))[0]
+        touched = (bounds[:-1] <= sweep_node) & (sweep_node <= bounds[1:])
+        assert np.array_equal(broken, touched)
+        v = Potential(SampledFn(g, body), "decaying-line")
+        with pytest.raises(NumericalFailure, match=f"node {node}$"):
+            scattering(v, 1.0)
+
+    def test_vanishing_coefficient_next_to_a_delta_names_its_node(self):
+        # the segments around the delta are swept by the banded solve
+        g = make_grid(-15.0, 15.0, 61)  # h = 1/2
+        body = np.zeros(g.n_points)
+        body[28] = 49.0  # h^2 (V - E) / 12 = 1 at E = 1
+        v = Potential(SampledFn(g, body), "decaying-line", ((g.x[30], 1.5),))
+        with pytest.raises(NumericalFailure, match="node 28$"):
+            scattering(v, 1.0)
+
+    def test_scans_raise_no_floating_point_warnings(self):
+        v0 = free_line()
+        barrier = Potential(SampledFn(v0.grid, 2500.0 / np.cosh(v0.grid.x / 4.0) ** 8),
+                            "decaying-line")
+        k = 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = scattering_curve(barrier, [2.0, 5.0])
+            scan = scattering_curve(bsec_whole_line(k, 1.0, half_width=80.0 * math.pi),
+                                    k * k + 0.02 * np.arange(-90, 91))
+        assert all(0.0 < abs(r.T) < 1e-100 for r in tiny)
+        assert all(math.isfinite(abs(r.R)) for r in scan)
+
+    def test_scan_working_set_does_not_grow(self):
+        # tracemalloc's peak for this scan was 4,024,235 bytes with the kernel
+        # that stepped (y, y[j] - y[j-1]) over 16 work arrays
+        k = 3.0
+        v = bsec_whole_line(k, 1.0, half_width=80.0 * math.pi)
+        energies = k * k + 0.02 * np.arange(-90, 91)
+        scattering_curve(v, energies[:3])
+        tracemalloc.start()
+        try:
+            scattering_curve(v, energies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_024_235
 
     def test_scans_count_in_their_own_ledger(self):
         v = soliton_well()
