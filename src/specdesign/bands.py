@@ -83,6 +83,8 @@ def zones(p: PeriodicSystem, e_max: float) -> list[Zone]:
     """
     cell = p.cell
     v_min = float(cell.values.min())
+    if not math.isfinite(e_max):
+        raise ValidationError(f"e_max must be finite, got {e_max}")
     if e_max <= v_min:
         raise ValidationError(f"e_max={e_max} must exceed the cell potential minimum {v_min}")
     # seeds up to e_cut are refined, so that an edge below e_max whose seed

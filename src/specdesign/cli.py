@@ -101,6 +101,8 @@ class RunConfig:
                 if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
                     wanted = "an integer" if integral else "a number"
                     raise ValidationError(f"{kind} step: {key} must be {wanted}, got {value!r}")
+                if integral and key in step and value < 1:
+                    raise ValidationError(f"{kind} step: {key} must be >= 1, got {value}")
             continuum = self.base in _CONTINUUM_BASES
             if kind == "shift_zone" and self.base != "comb":
                 raise ValidationError("shift_zone steps require the comb base")
@@ -550,8 +552,8 @@ def _dispatch(args) -> int:
         cfg.params.setdefault("strength", args.strength)
         cfg.numerics.setdefault("e_max", args.e_max)
         if args.de:
-            cfg.chain = [{"kind": "shift_zone", "aux_level": args.shift_aux or 2, "dE": d}
-                         for d in args.de]
+            aux = 2 if args.shift_aux is None else args.shift_aux
+            cfg.chain = [{"kind": "shift_zone", "aux_level": aux, "dE": d} for d in args.de]
     elif args.command == "lattice":
         if args.mode == "stark":
             cfg.base = "lattice-stark"

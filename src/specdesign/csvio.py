@@ -7,6 +7,7 @@ callers can buffer output and only touch the filesystem once.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -42,8 +43,42 @@ def _table(header: list[str], rows) -> bytes:
     return "".join(out).encode()
 
 
+@lru_cache(maxsize=4)
+def _x_cells(grid: Grid) -> tuple[str, ...]:
+    """The %.17g strings of grid.x, formatted once per distinct grid.
+
+    x depends on (x_min, x_max, n_points) alone, the fields a Grid hashes
+    and compares by, so equal grids share one entry.
+    """
+    cells: list[str] = []
+    for lo in range(0, grid.n_points, _BLOCK_ROWS):
+        cells += ["%.17g" % v for v in grid.x[lo : lo + _BLOCK_ROWS].tolist()]
+    return tuple(cells)
+
+
+def _grid_table(header: list[str], grid: Grid, cols) -> bytes:
+    """The bytes of _table(header, zip(grid.x, *cols)), x taken from _x_cells.
+
+    Each block's cells are laid out column by column into one flat list by
+    slice assignment and formatted by one %-format: no per-row tuples.
+    """
+    k = len(cols) + 1
+    n = grid.n_points
+    xs = _x_cells(grid)
+    line = ",".join(["%s"] + ["%.17g"] * (k - 1)) + "\n"
+    out = [",".join(header) + "\n"]
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        cells = [None] * (k * (hi - lo))
+        cells[0::k] = xs[lo:hi]
+        for i, col in enumerate(cols, start=1):
+            cells[i::k] = col[lo:hi].tolist()
+        out.append(line * (hi - lo) % tuple(cells))
+    return "".join(out).encode()
+
+
 def sampled_fn_bytes(f: SampledFn, value_name: str = "value") -> bytes:
-    return _table(["x", value_name], zip(f.grid.x, f.values))
+    return _grid_table(["x", value_name], f.grid, [f.values])
 
 
 def read_sampled_fn(text: str | bytes) -> SampledFn:
@@ -75,8 +110,7 @@ def spectrum_bytes(states) -> bytes:
 
 def states_bytes(grid: Grid, states) -> bytes:
     header = ["x"] + [f"psi_{s.n}" for s in states]
-    cols = [grid.x] + [s.psi.values for s in states]
-    return _table(header, zip(*cols))
+    return _grid_table(header, grid, [s.psi.values for s in states])
 
 
 def scattering_bytes(results) -> bytes:

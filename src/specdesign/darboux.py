@@ -671,8 +671,10 @@ def bargmann_reflectionless(levels, norms, *, half_width: float | None = None,
     terms = np.exp(logits - shift)
     tau = terms.sum(axis=1)
     w = terms / tau[:, None]
-    k_mean = w @ k_sum
-    k_sq = w @ (k_sum**2)
+    # einsum, not BLAS: a threaded matrix-vector product rounds differently
+    # with the thread count
+    k_mean = np.einsum("ij,j->i", w, k_sum)
+    k_sq = np.einsum("ij,j->i", w, k_sum**2)
     vvals = -8.0 * (k_sq - k_mean**2)
     v_new = Potential(SampledFn(v0.grid, vvals), DECAYING_LINE)
 
@@ -686,7 +688,7 @@ def bargmann_reflectionless(levels, norms, *, half_width: float | None = None,
             for j in range(n_lev):
                 if mask >> j & 1:
                     rho[mask] *= (kap[m] - kap[j]) / (kap[m] + kap[j])
-        num = terms @ rho
+        num = np.einsum("ij,j->i", terms, rho)
         with np.errstate(over="ignore", invalid="ignore"):
             psi = c[m] * np.exp(-kap[m] * x) * num / tau
         states.append(_make_state(v_new, -kap[m] ** 2, psi, n_lev - m))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .bands import PeriodicSystem, track_zone_shift
-from .csvio import _table, sampled_fn_bytes, spectrum_bytes, zone_track_bytes
+from .csvio import _grid_table, _table, sampled_fn_bytes, spectrum_bytes, zone_track_bytes
 from .darboux import (
     bargmann_reflectionless,
     bsec_reflection_curve,
@@ -30,12 +30,12 @@ from .potentials import box, comb_cell, free_line
 
 def _offset_curves(grid, base_values, result, n_states):
     """x, V, dV plus the lowest transformed states raised to their energies."""
-    cols = [grid.x, result.potential.values, result.potential.values - base_values]
+    cols = [result.potential.values, result.potential.values - base_values]
     header = ["x", "V", "dV"]
     for s in result.states[:n_states]:
         cols.append(s.psi.values + s.energy)
         header.append(f"psi{s.n}_offset")
-    return _table(header, zip(*cols))
+    return _grid_table(header, grid, cols)
 
 
 def _fig_level_shift_down(points):

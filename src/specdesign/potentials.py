@@ -40,9 +40,11 @@ class Potential:
         deltas = tuple((float(p), float(g)) for p, g in self.deltas)
         object.__setattr__(self, "deltas", deltas)
         g = self.grid
-        for pos, _ in deltas:
+        for pos, strength in deltas:
             if not (g.x_min <= pos < g.x_max):
                 raise ValidationError(f"delta position {pos} outside grid [{g.x_min}, {g.x_max})")
+            if not math.isfinite(strength):
+                raise ValidationError(f"delta strength must be finite, got {strength}")
         v = self.body.values
         ptp = float(v.max() - v.min())
         tol = EDGE_FLATNESS * ptp + 1e-9

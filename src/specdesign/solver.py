@@ -457,14 +457,18 @@ class _Matcher:
         """Cooley's energy correction (psi_L'(m) - psi_R'(m)) psi(m) / int psi^2.
 
         Both branches are scaled to 1 at m; the match-point test keeps that
-        scaling within a factor 1e3 of each branch's peak.
+        scaling within a factor 1e3 of each branch's peak.  The sums of squares
+        are einsum reductions, not BLAS dots: those split across threads above
+        10,000 elements, which stalls and makes the rounding depend on the
+        thread count.
         """
         yl, yr = self.sweeps(energy)
         m = self.m
         left = yl / yl[m]
         right = yr / yr[1]
         dl, dr = self._slopes(energy, left[m - 1 :], right)
-        norm = self.h * (np.dot(left[: m + 1], left[: m + 1]) + np.dot(right[2:], right[2:]))
+        left, right = left[: m + 1], right[2:]
+        norm = self.h * (np.einsum("i,i", left, left) + np.einsum("i,i", right, right))
         return float((dl - dr) / norm)
 
     def good_match_point(self, energy) -> bool:

@@ -8,10 +8,26 @@ import numpy as np
 import pytest
 
 from specdesign.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, main, parse_config, run
-from specdesign.csvio import _table, read_sampled_fn, sampled_fn_bytes
+from specdesign.csvio import (
+    _grid_table,
+    _table,
+    _x_cells,
+    read_sampled_fn,
+    sampled_fn_bytes,
+    states_bytes,
+)
 from specdesign.errors import ValidationError
 from specdesign.figures import build_figure_bundle, figure_tags
 from specdesign.grid import make_grid, sample
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _subprocess_env(**extra) -> dict:
+    """The environment plus this checkout's src on PYTHONPATH."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 CHAIN_CFG = """
@@ -279,11 +295,8 @@ class TestRun:
 class TestMainEntry:
     def test_import_leaves_out_scipy_optimize(self):
         code = "import sys, specdesign.cli; print('scipy.optimize' in sys.modules)"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
+        out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                             capture_output=True, text=True, check=True, timeout=120)
         assert out.stdout.strip() == "False"
 
     def test_solve_exit_code(self, tmp_path):
@@ -300,6 +313,18 @@ class TestMainEntry:
         out = tmp_path / "out"
         assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--e-max", "nan"], ["--e-max", "inf"], ["--e-max=-inf"],
+        ["--strength", "nan"], ["--strength", "inf"],
+        ["--shift-aux", "0", "--de", "0.1"], ["--shift-aux", "-1", "--de", "0.1"],
+    ])
+    def test_bad_band_input_exit_code(self, tmp_path, capsys, args):
+        # non-finite numbers and auxiliary levels below 1 are invalid input
+        out = tmp_path / "out"
+        assert main(["band", *args, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("base", ["free-line", "half-line"])
     def test_remove_without_a_level_exit_code(self, tmp_path, base):
@@ -384,3 +409,52 @@ class TestCsvRoundTrip:
         mixed = [("1", "shift", "dE=0.5;n=1", -0.0), ("2", "remove", "", np.nan)]
         assert _table(header, mixed) == cell_by_cell(header, mixed)
         assert _table(header, []) == cell_by_cell(header, [])
+
+    def test_grid_columns_match_the_table(self):
+        g = make_grid(-3.0, 5.0, 2 * 4096 + 809)  # three blocks of rows
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1.797e308, 0.1]
+        a = np.resize(special, g.n_points)
+        b = np.sin(g.x)
+        header = ["x", "a", "b"]
+        assert _grid_table(header, g, [a, b]) == _table(header, zip(g.x, a, b))
+
+    def test_states_bytes_without_states(self):
+        g = make_grid(-1.0, 1.0, 9)
+        assert states_bytes(g, []) == _table(["x"], zip(g.x))
+
+    def test_x_memo_is_bounded_and_keyed_on_equal_grids(self):
+        assert _x_cells.cache_info().maxsize is not None
+        g = make_grid(-2.0, 7.0, 1001)
+        first = _x_cells(g)
+        hits = _x_cells.cache_info().hits
+        twin = make_grid(-2.0, 7.0, 1001)
+        assert twin is not g
+        assert _x_cells(twin) is first
+        assert _x_cells.cache_info().hits == hits + 1
+
+
+class TestThreadCount:
+    """CSV bytes do not depend on the BLAS / OpenMP thread count."""
+
+    #: a line chain whose Cooley corrections sum branches of over 10,000 nodes
+    LINE_CHAIN = ("base = free-line\n"
+                  "[step]\nkind = create\nE = -0.5963050276247914\nsigma = 0.5156893875483242\n"
+                  "[step]\nkind = shift\nn = 1\ndE = -0.44224218476789545\n")
+
+    def _csvs(self, tmp_path, threads: int) -> dict[str, bytes]:
+        cfg = tmp_path / "line.cfg"
+        cfg.write_text(self.LINE_CHAIN)
+        out = tmp_path / f"threads{threads}"
+        env = _subprocess_env(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        code = "import sys; from specdesign.cli import main; sys.exit(main(sys.argv[1:]))"
+        for args in (["figure", "fig4_1", "--out", str(out / "figure")],
+                     ["design", "--config", str(cfg), "--out", str(out / "line")]):
+            subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                           check=True, timeout=300)
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*.csv")}
+
+    def test_csv_bytes_match_under_one_and_two_threads(self, tmp_path):
+        one, two = self._csvs(tmp_path, 1), self._csvs(tmp_path, 2)
+        assert "figure/fig4_1/fig4_1_potential.csv" in one and "line/potential.csv" in one
+        assert sorted(one) == sorted(two)
+        assert [name for name in sorted(one) if one[name] != two[name]] == []
