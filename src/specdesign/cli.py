@@ -85,6 +85,12 @@ class RunConfig:
     def validate(self):
         if self.base not in _BASES:
             raise ValidationError(f"unknown base {self.base!r}; expected one of {_BASES}")
+        numbers = [("numerics option", self.numerics), ("base parameter", self.params)]
+        numbers += [(f"{step.get('kind')} step:", step) for step in self.chain]
+        for where, values in numbers:
+            for key, value in values.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValidationError(f"{where} {key} must be finite, got {value}")
         for key, value in self.numerics.items():
             if key in ("tol_spectrum", "tol_reflection", "truncation") and value <= 0:
                 raise ValidationError(f"numerics option {key} must be positive, got {value}")

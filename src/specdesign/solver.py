@@ -48,7 +48,9 @@ Method summary
   products rescaled by powers of two.  A delta node and the five
   values its jump reads lie inside one run of segments, swept by the banded
   solve.  Every energy's arithmetic is its own, so a one-energy call equals
-  the same element of a longer scan bit for bit.
+  the same element of a longer scan bit for bit.  The energy blocks are
+  swept on the calling thread and, where the process may run on a second
+  CPU, one helper; the results do not depend on the thread count.
 * Band discriminants loop over energies, one banded solve each; the two
   columns of the transfer matrix are the right-hand sides.
 """
@@ -56,9 +58,12 @@ Method summary
 from __future__ import annotations
 
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
+import itertools
 import math
+import os
+import threading
 
 import numpy as np
 from scipy.linalg.lapack import dstebz, dtbtrs
@@ -778,14 +783,21 @@ _SEGMENTS = 1024
 _SEGMENT_STEPS = 8
 #: energies are swept in blocks whose (energy, segment) arrays hold about this many doubles
 _BLOCK_DOUBLES = 2**14
+#: blocks are swept on at most this many threads.  Each thread holds one block
+#: in flight (1.7 MB for a 1024-segment scan), so this caps the scan's memory
+#: whatever the host's CPU count.  More threads were timed on 2 CPUs only,
+#: where 3, 4 and 8 were slower than 2 and held 5.0, 6.6 and 12.8 MB
+_SCAN_THREADS = 2
 #: the segments' (w, D) values are rescaled by powers of two, to a peak below 1,
 #: every this many steps.  A nonzero c is at least 2**-53 in magnitude (1 - x is
 #: exact for x near 1), so |G| = |B - 2c| / |c| <= 12 / |c| + 12 < 2**57 - 2
 #: whatever the size of c, and one step grows max(|w|, |D|) by at most
 #: 2 + |G| < 2**57: this many steps by less than 2**912.  That leaves 2**111
 #: for the size of the start pairs (at most 2 |c|), the conversion of the end
-#: pairs back to y (a factor below 2**55) and the division of their difference by h
+#: pairs back to y (a factor below 2**55) and the division of their difference by h.
+#: It must be even: ``_segment_maps`` takes two steps per pass and rescales after the second
 _RESCALE_STEPS = 16
+assert _RESCALE_STEPS % 2 == 0
 
 
 def _segment_bounds(steps: int) -> np.ndarray:
@@ -803,9 +815,17 @@ def _segment_bounds(steps: int) -> np.ndarray:
 
 
 def _rescaled(m, exps):
-    """m (2, 2, ...) with each matrix rescaled by a power of two to a peak in [0.5, 1)."""
-    s = np.frexp(np.abs(m).max(axis=(0, 1)))[1]
-    return np.ldexp(m, -s), exps + s
+    """m (2, 2, ...) and exps, each matrix rescaled in place by 2**k to a peak in [0.5, 1)."""
+    peak, tmp = np.abs(m[0, 0]), np.empty(m.shape[2:])
+    for a in (m[0, 1], m[1, 0], m[1, 1]):
+        np.abs(a, out=tmp)
+        np.maximum(peak, tmp, out=peak)
+    s = np.empty(peak.shape, dtype=np.intc)
+    np.frexp(peak, out=(peak, s))
+    np.negative(s, out=s)
+    np.ldexp(m, s, out=m)
+    exps -= s
+    return m, exps
 
 
 def _segment_maps(v, h, energies, bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -834,73 +854,94 @@ def _segment_maps(v, h, energies, bounds) -> tuple[np.ndarray, np.ndarray]:
     hh = h * h
 
     def coefficient(nodes, out):
-        """c = 1 - h^2 (V - E) / 12 at `nodes`, rounded as ``_numerov`` rounds it."""
-        np.subtract(v[nodes], e, out=out)
+        """c = 1 - h^2 (V - E) / 12 at nodes (..., S) into out (..., E, S).
+
+        It is rounded as ``_numerov`` rounds it.
+        """
+        np.subtract(v[nodes][..., None, :], e, out=out)
         out *= hh
         out /= 12.0
         np.subtract(1.0, out, out=out)
 
-    def step(c, g, w, d, tmp):
-        """One step of (w, d) from the node with coefficient c; g and tmp are scratch."""
+    def ratio(c, g, tmp):
+        """G = (B - 2c) / c into g, B = 12 - 10 c; tmp is scratch shaped like c."""
         np.multiply(c, 10.0, out=g)
         np.subtract(12.0, g, out=g)
-        np.add(c, c, out=tmp[0])
-        np.subtract(g, tmp[0], out=g)
+        np.add(c, c, out=tmp)
+        np.subtract(g, tmp, out=g)
         np.divide(g, c, out=g)
+
+    def step(g, w, d, tmp):
+        """One step of (w, d) from the node with ratio g; tmp is scratch."""
         np.multiply(g, w, out=tmp)
         d += tmp
         w += d
 
-    def to_pairs(w, d, c_prev, c_end):
-        """(mean, difference) of y from (w, D) on a pair with coefficients c_prev, c_end.
+    def to_pairs(w, d, c_prev, c_end, tmp):
+        """(w, D) to (mean, difference) of y in place, on a pair with coefficients c_prev, c_end.
 
         y[j] - y[j-1] = D[j] / c[j-1] + w[j] (1 / c[j] - 1 / c[j-1]) keeps the
         difference's relative precision, as c[j-1] - c[j] is exact for
         neighbouring coefficients within a factor of two of each other.
+        tmp is scratch shaped like w.
         """
-        y = w / c_end
-        dy = d / c_prev + w * ((c_prev - c_end) / (c_end * c_prev))
-        return y - 0.5 * dy, dy / h
+        np.multiply(c_end, c_prev, out=tmp[0])
+        np.subtract(c_prev, c_end, out=tmp[1])
+        np.divide(tmp[1], tmp[0], out=tmp[1])
+        np.multiply(w[0], tmp[1], out=tmp[0])
+        np.multiply(w[1], tmp[1], out=tmp[1])
+        d /= c_prev
+        d += tmp  # the difference of y
+        w /= c_end  # y at the pair's end
+        np.multiply(d, 0.5, out=tmp)
+        w -= tmp
+        d /= h
 
     shape = (energies.size, count)
-    c, g = np.empty(shape), np.empty(shape)
-    w, d, tmp = np.empty((2,) + shape), np.empty((2,) + shape), np.empty((2,) + shape)
-    coefficient(starts - 1, g)
-    coefficient(starts, c)
+    out = np.empty((2, 2) + shape)
+    w, d = out  # the maps' two columns are stepped in place: rows (w, D), then (mean, difference)
+    # c and G are formed for two steps per numpy call, which halves the calls that hold the GIL
+    c, g, tmp = np.empty((2,) + shape), np.empty((2,) + shape), np.empty((2,) + shape)
+    coefficient(starts - 1, g[0])
+    coefficient(starts, c[0])
     # (m, d) = (1, 0) is y = (1, 1), and (0, 1) is y = (-h/2, h/2)
-    w[0] = c
-    np.subtract(c, g, out=d[0])
-    np.multiply(c, 0.5 * h, out=w[1])
-    np.add(c, g, out=d[1])
+    w[0] = c[0]
+    np.subtract(c[0], g[0], out=d[0])
+    np.multiply(c[0], 0.5 * h, out=w[1])
+    np.add(c[0], g[0], out=d[1])
     d[1] *= 0.5 * h
     exps = np.zeros(shape, dtype=int)
     s = np.empty(shape, dtype=np.int32)
-    for t in range(length):
-        if t:
-            coefficient(starts + t, c)
-        step(c, g, w, d, tmp)
-        if t % _RESCALE_STEPS == _RESCALE_STEPS - 1:
+    pair = np.arange(2)[:, None]
+    for t in range(0, length, 2):
+        k = min(2, length - t)  # steps t and t + 1; the last pass may hold one
+        coefficient(starts + t + pair[:k], c[:k])
+        ratio(c[:k], g[:k], tmp[:k])
+        for i in range(k):
+            step(g[i], w, d, tmp)
+        if k == 2 and t % _RESCALE_STEPS == _RESCALE_STEPS - 2:  # after step t + 1
             np.abs(w, out=tmp)
-            np.maximum(tmp[0], tmp[1], out=g)
+            np.maximum(tmp[0], tmp[1], out=g[0])
             np.abs(d, out=tmp)
             np.maximum(tmp[0], tmp[1], out=tmp[0])
-            np.maximum(g, tmp[0], out=g)
-            np.frexp(g, out=(g, s))
+            np.maximum(g[0], tmp[0], out=g[0])
+            np.frexp(g[0], out=(g[0], s))
             np.negative(s, out=s)
             np.ldexp(w, s, out=w)
             np.ldexp(d, s, out=d)
             exps -= s
-    # c holds the coefficient of each segment's node starts + length - 1, g
-    # that of node starts + length: the end pair of the shorter segments
-    coefficient(starts + length, g)
-    out = np.empty((2, 2) + shape)
-    out[:, :, :, extra:] = to_pairs(w[..., extra:], d[..., extra:], c[:, extra:], g[:, extra:])
+    # the coefficients of each segment's nodes starts + length - 1 and starts + length:
+    # the end pair of the shorter segments
+    c_prev, c_end = c[k - 1], g[0]
+    coefficient(starts + length, c_end)
+    to_pairs(w[..., extra:], d[..., extra:], c_prev[:, extra:], c_end[:, extra:], tmp[..., extra:])
     if extra:  # the last step of the longer segments
-        c, g = g[:, :extra], c[:, :extra]
-        w, d = w[..., :extra], d[..., :extra]
-        step(c, g, w, d, tmp[..., :extra])
-        coefficient(starts[:extra] + length + 1, g)
-        out[:, :, :, :extra] = to_pairs(w, d, c, g)
+        c_prev, c_end, g = c_end[:, :extra], c_prev[:, :extra], g[1][:, :extra]
+        w, d, tmp = w[..., :extra], d[..., :extra], tmp[..., :extra]
+        ratio(c_prev, g, tmp[0])
+        step(g, w, d, tmp)
+        coefficient(starts[:extra] + length + 1, c_end)
+        to_pairs(w, d, c_prev, c_end, tmp)
     return out, exps
 
 
@@ -919,6 +960,52 @@ def _jump_ranges(bounds, jumps) -> list[tuple[int, int]]:
     return ranges
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _on_cpus(task, items) -> None:
+    """task(item) for every item, on the calling thread and one helper per further CPU.
+
+    There are at most ``_SCAN_THREADS`` threads, and no more than items.
+    Thread i takes item i, then the next item no thread has taken, so a
+    thread slowed by other load on its CPU takes fewer.  After a failure no
+    thread takes another item.  The helpers run in a copy of the caller's
+    context, since numpy's ``errstate`` and the oracle ledger are context
+    variables.  An exception from any thread is raised here, once every
+    thread has stopped.
+    """
+    n = max(1, min(_cpus(), _SCAN_THREADS, len(items)))
+    untaken, lock = itertools.count(n), threading.Lock()
+    failures = []
+    errors = np.geterr()  # numpy < 2 keeps errstate per thread, outside the context
+
+    def drain(i):
+        try:
+            with np.errstate(**errors):
+                while i < len(items) and not failures:
+                    task(items[i])
+                    with lock:
+                        i = next(untaken)
+        except BaseException as exc:  # raised again on the calling thread below
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=copy_context().run, args=(drain, i)) for i in range(1, n)]
+    for t in helpers:
+        t.start()
+    try:
+        drain(0)
+    finally:
+        for t in helpers:
+            t.join()
+    if failures:
+        raise failures[0]
+
+
 def _propagator(v, h, energies, jumps=()) -> tuple[np.ndarray, np.ndarray]:
     """Map of the Numerov sweep across v from nodes (0, 1) to (n-2, n-1), per energy.
 
@@ -927,16 +1014,19 @@ def _propagator(v, h, energies, jumps=()) -> tuple[np.ndarray, np.ndarray]:
     cut into segments (``_segment_bounds``) whose maps are found for a block
     of energies at once and chained by pairwise products, each rescaled by
     a power of two.  A run of segments that holds a delta jump is swept by
-    ``_numerov`` instead, one energy at a time.  No number depends on the
-    other energies asked for.  Where a coefficient c vanishes, the map is
-    not finite.
+    ``_numerov`` instead, one energy at a time.  The blocks are swept on
+    up to two CPUs the process may run on (``_on_cpus``), each writing only
+    its own energies.  No number depends on the other energies asked for, nor
+    on the thread that swept them.  Where a coefficient c vanishes, the map
+    is not finite.
     """
     bounds = _segment_bounds(len(v) - 2)
     ranges = _jump_ranges(bounds, jumps)
     block = max(1, _BLOCK_DOUBLES // (bounds.size - 1))
     out = np.empty((2, 2, energies.size))
     out_exps = np.empty(energies.size, dtype=int)
-    for lo in range(0, energies.size, block):
+
+    def sweep(lo):
         es = energies[lo : lo + block]
         m, exps = _segment_maps(v, h, es, bounds)
         for first, last in ranges:
@@ -952,6 +1042,8 @@ def _propagator(v, h, energies, jumps=()) -> tuple[np.ndarray, np.ndarray]:
             m[..., first:last] = np.eye(2)[:, :, None, None]
             exps[:, first:last] = 0
         out[:, :, lo : lo + block], out_exps[lo : lo + block] = _chain(*_rescaled(m, exps))
+
+    _on_cpus(sweep, range(0, energies.size, block))
     return out, out_exps
 
 

@@ -326,6 +326,22 @@ class TestMainEntry:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--base", "free-line", "--truncation", "nan"], ""),
+        ([], "base = box\nwidth = nan\n"),
+        ([], "base = half-line\nlength = -inf\n"),
+        ([], "base = box\ntol_spectrum = nan\n[step]\nkind = shift\nn = 1\ndE = 0.5\n"),
+        ([], "base = box\n[step]\nkind = shift\nn = 1\ndE = inf\n"),
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, flags, config):
+        # a non-finite flag, base parameter, numerics option or step value is invalid input
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), *flags, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        assert "must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("base", ["free-line", "half-line"])
     def test_remove_without_a_level_exit_code(self, tmp_path, base):
         # neither base has a bound level to remove

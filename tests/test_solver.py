@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -457,20 +459,23 @@ class TestSegmentScattering:
         assert all(0.0 < abs(r.T) < 1e-100 for r in tiny)
         assert all(math.isfinite(abs(r.R)) for r in scan)
 
-    def test_scan_working_set_does_not_grow(self):
+    def test_scan_working_set_does_not_grow(self, monkeypatch):
         # tracemalloc's peak for this scan was 4,024,235 bytes with the kernel
-        # that stepped (y, y[j] - y[j-1]) over 16 work arrays
+        # that stepped (y, y[j] - y[j-1]) over 16 work arrays; it must hold
+        # however many CPUs the host has
         k = 3.0
         v = bsec_whole_line(k, 1.0, half_width=80.0 * math.pi)
         energies = k * k + 0.02 * np.arange(-90, 91)
         scattering_curve(v, energies[:3])
-        tracemalloc.start()
-        try:
-            scattering_curve(v, energies)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4_024_235
+        for cpus in (1, 8):
+            monkeypatch.setattr(solver_module, "_cpus", lambda n=cpus: n)
+            tracemalloc.start()
+            try:
+                scattering_curve(v, energies)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4_024_235, cpus
 
     def test_scans_count_in_their_own_ledger(self):
         v = soliton_well()
@@ -482,6 +487,86 @@ class TestSegmentScattering:
             "segments": 2 * (_segment_bounds(v.grid.n_points - 2).size - 1),
         }
         assert work.numerov_calls == 0 and work.nodes_swept == 0
+
+
+class TestScanThreads:
+    """scattering_curve's energy blocks swept on the calling thread and helpers."""
+
+    @staticmethod
+    def scan(monkeypatch, v, energies, workers):
+        """Results, ledger and the threads that swept blocks and delta runs, with `workers` CPUs."""
+        monkeypatch.setattr(solver_module, "_cpus", lambda: workers)
+        threads = {"_segment_maps": set(), "_numerov": set()}
+        for name, seen in threads.items():
+            def spy(*args, _inner=getattr(solver_module, name), _seen=seen, **kwargs):
+                _seen.add(threading.current_thread())
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(solver_module, name, spy)
+        with oracle_scope() as work:
+            results = scattering_curve(v, energies)
+        monkeypatch.undo()
+        return [(r.R, r.T) for r in results], work.ledger(), threads
+
+    @pytest.mark.parametrize("case", ["bsec-scan line", "line with deltas"])
+    def test_results_do_not_depend_on_the_thread_count(self, monkeypatch, case):
+        # both grids make 1024 segments, so blocks of 16 energies
+        if case == "bsec-scan line":
+            k = 3.0
+            v = bsec_whole_line(k, 1.0, half_width=80.0 * math.pi)
+            energies, blocks = k * k + 0.08 * np.arange(-22, 23), 3
+        else:  # its delta runs are swept inside the helpers too
+            v = with_deltas(free_line(), [3000, 3004, 9000, 15000])
+            energies, blocks = np.linspace(0.05, 12.0, 103), 7
+        one, one_ledger, one_threads = self.scan(monkeypatch, v, energies, 1)
+        assert len(one_threads["_segment_maps"]) == 1
+        # two CPUs, and more CPUs than threads, with threads switching every microsecond
+        for workers in (2, 8):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got, ledger, threads = self.scan(monkeypatch, v, energies, workers)
+            finally:
+                sys.setswitchinterval(interval)
+            assert got == one
+            assert ledger == one_ledger
+            assert len(threads["_segment_maps"]) == min(workers, solver_module._SCAN_THREADS, blocks)
+            if v.deltas:
+                assert threads["_numerov"] == threads["_segment_maps"]
+        assert one_ledger["scattering"]["calls"] == 1
+        assert one_ledger["numerov_calls"] == one_ledger["nodes_swept"] == 0
+
+    def test_vanishing_coefficient_in_a_helper_raises_without_warnings(self, monkeypatch):
+        g = make_grid(-4096.0, 4096.0, 16385)  # h = 1/2, 1024 segments: blocks of 16 energies
+        body = np.zeros(g.n_points)
+        body[8000] = 49.0  # h^2 (V - E) / 12 = 1 at E = 1
+        v = Potential(SampledFn(g, body), "decaying-line")
+        energies = np.linspace(0.05, 2.0, 40)
+        energies[20] = 1.0  # in the second block, which the helper sweeps
+        monkeypatch.setattr(solver_module, "_cpus", lambda: 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="node 8000$"):
+                scattering_curve(v, energies)
+
+    def test_failures_are_raised_after_every_thread_stops(self, monkeypatch):
+        def task(item):
+            ran[item] = threading.current_thread()
+            if item == failing:
+                raise ValueError(f"item {item}")
+
+        # on one thread, no item after the failing one is taken
+        monkeypatch.setattr(solver_module, "_cpus", lambda: 1)
+        ran, failing = {}, 2
+        with pytest.raises(ValueError, match="item 2"):
+            solver_module._on_cpus(task, range(9))
+        assert sorted(ran) == [0, 1, 2]
+        # a helper's failure reaches the caller once every thread has stopped
+        monkeypatch.setattr(solver_module, "_cpus", lambda: 3)
+        ran, failing = {}, 1
+        with pytest.raises(ValueError, match="item 1"):
+            solver_module._on_cpus(task, range(9))
+        assert ran[1] is not threading.current_thread()
+        assert not any(t.is_alive() for t in ran.values())
 
 
 def same_states(a, b) -> bool:
