@@ -9,7 +9,6 @@ direct-problem solver.
 from .bands import PeriodicSystem, Zone, shift_zone, track_zone_shift, zones
 from .darboux import (
     ClosedFormDiscrepancyWarning,
-    DarbouxStep,
     TransformResult,
     bargmann_reflectionless,
     box_shift_closed_form,
@@ -51,7 +50,6 @@ from .verify import isospectral_check, orthonormality_defect, peak_width, reflec
 __all__ = [
     "BoundState",
     "ClosedFormDiscrepancyWarning",
-    "DarbouxStep",
     "Grid",
     "LatticeState",
     "LatticeSystem",

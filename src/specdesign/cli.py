@@ -24,13 +24,14 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import csvio
-from .bands import GAP_CLOSED, PeriodicSystem, track_zone_shift, zones
+from .bands import GAP_CLOSED, PeriodicSystem, shift_zone, track_zone_shift, zones
 from .darboux import (
     darboux_create,
     darboux_remove_ground,
@@ -52,7 +53,7 @@ from .potentials import (
     free_line,
     half_line,
 )
-from .solver import bound_states, oracle_scope, scattering_curve
+from .solver import band_discriminant_curve, bound_states, oracle_scope, scattering_curve
 from .verify import isospectral_check, reflection_check
 
 EXIT_OK = 0
@@ -62,15 +63,79 @@ EXIT_NUMERICAL = 3
 _CONTINUUM_BASES = ("box", "free-line", "half-line", "potential-csv")
 _BASES = _CONTINUUM_BASES + ("comb", "lattice-single-site", "lattice-stark")
 
-#: the keys each step kind requires; n and aux_level take integers, every
-#: other value a step reads takes a number
-_STEP_KEYS = {
-    "shift": ("n", "dE"),
-    "create": ("E",),
-    "remove": ("n",),
-    "scale_swf": ("n", "lambda"),
-    "bsec": ("E", "lambda"),
-    "shift_zone": ("dE",),
+
+@dataclass(frozen=True)
+class _StepKind:
+    """One step kind: the keys it reads, the bases it runs on, what it does.
+
+    Integer keys are level indices; they and the `positive` keys must exceed
+    0.  `apply` gets the step with its defaults filled in and returns the
+    TransformResult; `expected` edits the expected energies.
+    """
+
+    required: tuple
+    bases: tuple
+    apply: Callable | None
+    expected: Callable = lambda levels, step: list(levels)
+    optional: dict = field(default_factory=dict)
+    integers: tuple = ()
+    positive: tuple = ()
+
+    def with_defaults(self, step: dict) -> dict:
+        return {**self.optional, **step}
+
+
+def _remove(v, step, n_track, cap):
+    n = int(step["n"])
+    if n == 1:
+        ground = bound_states(v, 1)
+        if not ground:
+            raise ValidationError("remove step: the potential has no bound level")
+        return darboux_remove_ground(v, ground[0], n_track=n_track, cap=cap)
+    return remove_level_by_swf(v, n, n_track=n_track, cap=cap)
+
+
+def _shifted(levels, step):
+    out = list(levels)
+    out[int(step["n"]) - 1] += float(step["dE"])
+    return sorted(out)
+
+
+#: every step kind; no entry lists a lattice base, so those take no steps.  The
+#: transforms are looked up when a step runs, so a wrapped module attribute sees it.
+_STEPS = {
+    "shift": _StepKind(
+        required=("n", "dE"), integers=("n",), bases=_CONTINUUM_BASES,
+        apply=lambda v, step, n_track, cap: shift_level(
+            v, int(step["n"]), float(step["dE"]), n_track=n_track, cap=cap),
+        expected=_shifted,
+    ),
+    "create": _StepKind(
+        required=("E",), optional={"sigma": 0.5}, bases=_CONTINUUM_BASES,
+        apply=lambda v, step, n_track, cap: darboux_create(
+            v, float(step["E"]), float(step["sigma"]), n_track=n_track, cap=cap),
+        expected=lambda levels, step: sorted(levels + [float(step["E"])]),
+    ),
+    "remove": _StepKind(
+        required=("n",), integers=("n",), bases=_CONTINUUM_BASES, apply=_remove,
+        # a level above the tracked ones leaves them as they are
+        expected=lambda levels, step: levels[: int(step["n"]) - 1] + levels[int(step["n"]):],
+    ),
+    "scale_swf": _StepKind(
+        required=("n", "lambda"), integers=("n",), bases=_CONTINUUM_BASES,
+        apply=lambda v, step, n_track, cap: scale_swf(
+            v, int(step["n"]), float(step["lambda"]), n_track=n_track, cap=cap),
+    ),
+    "bsec": _StepKind(
+        required=("E", "lambda"), positive=("E", "lambda"), bases=("half-line",),
+        apply=lambda v, step, n_track, cap: embed_bsec(
+            math.sqrt(float(step["E"])), float(step["lambda"]), v.grid),
+    ),
+    # the band run applies the whole chain at once, through track_zone_shift
+    "shift_zone": _StepKind(
+        required=("dE",), optional={"aux_level": 2}, integers=("aux_level",),
+        bases=("comb",), apply=None,
+    ),
 }
 
 
@@ -95,29 +160,30 @@ class RunConfig:
             if key in ("tol_spectrum", "tol_reflection", "truncation") and value <= 0:
                 raise ValidationError(f"numerics option {key} must be positive, got {value}")
         for step in self.chain:
-            kind = step.get("kind")
-            if kind not in _STEP_KEYS:
-                raise ValidationError(f"unknown step kind {kind!r}")
-            for key in _STEP_KEYS[kind]:
+            name = step.get("kind")
+            kind = _STEPS.get(name)
+            if kind is None:
+                raise ValidationError(f"unknown step kind {name!r}")
+            if self.base not in kind.bases:
+                raise ValidationError(f"{name} steps need one of the bases {', '.join(kind.bases)}")
+            for key in kind.required:
                 if key not in step:
-                    raise ValidationError(f"{kind} step needs a value for {key}")
-            for key in _STEP_KEYS[kind] + ("sigma", "aux_level"):
-                value = step.get(key, 0)
-                integral = key in ("n", "aux_level")
+                    raise ValidationError(f"{name} step needs a value for {key}")
+            for key, value in step.items():
+                if key == "kind":
+                    continue
+                if key not in kind.required and key not in kind.optional:
+                    raise ValidationError(f"{name} step: unknown key {key!r}")
+                integral = key in kind.integers
                 if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
                     wanted = "an integer" if integral else "a number"
-                    raise ValidationError(f"{kind} step: {key} must be {wanted}, got {value!r}")
-                if integral and key in step and value < 1:
-                    raise ValidationError(f"{kind} step: {key} must be >= 1, got {value}")
-            continuum = self.base in _CONTINUUM_BASES
-            if kind == "shift_zone" and self.base != "comb":
-                raise ValidationError("shift_zone steps require the comb base")
-            if kind in ("shift", "create", "remove", "scale_swf") and not continuum:
-                raise ValidationError(f"{kind} steps require a continuum base")
-            if kind == "bsec" and self.base != "half-line":
-                raise ValidationError("bsec steps require the half-line base")
-        if self.base.startswith("lattice") and self.chain:
-            raise ValidationError("lattice bases take no chain steps")
+                    raise ValidationError(f"{name} step: {key} must be {wanted}, got {value!r}")
+                if (integral or key in kind.positive) and value <= 0:
+                    raise ValidationError(f"{name} step: {key} must be positive, got {value}")
+        aux_levels = {_STEPS["shift_zone"].with_defaults(step)["aux_level"]
+                      for step in self.chain if step["kind"] == "shift_zone"}
+        if len(aux_levels) > 1:
+            raise ValidationError(f"shift_zone steps disagree on aux_level: {sorted(aux_levels)}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -182,7 +248,6 @@ def _build_base(cfg: RunConfig) -> Potential | PeriodicSystem | tuple:
     if cfg.base == "lattice-stark":
         w = int(p.get("window_sites", 40))
         return ("stark", p.get("slope", 1.0), (-w, w))
-    raise ValidationError(f"unknown base {cfg.base!r}")
 
 
 class _Artifacts:
@@ -216,40 +281,8 @@ class _Artifacts:
 
 
 def _apply_step(v: Potential, step: dict, n_track: int, cap: float = 1e6):
-    kind = step["kind"]
-    if kind == "shift":
-        return shift_level(v, int(step["n"]), float(step["dE"]), n_track=n_track, cap=cap)
-    if kind == "create":
-        return darboux_create(v, float(step["E"]), float(step.get("sigma", 0.5)),
-                              n_track=n_track, cap=cap)
-    if kind == "remove":
-        n = int(step["n"])
-        if n == 1:
-            ground = bound_states(v, 1)
-            if not ground:
-                raise ValidationError("remove step: the potential has no bound level")
-            return darboux_remove_ground(v, ground[0], n_track=n_track, cap=cap)
-        return remove_level_by_swf(v, n, n_track=n_track, cap=cap)
-    if kind == "scale_swf":
-        return scale_swf(v, int(step["n"]), float(step["lambda"]), n_track=n_track, cap=cap)
-    if kind == "bsec":
-        return embed_bsec(math.sqrt(float(step["E"])), float(step["lambda"]), v.grid)
-    raise ValidationError(f"unknown step kind {kind!r}")
-
-
-def _edit_expected(expected: list[float], step: dict, result) -> list[float]:
-    kind = step["kind"]
-    if kind == "shift":
-        out = list(expected)
-        out[int(step["n"]) - 1] += float(step["dE"])
-        return sorted(out)
-    if kind == "create":
-        return sorted(expected + [float(step["E"])])
-    if kind == "remove":
-        # a level above the tracked ones leaves them as they are
-        n = int(step["n"])
-        return expected[: n - 1] + expected[n:]
-    return list(expected)
+    kind = _STEPS[step["kind"]]
+    return kind.apply(v, kind.with_defaults(step), n_track, cap)
 
 
 def run(config: RunConfig) -> dict:
@@ -288,7 +321,6 @@ def run(config: RunConfig) -> dict:
                                         "n_points": g.n_points}
         if base.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE):
             manifest["resolved"]["truncation"] = g.x_max
-    status_ok = True
 
     with oracle_scope() as work:
         try:
@@ -317,7 +349,6 @@ def run(config: RunConfig) -> dict:
 
 
 def _run_chain(v, config, manifest, artifacts, timing, tol_spec, tol_refl, verify_levels, cap=1e6):
-    n_track = verify_levels
     expected = [s.energy for s in bound_states(v, verify_levels)]
     manifest["resolved"]["base_spectrum"] = list(expected)
     all_ok = True
@@ -326,9 +357,9 @@ def _run_chain(v, config, manifest, artifacts, timing, tol_spec, tol_refl, verif
     for step in config.chain:
         t0 = time.perf_counter()
         v_before = v
-        result = _apply_step(v, step, n_track, cap)
+        result = _apply_step(v, step, verify_levels, cap)
         v = result.potential
-        expected = _edit_expected(expected, step, result)
+        expected = _STEPS[step["kind"]].expected(expected, step)
         entry = {"step": dict(step), "log": [dict(e) for e in result.step_log]}
 
         if step["kind"] == "bsec":
@@ -386,7 +417,7 @@ def _run_band(system, config, manifest, artifacts, timing):
         track_values.append(float(step["dE"]))
     t0 = time.perf_counter()
     if track_values:
-        aux_level = int(config.chain[0].get("aux_level", 2))
+        aux_level = int(_STEPS["shift_zone"].with_defaults(config.chain[0])["aux_level"])
         rows = track_zone_shift(system, aux_level, [0.0] + track_values, e_max)
         artifacts.add("zone_track.csv", csvio.zone_track_bytes, rows)
         manifest["steps"].append({
@@ -404,8 +435,6 @@ def _run_band(system, config, manifest, artifacts, timing):
     else:
         final = zones(system, e_max)
     artifacts.add("zones.csv", csvio.zones_bytes, final)
-    from .solver import band_discriminant_curve
-
     es = np.linspace(float(system.cell.values.min()) - 1.0, e_max, 501)
     artifacts.add("discriminant.csv",
                   csvio.discriminant_bytes, es, band_discriminant_curve(system.cell, es))
@@ -422,11 +451,9 @@ def _bisect_gap_closure(system, aux_level, rows, e_max, tol=GAP_CLOSED):
             break
     if lo is None:
         return None
-    from .bands import shift_zone as _shift
-
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        zs = zones(_shift(system, aux_level, mid), e_max)
+        zs = zones(shift_zone(system, aux_level, mid), e_max)
         edge = rows[0]["edge_energy"] + mid
         merged = any(abs(z.e_lo - edge) < 1e-6 for z in zs)
         if merged:
@@ -478,11 +505,11 @@ def _load_config(args) -> RunConfig:
         cfg.out = args.out
     elif os.environ.get("SPECDESIGN_OUT") and cfg.out == "out":
         cfg.out = str(Path(os.environ["SPECDESIGN_OUT"]) / "run")
-    if args.points:
+    if args.points is not None:
         cfg.numerics["points"] = args.points
-    if args.tol:
+    if args.tol is not None:
         cfg.numerics["tol_spectrum"] = args.tol
-    if args.truncation:
+    if args.truncation is not None:
         cfg.numerics["truncation"] = args.truncation
     return cfg
 

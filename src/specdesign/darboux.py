@@ -22,15 +22,17 @@ import warnings
 
 import numpy as np
 
-from .errors import NumericalFailure, SingularityError, ValidationError
+from .errors import SingularityError, ValidationError
 from .grid import Grid, SampledFn, cumulative_integral, integrate, make_grid
 from .potentials import DECAYING_HALF_LINE, DECAYING_LINE, HARD_WALLS, Potential, free_line
 from .solver import (
     BoundState,
+    _Matcher,
     _count_sign_changes,
     _launch,
     _match_index,
     _node_count,
+    _normalised,
     _state_swf,
     _sweep,
     bound_states,
@@ -50,23 +52,9 @@ SINGULAR_FLOOR = 1e-12
 #: takes at least this many grid steps to rise from a hard wall
 WALL_NODES = 20
 
-_STEP_KINDS = ("remove", "create", "shift", "scale_swf", "bsec")
-
 
 class ClosedFormDiscrepancyWarning(UserWarning):
     """A published closed-form expression failed its equation residual check."""
-
-
-@dataclass(frozen=True)
-class DarbouxStep:
-    """Descriptor of one elementary spectral transformation."""
-
-    kind: str
-    params: dict
-
-    def __post_init__(self):
-        if self.kind not in _STEP_KINDS:
-            raise ValidationError(f"unknown step kind {self.kind!r}; expected one of {_STEP_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -120,15 +108,7 @@ def _denominator_min(w: np.ndarray, grid: Grid, name: str, interior: bool = Fals
 
 
 def _make_state(v_new: Potential, energy: float, values: np.ndarray, label: int) -> BoundState:
-    y = np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=0.0)
-    norm = integrate(SampledFn(v_new.grid, y * y))
-    if norm <= 0 or not math.isfinite(norm):
-        raise NumericalFailure(f"transformed state at E={energy} has invalid norm")
-    y = y / math.sqrt(norm)
-    peak = np.max(np.abs(y))
-    first = np.nonzero(np.abs(y) > 0.05 * peak)[0][0]
-    if y[first] < 0:
-        y = -y
+    y = _normalised(v_new.grid, energy, np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=0.0))
     return BoundState(n=label, nodes=_count_sign_changes(y[1:-1]), energy=float(energy),
                       psi=SampledFn(v_new.grid, y), swf=_state_swf(v_new, energy, y))
 
@@ -474,7 +454,7 @@ def box_shift_closed_form(t: float, grid: Grid) -> tuple[SampledFn, SampledFn]:
     res_printed = _equation_residual(psi_printed, vvals, beta2, grid)
 
     pot = Potential(SampledFn(grid, np.clip(vvals, -DEFAULT_CAP, DEFAULT_CAP)), HARD_WALLS)
-    psi_direct = _integrated_state(pot, beta2)
+    psi_direct = _Matcher(pot, _match_index(pot, beta2), ()).state(beta2)[0]
     res_direct = _equation_residual(psi_direct, vvals, beta2, grid)
     if res_printed > 100.0 * max(res_direct, 1e-10):
         warnings.warn(
@@ -485,19 +465,7 @@ def box_shift_closed_form(t: float, grid: Grid) -> tuple[SampledFn, SampledFn]:
             stacklevel=2,
         )
         return v_fn, SampledFn(grid, psi_direct)
-    norm = integrate(SampledFn(grid, psi_printed**2))
-    return v_fn, SampledFn(grid, psi_printed / math.sqrt(norm))
-
-
-def _integrated_state(v: Potential, energy: float) -> np.ndarray:
-    """Bidirectionally integrated, normalized eigenfunction at a known energy."""
-    yl, yr = _sweep(v, energy, True), _sweep(v, energy, False)
-    m = _match_index(v, energy)
-    y = np.concatenate((yl[:m], yr[m:] * (yl[m] / yr[m])))
-    y /= math.sqrt(integrate(SampledFn(v.grid, y * y)))
-    peak = np.max(np.abs(y))
-    first = np.nonzero(np.abs(y) > 0.05 * peak)[0][0]
-    return y if y[first] > 0 else -y
+    return v_fn, SampledFn(grid, _normalised(grid, beta2, psi_printed))
 
 
 def _equation_residual(psi: np.ndarray, vvals: np.ndarray, energy: float, grid: Grid) -> float:
@@ -569,6 +537,8 @@ def remove_level_by_swf(v: Potential, n: int, *,
         raise ValidationError("level index must be >= 1")
     if n == 1:
         states = bound_states(v, 1)
+        if not states:
+            raise ValidationError("potential has no bound level to remove")
         res = darboux_remove_ground(v, states[0], n_track=n_track, cap=cap)
         log = dict(res.step_log[0])
         log["route"] = "weight -> 0 limit realized as ground-state Darboux removal"

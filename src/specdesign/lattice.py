@@ -20,7 +20,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ValidationError
 from .potentials import HARD_WALLS
-from .solver import _count_sign_changes
+from .solver import _count_sign_changes, _first_lobe_positive
 
 DECAYING = "decaying"
 
@@ -79,11 +79,8 @@ def single_site(v0: float, half_width: int = 25) -> LatticeSystem:
 def _make_states(energies, vectors) -> list[LatticeState]:
     out = []
     for i, energy in enumerate(energies):
-        psi = vectors[:, i]
-        peak = np.max(np.abs(psi))
-        first = np.nonzero(np.abs(psi) > 0.05 * peak)[0][0]
-        if psi[first] < 0:
-            psi = -psi
+        # LAPACK returns unit vectors; only the sign is left to fix
+        psi = _first_lobe_positive(vectors[:, i])
         out.append(LatticeState(float(energy), psi, _count_sign_changes(psi)))
     return out
 

@@ -497,15 +497,22 @@ class _Matcher:
         if abs(yr[peak - start]) > 1e-6 * np.max(np.abs(yr[peak - start :])):
             m = peak
         y = _unit(np.concatenate((yl[:m], (yl[m] / yr[m - start]) * yr[m - start :])))
-        nodes = _count_sign_changes(y[1:-1])
-        norm = integrate(SampledFn(self.v.grid, y * y))
-        y = y / math.sqrt(norm)
-        # deterministic sign: first significant lobe positive
-        peak = np.max(np.abs(y))
-        first = np.nonzero(np.abs(y) > 0.05 * peak)[0][0]
-        if y[first] < 0:
-            y = -y
-        return y, nodes
+        return _normalised(self.v.grid, energy, y), _count_sign_changes(y[1:-1])
+
+
+def _first_lobe_positive(y: np.ndarray) -> np.ndarray:
+    """Sign convention of every state: y or -y, positive where |y| first tops 5% of its peak."""
+    peak = np.max(np.abs(y))
+    first = np.nonzero(np.abs(y) > 0.05 * peak)[0][0]
+    return -y if y[first] < 0 else y
+
+
+def _normalised(grid, energy, y: np.ndarray) -> np.ndarray:
+    """y divided by its grid norm, then signed by `_first_lobe_positive`."""
+    norm = integrate(SampledFn(grid, y * y))
+    if norm <= 0 or not math.isfinite(norm):
+        raise NumericalFailure(f"state at E={energy} has invalid norm {norm}")
+    return _first_lobe_positive(y / math.sqrt(norm))
 
 
 def _state_swf(v: Potential, energy, psi: np.ndarray) -> float:

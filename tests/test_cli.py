@@ -126,6 +126,24 @@ class TestRun:
         assert manifest["failed_step"] == 0
         assert (tmp_path / "fail" / "manifest.json").exists()
 
+    def test_steps_call_the_module_transforms(self, tmp_path, monkeypatch):
+        # a tracer wraps cli.shift_level: a step that held the function object
+        # itself would bypass the wrapper
+        from specdesign import cli as cli_mod
+
+        calls = []
+        original = cli_mod.shift_level
+
+        def spy(v, n, d_e, **kwargs):
+            calls.append((n, d_e))
+            return original(v, n, d_e, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "shift_level", spy)
+        cfg = parse_config(CHAIN_CFG)
+        cfg.out = str(tmp_path / "spy")
+        assert run(cfg)["status"] == "ok"
+        assert calls == [(1, -5.0)]
+
     def test_determinism(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -313,6 +331,32 @@ class TestMainEntry:
         out = tmp_path / "out"
         assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        "base = half-line\n[step]\nkind = bsec\nE = -1\nlambda = 1\n",
+        "base = half-line\n[step]\nkind = bsec\nE = 0\nlambda = 1\n",
+        "base = box\n[step]\nkind = shift\nn = 1\ndE = 0.5\nsigma = 0.5\n",
+        "base = comb\n[step]\nkind = shift_zone\ndE = 0.1\n"
+        "[step]\nkind = shift_zone\ndE = 0.2\naux_level = 3\n",
+    ])
+    def test_bad_chain_exit_code(self, tmp_path, capsys, config):
+        # an embedded-state energy of 0 or below, a key the step kind does not
+        # read, and aux_level values that disagree (the first step's is the
+        # default 2) are invalid input
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--points", "--tol", "--truncation"])
+    def test_zero_flag_exit_code(self, tmp_path, capsys, flag):
+        # a zero flag reaches validation instead of leaving the default in place
+        out = tmp_path / "out"
+        assert main(["solve", "--base", "free-line", flag, "0", "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("args", [
         ["--e-max", "nan"], ["--e-max", "inf"], ["--e-max=-inf"],

@@ -6,7 +6,6 @@ import pytest
 
 from specdesign.darboux import (
     ClosedFormDiscrepancyWarning,
-    DarbouxStep,
     bargmann_reflectionless,
     box_shift_closed_form,
     bsec_potential_values,
@@ -21,7 +20,7 @@ from specdesign.darboux import (
 )
 from specdesign.errors import SingularityError, ValidationError
 from specdesign.grid import SampledFn, default_points, integrate, make_grid
-from specdesign.potentials import Potential, box, free_line, soliton_well
+from specdesign.potentials import Potential, box, free_line, half_line, soliton_well
 from specdesign.solver import bound_states, scattering_curve
 from specdesign.verify import (
     delta_v_sign_pattern,
@@ -320,6 +319,11 @@ class TestRemoveBySwf:
         res = remove_level_by_swf(sw, 1)
         assert np.max(np.abs(res.potential.values)) < 1e-8
 
+    @pytest.mark.parametrize("base", [free_line(), half_line(40 * math.pi)], ids=["free-line", "half-line"])
+    def test_no_bound_level_rejected(self, base):
+        with pytest.raises(ValidationError):
+            remove_level_by_swf(base, 1)
+
     def test_excited_removal(self, the_box):
         res = remove_level_by_swf(the_box, 2)
         check = isospectral_check(res.potential, [1.0, 9.0, 16.0], tol=1e-5)
@@ -430,10 +434,3 @@ class TestDegeneration:
         with pytest.raises(ValidationError):
             degeneration_family(the_box, 2, [0.3, 0.5])
 
-
-class TestStepDescriptor:
-    def test_known_kinds(self):
-        step = DarbouxStep("shift", {"n": 1, "dE": -5.0})
-        assert step.kind == "shift"
-        with pytest.raises(ValidationError):
-            DarbouxStep("teleport", {})
