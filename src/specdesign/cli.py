@@ -34,14 +34,13 @@ from . import csvio
 from .bands import GAP_CLOSED, PeriodicSystem, shift_zone, track_zone_shift, zones
 from .darboux import (
     darboux_create,
-    darboux_remove_ground,
     embed_bsec,
     remove_level_by_swf,
     scale_swf,
     shift_level,
 )
 from .errors import NumericalFailure, SingularityError, ValidationError
-from .figures import build_figure_bundle, figure_tags
+from .figures import emit_figure_bundle, figure_tags
 from .lattice import lattice_bound_states, single_site, stark_ladder
 from .potentials import (
     DECAYING_HALF_LINE,
@@ -85,16 +84,6 @@ class _StepKind:
         return {**self.optional, **step}
 
 
-def _remove(v, step, n_track, cap):
-    n = int(step["n"])
-    if n == 1:
-        ground = bound_states(v, 1)
-        if not ground:
-            raise ValidationError("remove step: the potential has no bound level")
-        return darboux_remove_ground(v, ground[0], n_track=n_track, cap=cap)
-    return remove_level_by_swf(v, n, n_track=n_track, cap=cap)
-
-
 def _shifted(levels, step):
     out = list(levels)
     out[int(step["n"]) - 1] += float(step["dE"])
@@ -117,7 +106,9 @@ _STEPS = {
         expected=lambda levels, step: sorted(levels + [float(step["E"])]),
     ),
     "remove": _StepKind(
-        required=("n",), integers=("n",), bases=_CONTINUUM_BASES, apply=_remove,
+        required=("n",), integers=("n",), bases=_CONTINUUM_BASES,
+        apply=lambda v, step, n_track, cap: remove_level_by_swf(
+            v, int(step["n"]), n_track=n_track, cap=cap),
         # a level above the tracked ones leaves them as they are
         expected=lambda levels, step: levels[: int(step["n"]) - 1] + levels[int(step["n"]):],
     ),
@@ -139,6 +130,14 @@ _STEPS = {
 }
 
 
+def _check_number(where: str, key: str, value, integral: bool, positive: bool):
+    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+        wanted = "an integer" if integral else "a number"
+        raise ValidationError(f"{where} {key} must be {wanted}, got {value!r}")
+    if positive and value <= 0:
+        raise ValidationError(f"{where} {key} must be positive, got {value}")
+
+
 @dataclass
 class RunConfig:
     base: str = "box"
@@ -157,8 +156,8 @@ class RunConfig:
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ValidationError(f"{where} {key} must be finite, got {value}")
         for key, value in self.numerics.items():
-            if key in ("tol_spectrum", "tol_reflection", "truncation") and value <= 0:
-                raise ValidationError(f"numerics option {key} must be positive, got {value}")
+            if key in ("tol_spectrum", "tol_reflection", "truncation", "cap", "verify_levels"):
+                _check_number("numerics option", key, value, key == "verify_levels", True)
         for step in self.chain:
             name = step.get("kind")
             kind = _STEPS.get(name)
@@ -175,11 +174,7 @@ class RunConfig:
                 if key not in kind.required and key not in kind.optional:
                     raise ValidationError(f"{name} step: unknown key {key!r}")
                 integral = key in kind.integers
-                if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-                    wanted = "an integer" if integral else "a number"
-                    raise ValidationError(f"{name} step: {key} must be {wanted}, got {value!r}")
-                if (integral or key in kind.positive) and value <= 0:
-                    raise ValidationError(f"{name} step: {key} must be positive, got {value}")
+                _check_number(f"{name} step:", key, value, integral, integral or key in kind.positive)
         aux_levels = {_STEPS["shift_zone"].with_defaults(step)["aux_level"]
                       for step in self.chain if step["kind"] == "shift_zone"}
         if len(aux_levels) > 1:
@@ -225,6 +220,13 @@ def _parse_value(s: str):
     return s
 
 
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path!r}: {exc.strerror}") from exc
+
+
 def _build_base(cfg: RunConfig) -> Potential | PeriodicSystem | tuple:
     p = cfg.params
     points = cfg.numerics.get("points")
@@ -238,7 +240,7 @@ def _build_base(cfg: RunConfig) -> Potential | PeriodicSystem | tuple:
         path = p.get("path")
         if not path:
             raise ValidationError("potential-csv base needs a path")
-        body = csvio.read_sampled_fn(Path(path).read_text())
+        body = csvio.read_sampled_fn(_read_text(path, "potential-csv path"))
         return Potential(body, p.get("bc", HARD_WALLS))
     if cfg.base == "comb":
         period = p.get("period", math.pi)
@@ -496,7 +498,7 @@ def _common(parser):
 
 def _load_config(args) -> RunConfig:
     if args.config:
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = parse_config(_read_text(args.config, "config file"))
     else:
         cfg = RunConfig()
     if getattr(args, "base", None):
@@ -568,18 +570,14 @@ def _dispatch(args) -> int:
             print("\n".join(figure_tags()))
             return EXIT_OK
         out = Path(args.out or os.environ.get("SPECDESIGN_OUT", "out")) / args.tag
-        bundle = build_figure_bundle(args.tag, args.points)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, data in bundle.items():
-            (out / name).write_bytes(data)
-        print(f"wrote {len(bundle)} files to {out}")
+        names = emit_figure_bundle(args.tag, out, args.points)
+        print(f"wrote {len(names)} files to {out}")
         return EXIT_OK
 
     cfg = _load_config(args)
     if args.command == "solve":
         cfg.chain = []
-        if getattr(args, "count", None):
-            cfg.numerics["verify_levels"] = args.count
+        cfg.numerics["verify_levels"] = args.count
     elif args.command == "band":
         cfg.base = "comb"
         cfg.params.setdefault("strength", args.strength)

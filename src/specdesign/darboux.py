@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from .errors import SingularityError, ValidationError
-from .grid import Grid, SampledFn, cumulative_integral, integrate, make_grid
+from .grid import Grid, SampledFn, cumulative_integral, default_points, integrate, make_grid
 from .potentials import DECAYING_HALF_LINE, DECAYING_LINE, HARD_WALLS, Potential, free_line
 from .solver import (
     BoundState,
@@ -70,11 +70,15 @@ class TransformResult:
 # shared helpers
 
 
-def _cap_values(values: np.ndarray, cap: float) -> tuple[np.ndarray, int]:
+def _partner(v: Potential, values: np.ndarray, cap: float) -> tuple[Potential, int]:
+    """The transformed potential on v's grid, boundaries and deltas, clipped at +-cap.
+
+    Returns it with the number of nodes the clip changed.
+    """
     clipped = np.clip(values, -cap, cap)
     clipped = np.nan_to_num(clipped, nan=cap, posinf=cap, neginf=-cap)
     n_capped = int(np.count_nonzero(clipped != values))
-    return clipped, n_capped
+    return Potential(SampledFn(v.grid, clipped), v.bc_kind, v.deltas), n_capped
 
 
 def _denominator_min(w: np.ndarray, grid: Grid, name: str, interior: bool = False) -> float:
@@ -158,11 +162,47 @@ def _mix_seed(v: Potential, eps: float, sigma: float):
     return r, ln_u
 
 
-def _first_order_partner(v: Potential, eps: float, r: np.ndarray, cap: float) -> tuple[np.ndarray, int]:
-    """V - 2 (ln u)'' evaluated through the Riccati identity as 2 eps - V + 2 r^2."""
+def _factorize(v: Potential, eps: float, r: np.ndarray, states, cap: float):
+    """One first-order Darboux step V -> V - 2 (ln u)'' with r = u'/u.
+
+    The partner is evaluated through the Riccati identity as 2 eps - V + 2 r^2
+    and each state psi of V maps to psi' - r psi, an unnormalized state of the
+    partner at the same energy.  Returns (partner, capped nodes, images).
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        vhat = 2.0 * eps - v.values + 2.0 * r * r
-    return _cap_values(vhat, cap)
+        v_new, n_capped = _partner(v, 2.0 * eps - v.values + 2.0 * r * r, cap)
+        images = [derivative_samples(s.psi.values, v.values - s.energy, v.grid.h) - r * s.psi.values
+                  for s in states]
+    return v_new, n_capped, images
+
+
+def _deform_weight(v: Potential, states, n: int, lam: float):
+    """The rank-one weight deformation V -> V - 2 (ln(1 + lam I_n))''.
+
+    I_n is the running norm of psi_n = states[n - 1]; the derivatives are
+    taken analytically via I_n' = psi_n^2.  psi_n maps to
+    sqrt(1 + lam) psi_n / (1 + lam I_n) and every other state psi_k to
+    psi_k - lam psi_n J_k / (1 + lam I_n), J_k the running overlap of psi_n
+    and psi_k.  Returns (1 + lam I_n, the unclipped potential values, images).
+    """
+    if len(states) < n:
+        raise ValidationError(f"potential has only {len(states)} bound levels")
+    s_n = states[n - 1]
+    psi = s_n.psi.values
+    dpsi = derivative_samples(psi, v.values - s_n.energy, v.grid.h)
+    i_n = cumulative_integral(SampledFn(v.grid, psi * psi)).values
+    i_n = np.clip(i_n / i_n[-1], 0.0, 1.0)
+    den = 1.0 + lam * i_n
+    images = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vhat = v.values - 4.0 * lam * psi * dpsi / den + 2.0 * (lam * psi * psi / den) ** 2
+        for s in states:
+            if s.n == n:
+                images.append(math.sqrt(1.0 + lam) * psi / den)
+            else:
+                j_k = cumulative_integral(SampledFn(v.grid, psi * s.psi.values)).values
+                images.append(s.psi.values - lam * psi * j_k / den)
+    return den, vhat, images
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +257,11 @@ def darboux_remove_ground(v: Potential, ground: BoundState, *,
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = du / u
-    vhat, n_capped = _first_order_partner(v, e1, r, cap)
-    v_new = Potential(SampledFn(v.grid, vhat), v.bc_kind, v.deltas)
-
     excited = bound_states(v, 1 + n_track)[1:] if n_track > 0 else []
+    v_new, n_capped, images = _factorize(v, e1, r, excited, cap)
+
     new_states = []
-    for i, s in enumerate(excited, start=1):
-        dpsi = derivative_samples(s.psi.values, v.values - s.energy, v.grid.h)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            y = (u * dpsi - du * s.psi.values) / u
+    for i, (s, y) in enumerate(zip(excited, images), start=1):
         y[0] = 0.0 if v.bc_kind == HARD_WALLS or v.bc_kind == DECAYING_HALF_LINE else y[0]
         if v.bc_kind == HARD_WALLS:
             y[-1] = 0.0
@@ -264,14 +300,12 @@ def darboux_create(v: Potential, e_new: float, sigma: float = 0.5, *,
     dmin = math.exp(float(ln_u.min() - ln_u.max()))
     if dmin < SINGULAR_FLOOR:
         raise SingularityError("creation denominator collapsed")
-    vhat, n_capped = _first_order_partner(v, e_new, r, cap)
-    v_new = Potential(SampledFn(v.grid, vhat), v.bc_kind, v.deltas)
+    v_new, n_capped, images = _factorize(v, e_new, r, existing, cap)
 
     psi_new = np.exp(-(ln_u - ln_u.min()))
     states = [_make_state(v_new, e_new, psi_new, 1)]
-    for i, s in enumerate(existing, start=2):
-        dpsi = derivative_samples(s.psi.values, v.values - s.energy, v.grid.h)
-        states.append(_make_state(v_new, s.energy, dpsi - r * s.psi.values, i))
+    for i, (s, y) in enumerate(zip(existing, images), start=2):
+        states.append(_make_state(v_new, s.energy, y, i))
 
     log = ({"kind": "create", "e_new": e_new, "sigma": sigma,
             "factorization_energy": e_new, "denominator_min": dmin,
@@ -315,9 +349,7 @@ def shift_level(v: Potential, n: int, d_e: float, *,
     wp = (e_n - target) * psi * u
     wpp = (e_n - target) * (dpsi * u + psi * du)
     with np.errstate(over="ignore", invalid="ignore"):
-        vhat = v.values - 2.0 * (wpp * w - wp * wp) / (w * w)
-    vhat, n_capped = _cap_values(vhat, cap)
-    v_new = Potential(SampledFn(g, vhat), v.bc_kind, v.deltas)
+        v_new, n_capped = _partner(v, v.values - 2.0 * (wpp * w - wp * wp) / (w * w), cap)
 
     new_states = []
     entries = []
@@ -414,23 +446,24 @@ def box_shift_closed_form(t: float, grid: Grid) -> tuple[SampledFn, SampledFn]:
     beta2 = 1.0 + t
     x = grid.x
     cx, sx = np.cos(x), np.sin(x)
+    # s solves s'' = -(1 + t) s with s(0) = 0; the published numerator
+    # cos(sqrt(1+t) a) of the state is x-independent
     if beta2 > 1e-12:
         b = math.sqrt(beta2)
         s = np.sin(b * x)
         sp = b * np.cos(b * x)          # s'
-        den = s * sx + sp * cx
-        num = (sp * cx - s * sx) * den + t * (s * cx) ** 2
+        printed_num = math.cos(b * math.pi / 2)
     elif beta2 < -1e-12:
         gma = math.sqrt(-beta2)
         s = np.sinh(gma * x)
         sp = gma * np.cosh(gma * x)
-        den = s * sx + sp * cx
-        num = (sp * cx - s * sx) * den + t * (s * cx) ** 2
+        printed_num = math.cosh(gma * math.pi / 2)
     else:
         s = x
         sp = np.ones_like(x)
-        den = x * sx + cx
-        num = (cx - x * sx) * den + t * (x * cx) ** 2
+        printed_num = 1.0
+    den = s * sx + sp * cx
+    num = (sp * cx - s * sx) * den + t * (s * cx) ** 2
     _denominator_min(den, grid, "closed-form denominator")
     wall_rel = min(abs(den[0]), abs(den[-1])) / np.max(np.abs(den))
     if wall_rel < 1e-9:
@@ -441,14 +474,7 @@ def box_shift_closed_form(t: float, grid: Grid) -> tuple[SampledFn, SampledFn]:
     vvals = 2.0 * t * num / (den * den)
     v_fn = SampledFn(grid, vvals)
 
-    # published numerator cos(sqrt(1+t) a) is x-independent; test it against
-    # the equation before trusting it
-    if beta2 > 1e-12:
-        printed_num = math.cos(math.sqrt(beta2) * math.pi / 2)
-    elif beta2 < -1e-12:
-        printed_num = math.cosh(math.sqrt(-beta2) * math.pi / 2)
-    else:
-        printed_num = 1.0
+    # test the published state against the equation before trusting it
     with np.errstate(divide="ignore", invalid="ignore"):
         psi_printed = printed_num / den
     res_printed = _equation_residual(psi_printed, vvals, beta2, grid)
@@ -482,39 +508,20 @@ def scale_swf(v: Potential, n: int, lam: float, *,
               n_track: int = 4, cap: float = DEFAULT_CAP) -> TransformResult:
     """Rescale the weight of level n: c_n -> sqrt(1 + lam) c_n, spectrum fixed.
 
-    V -> V - 2 d^2/dx^2 ln(1 + lam I_n) with I_n the running norm of psi_n;
-    the derivatives are taken analytically via I_n' = psi_n^2.  lam > 0
-    presses the state toward the left wall, lam in (-1, 0) toward the right;
-    lam -> -1 is the removal limit and is rejected here.
+    V -> V - 2 d^2/dx^2 ln(1 + lam I_n) with I_n the running norm of psi_n
+    (the weight deformation `_deform_weight`).  lam > 0 presses the state
+    toward the left wall, lam in (-1, 0) toward the right; lam -> -1 is the
+    removal limit and is rejected here.
     """
     if lam <= -1.0:
         raise ValidationError(f"lambda must exceed -1 (removal limit), got {lam}")
     if n < 1:
         raise ValidationError("level index must be >= 1")
     states = bound_states(v, max(n, n_track))
-    if len(states) < n:
-        raise ValidationError(f"potential has only {len(states)} bound levels")
-    s_n = states[n - 1]
-    psi = s_n.psi.values
-    dpsi = derivative_samples(psi, v.values - s_n.energy, v.grid.h)
-
-    i_n = cumulative_integral(SampledFn(v.grid, psi * psi)).values
-    i_n = np.clip(i_n / i_n[-1], 0.0, 1.0)
-    den = 1.0 + lam * i_n
+    den, vhat, images = _deform_weight(v, states, n, lam)
     dmin = _denominator_min(den, v.grid, "weight-deformation denominator")
-
-    vhat = v.values - 4.0 * lam * psi * dpsi / den + 2.0 * (lam * psi * psi / den) ** 2
-    vhat, n_capped = _cap_values(vhat, cap)
-    v_new = Potential(SampledFn(v.grid, vhat), v.bc_kind, v.deltas)
-
-    new_states = []
-    for s in states:
-        if s.n == n:
-            y = math.sqrt(1.0 + lam) * psi / den
-        else:
-            j_k = cumulative_integral(SampledFn(v.grid, psi * s.psi.values)).values
-            y = s.psi.values - lam * psi * j_k / den
-        new_states.append(_make_state(v_new, s.energy, y, s.n))
+    v_new, n_capped = _partner(v, vhat, cap)
+    new_states = [_make_state(v_new, s.energy, y, s.n) for s, y in zip(states, images)]
 
     log = ({"kind": "scale_swf", "n": n, "lambda": lam,
             "swf_factor": math.sqrt(1.0 + lam),
@@ -527,11 +534,11 @@ def remove_level_by_swf(v: Potential, n: int, *,
     """Remove level n by driving its weight to zero (the lam -> -1 limit).
 
     For the ground level this limit coincides with the elementary Darboux
-    removal and is routed there.  For excited levels the limit is evaluated
-    directly: V -> V - 2 d^2/dx^2 ln(1 - I_n), which presses the state out
-    through the right wall while the other levels and their weights stay put;
-    supported on hard-wall problems (on a truncated line the escaping carrier
-    would cross the truncation edge).
+    removal, whose result is returned as it is.  For excited levels the limit
+    is the weight deformation at lam = -1: V -> V - 2 d^2/dx^2 ln(1 - I_n),
+    which presses the state out through the right wall while the other
+    levels and their weights stay put; supported on hard-wall problems (on a
+    truncated line the escaping carrier would cross the truncation edge).
     """
     if n < 1:
         raise ValidationError("level index must be >= 1")
@@ -539,45 +546,25 @@ def remove_level_by_swf(v: Potential, n: int, *,
         states = bound_states(v, 1)
         if not states:
             raise ValidationError("potential has no bound level to remove")
-        res = darboux_remove_ground(v, states[0], n_track=n_track, cap=cap)
-        log = dict(res.step_log[0])
-        log["route"] = "weight -> 0 limit realized as ground-state Darboux removal"
-        return TransformResult(res.potential, res.states, (log,))
+        return darboux_remove_ground(v, states[0], n_track=n_track, cap=cap)
     if v.bc_kind != HARD_WALLS:
         raise ValidationError("excited-level weight removal needs hard walls "
                               "(the carrier escapes through a truncation edge otherwise)")
 
     states = bound_states(v, max(n, n_track + 1))
-    if len(states) < n:
-        raise ValidationError(f"potential has only {len(states)} bound levels")
-    s_n = states[n - 1]
-    psi = s_n.psi.values
-    dpsi = derivative_samples(psi, v.values - s_n.energy, v.grid.h)
-    i_n = cumulative_integral(SampledFn(v.grid, psi * psi)).values
-    i_n = np.clip(i_n / i_n[-1], 0.0, 1.0)
-    den = 1.0 - i_n
+    den, vhat, images = _deform_weight(v, states, n, -1.0)
     if np.any(den[1:-1] <= 0.0):
         raise SingularityError("running norm reached 1 inside the interval")
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vhat = v.values + 4.0 * psi * dpsi / den + 2.0 * (psi * psi / den) ** 2
-    vhat, n_capped = _cap_values(vhat, cap)
-    v_new = Potential(SampledFn(v.grid, vhat), v.bc_kind, v.deltas)
+    v_new, n_capped = _partner(v, vhat, cap)
 
     new_states = []
-    label = 1
-    for s in states:
-        if s.n == n:
-            continue
-        j_k = cumulative_integral(SampledFn(v.grid, psi * s.psi.values)).values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = s.psi.values + psi * j_k / den
-        y[-1] = 0.0
-        new_states.append(_make_state(v_new, s.energy, y, label))
-        label += 1
+    for s, y in zip(states, images):
+        if s.n != n:
+            y[-1] = 0.0
+            new_states.append(_make_state(v_new, s.energy, y, len(new_states) + 1))
 
     log = ({"kind": "remove", "n": n, "route": "weight -> 0 limit",
-            "factorization_energy": s_n.energy,
+            "factorization_energy": states[n - 1].energy,
             "denominator_min": float(den[1:-1].min()), "capped_nodes": n_capped},)
     return TransformResult(v_new, tuple(new_states), log)
 
@@ -671,9 +658,14 @@ def bargmann_reflectionless(levels, norms, *, half_width: float | None = None,
     return TransformResult(v_new, tuple(states), log)
 
 
+def _bsec_denominator(k: float, lam: float, x: np.ndarray) -> np.ndarray:
+    """D = 1 + lam int_0^x sin^2(ks) ds."""
+    return 1.0 + lam * (x / 2.0 - np.sin(2.0 * k * x) / (4.0 * k))
+
+
 def bsec_potential_values(k: float, lam: float, x: np.ndarray) -> np.ndarray:
     """The embedded-state potential -2 (ln D)'' with D = 1 + lam int_0^x sin^2(ks) ds."""
-    den = 1.0 + lam * (x / 2.0 - np.sin(2.0 * k * x) / (4.0 * k))
+    den = _bsec_denominator(k, lam, x)
     return (-2.0 * lam * k * np.sin(2.0 * k * x) / den
             + 2.0 * (lam * np.sin(k * x) ** 2 / den) ** 2)
 
@@ -694,7 +686,7 @@ def embed_bsec(k: float, lam: float, grid: Grid) -> TransformResult:
     if abs(grid.x_min) > 1e-12:
         raise ValidationError("half-line grid must start at 0")
     x = grid.x
-    den = 1.0 + lam * (x / 2.0 - np.sin(2.0 * k * x) / (4.0 * k))
+    den = _bsec_denominator(k, lam, x)
     vvals = bsec_potential_values(k, lam, x)
     v_new = Potential(SampledFn(grid, vvals), DECAYING_HALF_LINE)
 
@@ -715,8 +707,6 @@ def embed_bsec(k: float, lam: float, grid: Grid) -> TransformResult:
 def bsec_whole_line(k: float, lam: float, *, half_width: float = 120.0 * math.pi,
                     left_pad: float = 6.0, n_points: int | None = None) -> Potential:
     """Whole-line extension of the embedded-state potential: zero for x < 0."""
-    from .grid import default_points
-
     if n_points is None:
         n_points = default_points(half_width + left_pad)
     g = make_grid(-left_pad, half_width, n_points)

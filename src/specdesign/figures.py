@@ -6,6 +6,7 @@ README describing the files; no plotting happens here.
 
 from __future__ import annotations
 
+from functools import partial
 import math
 from pathlib import Path
 
@@ -23,9 +24,8 @@ from .darboux import (
     shift_level,
 )
 from .errors import ValidationError
-from .grid import default_points, make_grid
 from .lattice import single_site, lattice_bound_states, stark_ladder, ladder_index
-from .potentials import box, comb_cell, free_line
+from .potentials import box, comb_cell, free_line, half_line
 
 
 def _offset_curves(grid, base_values, result, n_states):
@@ -38,44 +38,28 @@ def _offset_curves(grid, base_values, result, n_states):
     return _grid_table(header, grid, cols)
 
 
-def _fig_level_shift_down(points):
-    v = box(n_points=points)
-    res = shift_level(v, 1, -5.0)
-    return {
-        "curves.csv": _offset_curves(v.grid, v.values, res, 2),
-    }, "hard-wall box, ground level shifted 1 -> -4; states drawn at their energies"
+#: one transform of a base system, drawn as curves: tag -> (base, transform,
+#: transformed states drawn, description)
+_CURVE_FIGURES = {
+    "fig1_1": (box, lambda v: shift_level(v, 1, -5.0), 2,
+               "hard-wall box, ground level shifted 1 -> -4; states drawn at their energies"),
+    "fig1_2": (box, lambda v: shift_level(v, 1, 1.5), 2,
+               "hard-wall box, ground level raised 1 -> 2.5"),
+    "fig1_6": (free_line, lambda v: darboux_create(v, -1.0, 0.5), 1,
+               "level torn from the free continuum at E = -1: the reflectionless soliton well"),
+    "fig2_1": (box, lambda v: scale_swf(v, 1, 3.0), 2,
+               "box with the ground-state weight doubled (lambda = 3): state pressed to the left wall"),
+    "fig2_5": (box, lambda v: scale_swf(v, 1, -0.99), 2,
+               "ground-state weight driven toward zero (lambda = -0.99): the state is pressed out"),
+    "fig6_13": (partial(half_line, 40 * math.pi),
+                lambda v: embed_bsec(math.sqrt(10.0), 1.0, v.grid), 1,
+                "half-line potential confining a normalizable state at E = 10 inside the continuum"),
+}
 
 
-def _fig_level_shift_up(points):
-    v = box(n_points=points)
-    res = shift_level(v, 1, 1.5)
-    return {
-        "curves.csv": _offset_curves(v.grid, v.values, res, 2),
-    }, "hard-wall box, ground level raised 1 -> 2.5"
-
-
-def _fig_soliton_creation(points):
-    v = free_line(n_points=points)
-    res = darboux_create(v, -1.0, 0.5)
-    return {
-        "curves.csv": _offset_curves(v.grid, v.values, res, 1),
-    }, "level torn from the free continuum at E = -1: the reflectionless soliton well"
-
-
-def _fig_weight_scaling(points):
-    v = box(n_points=points)
-    res = scale_swf(v, 1, 3.0)
-    return {
-        "curves.csv": _offset_curves(v.grid, v.values, res, 2),
-    }, "box with the ground-state weight doubled (lambda = 3): state pressed to the left wall"
-
-
-def _fig_weight_removal_limit(points):
-    v = box(n_points=points)
-    res = scale_swf(v, 1, -0.99)
-    return {
-        "curves.csv": _offset_curves(v.grid, v.values, res, 2),
-    }, "ground-state weight driven toward zero (lambda = -0.99): the state is pressed out"
+def _curve_figure(base, transform, n_states, description, points):
+    v = base(n_points=points)
+    return {"curves.csv": _offset_curves(v.grid, v.values, transform(v), n_states)}, description
 
 
 def _fig_reflectionless_box_approx(points):
@@ -97,15 +81,6 @@ def _fig_degeneration(points):
     for d, res in zip(deltas, fams):
         files[f"gap_{d}.csv"] = _offset_curves(v.grid, v.values, res, 3)
     return files, "levels 2 and 3 driven together; the pair presses into the walls"
-
-
-def _fig_bsec_state(points):
-    length = 40 * math.pi
-    grid = make_grid(0.0, length, default_points(length) if points is None else points)
-    res = embed_bsec(math.sqrt(10.0), 1.0, grid)
-    return {
-        "curves.csv": _offset_curves(grid, np.zeros(grid.n_points), res, 1),
-    }, "half-line potential confining a normalizable state at E = 10 inside the continuum"
 
 
 def _fig_bsec_resonance(points):
@@ -149,14 +124,9 @@ def _fig_stark_ladders(points):
 
 
 _TAGS = {
-    "fig1_1": _fig_level_shift_down,
-    "fig1_2": _fig_level_shift_up,
-    "fig1_6": _fig_soliton_creation,
-    "fig2_1": _fig_weight_scaling,
-    "fig2_5": _fig_weight_removal_limit,
+    **{tag: partial(_curve_figure, *row) for tag, row in _CURVE_FIGURES.items()},
     "fig4_1": _fig_reflectionless_box_approx,
     "fig5_1": _fig_degeneration,
-    "fig6_13": _fig_bsec_state,
     "fig6_14": _fig_bsec_resonance,
     "fig6_22": _fig_zone_shift,
     "fig7_6": _fig_lattice_above_band,

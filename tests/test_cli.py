@@ -144,6 +144,22 @@ class TestRun:
         assert run(cfg)["status"] == "ok"
         assert calls == [(1, -5.0)]
 
+    def test_remove_step_calls_the_module_removal(self, tmp_path, monkeypatch):
+        # every remove step, the ground level's included, goes through cli.remove_level_by_swf
+        from specdesign import cli as cli_mod
+
+        calls = []
+        original = cli_mod.remove_level_by_swf
+
+        def spy(v, n, **kwargs):
+            calls.append(n)
+            return original(v, n, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "remove_level_by_swf", spy)
+        cfg = RunConfig(base="box", chain=[{"kind": "remove", "n": 1}], out=str(tmp_path / "spy"))
+        assert run(cfg)["status"] == "ok"
+        assert calls == [1]
+
     def test_determinism(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -338,11 +354,16 @@ class TestMainEntry:
         "base = box\n[step]\nkind = shift\nn = 1\ndE = 0.5\nsigma = 0.5\n",
         "base = comb\n[step]\nkind = shift_zone\ndE = 0.1\n"
         "[step]\nkind = shift_zone\ndE = 0.2\naux_level = 3\n",
+        "base = box\nverify_levels = 2.5\n",
+        "base = box\nverify_levels = 0\n",
+        "base = box\ncap = 0\n[step]\nkind = shift\nn = 1\ndE = 0.5\n",
+        "base = box\ncap = -1\n[step]\nkind = shift\nn = 1\ndE = 0.5\n",
     ])
     def test_bad_chain_exit_code(self, tmp_path, capsys, config):
         # an embedded-state energy of 0 or below, a key the step kind does not
-        # read, and aux_level values that disagree (the first step's is the
-        # default 2) are invalid input
+        # read, aux_level values that disagree (the first step's is the
+        # default 2), a verify_levels that is not a positive integer and a
+        # cap of 0 or below are invalid input
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         out = tmp_path / "out"
@@ -350,13 +371,25 @@ class TestMainEntry:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("flag", ["--points", "--tol", "--truncation"])
+    @pytest.mark.parametrize("flag", ["--points", "--tol", "--truncation", "--count"])
     def test_zero_flag_exit_code(self, tmp_path, capsys, flag):
         # a zero flag reaches validation instead of leaving the default in place
         out = tmp_path / "out"
         assert main(["solve", "--base", "free-line", flag, "0", "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("config, path", [
+        ("missing.cfg", None), (".", None), ("run.cfg", "missing.csv"), ("run.cfg", "."),
+    ], ids=["config-missing", "config-directory", "csv-missing", "csv-directory"])
+    def test_unreadable_file_exit_code(self, tmp_path, capsys, config, path):
+        # a config file or potential-csv path that is missing or a directory is invalid input
+        if path is not None:
+            (tmp_path / "run.cfg").write_text(f"base = potential-csv\npath = {tmp_path / path}\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(tmp_path / config), "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: cannot read ")
 
     @pytest.mark.parametrize("args", [
         ["--e-max", "nan"], ["--e-max", "inf"], ["--e-max=-inf"],

@@ -313,6 +313,16 @@ class TestRemoveBySwf:
         res_b = darboux_remove_ground(the_box, bound_states(the_box, 1)[0])
         mask = interior_mask(the_box.grid)
         assert np.max(np.abs(res_a.potential.values[mask] - res_b.potential.values[mask])) < 1e-6
+        assert res_a.step_log == res_b.step_log
+
+    def test_removal_is_the_weight_deformation_limit(self, the_box):
+        # scale_swf at lambda = -1 + eps approaches the removal as O(eps)
+        # away from the right wall, where the carrier escapes
+        removed = remove_level_by_swf(the_box, 2).potential.values
+        left = the_box.grid.x < 1.0
+        gaps = [np.max(np.abs(scale_swf(the_box, 2, -1.0 + eps).potential.values[left] - removed[left]))
+                for eps in (1e-4, 1e-6)]
+        assert gaps[1] < gaps[0] / 50.0
 
     def test_soliton_ground(self):
         sw = soliton_well()

@@ -1,0 +1,69 @@
+"""Print the sha256 of every artifact a fixed set of runs writes.
+
+Usage (from the repository root):
+
+    python3 tools/csv_digests.py > digests.txt
+
+The runs are the first 48 ``design-chain`` operations of seed 5, two
+``band-track`` operations of seed 5 (inputs from ``perfbench/workloads.py``)
+and every figure bundle, README included.  Each output line is
+``<run>/<file> <sha256>``; a ``design-chain`` or ``band-track`` run also
+gets one line for its manifest's ``oracle_work`` block, which holds counts
+only.  Manifests themselves carry timings and are not digested.
+
+A change that must keep the program's output is checked by running this on
+both commits and comparing the two outputs with ``diff``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from specdesign.figures import build_figure_bundle, figure_tags  # noqa: E402
+
+SEED = 5
+#: operations per workload
+OPERATIONS = {"design-chain": 48, "band-track": 2}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def workload_digests(name: str, count: int, out_root: Path):
+    w = workloads.WORKLOADS[name](SEED)
+    for i in range(count):
+        run = f"{name}/op{i:02d}"
+        manifest = w.run(i, str(out_root / run))
+        for entry in manifest["artifacts"]:
+            yield f"{run}/{entry['path']}", entry["sha256"]
+        work = json.dumps(manifest["oracle_work"], sort_keys=True).encode()
+        yield f"{run}/oracle_work", _sha(work)
+
+
+def figure_digests():
+    for tag in figure_tags():
+        for name, data in sorted(build_figure_bundle(tag).items()):
+            yield f"figure/{tag}/{name}", _sha(data)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, count in OPERATIONS.items():
+            for key, digest in workload_digests(name, count, Path(tmp)):
+                print(key, digest)
+    for key, digest in figure_digests():
+        print(key, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
