@@ -9,10 +9,11 @@ band     zone layout of a Dirac comb, optionally shifting a zone edge
 lattice  site-potential spectra, ladders and tunneling
 figure   emit one of the canned demonstration bundles
 
-Configs are flat ``key = value`` text with repeated ``[step]`` blocks; flags
-override file values.  Exit codes: 0 success, 2 invalid input (nothing is
-written), 3 numerical failure or a failed verification (partial artifacts
-plus a manifest marking the failed step).
+Configs are flat ``key = value`` text with repeated ``[step]`` blocks; a
+flag that is given overrides the file, and the file overrides the defaults
+in ``_BASES`` and ``_NUMERICS``.  Exit codes: 0 success, 2 invalid input
+(nothing is written), 3 numerical failure or a failed verification
+(partial artifacts plus a manifest marking the failed step).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,84 +60,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_CONTINUUM_BASES = ("box", "free-line", "half-line", "potential-csv")
-_BASES = _CONTINUUM_BASES + ("comb", "lattice-single-site", "lattice-stark")
-
-
-@dataclass(frozen=True)
-class _StepKind:
-    """One step kind: the keys it reads, the bases it runs on, what it does.
-
-    Integer keys are level indices; they and the `positive` keys must exceed
-    0.  `apply` gets the step with its defaults filled in and returns the
-    TransformResult; `expected` edits the expected energies.
-    """
-
-    required: tuple
-    bases: tuple
-    apply: Callable | None
-    expected: Callable = lambda levels, step: list(levels)
-    optional: dict = field(default_factory=dict)
-    integers: tuple = ()
-    positive: tuple = ()
-
-    def with_defaults(self, step: dict) -> dict:
-        return {**self.optional, **step}
-
-
-def _shifted(levels, step):
-    out = list(levels)
-    out[int(step["n"]) - 1] += float(step["dE"])
-    return sorted(out)
-
-
-#: every step kind; no entry lists a lattice base, so those take no steps.  The
-#: transforms are looked up when a step runs, so a wrapped module attribute sees it.
-_STEPS = {
-    "shift": _StepKind(
-        required=("n", "dE"), integers=("n",), bases=_CONTINUUM_BASES,
-        apply=lambda v, step, n_track, cap: shift_level(
-            v, int(step["n"]), float(step["dE"]), n_track=n_track, cap=cap),
-        expected=_shifted,
-    ),
-    "create": _StepKind(
-        required=("E",), optional={"sigma": 0.5}, bases=_CONTINUUM_BASES,
-        apply=lambda v, step, n_track, cap: darboux_create(
-            v, float(step["E"]), float(step["sigma"]), n_track=n_track, cap=cap),
-        expected=lambda levels, step: sorted(levels + [float(step["E"])]),
-    ),
-    "remove": _StepKind(
-        required=("n",), integers=("n",), bases=_CONTINUUM_BASES,
-        apply=lambda v, step, n_track, cap: remove_level_by_swf(
-            v, int(step["n"]), n_track=n_track, cap=cap),
-        # a level above the tracked ones leaves them as they are
-        expected=lambda levels, step: levels[: int(step["n"]) - 1] + levels[int(step["n"]):],
-    ),
-    "scale_swf": _StepKind(
-        required=("n", "lambda"), integers=("n",), bases=_CONTINUUM_BASES,
-        apply=lambda v, step, n_track, cap: scale_swf(
-            v, int(step["n"]), float(step["lambda"]), n_track=n_track, cap=cap),
-    ),
-    "bsec": _StepKind(
-        required=("E", "lambda"), positive=("E", "lambda"), bases=("half-line",),
-        apply=lambda v, step, n_track, cap: embed_bsec(
-            math.sqrt(float(step["E"])), float(step["lambda"]), v.grid),
-    ),
-    # the band run applies the whole chain at once, through track_zone_shift
-    "shift_zone": _StepKind(
-        required=("dE",), optional={"aux_level": 2}, integers=("aux_level",),
-        bases=("comb",), apply=None,
-    ),
-}
-
-
-def _check_number(where: str, key: str, value, integral: bool, positive: bool):
-    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-        wanted = "an integer" if integral else "a number"
-        raise ValidationError(f"{where} {key} must be {wanted}, got {value!r}")
-    if positive and value <= 0:
-        raise ValidationError(f"{where} {key} must be positive, got {value}")
-
 
 @dataclass
 class RunConfig:
@@ -147,17 +70,11 @@ class RunConfig:
     out: str = "out"
 
     def validate(self):
-        if self.base not in _BASES:
-            raise ValidationError(f"unknown base {self.base!r}; expected one of {_BASES}")
-        numbers = [("numerics option", self.numerics), ("base parameter", self.params)]
-        numbers += [(f"{step.get('kind')} step:", step) for step in self.chain]
-        for where, values in numbers:
-            for key, value in values.items():
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValidationError(f"{where} {key} must be finite, got {value}")
-        for key, value in self.numerics.items():
-            if key in ("tol_spectrum", "tol_reflection", "truncation", "cap", "verify_levels"):
-                _check_number("numerics option", key, value, key == "verify_levels", True)
+        spec = _BASES.get(self.base)
+        if spec is None:
+            raise ValidationError(f"unknown base {self.base!r}; expected one of {tuple(_BASES)}")
+        spec.check(f"{self.base} base:", self.params)
+        _NUMERICS.check("numerics:", self.numerics)
         for step in self.chain:
             name = step.get("kind")
             kind = _STEPS.get(name)
@@ -165,16 +82,7 @@ class RunConfig:
                 raise ValidationError(f"unknown step kind {name!r}")
             if self.base not in kind.bases:
                 raise ValidationError(f"{name} steps need one of the bases {', '.join(kind.bases)}")
-            for key in kind.required:
-                if key not in step:
-                    raise ValidationError(f"{name} step needs a value for {key}")
-            for key, value in step.items():
-                if key == "kind":
-                    continue
-                if key not in kind.required and key not in kind.optional:
-                    raise ValidationError(f"{name} step: unknown key {key!r}")
-                integral = key in kind.integers
-                _check_number(f"{name} step:", key, value, integral, integral or key in kind.positive)
+            kind.check(f"{name} step:", {key: v for key, v in step.items() if key != "kind"})
         aux_levels = {_STEPS["shift_zone"].with_defaults(step)["aux_level"]
                       for step in self.chain if step["kind"] == "shift_zone"}
         if len(aux_levels) > 1:
@@ -199,12 +107,9 @@ def parse_config(text: str) -> RunConfig:
         parsed = _parse_value(value)
         if target is not None:
             target[key] = parsed
-        elif key == "base":
-            cfg.base = str(parsed)
-        elif key == "out":
-            cfg.out = str(parsed)
-        elif key in ("points", "truncation", "tol_spectrum", "tol_reflection",
-                     "verify_levels", "e_max", "cap"):
+        elif key in ("base", "out"):
+            setattr(cfg, key, str(parsed))
+        elif key in _NUMERICS.optional:
             cfg.numerics[key] = parsed
         else:
             cfg.params[key] = parsed
@@ -225,31 +130,6 @@ def _read_text(path, what: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read {what} {path!r}: {exc.strerror}") from exc
-
-
-def _build_base(cfg: RunConfig) -> Potential | PeriodicSystem | tuple:
-    p = cfg.params
-    points = cfg.numerics.get("points")
-    if cfg.base == "box":
-        return box(p.get("width", math.pi), points)
-    if cfg.base == "free-line":
-        return free_line(cfg.numerics.get("truncation", 15.0), points)
-    if cfg.base == "half-line":
-        return half_line(p.get("length", 40 * math.pi), points)
-    if cfg.base == "potential-csv":
-        path = p.get("path")
-        if not path:
-            raise ValidationError("potential-csv base needs a path")
-        body = csvio.read_sampled_fn(_read_text(path, "potential-csv path"))
-        return Potential(body, p.get("bc", HARD_WALLS))
-    if cfg.base == "comb":
-        period = p.get("period", math.pi)
-        return PeriodicSystem(comb_cell(period, p.get("strength", 2.0), points), period)
-    if cfg.base == "lattice-single-site":
-        return single_site(p.get("v0", -1.5), int(p.get("half_width_sites", 25)))
-    if cfg.base == "lattice-stark":
-        w = int(p.get("window_sites", 40))
-        return ("stark", p.get("slope", 1.0), (-w, w))
 
 
 class _Artifacts:
@@ -282,7 +162,7 @@ class _Artifacts:
         return listing
 
 
-def _apply_step(v: Potential, step: dict, n_track: int, cap: float = 1e6):
+def _apply_step(v: Potential, step: dict, n_track: int, cap: float):
     kind = _STEPS[step["kind"]]
     return kind.apply(v, kind.with_defaults(step), n_track, cap)
 
@@ -295,44 +175,28 @@ def run(config: RunConfig) -> dict:
     and the manifest reports status 'numerical-failure'.
     """
     config.validate()
-    base = _build_base(config)
+    spec = _BASES[config.base]
+    params = spec.with_defaults(config.params)
+    numerics = _NUMERICS.with_defaults(config.numerics)
+    base = spec.build(params, numerics)
     out_dir = Path(config.out)
     artifacts = _Artifacts()
     timing: dict = {"steps_ms": [], "scattering_ms": 0.0}
     manifest: dict = {
-        "config": {
-            "base": config.base, "params": config.params,
-            "chain": config.chain, "numerics": config.numerics, "out": config.out,
+        "config": asdict(config),
+        "resolved": {
+            "params": params,
+            "tol_spectrum": numerics["tol_spectrum"], "tol_reflection": numerics["tol_reflection"],
+            "verify_levels": numerics["verify_levels"], "emission_cap": numerics["cap"],
         },
-        "resolved": {},
         "steps": [],
         "status": "ok",
     }
     t_start = time.perf_counter()
-    tol_spec = float(config.numerics.get("tol_spectrum", 1e-5))
-    tol_refl = float(config.numerics.get("tol_reflection", 1e-5))
-    verify_levels = int(config.numerics.get("verify_levels", 4))
-    cap = float(config.numerics.get("cap", 1e6))
-    manifest["resolved"] = {
-        "tol_spectrum": tol_spec, "tol_reflection": tol_refl,
-        "verify_levels": verify_levels, "emission_cap": cap,
-    }
-    if isinstance(base, Potential):
-        g = base.grid
-        manifest["resolved"]["grid"] = {"x_min": g.x_min, "x_max": g.x_max,
-                                        "n_points": g.n_points}
-        if base.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE):
-            manifest["resolved"]["truncation"] = g.x_max
 
     with oracle_scope() as work:
         try:
-            if isinstance(base, Potential) and config.base in _CONTINUUM_BASES:
-                status_ok = _run_chain(base, config, manifest, artifacts, timing,
-                                       tol_spec, tol_refl, verify_levels, cap)
-            elif isinstance(base, PeriodicSystem):
-                status_ok = _run_band(base, config, manifest, artifacts, timing)
-            else:
-                status_ok = _run_lattice(base, config, manifest, artifacts, timing)
+            status_ok = spec.run(base, config.chain, numerics, manifest, artifacts, timing)
         except (NumericalFailure, SingularityError) as exc:
             manifest["status"] = "numerical-failure"
             manifest["error"] = str(exc)
@@ -350,16 +214,21 @@ def run(config: RunConfig) -> dict:
     return manifest
 
 
-def _run_chain(v, config, manifest, artifacts, timing, tol_spec, tol_refl, verify_levels, cap=1e6):
+def _run_chain(v, chain, numerics, manifest, artifacts, timing):
+    verify_levels = numerics["verify_levels"]
+    g = v.grid
+    manifest["resolved"]["grid"] = {"x_min": g.x_min, "x_max": g.x_max, "n_points": g.n_points}
+    if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE):
+        manifest["resolved"]["truncation"] = g.x_max
     expected = [s.energy for s in bound_states(v, verify_levels)]
     manifest["resolved"]["base_spectrum"] = list(expected)
     all_ok = True
     step_log_all = []
 
-    for step in config.chain:
+    for step in chain:
         t0 = time.perf_counter()
         v_before = v
-        result = _apply_step(v, step, verify_levels, cap)
+        result = _apply_step(v, step, verify_levels, numerics["cap"])
         v = result.potential
         expected = _STEPS[step["kind"]].expected(expected, step)
         entry = {"step": dict(step), "log": [dict(e) for e in result.step_log]}
@@ -367,23 +236,21 @@ def _run_chain(v, config, manifest, artifacts, timing, tol_spec, tol_refl, verif
         if step["kind"] == "bsec":
             entry["bsec_metrics"] = dict(result.step_log[0])
         else:
-            check = isospectral_check(v, expected[:verify_levels], tol_spec)
+            check = isospectral_check(v, expected[:verify_levels], numerics["tol_spectrum"])
             entry["oracle"] = check
             all_ok &= check["pass"]
             if step["kind"] == "scale_swf":
                 n = int(step["n"])
-                lam = float(step["lambda"])
+                want = math.sqrt(1.0 + float(step["lambda"]))
                 before = bound_states(v_before, n)
                 after = bound_states(v, n)
                 if len(before) >= n and len(after) >= n:
                     ratio = after[n - 1].swf / before[n - 1].swf
-                    entry["swf_ratio"] = {
-                        "measured": ratio, "expected": math.sqrt(1.0 + lam),
-                        "pass": bool(abs(ratio - math.sqrt(1.0 + lam)) < 1e-5),
-                    }
+                    entry["swf_ratio"] = {"measured": ratio, "expected": want,
+                                          "pass": bool(abs(ratio - want) < 1e-5)}
                     all_ok &= entry["swf_ratio"]["pass"]
         if v.bc_kind == DECAYING_LINE:
-            sweep = reflection_check(v, [0.5, 1.0, 2.5, 5.0], tol_refl)
+            sweep = reflection_check(v, [0.5, 1.0, 2.5, 5.0], numerics["tol_reflection"])
             entry["reflection"] = sweep
             if step["kind"] == "create":  # reflectionless claim applies
                 all_ok &= sweep["pass"]
@@ -397,11 +264,9 @@ def _run_chain(v, config, manifest, artifacts, timing, tol_spec, tol_refl, verif
         count = 0 if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE) else verify_levels
     states = bound_states(v, count) if count else []
     artifacts.add("potential.csv", csvio.sampled_fn_bytes, v.body, "V")
+    artifacts.add("spectrum.csv", csvio.spectrum_bytes, states)
     if states:
-        artifacts.add("spectrum.csv", csvio.spectrum_bytes, states)
         artifacts.add("states.csv", csvio.states_bytes, v.grid, states)
-    else:
-        artifacts.add("spectrum.csv", csvio.spectrum_bytes, [])
     if step_log_all:
         artifacts.add("steplog.csv", csvio.steplog_bytes, step_log_all)
     if v.bc_kind == DECAYING_LINE:
@@ -412,14 +277,12 @@ def _run_chain(v, config, manifest, artifacts, timing, tol_spec, tol_refl, verif
     return all_ok
 
 
-def _run_band(system, config, manifest, artifacts, timing):
-    e_max = float(config.numerics.get("e_max", 10.0))
-    track_values = []
-    for step in config.chain:
-        track_values.append(float(step["dE"]))
+def _run_band(system, chain, numerics, manifest, artifacts, timing):
+    e_max = numerics["e_max"]
+    track_values = [float(step["dE"]) for step in chain]
     t0 = time.perf_counter()
     if track_values:
-        aux_level = int(_STEPS["shift_zone"].with_defaults(config.chain[0])["aux_level"])
+        aux_level = _STEPS["shift_zone"].with_defaults(chain[0])["aux_level"]
         rows = track_zone_shift(system, aux_level, [0.0] + track_values, e_max)
         artifacts.add("zone_track.csv", csvio.zone_track_bytes, rows)
         manifest["steps"].append({
@@ -465,17 +328,9 @@ def _bisect_gap_closure(system, aux_level, rows, e_max, tol=GAP_CLOSED):
     return 0.5 * (lo + hi)
 
 
-def _run_lattice(base, config, manifest, artifacts, timing):
+def _run_lattice(levels, chain, numerics, manifest, artifacts, timing):
     t0 = time.perf_counter()
-    if isinstance(base, tuple) and base[0] == "stark":
-        _, slope, window = base
-        states = stark_ladder(slope, window)
-        sites = np.arange(window[0], window[1] + 1)
-    else:
-        count = int(config.params.get("count", 1))
-        which = str(config.params.get("which", "lowest"))
-        states = lattice_bound_states(base, count, which)
-        sites = base.sites
+    sites, states = levels()
     artifacts.add("lattice_spectrum.csv", csvio.lattice_spectrum_bytes, states)
     artifacts.add("lattice_states.csv", csvio.lattice_states_bytes, sites, states)
     manifest["steps"].append({"step": {"kind": "lattice"},
@@ -484,35 +339,202 @@ def _run_lattice(base, config, manifest, artifacts, timing):
     return True
 
 
+def _potential_csv(params, numerics) -> Potential:
+    if not params["path"]:
+        raise ValidationError("potential-csv base needs a path")
+    body = csvio.read_sampled_fn(_read_text(params["path"], "potential-csv path"))
+    return Potential(body, params["bc"])
+
+
+def _single_site_levels(params, numerics) -> Callable:
+    """A lattice base is the call that solves it: the runner times the solve."""
+    system = single_site(params["v0"], params["half_width_sites"])
+    return lambda: (system.sites, lattice_bound_states(system, params["count"], params["which"]))
+
+
+def _stark_levels(params, numerics) -> Callable:
+    window = (-params["window_sites"], params["window_sites"])
+    return lambda: (np.arange(window[0], window[1] + 1), stark_ladder(params["slope"], window))
+
+
+# ---------------------------------------------------------------------------
+# run inputs: every step kind, numerics option and base, with its defaults
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Keys:
+    """The keys of one run input: a base, the numerics options or a step kind.
+
+    `optional` maps keys to their defaults (a text default makes a text key,
+    any other a number); `required` keys are numbers.  Integer keys (level
+    indices, counts, sizes) and the `positive` keys must exceed 0.
+    """
+
+    optional: dict = field(default_factory=dict)
+    required: tuple = ()
+    integers: tuple = ()
+    positive: tuple = ()
+
+    def with_defaults(self, values: dict) -> dict:
+        """values over the defaults; an int given for a non-integer key becomes a float."""
+        return {key: float(value) if type(value) is int and key not in self.integers else value
+                for key, value in {**self.optional, **values}.items()}
+
+    def check(self, where: str, values: dict):
+        """Reject a missing required key, an unknown key or a value of the wrong kind."""
+        for key in self.required:
+            if key not in values:
+                raise ValidationError(f"{where} needs a value for {key}")
+        for key, value in values.items():
+            if key not in self.required and key not in self.optional:
+                raise ValidationError(f"{where} unknown key {key!r}")
+            text, integral = isinstance(self.optional.get(key), str), key in self.integers
+            kind = str if text else int if integral else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                wanted = "text" if text else "an integer" if integral else "a number"
+                raise ValidationError(f"{where} {key} must be {wanted}, got {value!r}")
+            if text:
+                continue
+            if not math.isfinite(value):
+                raise ValidationError(f"{where} {key} must be finite, got {value}")
+            if (integral or key in self.positive) and value <= 0:
+                raise ValidationError(f"{where} {key} must be positive, got {value}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class _StepKind(_Keys):
+    """One step kind: its keys, the bases it runs on, what it does.
+
+    `apply` gets the step with its defaults filled in and returns the
+    TransformResult; `expected` edits the expected energies.
+    """
+
+    bases: tuple
+    apply: Callable | None
+    expected: Callable = lambda levels, step: list(levels)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Base(_Keys):
+    """One base: `build(params, numerics)` gets both with their defaults in, and
+    `run(base, chain, numerics, manifest, artifacts, timing)` is True if all checks pass."""
+
+    build: Callable
+    run: Callable = _run_chain
+
+
+def _shifted(levels, step):
+    out = list(levels)
+    out[int(step["n"]) - 1] += float(step["dE"])
+    return sorted(out)
+
+
+_CONTINUUM_BASES = ("box", "free-line", "half-line", "potential-csv")
+
+#: every step kind; no entry lists a lattice base, so those take no steps.  The
+#: transforms are looked up when a step runs, so a wrapped module attribute sees it.
+_STEPS = {
+    "shift": _StepKind(
+        required=("n", "dE"), integers=("n",), bases=_CONTINUUM_BASES,
+        apply=lambda v, step, n_track, cap: shift_level(
+            v, int(step["n"]), float(step["dE"]), n_track=n_track, cap=cap),
+        expected=_shifted,
+    ),
+    "create": _StepKind(
+        required=("E",), optional={"sigma": 0.5}, bases=_CONTINUUM_BASES,
+        apply=lambda v, step, n_track, cap: darboux_create(
+            v, float(step["E"]), float(step["sigma"]), n_track=n_track, cap=cap),
+        expected=lambda levels, step: sorted(levels + [float(step["E"])]),
+    ),
+    "remove": _StepKind(
+        required=("n",), integers=("n",), bases=_CONTINUUM_BASES,
+        apply=lambda v, step, n_track, cap: remove_level_by_swf(
+            v, int(step["n"]), n_track=n_track, cap=cap),
+        # a level above the tracked ones leaves them as they are
+        expected=lambda levels, step: levels[: int(step["n"]) - 1] + levels[int(step["n"]):],
+    ),
+    "scale_swf": _StepKind(
+        required=("n", "lambda"), integers=("n",), bases=_CONTINUUM_BASES,
+        apply=lambda v, step, n_track, cap: scale_swf(
+            v, int(step["n"]), float(step["lambda"]), n_track=n_track, cap=cap),
+    ),
+    "bsec": _StepKind(
+        required=("E", "lambda"), positive=("E", "lambda"), bases=("half-line",),
+        apply=lambda v, step, n_track, cap: embed_bsec(
+            math.sqrt(float(step["E"])), float(step["lambda"]), v.grid),
+    ),
+    # the band run applies the whole chain at once, through track_zone_shift
+    "shift_zone": _StepKind(
+        required=("dE",), optional={"aux_level": 2}, integers=("aux_level",),
+        bases=("comb",), apply=None,
+    ),
+}
+
+#: the numerics options; a `points` of None lets each base size its grid, and
+#: `truncation` is the free line's half-width
+_NUMERICS = _Keys(
+    optional={"points": None, "truncation": 15.0, "tol_spectrum": 1e-5, "tol_reflection": 1e-5,
+              "verify_levels": 4, "e_max": 10.0, "cap": 1e6},
+    integers=("points", "verify_levels"),
+    positive=("truncation", "tol_spectrum", "tol_reflection", "cap"),
+)
+
+#: every base; the builders look their constructors up when a run starts
+_BASES = {
+    "box": _Base(optional={"width": math.pi}, positive=("width",),
+                 build=lambda p, n: box(p["width"], n["points"])),
+    "free-line": _Base(build=lambda p, n: free_line(n["truncation"], n["points"])),
+    "half-line": _Base(optional={"length": 40 * math.pi}, positive=("length",),
+                       build=lambda p, n: half_line(p["length"], n["points"])),
+    "potential-csv": _Base(optional={"path": "", "bc": HARD_WALLS}, build=_potential_csv),
+    "comb": _Base(
+        optional={"period": math.pi, "strength": 2.0}, positive=("period",), run=_run_band,
+        build=lambda p, n: PeriodicSystem(comb_cell(p["period"], p["strength"], n["points"]),
+                                          p["period"]),
+    ),
+    "lattice-single-site": _Base(
+        optional={"v0": -1.5, "half_width_sites": 25, "count": 1, "which": "lowest"},
+        integers=("half_width_sites", "count"), build=_single_site_levels, run=_run_lattice,
+    ),
+    "lattice-stark": _Base(
+        optional={"slope": 1.0, "window_sites": 40}, integers=("window_sites",),
+        positive=("slope",), build=_stark_levels, run=_run_lattice,
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # argparse front end
 
 
-def _common(parser):
-    parser.add_argument("--config", help="config file (key = value lines, [step] blocks)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--points", type=int, help="grid nodes (odd)")
-    parser.add_argument("--tol", type=float, help="spectrum verification tolerance")
-    parser.add_argument("--truncation", type=float, help="half-width for line problems")
+#: flags that set one config key ("params.<key>" or "numerics.<key>"), read like a
+#: config value and checked by the same tables; an unset flag is None and leaves
+#: the file's value.  Every run takes _RUN_FLAGS; _COMMANDS adds each one's own.
+_RUN_FLAGS = {"--points": "numerics.points", "--tol": "numerics.tol_spectrum",
+              "--truncation": "numerics.truncation"}
+_COMMANDS = {
+    "solve": ("bound states of a base system", {"--count": "numerics.verify_levels"}),
+    "design": ("run a transformation chain", {}),
+    "band": ("zone layout / zone shifts of a comb",
+             {"--strength": "params.strength", "--e-max": "numerics.e_max"}),
+    "lattice": ("lattice spectra and ladders",
+                {"--v0": "params.v0", "--slope": "params.slope", "--count": "params.count",
+                 "--which": "params.which", "--window-sites": "params.window_sites"}),
+}
 
 
 def _load_config(args) -> RunConfig:
-    if args.config:
-        cfg = parse_config(_read_text(args.config, "config file"))
-    else:
-        cfg = RunConfig()
+    cfg = parse_config(_read_text(args.config, "config file") if args.config else "")
     if getattr(args, "base", None):
         cfg.base = args.base
     if args.out:
         cfg.out = args.out
     elif os.environ.get("SPECDESIGN_OUT") and cfg.out == "out":
         cfg.out = str(Path(os.environ["SPECDESIGN_OUT"]) / "run")
-    if args.points is not None:
-        cfg.numerics["points"] = args.points
-    if args.tol is not None:
-        cfg.numerics["tol_spectrum"] = args.tol
-    if args.truncation is not None:
-        cfg.numerics["truncation"] = args.truncation
+    for dest, value in vars(args).items():
+        table, _, key = dest.partition(".")
+        if key and value is not None:
+            getattr(cfg, table)[key] = value
     return cfg
 
 
@@ -523,35 +545,24 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="bound states of a base system")
-    p_solve.add_argument("--base", choices=_BASES)
-    p_solve.add_argument("--count", type=int, default=4)
-    _common(p_solve)
-
-    p_design = sub.add_parser("design", help="run a transformation chain")
-    p_design.add_argument("--base", choices=_BASES)
-    _common(p_design)
-
-    p_band = sub.add_parser("band", help="zone layout / zone shifts of a comb")
-    p_band.add_argument("--strength", type=float, default=2.0)
-    p_band.add_argument("--e-max", type=float, default=10.0)
-    p_band.add_argument("--shift-aux", type=int)
-    p_band.add_argument("--de", type=float, action="append")
-    _common(p_band)
-
-    p_lat = sub.add_parser("lattice", help="lattice spectra and ladders")
-    p_lat.add_argument("--mode", choices=["single-site", "stark"], default="single-site")
-    p_lat.add_argument("--v0", type=float, default=-1.5)
-    p_lat.add_argument("--slope", type=float, default=1.0)
-    p_lat.add_argument("--count", type=int, default=1)
-    p_lat.add_argument("--which", choices=["lowest", "highest"], default="lowest")
-    p_lat.add_argument("--window-sites", type=int, default=40)
-    _common(p_lat)
+    runs = {}
+    for command, (text, flags) in _COMMANDS.items():
+        p_run = runs[command] = sub.add_parser(command, help=text)
+        p_run.add_argument("--config", help="config file (key = value lines, [step] blocks)")
+        p_run.add_argument("--out", help="output directory")
+        for flag, dest in {**_RUN_FLAGS, **flags}.items():
+            p_run.add_argument(flag, dest=dest, type=_parse_value, help=f"sets {dest}")
+    for command in ("solve", "design"):
+        runs[command].add_argument("--base", choices=tuple(_BASES))
+    runs["band"].add_argument("--shift-aux", type=int)
+    runs["band"].add_argument("--de", type=float, action="append")
+    runs["lattice"].add_argument("--mode", choices=["single-site", "stark"])
 
     p_fig = sub.add_parser("figure", help="emit a demonstration bundle")
     p_fig.add_argument("tag", nargs="?", help=f"one of: {', '.join(figure_tags())}")
     p_fig.add_argument("--list", action="store_true", help="list known tags")
-    _common(p_fig)
+    p_fig.add_argument("--out", help="output directory")
+    p_fig.add_argument("--points", type=int, help="grid nodes (odd)")
 
     args = parser.parse_args(argv)
     try:
@@ -577,24 +588,13 @@ def _dispatch(args) -> int:
     cfg = _load_config(args)
     if args.command == "solve":
         cfg.chain = []
-        cfg.numerics["verify_levels"] = args.count
     elif args.command == "band":
         cfg.base = "comb"
-        cfg.params.setdefault("strength", args.strength)
-        cfg.numerics.setdefault("e_max", args.e_max)
         if args.de:
-            aux = 2 if args.shift_aux is None else args.shift_aux
-            cfg.chain = [{"kind": "shift_zone", "aux_level": aux, "dE": d} for d in args.de]
+            aux = {} if args.shift_aux is None else {"aux_level": args.shift_aux}
+            cfg.chain = [{"kind": "shift_zone", **aux, "dE": d} for d in args.de]
     elif args.command == "lattice":
-        if args.mode == "stark":
-            cfg.base = "lattice-stark"
-            cfg.params.setdefault("slope", args.slope)
-            cfg.params.setdefault("window_sites", args.window_sites)
-        else:
-            cfg.base = "lattice-single-site"
-            cfg.params.setdefault("v0", args.v0)
-            cfg.params.setdefault("count", args.count)
-            cfg.params.setdefault("which", args.which)
+        cfg.base = "lattice-stark" if args.mode == "stark" else "lattice-single-site"
 
     manifest = run(cfg)
     worst = manifest["status"]

@@ -90,9 +90,12 @@ def read_sampled_fn(text: str | bytes) -> SampledFn:
         raise ValidationError("sampled-function CSV needs a header and data rows")
     xs, vs = [], []
     for ln in lines[1:]:
-        a, b = ln.split(",")
-        xs.append(float(a))
-        vs.append(float(b))
+        try:
+            a, b = (float(cell) for cell in ln.split(","))
+        except ValueError:  # a cell that is not a number, or not two cells
+            raise ValidationError(f"sampled-function CSV row {ln!r} is not two numbers") from None
+        xs.append(a)
+        vs.append(b)
     x = np.asarray(xs)
     n = x.size
     if n < 3 or n % 2 == 0:

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from specdesign.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, main, parse_config, run
+from specdesign.cli import (
+    EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig, main, parse_config, run,
+)
 from specdesign.csvio import (
     _grid_table,
     _table,
@@ -358,12 +360,26 @@ class TestMainEntry:
         "base = box\nverify_levels = 0\n",
         "base = box\ncap = 0\n[step]\nkind = shift\nn = 1\ndE = 0.5\n",
         "base = box\ncap = -1\n[step]\nkind = shift\nn = 1\ndE = 0.5\n",
+        "base = box\npoints = abc\n",
+        "base = comb\ne_max = abc\n",
+        "base = box\nwidth = abc\n",
+        "base = comb\nstrength = abc\n",
+        "base = lattice-single-site\nv0 = abc\n",
+        "base = lattice-single-site\ncount = abc\n",
+        "base = lattice-single-site\nhalf_width_sites = -3\n",
+        "base = potential-csv\npath = 5\n",
+        "base = lattice-single-site\ncount = 2.5\n",
+        "base = box\npoints = 2.5\n",
+        "base = box\nwidht = 2\n",
+        "base = box\nbc = foo\n",
     ])
     def test_bad_chain_exit_code(self, tmp_path, capsys, config):
         # an embedded-state energy of 0 or below, a key the step kind does not
         # read, aux_level values that disagree (the first step's is the
-        # default 2), a verify_levels that is not a positive integer and a
-        # cap of 0 or below are invalid input
+        # default 2), a verify_levels that is not a positive integer, a cap of
+        # 0 or below, a base parameter or numerics option that is not a number
+        # of its kind or sign, a path that is not text and a key the base does
+        # not read are invalid input
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         out = tmp_path / "out"
@@ -379,17 +395,24 @@ class TestMainEntry:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("config, path", [
-        ("missing.cfg", None), (".", None), ("run.cfg", "missing.csv"), ("run.cfg", "."),
-    ], ids=["config-missing", "config-directory", "csv-missing", "csv-directory"])
-    def test_unreadable_file_exit_code(self, tmp_path, capsys, config, path):
-        # a config file or potential-csv path that is missing or a directory is invalid input
+    @pytest.mark.parametrize("config, path, message", [
+        ("missing.cfg", None, "cannot read "), (".", None, "cannot read "),
+        ("run.cfg", "missing.csv", "cannot read "), ("run.cfg", ".", "cannot read "),
+        ("run.cfg", "words.csv", "sampled-function CSV row 'foo,bar'"),
+        ("run.cfg", "three.csv", "sampled-function CSV row '1,2,3'"),
+    ], ids=["config-missing", "config-directory", "csv-missing", "csv-directory",
+            "csv-not-a-number", "csv-three-cells"])
+    def test_unreadable_file_exit_code(self, tmp_path, capsys, config, path, message):
+        # a config file or potential-csv path that is missing or a directory,
+        # and a potential-csv row that is not two numbers, are invalid input
+        (tmp_path / "words.csv").write_text("x,V\n1,2\nfoo,bar\n")
+        (tmp_path / "three.csv").write_text("x,V\n1,2,3\n2,2\n3,1\n")
         if path is not None:
             (tmp_path / "run.cfg").write_text(f"base = potential-csv\npath = {tmp_path / path}\n")
         out = tmp_path / "out"
         assert main(["design", "--config", str(tmp_path / config), "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("error: cannot read ")
+        assert capsys.readouterr().err.startswith("error: " + message)
 
     @pytest.mark.parametrize("args", [
         ["--e-max", "nan"], ["--e-max", "inf"], ["--e-max=-inf"],
@@ -409,6 +432,8 @@ class TestMainEntry:
         ([], "base = half-line\nlength = -inf\n"),
         ([], "base = box\ntol_spectrum = nan\n[step]\nkind = shift\nn = 1\ndE = 0.5\n"),
         ([], "base = box\n[step]\nkind = shift\nn = 1\ndE = inf\n"),
+        ([], "base = lattice-single-site\nv0 = -inf\n"),
+        ([], "base = comb\ne_max = nan\n"),
     ])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, flags, config):
         # a non-finite flag, base parameter, numerics option or step value is invalid input
@@ -435,10 +460,91 @@ class TestMainEntry:
         measured = [row["measured"] for row in manifest["steps"][0]["oracle"]["levels"]]
         assert measured == pytest.approx([1.0, 4.0, 9.0, 16.0], abs=1e-6)
 
+    def test_lattice_stark_mode(self, tmp_path):
+        out = tmp_path / "ladder"
+        assert main(["lattice", "--mode", "stark", "--slope", "0.5", "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved"]["params"] == {"slope": 0.5, "window_sites": 40}
+        levels = manifest["steps"][0]["levels"]
+        assert len(levels) > 10
+        assert np.diff(levels) == pytest.approx(0.5, abs=1e-9)  # the ladder E_m = 2 + c m
+        assert {"lattice_spectrum.csv", "lattice_states.csv"} <= {p.name for p in out.iterdir()}
+
+    def test_bsec_step_through_design(self, tmp_path):
+        cfg = tmp_path / "bsec.cfg"
+        cfg.write_text("base = half-line\n[step]\nkind = bsec\nE = 4\nlambda = 1\n")
+        out = tmp_path / "bsec"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        (entry,) = manifest["steps"]
+        assert entry["bsec_metrics"] == entry["log"][0]
+        assert "oracle" not in entry  # the embedded level is not a bound state to re-solve
+        assert (out / "potential.csv").exists()
+
+    def test_failed_verification_exit_code(self, tmp_path, capsys):
+        # a shift verified to 1e-15 fails its check: exit 3 with artifacts and a manifest
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("base = box\ntol_spectrum = 1e-15\n[step]\nkind = shift\nn = 1\ndE = -5\n")
+        out = tmp_path / "tight"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "verification-failed"
+        assert not manifest["steps"][0]["oracle"]["pass"]
+        assert (out / "potential.csv").exists()
+        assert capsys.readouterr().out.startswith("status: verification-failed")
+
+    def test_figure_writes_its_bundle(self, tmp_path):
+        assert main(["figure", "fig1_1", "--out", str(tmp_path), "--points", "301"]) == EXIT_OK
+        written = {p.name: p.read_bytes() for p in (tmp_path / "fig1_1").iterdir()}
+        assert written == build_figure_bundle("fig1_1", points=301)
+
+    def test_figure_takes_no_run_flags(self, tmp_path):
+        # a figure bundle reads no config and verifies nothing: --config and --tol are errors
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig1_1", "--config", str(tmp_path / "none.cfg"), "--tol", "5",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_VALIDATION
+        assert not (tmp_path / "fig1_1").exists()
+
     def test_figure_list(self, capsys):
         assert main(["figure", "--list"]) == EXIT_OK
         out = capsys.readouterr().out.split()
         assert "fig1_1" in out and "fig7_13" in out
+
+
+class TestFlagsOverTheFile:
+    """A flag that is given beats the config file, which beats the defaults."""
+
+    def _manifest(self, tmp_path, config: str, argv: list) -> dict:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_band_strength(self, tmp_path):
+        manifest = self._manifest(tmp_path, "strength = 2.0\n", ["band", "--strength", "1.0"])
+        assert manifest["resolved"]["params"] == {"period": pytest.approx(np.pi), "strength": 1.0}
+
+    def test_band_e_max(self, tmp_path):
+        self._manifest(tmp_path, "e_max = 10.0\n", ["band", "--e-max", "7.5"])
+        last = (tmp_path / "out" / "discriminant.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == 7.5
+
+    def test_lattice_v0(self, tmp_path):
+        manifest = self._manifest(tmp_path, "v0 = -1.5\n", ["lattice", "--v0=-3"])
+        assert manifest["resolved"]["params"]["v0"] == -3.0
+        # the single-site bound level E = 2 - sqrt(4 + v0^2)
+        assert manifest["steps"][0]["levels"] == pytest.approx([2.0 - np.sqrt(13.0)], abs=1e-8)
+
+    def test_solve_keeps_the_file_verify_levels(self, tmp_path):
+        # no --count: the file's verify_levels stands
+        manifest = self._manifest(tmp_path, "base = box\nverify_levels = 2\n", ["solve"])
+        assert manifest["resolved"]["verify_levels"] == 2
+        assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 1 + 2
+        # and the defaults are filled in under resolved, not echoed under config
+        assert manifest["config"]["params"] == {}
+        assert manifest["resolved"]["params"] == {"width": pytest.approx(np.pi)}
 
 
 class TestFigures:
