@@ -7,9 +7,10 @@ come in Hill's order lam_0 < mu_1 <= mu_2 < lam_1 <= lam_2 < mu_3 <= ...
 (Magnus & Winkler, Hill's Equation, 1966; Eastham, The Spectral Theory of
 Periodic Differential Equations, 1973): zone k runs from edge 2k-2 to edge
 2k-1 of that merged list, and in gap k, up to edge 2k, (-1)^k Delta > 2.
-A gap whose two edges coincide is closed and its zones touch.  The k-th
-level of the cell with hard walls (Dirichlet level) lies in the closure of
-gap k.
+Across every zone Delta runs from +2 to -2 or back, so even the narrowest
+zone holds a sign change of Delta.  A gap whose two edges coincide is
+closed and its zones touch.  The k-th level of the cell with hard walls
+(Dirichlet level) lies in the closure of gap k.
 
 Zone edges are moved by shifting a level of the auxiliary hard-wall problem
 on one period and continuing the resulting potential change periodically.
@@ -32,9 +33,8 @@ from .solver import band_discriminant, bound_states, current_work, secant_root
 #: the accuracy of every zone edge, and how far a hard-wall level may lie
 #: outside the closure of its gap
 EDGE_TOL = 1e-8
-#: a tracked gap narrower than this counts as closed: the resolution in dE to
-#: which the gap-closure experiments bisect (zone edges themselves are
-#: resolved to EDGE_TOL)
+#: the resolution in dE to which `bisect_gap_closure` finds the shift that
+#: closes the tracked gap (zone edges themselves are resolved to EDGE_TOL)
 GAP_CLOSED = 1e-3
 
 
@@ -78,8 +78,10 @@ def zones(p: PeriodicSystem, e_max: float) -> list[Zone]:
     seeds can tell apart, on dDelta/dE = 0 first.  A gap whose extremum
     reaches +-2 only to within 1e-7 is closed (touching zones, as in the
     free limit) and reported as two coincident edges.  The coarse cell
-    resolves the highest wave number below the cut; where its seeds still
-    miss a zone its intervals are doubled, up to the cell's own grid.
+    resolves the highest wave number below the cut and is built once: a
+    zone narrower than the error of its seeds, as the lowest zone of a
+    tight-binding comb can be, is found at the sign change of Delta between
+    the gaps on either side.
     """
     cell = p.cell
     v_min = float(cell.values.min())
@@ -95,17 +97,10 @@ def zones(p: PeriodicSystem, e_max: float) -> list[Zone]:
         raise ValidationError(f"a cell of {cell.grid.n_points} nodes is too coarse for zone edges")
     k_max = math.sqrt(max(1.0, e_cut - v_min))
     m = min(intervals, max(_SEED_INTERVALS, math.ceil(_SEED_RESOLUTION * p.period * k_max)))
+    seeds = _edge_seeds(cell, m, e_cut)
+    if seeds is None:
+        raise ValidationError(f"e_max={e_max} lies beyond the reach of the cell's grid")
     search = _EdgeSearch(cell)
-    while True:
-        seeds = _edge_seeds(cell, m, e_cut)
-        if seeds is not None and search.resolves(seeds):
-            break
-        if m == intervals:
-            if seeds is None:
-                raise ValidationError(f"e_max={e_max} lies beyond the reach of the cell's grid")
-            raise NumericalFailure(f"the zones below E={e_max} are narrower than the error "
-                                   f"of their seeded edges on the cell's grid")
-        m = min(intervals, 2 * m)
     edges = search.refine(seeds)
     work = current_work()
     if work is not None:
@@ -201,37 +196,47 @@ class _EdgeSearch:
     def slope(self, e: float) -> float:
         return (self.delta(e + _SLOPE_STEP) - self.delta(e - _SLOPE_STEP)) / (2 * _SLOPE_STEP)
 
-    def resolves(self, seeds: np.ndarray) -> bool:
-        """Whether every zone holds the midpoint of its two seeds (|Delta| < 2)."""
-        return all(abs(self.delta(e)) < 2.0 for e in 0.5 * (seeds[0::2] + seeds[1::2]))
-
     def refine(self, seeds: np.ndarray) -> list[float]:
         """Edges from the merged seeds lam_0, mu_1, mu_2, lam_1, ... and one more.
 
-        Zone k lies between seeds 2k-2 and 2k-1, and holds their midpoint
-        (see `resolves`); gap k, between seeds 2k-1 and 2k, is where
-        (-1)^k Delta > 2.
+        Zone k lies between seeds 2k-2 and 2k-1; gap k, between seeds 2k-1
+        and 2k, is where (-1)^k Delta > 2, as is every energy below lam_0.
+        A gap is searched between points of its zones (|Delta| < 2): each at
+        its seeds' midpoint, or else at Delta's sign change between its gaps.
         """
-        mids = 0.5 * (seeds[0::2] + seeds[1::2])
-        # below lam_0 Delta grows past 2: step down until it does
-        step = max(1.0, seeds[1] - seeds[0])
-        lo = seeds[0] - step
-        for _ in range(60):
-            if self.delta(lo) > 2.0:
-                break
-            step *= 2.0
-            lo = seeds[0] - step
-        else:
-            raise NumericalFailure(f"no energy below the seed {seeds[0]} with Delta > 2")
-        edges = [self._root(1.0, lo, mids[0], seeds[0])]
-        for k in range(1, mids.size):
-            edges.extend(self._gap(-1.0 if k % 2 else 1.0, mids[k - 1], mids[k],
-                                   seeds[2 * k - 1], seeds[2 * k]))
+        centres = [self._outside(1.0, seeds[0], -max(1.0, seeds[1] - seeds[0]))]
+        centres.extend(0.5 * (seeds[1:-1:2] + seeds[2::2]))
+        points = []
+        for k, (lo, hi) in enumerate(zip(seeds[0::2], seeds[1::2])):
+            point = 0.5 * (lo + hi)
+            if abs(self.delta(point)) >= 2.0:
+                if k + 1 == len(centres):   # the top seeded zone: step up to its gap,
+                    # from short steps: unlike below lam_0, that gap may be narrower than 1
+                    centres.append(self._outside(1.0 if k % 2 else -1.0, hi, max(EDGE_TOL, hi - lo)))
+                d_lo, d_hi = self.delta(centres[k]), self.delta(centres[k + 1])
+                if (d_lo > 0.0) != (d_hi > 0.0):
+                    point = secant_root(self.delta, centres[k], d_lo, centres[k + 1], d_hi,
+                                        point, EDGE_TOL)
+            if not abs(self.delta(point)) < 2.0:
+                raise NumericalFailure(f"no point of zone {k + 1}, seeded at E={lo} and E={hi}, "
+                                       f"has |Delta| < 2")
+            points.append(point)
+        edges = [self._root(1.0, centres[0], points[0], seeds[0])]
+        for k in range(1, len(points)):
+            edges.extend(self._gap(-1.0 if k % 2 else 1.0, points[k - 1], points[k],
+                                   centres[k], seeds[2 * k - 1], seeds[2 * k]))
         return edges
 
-    def _gap(self, sign, below, above, a0, b0):
-        """Both edges of the gap where sign * Delta > 2, between zone points."""
-        centre = 0.5 * (a0 + b0)
+    def _outside(self, sign, seed, step):
+        """The first of seed + step, seed + 2 step, seed + 4 step, ... with sign * Delta > 2."""
+        for _ in range(60):
+            if sign * self.delta(seed + step) > 2.0:
+                return seed + step
+            step *= 2.0
+        raise NumericalFailure(f"no energy beyond the seed {seed} with {sign:+g} * Delta > 2")
+
+    def _gap(self, sign, below, above, centre, a0, b0):
+        """Both edges of the gap where sign * Delta > 2, between zone points; seeds a0, b0."""
         if sign * self.delta(centre) <= 2.0:
             # the seeds do not resolve the gap: find the extremum first
             d_below, d_above = sign * self.slope(below), sign * self.slope(above)
@@ -300,27 +305,42 @@ def track_zone_shift(p: PeriodicSystem, aux_level: int, d_e_values, e_max: float
     base = zones(p, e_max)
     check_dirichlet_levels(base, [s.energy for s in aux_states], e_max)
     e_aux = aux_states[aux_level - 1].energy
-    rows = []
-    for d_e in d_e_values:
-        zs = zones(shift_zone(p, aux_level, d_e), e_max) if d_e != 0.0 else base
-        gaps = [gap_between(zs, k) for k in range(1, len(zs))]
-        edge = e_aux + d_e
-        tracked = 0.0
-        for i, z in enumerate(zs):
-            if abs(z.e_hi - edge) < 1e-6 and i + 1 < len(zs):
-                tracked = zs[i + 1].e_lo - z.e_hi   # gap just above the moving edge
-                break
-            if abs(z.e_lo - edge) < 1e-6:
-                tracked = 0.0                        # edge merged into the upper zone
-                break
-        rows.append({
-            "dE": float(d_e),
-            "edge_energy": float(edge),
-            "zones": zs,
-            "gaps": gaps,
-            "tracked_gap": float(tracked),
-        })
-    return rows
+    return [_track_row(p, aux_level, d_e, e_aux + d_e, e_max, base) for d_e in d_e_values]
+
+
+def bisect_gap_closure(p: PeriodicSystem, aux_level: int, rows, e_max: float, tol=GAP_CLOSED):
+    """Shift size at which the tracked gap closes, if the rows of `track_zone_shift`,
+    the first at dE = 0, bracket it; each step is one more such row."""
+    for a, b in zip(rows, rows[1:]):
+        if a["tracked_gap"] > 0.0 and b["tracked_gap"] == 0.0:
+            break
+    else:
+        return None
+    lo, hi = a["dE"], b["dE"]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        row = _track_row(p, aux_level, mid, rows[0]["edge_energy"] + mid, e_max, rows[0]["zones"])
+        if row["tracked_gap"] == 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _track_row(p, aux_level, d_e, edge, e_max, base) -> dict:
+    """The layout at shift d_e (base at 0) and the gap just above the moving edge
+    (to 1e-6): 0.0 once that edge has merged into the zone above, or matches none."""
+    zs = zones(shift_zone(p, aux_level, d_e), e_max) if d_e != 0.0 else base
+    tracked = 0.0
+    for i, z in enumerate(zs):
+        if abs(z.e_hi - edge) < 1e-6 and i + 1 < len(zs):
+            tracked = zs[i + 1].e_lo - z.e_hi   # gap just above the moving edge
+            break
+        if abs(z.e_lo - edge) < 1e-6:
+            break                               # edge merged into the upper zone
+    gaps = [gap_between(zs, k) for k in range(1, len(zs))]
+    return {"dE": float(d_e), "edge_energy": float(edge), "zones": zs, "gaps": gaps,
+            "tracked_gap": float(tracked)}
 
 
 def check_dirichlet_levels(zs: list[Zone], levels, e_max: float):

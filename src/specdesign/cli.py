@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .bands import GAP_CLOSED, PeriodicSystem, shift_zone, track_zone_shift, zones
+from .bands import PeriodicSystem, bisect_gap_closure, track_zone_shift, zones
 from .darboux import (
     darboux_create,
     embed_bsec,
@@ -293,7 +293,7 @@ def _run_band(system, chain, numerics, manifest, artifacts, timing):
                 for r in rows
             ],
         })
-        closure = _bisect_gap_closure(system, aux_level, rows, e_max)
+        closure = bisect_gap_closure(system, aux_level, rows, e_max)
         if closure is not None:
             manifest["resolved"]["gap_closure_dE"] = closure
         final = rows[-1]["zones"]
@@ -305,27 +305,6 @@ def _run_band(system, chain, numerics, manifest, artifacts, timing):
                   csvio.discriminant_bytes, es, band_discriminant_curve(system.cell, es))
     timing["steps_ms"].append(1000.0 * (time.perf_counter() - t0))
     return True
-
-
-def _bisect_gap_closure(system, aux_level, rows, e_max, tol=GAP_CLOSED):
-    """Shift size at which the tracked gap closes, if the scan brackets it."""
-    lo = hi = None
-    for a, b in zip(rows, rows[1:]):
-        if a["tracked_gap"] > 0.0 and b["tracked_gap"] == 0.0:
-            lo, hi = a["dE"], b["dE"]
-            break
-    if lo is None:
-        return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        zs = zones(shift_zone(system, aux_level, mid), e_max)
-        edge = rows[0]["edge_energy"] + mid
-        merged = any(abs(z.e_lo - edge) < 1e-6 for z in zs)
-        if merged:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def _run_lattice(levels, chain, numerics, manifest, artifacts, timing):
@@ -395,7 +374,7 @@ class _Keys:
                 raise ValidationError(f"{where} {key} must be {wanted}, got {value!r}")
             if text:
                 continue
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:   # nan, +-inf or an int beyond every float
                 raise ValidationError(f"{where} {key} must be finite, got {value}")
             if (integral or key in self.positive) and value <= 0:
                 raise ValidationError(f"{where} {key} must be positive, got {value}")

@@ -8,6 +8,7 @@ from specdesign.bands import (
     PeriodicSystem,
     Zone,
     auxiliary_box,
+    bisect_gap_closure,
     check_dirichlet_levels,
     gap_between,
     shift_zone,
@@ -114,22 +115,58 @@ class TestZones:
         tops = [(n * math.pi / period) ** 2 for n in range(1, count)]
         assert [z.e_hi for z in zs[:-1]] == pytest.approx(tops, rel=1e-6, abs=1e-5)
 
-    def test_narrow_zone_of_an_attractive_comb(self):
-        # the level E = -g^2/4 = -4 of one delta widens into a zone 1.5e-3
-        # wide, narrower than the error of the 128-interval cell's seeds:
-        # the seed cell is refined until every zone holds its seeds' midpoint
+    @pytest.fixture
+    def seed_cells(self, monkeypatch):
+        """The interval counts of every finite-difference seed cell built."""
+        built = []
+        edge_seeds = bands._edge_seeds
+        monkeypatch.setattr(bands, "_edge_seeds",
+                            lambda cell, m, e_cut: built.append(m) or edge_seeds(cell, m, e_cut))
+        return built
+
+    @pytest.mark.parametrize("period, g", [(5.0, -4.0), (8.0, -5.0), (10.0, -3.0), (20.0, -2.0)])
+    def test_narrow_zone_of_an_attractive_comb(self, seed_cells, period, g):
+        # the level E = -g^2/4 of one delta widens into a zone 1.5e-3 (5, -4)
+        # down to 1.6e-8 (20, -2) wide, narrower than the error of its seeds:
+        # the seeds' midpoint misses it, and the sign change of Delta between
+        # the gaps on either side finds it
         def half_delta(e):
             if e > 0:
                 k = math.sqrt(e)
-                return math.cos(5 * k) - 2 / k * math.sin(5 * k)
+                return math.cos(period * k) + g / (2 * k) * math.sin(period * k)
             kap = math.sqrt(-e)
-            return math.cosh(5 * kap) - 2 / kap * math.sinh(5 * kap)
+            return math.cosh(period * kap) + g / (2 * kap) * math.sinh(period * kap)
 
-        zs = zones(PeriodicSystem(comb_cell(5.0, -4.0), 5.0), 10.0)
-        assert len(zs) == 6
-        assert zs[0].e_lo < -4.0 < zs[0].e_hi and zs[0].width < 2e-3
+        zs = zones(PeriodicSystem(comb_cell(period, g), period), 10.0)
+        assert len(seed_cells) == 1
+        # zone 1, then one zone starting at each pinned edge (n pi/a)^2 below 10
+        assert len(zs) == 1 + math.floor(period * math.sqrt(10.0) / math.pi)
+        assert zs[0].e_lo < -g * g / 4 < zs[0].e_hi and zs[0].width < 2e-3
         for e in [e for z in zs for e in (z.e_lo, z.e_hi) if e < 10.0]:
-            assert (abs(half_delta(e - 1e-7)) - 1) * (abs(half_delta(e + 1e-7)) - 1) < 0
+            tol = 1e-8 * max(1.0, abs(e))
+            assert (abs(half_delta(e - tol)) - 1) * (abs(half_delta(e + tol)) - 1) < 0
+
+    @pytest.mark.parametrize("e_max", [-3.0, -1.3])
+    def test_narrow_zone_above_the_cut(self, e_max):
+        # a well 5 deep and 2 wide in a cell of period 10: zone 2, 1.4e-3 wide
+        # at E = -0.92, is the top seeded zone, and both its seeds lie 0.08
+        # above it, in the gap; the gap is found by short steps up from the
+        # upper seed, where steps of 1 would land in zone 3 at E = 0.13
+        g = make_grid(0.0, 10.0, 2001)
+        v = np.where(np.abs(g.x - 5.0) < 1.0, -5.0, 0.0)
+        system = PeriodicSystem(Potential(SampledFn(g, v), "hard-walls"), 10.0)
+        full = zones(system, 1.0)
+        assert full[1].width < 2e-3 and full[2].e_lo < 0.2
+        (zone,) = zones(system, e_max)
+        assert (zone.e_lo, zone.e_hi) == pytest.approx((full[0].e_lo, full[0].e_hi), abs=1e-8)
+
+    def test_zone_below_the_rounding_of_delta(self, seed_cells):
+        # the lowest zone of this comb, about 8 kappa^2 e^(-kappa a) = 1e-20
+        # wide (kappa = |g|/2), is far below what Delta, of size up to
+        # cosh(kappa a) = 2.6e21 nearby, can resolve
+        with pytest.raises(NumericalFailure, match="zone 1, seeded at E="):
+            zones(PeriodicSystem(comb_cell(20.0, -5.0), 20.0), 10.0)
+        assert len(seed_cells) == 1
 
     def test_e_max_below_the_first_edge(self, comb):
         assert zones(comb, 0.1) == []
@@ -292,6 +329,15 @@ class TestTracking:
         assert rows[0]["edge_energy"] == pytest.approx(4.0, abs=1e-6)
         assert rows[1]["edge_energy"] == pytest.approx(4.25, abs=1e-6)
         assert rows[1]["gaps"][1] < rows[0]["gaps"][1]
+
+    def test_gap_closure_by_the_rows_rule(self, comb):
+        rows = track_zone_shift(comb, 2, [0.0, 0.25, 1.0], e_max=10.0)
+        assert rows[1]["tracked_gap"] > 0.0 and rows[2]["tracked_gap"] == 0.0
+        closure = bisect_gap_closure(comb, 2, rows, 10.0)
+        # rows one bisection step (1e-3) either side: open below, closed above
+        probe = track_zone_shift(comb, 2, [closure - 1e-3, closure + 1e-3], e_max=10.0)
+        assert probe[0]["tracked_gap"] > 0.0 and probe[1]["tracked_gap"] == 0.0
+        assert bisect_gap_closure(comb, 2, rows[:2], 10.0) is None
 
     def test_zone_dataclass(self):
         z = Zone(1, 0.5, 1.5)

@@ -265,6 +265,14 @@ class TestRun:
         assert track[0] == "dE,edge_energy,gap_width"
         assert len(track) == 3  # header + dE=0 + dE=0.5
 
+    def test_band_on_a_tight_binding_comb(self, tmp_path):
+        # the lowest zone, 5.5e-6 wide, is narrower than the error of its seeds
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("period = 10\nstrength = -3\n")
+        out = tmp_path / "out"
+        assert main(["band", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len((out / "zones.csv").read_text().splitlines()) == 1 + 11
+
     def test_lattice_run(self, tmp_path):
         cfg = RunConfig(base="lattice-single-site", out=str(tmp_path / "lat"),
                         params={"v0": 1.5, "count": 1, "which": "highest"})
@@ -434,6 +442,7 @@ class TestMainEntry:
         ([], "base = box\n[step]\nkind = shift\nn = 1\ndE = inf\n"),
         ([], "base = lattice-single-site\nv0 = -inf\n"),
         ([], "base = comb\ne_max = nan\n"),
+        pytest.param([], "base = box\nwidth = 1" + "0" * 400 + "\n", id="int-beyond-every-float"),
     ])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, flags, config):
         # a non-finite flag, base parameter, numerics option or step value is invalid input

@@ -5,11 +5,13 @@ Usage (from the repository root):
     python3 tools/csv_digests.py > digests.txt
 
 The runs are the first 48 ``design-chain`` operations of seed 5, two
-``band-track`` operations of seed 5 (inputs from ``perfbench/workloads.py``)
-and every figure bundle, README included.  Each output line is
-``<run>/<file> <sha256>``; a ``design-chain`` or ``band-track`` run also
-gets one line for its manifest's ``oracle_work`` block, which holds counts
-only.  Manifests themselves carry timings and are not digested.
+``band-track`` and two ``bsec-scan`` operations of seed 5 (inputs from
+``perfbench/workloads.py``) and every figure bundle, README included.  Each
+output line is ``<run>/<file> <sha256>``; a ``design-chain`` or
+``band-track`` run also gets one line for its manifest's ``oracle_work``
+block, which holds counts only.  Manifests themselves carry timings and are
+not digested.  A ``bsec-scan`` run writes no files: its embedded potential
+and its scattering curve are digested as the CLI would write them.
 
 A change that must keep the program's output is checked by running this on
 both commits and comparing the two outputs with ``diff``.
@@ -27,11 +29,12 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
+from specdesign import csvio  # noqa: E402
 from specdesign.figures import build_figure_bundle, figure_tags  # noqa: E402
 
 SEED = 5
 #: operations per workload
-OPERATIONS = {"design-chain": 48, "band-track": 2}
+OPERATIONS = {"design-chain": 48, "band-track": 2, "bsec-scan": 2}
 
 
 def _sha(data: bytes) -> str:
@@ -42,10 +45,15 @@ def workload_digests(name: str, count: int, out_root: Path):
     w = workloads.WORKLOADS[name](SEED)
     for i in range(count):
         run = f"{name}/op{i:02d}"
-        manifest = w.run(i, str(out_root / run))
-        for entry in manifest["artifacts"]:
+        result = w.run(i, str(out_root / run))
+        if name == "bsec-scan":
+            res, curve = result
+            yield f"{run}/potential.csv", _sha(csvio.sampled_fn_bytes(res.potential.body, "V"))
+            yield f"{run}/scattering.csv", _sha(csvio.scattering_bytes(curve))
+            continue
+        for entry in result["artifacts"]:
             yield f"{run}/{entry['path']}", entry["sha256"]
-        work = json.dumps(manifest["oracle_work"], sort_keys=True).encode()
+        work = json.dumps(result["oracle_work"], sort_keys=True).encode()
         yield f"{run}/oracle_work", _sha(work)
 
 
