@@ -70,6 +70,16 @@ class TransformResult:
 # shared helpers
 
 
+def _refuse_spikes(v: Potential, name: str) -> None:
+    """Raise ValidationError if v has delta spikes: no transform here carries them
+    (the seeds skip the jumps, a factorization partner of a spike g needs -g,
+    and ``derivative_samples`` differences across the kink)."""
+    if v.deltas:
+        pos, g = v.deltas[0]
+        raise ValidationError(f"{name} does not support delta spikes "
+                              f"(delta of strength {g:g} at x = {pos:g})")
+
+
 def _partner(v: Potential, values: np.ndarray, cap: float) -> tuple[Potential, int]:
     """The transformed potential on v's grid, boundaries and deltas, clipped at +-cap.
 
@@ -217,6 +227,7 @@ def factorization_solution(v: Potential, eps: float, sigma: float = 0.5) -> Samp
     sigma-mixture of the two edge-regular solutions: nodeless for
     sigma in (0, 1), one-sided for sigma = 0 (creation use).
     """
+    _refuse_spikes(v, "factorization_solution")
     if not 0.0 <= sigma < 1.0:
         raise ValidationError(f"sigma must lie in [0, 1), got {sigma}")
     if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE) and eps >= v.continuum_edge():
@@ -248,6 +259,7 @@ def darboux_remove_ground(v: Potential, ground: BoundState, *,
     walls (the box turns into 2/cos^2 x) and the sampled output is clipped at
     `cap` there.
     """
+    _refuse_spikes(v, "darboux_remove_ground")
     if ground.nodes != 0:
         raise ValidationError(f"state with {ground.nodes} nodes is not a ground state")
     e1 = ground.energy
@@ -283,6 +295,7 @@ def darboux_create(v: Potential, e_new: float, sigma: float = 0.5, *,
     (1/2 is symmetric); the degenerate sigma = 0 solution adds no level and
     is rejected here.
     """
+    _refuse_spikes(v, "darboux_create")
     if v.bc_kind != DECAYING_LINE:
         raise ValidationError("level creation requires a decaying-line potential")
     if not 0.0 < sigma < 1.0:
@@ -326,6 +339,7 @@ def shift_level(v: Potential, n: int, d_e: float, *,
     which reduces to the opposite-parity solution for symmetric potentials
     and makes d_e = 0 the exact identity.
     """
+    _refuse_spikes(v, "shift_level")
     if n < 1:
         raise ValidationError("level index must be >= 1")
     count = n + 1
@@ -513,6 +527,7 @@ def scale_swf(v: Potential, n: int, lam: float, *,
     toward the left wall, lam in (-1, 0) toward the right; lam -> -1 is the
     removal limit and is rejected here.
     """
+    _refuse_spikes(v, "scale_swf")
     if lam <= -1.0:
         raise ValidationError(f"lambda must exceed -1 (removal limit), got {lam}")
     if n < 1:
@@ -540,6 +555,7 @@ def remove_level_by_swf(v: Potential, n: int, *,
     levels and their weights stay put; supported on hard-wall problems (on a
     truncated line the escaping carrier would cross the truncation edge).
     """
+    _refuse_spikes(v, "remove_level_by_swf")
     if n < 1:
         raise ValidationError("level index must be >= 1")
     if n == 1:

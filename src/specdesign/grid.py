@@ -17,6 +17,9 @@ from .errors import ValidationError
 
 #: default sample density: points per pi of domain width
 POINTS_PER_PI = 2001
+#: most nodes a grid may hold (32 MiB per float array): 17 times the largest grid
+#: in use, ``bsec_whole_line``'s default of about 244,000 nodes
+MAX_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,9 @@ class Grid:
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:
     """Build a uniform grid.
 
-    n_points must be odd and at least 3; odd counts keep the domain midpoint
-    on a node (symmetric potentials sample their center exactly) and make the
-    composite Simpson rule applicable without a trailing correction panel.
+    n_points must be odd and within [3, MAX_POINTS]; odd counts keep the domain
+    midpoint on a node (symmetric potentials sample their center exactly) and
+    make the composite Simpson rule applicable without a trailing correction panel.
     """
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValidationError("grid bounds must be finite")
@@ -60,12 +63,18 @@ def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:
         raise ValidationError(f"need n_points >= 3, got {n_points}")
     if n_points % 2 == 0:
         raise ValidationError(f"n_points must be odd, got {n_points}")
+    if n_points > MAX_POINTS:
+        raise ValidationError(f"need n_points <= {MAX_POINTS}, got {n_points}")
     return Grid(float(x_min), float(x_max), n_points)
 
 
 def default_points(width: float, per_pi: int = POINTS_PER_PI) -> int:
-    """Default odd node count for a domain of the given width."""
-    n = int(round(per_pi * width / math.pi))
+    """Default odd node count for a domain of the given width, at most MAX_POINTS."""
+    n = per_pi * width / math.pi
+    if not n <= MAX_POINTS:
+        raise ValidationError(f"a domain {width:g} wide needs {n:.4g} nodes at {per_pi} per pi, "
+                              f"more than {MAX_POINTS}")
+    n = int(round(n))
     n = max(n, 3)
     if n % 2 == 0:
         n += 1

@@ -35,8 +35,10 @@ Method summary
   from them; a longer one solves only the missing levels.  The scope also
   counts the oracle's work (``OracleWork.ledger``).
 * Delta spikes enter exactly through the derivative jump
-  psi'(x+) = psi'(x-) + g psi(x); they are never smeared.  The banded solve
-  stops at each delta node, applies the jump and restarts with a Taylor step.
+  psi'(x+) = psi'(x-) + g psi(x); they are never smeared.  Expanded about
+  the kink, the jump adds h g (1 + h^2 (V - E) / 12) y[j] = h g (2 - c[j]) y[j]
+  to the right side of the step from the spike's node j, with an O(h^5)
+  local error like the recurrence's, so the banded solve runs straight through.
 * Scattering scans sweep every energy at once.  The steps are cut into up
   to 1024 segments (the count depends on the grid only); each segment's
   2 x 2 map of (mean, difference) = ((y[j-1] + y[j]) / 2, (y[j] - y[j-1]) / h)
@@ -45,10 +47,10 @@ Method summary
   summed variables w = c y and D[j] = w[j] - w[j-1] (D[j+1] = D[j] + G[j] w[j]
   with G = (12 - 10 c - 2 c) / c); y is taken into w at each segment's start
   pair and back at its end pair.  The maps are chained by pairwise
-  products rescaled by powers of two.  A delta node and the five
-  values its jump reads lie inside one run of segments, swept by the banded
-  solve.  Every energy's arithmetic is its own, so a one-energy call equals
-  the same element of a longer scan bit for bit.  The energy blocks are
+  products rescaled by powers of two.  A spike adds the same term, divided
+  by c, to G at the step from its node.  Every energy's arithmetic is its
+  own, so a one-energy call equals the same element of a longer scan bit
+  for bit.  The energy blocks are
   swept on the calling thread and, where the process may run on a second
   CPU, one helper; the results do not depend on the thread count.
 * Band discriminants loop over energies, one banded solve each; the two
@@ -117,8 +119,7 @@ class OracleWork:
     grid and rel_tol, never on anything a transform reports.  The counts
     depend only on what was asked, so they repeat exactly for the same run.
     Scattering scans are counted in their own block and add nothing to
-    ``numerov_calls`` or ``nodes_swept``, not even for the ``_numerov``
-    sweeps across their delta nodes.
+    ``numerov_calls`` or ``nodes_swept``: they make no ``_numerov`` sweep.
     """
 
     def __init__(self):
@@ -204,18 +205,10 @@ def _taylor_step(y, dy, hs, f0, df0, ddf0):
     )
 
 
-def _fd_derivs(v, j, h):
-    """Local dV/dx and d2V/dx2 at node j by finite differences."""
-    n = len(v)
-    if 1 <= j <= n - 2:
-        dv = (v[j + 1] - v[j - 1]) / (2.0 * h)
-        ddv = (v[j + 1] - 2.0 * v[j] + v[j - 1]) / (h * h)
-    elif j == 0:
-        dv = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        ddv = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
-    else:
-        dv = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-        ddv = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
+def _start_derivs(v, h):
+    """dV/dx and d2V/dx2 at node 0 by one-sided finite differences."""
+    dv = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    ddv = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
     return dv, ddv
 
 
@@ -246,10 +239,10 @@ def _numerov(v, h, energy, y0, y1, jumps=(), tail=0):
 
     y0 and y1 are the values at nodes 0 and 1, scalars or one entry per
     start pair; each pair is one right-hand side of the same banded solve.
-    jumps lists (node, strength) pairs on distinct nodes, sorted, with
-    5 <= node <= n - 2: the slope jumps by strength * y there and the
-    recurrence restarts with a Taylor step.  A chunk that overflows is
-    solved again in halves.
+    jumps lists (node, strength) pairs with 1 <= node <= n - 2: the slope
+    jumps by strength * y at that node, which adds the term
+    h strength (2 - c[j]) y[j] to the step from it.  A chunk that overflows
+    is solved again in halves.
 
     Returns (y, e) with the solution equal to y * 2**e; y has one column per
     start pair and holds every node, or only the last `tail` nodes.
@@ -263,6 +256,8 @@ def _numerov(v, h, energy, y0, y1, jumps=(), tail=0):
     ab = np.empty((3, n), order="F")  # lower band: diagonal, first and second subdiagonal
     ab[0] = c
     ab[1] = 10.0 * c - 12.0
+    for j, strength in jumps:
+        ab[1, j] -= h * strength * (2.0 - c[j])
     ab[2] = c
     recent = np.array([y0, y1], dtype=float).reshape(2, -1)  # last rows, at scale 2**e
     out = None if tail else np.empty((n, recent.shape[1]))
@@ -270,36 +265,24 @@ def _numerov(v, h, energy, y0, y1, jumps=(), tail=0):
         out[:2] = recent
     e = 0
     scales = [(0, 0)]  # (first node, exponent) of each stretch of out
-    jumps = list(jumps)
     pos, length = 2, _CHUNK
     while pos < n:
-        if jumps and pos == jumps[0][0] + 1:
-            # node j is the last one solved: jump its slope, restart by Taylor
-            j, strength = jumps.pop(0)
-            dy = _onesided_slope(recent, h, False) + strength * recent[-1]
-            dv, ddv = _fd_derivs(v, j, h)
-            nxt = _taylor_step(recent[-1], dy, h, v[j] - energy, dv, ddv)
-            recent = np.concatenate((recent[1:], nxt[None]))
-            if out is not None:
-                out[pos] = nxt
-            pos += 1
-        else:
-            stop = min(n, pos + length, jumps[0][0] + 1 if jumps else n)
-            rhs = np.zeros((stop - pos, recent.shape[1]), order="F")
-            rhs[0] = (12.0 - 10.0 * c[pos - 1]) * recent[-1] - c[pos - 2] * recent[-2]
-            if stop - pos > 1:
-                rhs[1] = -c[pos - 1] * recent[-1]
-            x, info = dtbtrs(ab[:, pos:stop], rhs, uplo="L", overwrite_b=1)
-            if info > 0:
-                raise NumericalFailure(f"Numerov coefficient vanishes at node {pos + info - 1}")
-            if stop - pos > 1 and not math.isfinite(x[-1].sum()):
-                length = (stop - pos) // 2
-                continue
-            length = _CHUNK
-            if out is not None:
-                out[pos:stop] = x
-            recent = np.concatenate((recent, x[-6:]))[-6:]
-            pos = stop
+        stop = min(n, pos + length)
+        rhs = np.zeros((stop - pos, recent.shape[1]), order="F")
+        rhs[0] = -ab[1, pos - 1] * recent[-1] - c[pos - 2] * recent[-2]
+        if stop - pos > 1:
+            rhs[1] = -c[pos - 1] * recent[-1]
+        x, info = dtbtrs(ab[:, pos:stop], rhs, uplo="L", overwrite_b=1)
+        if info > 0:
+            raise NumericalFailure(f"Numerov coefficient vanishes at node {pos + info - 1}")
+        if stop - pos > 1 and not math.isfinite(x[-1].sum()):
+            length = (stop - pos) // 2
+            continue
+        length = _CHUNK
+        if out is not None:
+            out[pos:stop] = x
+        recent = np.concatenate((recent, x[-6:]))[-6:]
+        pos = stop
         if pos < n:
             s = math.frexp(np.abs(recent[-2:]).max())[1]
             if s:
@@ -316,11 +299,11 @@ def _numerov(v, h, energy, y0, y1, jumps=(), tail=0):
     return out, ref
 
 
-def _launch(v, h, energy, y0, dy0, jumps=(), tail=0):
+def _launch(v, h, energy, y0, dy0):
     """_numerov started from (value, slope) = (y0, dy0) at node 0 of v."""
-    dv, ddv = _fd_derivs(v, 0, h)
+    dv, ddv = _start_derivs(v, h)
     y1 = _taylor_step(y0, dy0, h, v[0] - energy, dv, ddv)
-    return _numerov(v, h, energy, y0, y1, jumps, tail)
+    return _numerov(v, h, energy, y0, y1)
 
 
 def _unit(y: np.ndarray) -> np.ndarray:
@@ -802,6 +785,11 @@ _SCAN_THREADS = 2
 #: 2 + |G| < 2**57: this many steps by less than 2**912.  That leaves 2**111
 #: for the size of the start pairs (at most 2 |c|), the conversion of the end
 #: pairs back to y (a factor below 2**55) and the division of their difference by h.
+#: A spike adds h |g| |2 - c| / |c| to |G| at its step, which no bound on c limits.
+#: So a pass that holds a spike step, and the pass before it, end with a rescale
+#: (a spike on the extra step after the last pass has one before it): the maps stay
+#: finite while that pass's steps' 2 + |G| multiply to below 2**912, as they do for
+#: one spike whose term is below 2**854.  Past that the scan reports an overflow.
 #: It must be even: ``_segment_maps`` takes two steps per pass and rescales after the second
 _RESCALE_STEPS = 16
 assert _RESCALE_STEPS % 2 == 0
@@ -835,7 +823,7 @@ def _rescaled(m, exps):
     return m, exps
 
 
-def _segment_maps(v, h, energies, bounds) -> tuple[np.ndarray, np.ndarray]:
+def _segment_maps(v, h, energies, bounds, jumps=()) -> tuple[np.ndarray, np.ndarray]:
     """Numerov map of every segment for every energy, in (mean, difference) form.
 
     A pair (y[j-1], y[j]) is written as m = (y[j-1] + y[j]) / 2 and
@@ -852,13 +840,20 @@ def _segment_maps(v, h, energies, bounds) -> tuple[np.ndarray, np.ndarray]:
     small D[j+1] is added.  B - 2c is exact wherever c is near 1, so G keeps
     its relative precision there.  The start pairs are taken into (w, D) with
     c at each segment's first two nodes, and the end pairs back into y with
-    c at its last two.  Returns the maps, shape (2, 2, E, S), at scale 2**exps.
+    c at its last two.  jumps lists (node, strength) pairs of delta spikes:
+    step t of segment s sweeps node bounds[s] + t, and a spike g on that node
+    adds ``_numerov``'s term h g (2 - c) divided by c to G there.  Returns the
+    maps, shape (2, 2, E, S), at scale 2**exps.
     """
     starts = bounds[:-1]
     count = starts.size
     length, extra = divmod(int(bounds[-1] - bounds[0]), count)
     e = energies[:, None]
     hh = h * h
+    spikes = {}  # step -> [(segment, strength)] of the spikes it sweeps
+    for j, strength in jumps:
+        first = int(np.searchsorted(bounds, j, side="right")) - 1
+        spikes.setdefault(j - int(bounds[first]), []).append((first, strength))
 
     def coefficient(nodes, out):
         """c = 1 - h^2 (V - E) / 12 at nodes (..., S) into out (..., E, S).
@@ -877,6 +872,12 @@ def _segment_maps(v, h, energies, bounds) -> tuple[np.ndarray, np.ndarray]:
         np.add(c, c, out=tmp)
         np.subtract(g, tmp, out=g)
         np.divide(g, c, out=g)
+
+    def add_spikes(t, c, g):
+        """The terms h g (2 - c) / c of the spikes that step t sweeps, added to the ratios g."""
+        segments, strengths = map(list, zip(*spikes[t]))
+        at = c[:, segments]
+        g[:, segments] += h * np.array(strengths) * (2.0 - at) / at
 
     def step(g, w, d, tmp):
         """One step of (w, d) from the node with ratio g; tmp is scratch."""
@@ -925,8 +926,12 @@ def _segment_maps(v, h, energies, bounds) -> tuple[np.ndarray, np.ndarray]:
         coefficient(starts + t + pair[:k], c[:k])
         ratio(c[:k], g[:k], tmp[:k])
         for i in range(k):
+            if t + i in spikes:
+                add_spikes(t + i, c[i], g[i])
             step(g[i], w, d, tmp)
-        if k == 2 and t % _RESCALE_STEPS == _RESCALE_STEPS - 2:  # after step t + 1
+        # after step t + 1, and around each pass that holds a spike
+        if (k == 2 and t % _RESCALE_STEPS == _RESCALE_STEPS - 2
+                or any(t + i in spikes for i in range(4))):
             np.abs(w, out=tmp)
             np.maximum(tmp[0], tmp[1], out=g[0])
             np.abs(d, out=tmp)
@@ -946,25 +951,12 @@ def _segment_maps(v, h, energies, bounds) -> tuple[np.ndarray, np.ndarray]:
         c_prev, c_end, g = c_end[:, :extra], c_prev[:, :extra], g[1][:, :extra]
         w, d, tmp = w[..., :extra], d[..., :extra], tmp[..., :extra]
         ratio(c_prev, g, tmp[0])
+        if length in spikes:
+            add_spikes(length, c_prev, g)
         step(g, w, d, tmp)
         coefficient(starts[:extra] + length + 1, c_end)
         to_pairs(w, d, c_prev, c_end, tmp)
     return out, exps
-
-
-def _jump_ranges(bounds, jumps) -> list[tuple[int, int]]:
-    """Runs of segments (first, last) that hold a delta jump and the five values before it.
-
-    The jump at node j reads nodes j-5 .. j and makes node j + 1 (steps
-    j - 4 .. j); overlapping runs are merged.
-    """
-    ranges = []
-    for j, _ in jumps:
-        first, last = np.searchsorted(bounds, [j - 4, j], side="right") - 1
-        if ranges and first <= ranges[-1][1]:
-            first = ranges.pop()[0]
-        ranges.append((int(first), int(last)))
-    return ranges
 
 
 def _cpus() -> int:
@@ -1019,35 +1011,20 @@ def _propagator(v, h, energies, jumps=()) -> tuple[np.ndarray, np.ndarray]:
     The map acts on pairs in (mean, difference) form (see ``_segment_maps``)
     and equals the returned (2, 2, E) array times 2**exps.  The steps are
     cut into segments (``_segment_bounds``) whose maps are found for a block
-    of energies at once and chained by pairwise products, each rescaled by
-    a power of two.  A run of segments that holds a delta jump is swept by
-    ``_numerov`` instead, one energy at a time.  The blocks are swept on
+    of energies at once, delta jumps included, and chained by pairwise
+    products, each rescaled by a power of two.  The blocks are swept on
     up to two CPUs the process may run on (``_on_cpus``), each writing only
     its own energies.  No number depends on the other energies asked for, nor
     on the thread that swept them.  Where a coefficient c vanishes, the map
     is not finite.
     """
     bounds = _segment_bounds(len(v) - 2)
-    ranges = _jump_ranges(bounds, jumps)
     block = max(1, _BLOCK_DOUBLES // (bounds.size - 1))
     out = np.empty((2, 2, energies.size))
     out_exps = np.empty(energies.size, dtype=int)
 
     def sweep(lo):
-        es = energies[lo : lo + block]
-        m, exps = _segment_maps(v, h, es, bounds)
-        for first, last in ranges:
-            a, b = bounds[first], bounds[last + 1]
-            local = [(j - a + 1, g) for j, g in jumps if a <= j < b]
-            for i, energy in enumerate(es.tolist()):
-                try:
-                    y, exps[i, last] = _numerov(v[a - 1 : b + 1], h, energy, (1.0, -0.5 * h),
-                                                (1.0, 0.5 * h), local, tail=2)
-                except NumericalFailure:  # c vanishes in the run: a non-finite map, as elsewhere
-                    y = np.full((2, 2), np.nan)
-                m[:, :, i, last] = 0.5 * (y[0] + y[1]), (y[1] - y[0]) / h
-            m[..., first:last] = np.eye(2)[:, :, None, None]
-            exps[:, first:last] = 0
+        m, exps = _segment_maps(v, h, energies[lo : lo + block], bounds, jumps)
         out[:, :, lo : lo + block], out_exps[lo : lo + block] = _chain(*_rescaled(m, exps))
 
     _on_cpus(sweep, range(0, energies.size, block))
@@ -1080,7 +1057,7 @@ def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
     """Reflection/transmission amplitudes at several energies.
 
     One right-to-left sweep per energy, all of them at once through the
-    segment maps of ``_propagator``.
+    segment maps of ``_propagator``, delta spikes included.
     """
     if v.bc_kind != DECAYING_LINE:
         raise ValidationError("scattering requires a decaying-line potential")
@@ -1099,12 +1076,8 @@ def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
         work.scattering_node_energies += g.n_points * e.size
         work.scattering_segments += _segment_bounds(g.n_points - 2).size - 1
 
-    token = _WORK.set(None)  # its banded sweeps across delta nodes count as part of the scan
-    try:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            p, exps = _propagator(v.values[::-1], g.h, e, mirrored)
-    finally:
-        _WORK.reset(token)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p, exps = _propagator(v.values[::-1], g.h, e, mirrored)
     bad = ~np.isfinite(p.sum(axis=(0, 1)))
     if bad.any():
         energy = float(e[bad][0])
@@ -1165,7 +1138,7 @@ def _transfer_matrices(cell: Potential, energies) -> list[np.ndarray]:
     if any(j < 5 or j > v.size - 6 for j, _ in interior):
         raise ValidationError("interior delta too close to the cell edge")
     edge = sum(g for j, g in deltas if j == 0)
-    dv, ddv = (float(d) for d in _fd_derivs(v, 0, h))
+    dv, ddv = (float(d) for d in _start_derivs(v, h))
     out = []
     for energy in np.asarray(energies, dtype=float).tolist():
         f0 = float(v[0]) - energy

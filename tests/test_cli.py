@@ -380,14 +380,17 @@ class TestMainEntry:
         "base = box\npoints = 2.5\n",
         "base = box\nwidht = 2\n",
         "base = box\nbc = foo\n",
+        "base = box\nwidth = 1e300\n",
+        "base = free-line\ntruncation = 1e5\n",
+        "base = box\npoints = 4194305\n",
     ])
     def test_bad_chain_exit_code(self, tmp_path, capsys, config):
         # an embedded-state energy of 0 or below, a key the step kind does not
         # read, aux_level values that disagree (the first step's is the
         # default 2), a verify_levels that is not a positive integer, a cap of
         # 0 or below, a base parameter or numerics option that is not a number
-        # of its kind or sign, a path that is not text and a key the base does
-        # not read are invalid input
+        # of its kind or sign, a path that is not text, a key the base does
+        # not read and a grid of more than grid.MAX_POINTS nodes are invalid input
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         out = tmp_path / "out"

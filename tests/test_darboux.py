@@ -20,7 +20,7 @@ from specdesign.darboux import (
 )
 from specdesign.errors import SingularityError, ValidationError
 from specdesign.grid import SampledFn, default_points, integrate, make_grid
-from specdesign.potentials import Potential, box, free_line, half_line, soliton_well
+from specdesign.potentials import Potential, box, free_line, half_line, single_delta, soliton_well
 from specdesign.solver import bound_states, scattering_curve
 from specdesign.verify import (
     delta_v_sign_pattern,
@@ -39,6 +39,21 @@ def interior_mask(grid, margin=10):
     return np.abs(grid.x - 0.5 * (grid.x_min + grid.x_max)) <= (
         0.5 * (grid.x_max - grid.x_min) - margin * grid.h
     )
+
+
+@pytest.mark.parametrize("transform", [
+    lambda v: shift_level(v, 1, 0.3),
+    lambda v: darboux_create(v, -3.0),
+    lambda v: darboux_remove_ground(v, bound_states(v, 1)[0]),
+    lambda v: remove_level_by_swf(v, 1),
+    lambda v: scale_swf(v, 1, 1.0),
+    lambda v: factorization_solution(v, -3.0),
+], ids=["shift_level", "darboux_create", "darboux_remove_ground", "remove_level_by_swf",
+        "scale_swf", "factorization_solution"])
+def test_spikes_are_refused(transform):
+    # each of these returned a wrong partner of the delta well (one level at -1)
+    with pytest.raises(ValidationError, match="delta of strength -2 at x = 0"):
+        transform(single_delta(-2.0))
 
 
 class TestFactorizationSolution:

@@ -22,13 +22,10 @@ import specdesign.solver as solver_module
 from specdesign.solver import (
     _Matcher,
     _count_sign_changes,
-    _fd_derivs,
     _numerov,
-    _onesided_slope,
     _segment_bounds,
     _segment_maps,
     _sweep,
-    _taylor_step,
     band_discriminant,
     band_discriminant_curve,
     bound_states,
@@ -130,6 +127,23 @@ class TestScattering:
         r = scattering(single_delta(2.0), 1.0)
         assert abs(r.R) ** 2 == pytest.approx(0.5, abs=1e-8)
 
+    def test_huge_delta_reflects_everything(self):
+        # the spike adds about 1e197 to G at one step of the scan
+        r = scattering(single_delta(1e200), 1.0)
+        assert abs(abs(r.R) - 1.0) < 1e-12
+
+    def test_spiked_well_refines_at_fourth_order(self):
+        # spikes of both signs on nodes of every grid below; against a
+        # 24,001-node solve, doubling the nodes cuts the error by about 2^4
+        def reflection(n):
+            v = soliton_well(n_points=n)
+            spiked = Potential(v.body, v.bc_kind, ((0.6, 1.3), (-3.0, -0.9)))
+            return abs(scattering(spiked, 2.0).R) ** 2
+
+        ref = reflection(24001)
+        coarse, fine = (abs(reflection(n) - ref) for n in (3001, 6001))
+        assert fine < coarse / 10
+
     @pytest.mark.parametrize("energy", [0.3, 1.0, 2.7, 6.0])
     def test_flux_conservation(self, energy):
         for v in (soliton_well(), single_delta(1.5), free_line()):
@@ -222,16 +236,12 @@ class TestBandDiscriminant:
 
 
 def reference_sweep(v, h, energy, y0, y1, jumps):
-    """Node-by-node Numerov loop with the same restart at delta nodes."""
+    """Node-by-node Numerov loop; a delta g at node j adds h g (2 - c[j]) y[j] to its step."""
     c = [1.0 - h * h * (x - energy) / 12.0 for x in v]
     y = [y0, y1]
     for j in range(1, len(v) - 1):
-        if j in jumps:
-            dy = _onesided_slope(y[-6:], h, False) + jumps[j] * y[j]
-            dv, ddv = _fd_derivs(v, j, h)
-            y.append(_taylor_step(y[j], dy, h, v[j] - energy, dv, ddv))
-        else:
-            y.append(((12.0 - 10.0 * c[j]) * y[j] - c[j - 1] * y[j - 1]) / c[j + 1])
+        b = 12.0 - 10.0 * c[j] + h * jumps.get(j, 0.0) * (2.0 - c[j])
+        y.append((b * y[j] - c[j - 1] * y[j - 1]) / c[j + 1])
     return np.array(y)
 
 
@@ -438,7 +448,7 @@ class TestSegmentScattering:
             scattering(v, 1.0)
 
     def test_vanishing_coefficient_next_to_a_delta_names_its_node(self):
-        # the segments around the delta are swept by the banded solve
+        # a spike two nodes from the vanishing coefficient leaves that node to be named
         g = make_grid(-15.0, 15.0, 61)  # h = 1/2
         body = np.zeros(g.n_points)
         body[28] = 49.0  # h^2 (V - E) / 12 = 1 at E = 1
@@ -494,7 +504,7 @@ class TestScanThreads:
 
     @staticmethod
     def scan(monkeypatch, v, energies, workers):
-        """Results, ledger and the threads that swept blocks and delta runs, with `workers` CPUs."""
+        """Results, ledger and the threads that ran each spied kernel, with `workers` CPUs."""
         monkeypatch.setattr(solver_module, "_cpus", lambda: workers)
         threads = {"_segment_maps": set(), "_numerov": set()}
         for name, seen in threads.items():
@@ -514,7 +524,7 @@ class TestScanThreads:
             k = 3.0
             v = bsec_whole_line(k, 1.0, half_width=80.0 * math.pi)
             energies, blocks = k * k + 0.08 * np.arange(-22, 23), 3
-        else:  # its delta runs are swept inside the helpers too
+        else:  # its delta jumps are steps of the segment maps, in the helpers too
             v = with_deltas(free_line(), [3000, 3004, 9000, 15000])
             energies, blocks = np.linspace(0.05, 12.0, 103), 7
         one, one_ledger, one_threads = self.scan(monkeypatch, v, energies, 1)
@@ -530,8 +540,7 @@ class TestScanThreads:
             assert got == one
             assert ledger == one_ledger
             assert len(threads["_segment_maps"]) == min(workers, solver_module._SCAN_THREADS, blocks)
-            if v.deltas:
-                assert threads["_numerov"] == threads["_segment_maps"]
+            assert threads["_numerov"] == set()
         assert one_ledger["scattering"]["calls"] == 1
         assert one_ledger["numerov_calls"] == one_ledger["nodes_swept"] == 0
 

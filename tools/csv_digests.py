@@ -11,7 +11,10 @@ output line is ``<run>/<file> <sha256>``; a ``design-chain`` or
 ``band-track`` run also gets one line for its manifest's ``oracle_work``
 block, which holds counts only.  Manifests themselves carry timings and are
 not digested.  A ``bsec-scan`` run writes no files: its embedded potential
-and its scattering curve are digested as the CLI would write them.
+and its scattering curve are digested as the CLI would write them.  Last
+come the body, delta spikes, spectrum and 40-energy scattering curve of a
+free line with spikes of both signs where the scan's segments start and end
+(``spike_line_digests``); no workload or figure has a spike off a cell edge.
 
 A change that must keep the program's output is checked by running this on
 both commits and comparing the two outputs with ``diff``.
@@ -20,10 +23,13 @@ both commits and comparing the two outputs with ``diff``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -31,6 +37,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from specdesign import csvio  # noqa: E402
 from specdesign.figures import build_figure_bundle, figure_tags  # noqa: E402
+from specdesign.potentials import Potential, free_line  # noqa: E402
+from specdesign.solver import _segment_bounds, bound_states, scattering_curve  # noqa: E402
 
 SEED = 5
 #: operations per workload
@@ -63,12 +71,36 @@ def figure_digests():
             yield f"figure/{tag}/{name}", _sha(data)
 
 
+def spike_line():
+    """The 19,109-node free line with three spikes, by node of the right-to-left scan.
+
+    They sit on the last step of a longer segment (its extra step), on the
+    first step of another and on the last step of a shorter one; the well of
+    -2 near x = 0 and the well of -1 near x = -8.7 hold one level each.
+    """
+    line = free_line()
+    n = line.grid.n_points
+    bounds = _segment_bounds(n - 2)
+    sweep = {int(bounds[503]) - 1: -2.0, int(bounds[300]): 1.5, int(bounds[800]) - 1: -1.0}
+    spikes = tuple((float(line.grid.x[n - 1 - j]), g) for j, g in sweep.items())
+    return Potential(line.body, line.bc_kind, spikes)
+
+
+def spike_line_digests():
+    v = spike_line()
+    yield "spike-line/potential.csv", _sha(csvio.sampled_fn_bytes(v.body, "V"))
+    yield "spike-line/deltas", _sha(json.dumps(v.deltas).encode())
+    yield "spike-line/spectrum.csv", _sha(csvio.spectrum_bytes(bound_states(v, 3)))
+    curve = scattering_curve(v, np.linspace(0.05, 12.0, 40))
+    yield "spike-line/scattering.csv", _sha(csvio.scattering_bytes(curve))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, count in OPERATIONS.items():
             for key, digest in workload_digests(name, count, Path(tmp)):
                 print(key, digest)
-    for key, digest in figure_digests():
+    for key, digest in itertools.chain(figure_digests(), spike_line_digests()):
         print(key, digest)
     return 0
 
