@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import eig_banded
 
+from ._lapack import dlamch, dsbevx
 from .darboux import shift_level
 from .errors import NumericalFailure, ValidationError
 from .grid import SampledFn
@@ -121,6 +121,9 @@ _SEED_INTERVALS = 128
 _SEED_RESOLUTION = 4.0
 #: seeds up to this fraction of e_max - min V above e_max are refined
 _SEED_MARGIN = 0.1
+#: absolute eigenvalue tolerance of the seed solve: twice the underflow
+#: threshold, the most accurate LAPACK's dsbevx offers
+_ABSTOL = 2 * dlamch("s")
 #: a gap's extremum this far short of +-2 still closes it; one that passes
 #: +-2 by more than _GAP_OPEN opens it
 _GAP_SHORTFALL = 1e-7
@@ -163,18 +166,31 @@ def _edge_seeds(cell: Potential, m: int, e_cut: float) -> np.ndarray | None:
     for corner in (-1.0, 1.0):
         band[2 - (hi - lo), hi] = -1.0 / h**2
         band[2 - (hi[-1] - lo[-1]), hi[-1]] = corner / h**2
-        below = eig_banded(band, eigvals_only=True, select="v",
-                           select_range=(bottom, e_cut), check_finite=False)
+        below = _band_eigvals(band, 1, bottom, e_cut, 1, 1)
         above = []
         if below.size < m:
-            above = eig_banded(band, eigvals_only=True, select="i", check_finite=False,
-                               select_range=(below.size, min(m - 1, below.size + 1)))
+            above = _band_eigvals(band, 2, 0.0, 1.0, below.size + 1, min(m, below.size + 2))
         seeds.extend(below)
         seeds.extend(above)
     seeds = np.sort(seeds)
     count = int(np.searchsorted(seeds, e_cut))
     count += 1 - count % 2
     return seeds[: count + 1] if count < seeds.size else None
+
+
+def _band_eigvals(band: np.ndarray, select: int, vl: float, vu: float, il: int,
+                  iu: int) -> np.ndarray:
+    """Eigenvalues of an upper-band matrix: those in (vl, vu] (select 1) or
+    those of 1-based index il..iu (select 2).
+
+    The arguments are the ones ``scipy.linalg.eig_banded(eigvals_only=True)``
+    passes to LAPACK, so the values are its bits.
+    """
+    w, _, found, _, info = dsbevx(band, vl, vu, il, iu, compute_v=0, range=select,
+                                  lower=0, overwrite_ab=0, abstol=_ABSTOL, mmax=1)
+    if info:
+        raise NumericalFailure(f"banded eigenvalue solve failed (LAPACK info {info})")
+    return w[:found]
 
 
 class _EdgeSearch:

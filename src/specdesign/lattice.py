@@ -16,9 +16,9 @@ import cmath
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .errors import ValidationError
+from ._lapack import dstebz, dstein
+from .errors import NumericalFailure, ValidationError
 from .potentials import HARD_WALLS
 from .solver import _count_sign_changes, _first_lobe_positive
 
@@ -88,7 +88,16 @@ def _make_states(energies, vectors) -> list[LatticeState]:
 def _diagonalize(sys: LatticeSystem, lo: int, hi: int):
     diag = 2.0 + sys.v
     off = np.full(sys.size - 1, -1.0)
-    return eigh_tridiagonal(diag, off, select="i", select_range=(lo, hi))
+    # eigenvalues lo..hi by bisection, then their vectors by inverse
+    # iteration, in block order and sorted: scipy's eigh_tridiagonal(select="i")
+    found, w, block, split, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "B")
+    if not info:
+        w = w[:found]
+        vectors, info = dstein(diag, off, w, block, split)
+    if info:
+        raise NumericalFailure(f"lattice eigenstates {lo}..{hi} failed (LAPACK info {info})")
+    order = np.argsort(w)
+    return w[order], vectors[:, order]
 
 
 def lattice_bound_states(sys: LatticeSystem, count: int, which: str = "lowest") -> list[LatticeState]:

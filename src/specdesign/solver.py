@@ -68,8 +68,8 @@ import os
 import threading
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dtbtrs
 
+from ._lapack import dstebz, dtbtrs
 from .errors import NumericalFailure, ValidationError
 from .grid import SampledFn, integrate
 from .potentials import DECAYING_HALF_LINE, DECAYING_LINE, Potential
@@ -390,11 +390,17 @@ def _fd_estimate(fd: tuple[np.ndarray, np.ndarray], k: int) -> float:
     return float(w[0]) + k - top
 
 
-def _match_index(v: Potential, energy) -> int:
-    """Rightmost classical turning point, clipped away from the edges."""
+def _match_index(v: Potential, energy, deltas=()) -> int:
+    """Rightmost classical turning point, clipped away from the edges.
+
+    The node of a negative spike (from `deltas`, the interior delta nodes)
+    counts as allowed: a delta well binds its state there even where
+    V > E on every node.
+    """
     allowed = np.nonzero(v.values <= energy)[0]
+    wells = [j for j, strength in deltas if strength < 0]
     n = v.grid.n_points
-    m = int(allowed[-1]) if allowed.size else n // 2
+    m = max(allowed[-1:].tolist() + wells, default=n // 2)
     return min(max(m, 4), n - 5)
 
 
@@ -604,7 +610,7 @@ class _Spectrum:
         """Matcher at the turning point of `energy`, moved left until neither
         branch is near a node there."""
         v = self.v
-        matcher = _Matcher(v, _match_index(v, energy), self.deltas)
+        matcher = _Matcher(v, _match_index(v, energy, self.deltas), self.deltas)
         for _ in range(12):
             if matcher.good_match_point(energy):
                 break

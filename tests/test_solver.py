@@ -79,6 +79,15 @@ class TestBoundStates:
         states = bound_states(single_delta(-2.0), 1)
         assert states[0].energy == pytest.approx(-1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("x0", [11.0, 11.5, 12.0])
+    def test_off_centre_delta_well(self, x0):
+        # V > E on every node: the match point sits at the well, not at the
+        # domain's centre where both branches are exponentially small
+        v = single_delta(-2.0, x0)
+        state = bound_states(v, 1)[0]
+        assert state.energy == pytest.approx(-1.0, abs=1e-5)   # the default tol_spectrum
+        assert state.psi.grid.x[np.argmax(state.psi.values)] == pytest.approx(x0, abs=v.grid.h)
+
     def test_deltas_on_one_node_add(self):
         line = free_line()
         v = Potential(line.body, "decaying-line", ((0.0, -1.0), (0.0, -1.0)))
