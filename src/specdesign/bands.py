@@ -28,7 +28,7 @@ from .darboux import shift_level
 from .errors import NumericalFailure, ValidationError
 from .grid import SampledFn
 from .potentials import HARD_WALLS, Potential
-from .solver import band_discriminant, bound_states, current_work, secant_root
+from .solver import band_discriminant, bound_states, current_work, secant_root, transfer_matrix
 
 #: the accuracy of every zone edge, and how far a hard-wall level may lie
 #: outside the closure of its gap
@@ -76,8 +76,10 @@ def zones(p: PeriodicSystem, e_max: float) -> list[Zone]:
     on the sampled cell's discriminant: by secant steps on Delta -+ 2 inside
     a sign bracket, or, where the two edges of a gap lie closer than the
     seeds can tell apart, on dDelta/dE = 0 first.  A gap whose extremum
-    reaches +-2 only to within 1e-7 is closed (touching zones, as in the
-    free limit) and reported as two coincident edges.  The coarse cell
+    falls short of +-2 by at most 1e-7, or passes it by no more than the
+    transfer matrix's rounding (see ``_EdgeSearch._gap``), is closed
+    (touching zones, as in the free limit) and reported as two coincident
+    edges; any other gap is open and both its edges are refined.  The coarse cell
     resolves the highest wave number below the cut and is built once: a
     zone narrower than the error of its seeds, as the lowest zone of a
     tight-binding comb can be, is found at the sign change of Delta between
@@ -124,10 +126,8 @@ _SEED_MARGIN = 0.1
 #: absolute eigenvalue tolerance of the seed solve: twice the underflow
 #: threshold, the most accurate LAPACK's dsbevx offers
 _ABSTOL = 2 * dlamch("s")
-#: a gap's extremum this far short of +-2 still closes it; one that passes
-#: +-2 by more than _GAP_OPEN opens it
+#: a gap's extremum this far short of +-2 still closes it
 _GAP_SHORTFALL = 1e-7
-_GAP_OPEN = 1e-9
 #: half-step of the central difference for dDelta/dE
 _SLOPE_STEP = 1e-4
 
@@ -209,6 +209,12 @@ class _EdgeSearch:
             self.values[e] = band_discriminant(self.cell, e)
         return self.values[e]
 
+    def matrix(self, e: float) -> np.ndarray:
+        """The transfer matrix at e; its trace is stored as Delta(e)."""
+        m = transfer_matrix(self.cell, e)
+        self.values[e] = float(m[0, 0] + m[1, 1])
+        return m
+
     def slope(self, e: float) -> float:
         return (self.delta(e + _SLOPE_STEP) - self.delta(e - _SLOPE_STEP)) / (2 * _SLOPE_STEP)
 
@@ -252,7 +258,15 @@ class _EdgeSearch:
         raise NumericalFailure(f"no energy beyond the seed {seed} with {sign:+g} * Delta > 2")
 
     def _gap(self, sign, below, above, centre, a0, b0):
-        """Both edges of the gap where sign * Delta > 2, between zone points; seeds a0, b0."""
+        """Both edges of the gap where sign * Delta > 2, between zone points; seeds a0, b0.
+
+        Where the seeds do not resolve the gap, it is open when Delta passes
+        sign * 2 at its extremum: when the excess sign * Delta - 2 there is
+        positive, and so is -det(M - sign I), M the transfer matrix.  The two
+        agree wherever det M = 1, but at a closed gap, where M = sign I, the
+        excess carries the error of M to first order (det M - 1, about 1e-12
+        on a free cell) and the determinant only to second order.
+        """
         if sign * self.delta(centre) <= 2.0:
             # the seeds do not resolve the gap: find the extremum first
             d_below, d_above = sign * self.slope(below), sign * self.slope(above)
@@ -262,12 +276,13 @@ class _EdgeSearch:
                 )
             centre = secant_root(lambda e: sign * self.slope(e), below, d_below,
                                  above, d_above, centre, EDGE_TOL)
+            m = self.matrix(centre)
             excess = sign * self.delta(centre) - 2.0
             if excess < -_GAP_SHORTFALL:
                 raise NumericalFailure(
                     f"Delta peaks {-excess:.3g} short of {2 * sign:+g} at E={centre}"
                 )
-            if excess <= _GAP_OPEN:
+            if excess <= 0.0 or (m[0, 0] - sign) * (m[1, 1] - sign) >= m[0, 1] * m[1, 0]:
                 self.tangencies += 1
                 return [centre, centre]
         return [self._root(sign, below, centre, a0), self._root(sign, above, centre, b0)]

@@ -679,11 +679,15 @@ def _bsec_denominator(k: float, lam: float, x: np.ndarray) -> np.ndarray:
     return 1.0 + lam * (x / 2.0 - np.sin(2.0 * k * x) / (4.0 * k))
 
 
-def bsec_potential_values(k: float, lam: float, x: np.ndarray) -> np.ndarray:
-    """The embedded-state potential -2 (ln D)'' with D = 1 + lam int_0^x sin^2(ks) ds."""
-    den = _bsec_denominator(k, lam, x)
+def _bsec_potential(k: float, lam: float, x: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """-2 (ln D)'' from den = D at x."""
     return (-2.0 * lam * k * np.sin(2.0 * k * x) / den
             + 2.0 * (lam * np.sin(k * x) ** 2 / den) ** 2)
+
+
+def bsec_potential_values(k: float, lam: float, x: np.ndarray) -> np.ndarray:
+    """The embedded-state potential -2 (ln D)'' with D = 1 + lam int_0^x sin^2(ks) ds."""
+    return _bsec_potential(k, lam, x, _bsec_denominator(k, lam, x))
 
 
 def embed_bsec(k: float, lam: float, grid: Grid) -> TransformResult:
@@ -703,7 +707,7 @@ def embed_bsec(k: float, lam: float, grid: Grid) -> TransformResult:
         raise ValidationError("half-line grid must start at 0")
     x = grid.x
     den = _bsec_denominator(k, lam, x)
-    vvals = bsec_potential_values(k, lam, x)
+    vvals = _bsec_potential(k, lam, x, den)
     v_new = Potential(SampledFn(grid, vvals), DECAYING_HALF_LINE)
 
     psi = np.sin(k * x) / den

@@ -43,10 +43,12 @@ Method summary
   to 1024 segments (the count depends on the grid only); each segment's
   2 x 2 map of (mean, difference) = ((y[j-1] + y[j]) / 2, (y[j] - y[j-1]) / h)
   is found for a block of energies in one pass of numpy array steps.  The
-  steps use the same double coefficients c and 12 - 10 c, but carry Blatt's
-  summed variables w = c y and D[j] = w[j] - w[j-1] (D[j+1] = D[j] + G[j] w[j]
-  with G = (12 - 10 c - 2 c) / c); y is taken into w at each segment's start
-  pair and back at its end pair.  The maps are chained by pairwise
+  steps carry Blatt's summed variables w = c y and D[j] = w[j] - w[j-1]
+  (D[j+1] = D[j] + G[j] w[j] with G = h^2 (V - E) / c, which equals
+  (12 - 10 c - 2 c) / c but sees E at full relative precision, not only in
+  the steps of about 12 eps / h^2 that the rounded c resolves); y is taken
+  into w at each segment's start pair and back at its end pair, with c
+  rounded as the banded solve rounds it.  The maps are chained by pairwise
   products rescaled by powers of two.  A spike adds the same term, divided
   by c, to G at the step from its node.  Every energy's arithmetic is its
   own, so a one-energy call equals the same element of a longer scan bit
@@ -785,10 +787,11 @@ _BLOCK_DOUBLES = 2**14
 #: where 3, 4 and 8 were slower than 2 and held 5.0, 6.6 and 12.8 MB
 _SCAN_THREADS = 2
 #: the segments' (w, D) values are rescaled by powers of two, to a peak below 1,
-#: every this many steps.  A nonzero c is at least 2**-53 in magnitude (1 - x is
-#: exact for x near 1), so |G| = |B - 2c| / |c| <= 12 / |c| + 12 < 2**57 - 2
-#: whatever the size of c, and one step grows max(|w|, |D|) by at most
-#: 2 + |G| < 2**57: this many steps by less than 2**912.  That leaves 2**111
+#: every this many steps.  G = q / c with q = h^2 (V - E) and c = 1 - q / 12, each
+#: operation rounded: a nonzero c is at least 2**-53 in magnitude (1 - x is exact
+#: for x near 1), and |q| <= 12 (1 + |c|) (1 + 2 eps), so |G| <= (12 / |c| + 12)
+#: (1 + 3 eps) < 2**57 - 2 whatever the size of c.  One step grows max(|w|, |D|)
+#: by at most 2 + |G| < 2**57: this many steps by less than 2**912.  That leaves 2**111
 #: for the size of the start pairs (at most 2 |c|), the conversion of the end
 #: pairs back to y (a factor below 2**55) and the division of their difference by h.
 #: A spike adds h |g| |2 - c| / |c| to |G| at its step, which no bound on c limits.
@@ -834,22 +837,22 @@ def _segment_maps(v, h, energies, bounds, jumps=()) -> tuple[np.ndarray, np.ndar
 
     A pair (y[j-1], y[j]) is written as m = (y[j-1] + y[j]) / 2 and
     d = (y[j] - y[j-1]) / h.  All segments step at once from (m, d) = (1, 0)
-    and (0, 1), with the coefficients c = 1 - h^2 (V - E) / 12 and
-    B = 12 - 10 c that ``_numerov`` uses.  The recurrence
-    c[j+1] y[j+1] = B[j] y[j] - c[j-1] y[j-1] is stepped in Blatt's variables
-    w[j] = c[j] y[j] and D[j] = w[j] - w[j-1] (J. M. Blatt, J. Comput. Phys.
-    1, 382 (1967)):
+    and (0, 1).  The recurrence c[j+1] y[j+1] = (12 - 10 c[j]) y[j] - c[j-1] y[j-1],
+    c = 1 - h^2 (V - E) / 12, is stepped in Blatt's variables w[j] = c[j] y[j]
+    and D[j] = w[j] - w[j-1] (J. M. Blatt, J. Comput. Phys. 1, 382 (1967)):
 
-        D[j+1] = D[j] + G[j] w[j],  w[j+1] = w[j] + D[j+1],  G[j] = (B[j] - 2 c[j]) / c[j],
+        D[j+1] = D[j] + G[j] w[j],  w[j+1] = w[j] + D[j+1],  G[j] = h^2 (V[j] - E) / c[j],
 
     which is the same equation, but rounds w against itself only where the
-    small D[j+1] is added.  B - 2c is exact wherever c is near 1, so G keeps
-    its relative precision there.  The start pairs are taken into (w, D) with
-    c at each segment's first two nodes, and the end pairs back into y with
-    c at its last two.  jumps lists (node, strength) pairs of delta spikes:
-    step t of segment s sweeps node bounds[s] + t, and a spike g on that node
-    adds ``_numerov``'s term h g (2 - c) divided by c to G there.  Returns the
-    maps, shape (2, 2, E, S), at scale 2**exps.
+    small D[j+1] is added.  G = (12 - 12 c) / c is formed from h^2 (V - E),
+    not from the rounded c, so E enters it at full relative precision
+    however close c lies to 1.  c itself is rounded as ``_numerov`` rounds
+    it: the start pairs are taken into (w, D) with c at each segment's first
+    two nodes, and the end pairs back into y with c at its last two.  jumps
+    lists (node, strength) pairs of delta spikes: step t of segment s sweeps
+    node bounds[s] + t, and a spike g on that node adds ``_numerov``'s term
+    h g (2 - c) divided by c to G there.  Returns the maps, shape (2, 2, E, S),
+    at scale 2**exps.
     """
     starts = bounds[:-1]
     count = starts.size
@@ -861,23 +864,14 @@ def _segment_maps(v, h, energies, bounds, jumps=()) -> tuple[np.ndarray, np.ndar
         first = int(np.searchsorted(bounds, j, side="right")) - 1
         spikes.setdefault(j - int(bounds[first]), []).append((first, strength))
 
-    def coefficient(nodes, out):
-        """c = 1 - h^2 (V - E) / 12 at nodes (..., S) into out (..., E, S).
-
-        It is rounded as ``_numerov`` rounds it.
-        """
-        np.subtract(v[nodes][..., None, :], e, out=out)
-        out *= hh
-        out /= 12.0
-        np.subtract(1.0, out, out=out)
-
-    def ratio(c, g, tmp):
-        """G = (B - 2c) / c into g, B = 12 - 10 c; tmp is scratch shaped like c."""
-        np.multiply(c, 10.0, out=g)
-        np.subtract(12.0, g, out=g)
-        np.add(c, c, out=tmp)
-        np.subtract(g, tmp, out=g)
-        np.divide(g, c, out=g)
+    def coefficients(nodes, c, g):
+        """c = 1 - h^2 (V - E) / 12 into c and G = h^2 (V - E) / c into g, at nodes
+        (..., S) for arrays (..., E, S).  c is rounded as ``_numerov`` rounds it."""
+        np.subtract(v[nodes][..., None, :], e, out=g)
+        g *= hh
+        np.divide(g, 12.0, out=c)
+        np.subtract(1.0, c, out=c)
+        g /= c
 
     def add_spikes(t, c, g):
         """The terms h g (2 - c) / c of the spikes that step t sweeps, added to the ratios g."""
@@ -916,21 +910,19 @@ def _segment_maps(v, h, energies, bounds, jumps=()) -> tuple[np.ndarray, np.ndar
     w, d = out  # the maps' two columns are stepped in place: rows (w, D), then (mean, difference)
     # c and G are formed for two steps per numpy call, which halves the calls that hold the GIL
     c, g, tmp = np.empty((2,) + shape), np.empty((2,) + shape), np.empty((2,) + shape)
-    coefficient(starts - 1, g[0])
-    coefficient(starts, c[0])
+    pair = np.arange(2)[:, None]
+    coefficients(starts - 1 + pair, c, g)
     # (m, d) = (1, 0) is y = (1, 1), and (0, 1) is y = (-h/2, h/2)
-    w[0] = c[0]
-    np.subtract(c[0], g[0], out=d[0])
-    np.multiply(c[0], 0.5 * h, out=w[1])
-    np.add(c[0], g[0], out=d[1])
+    w[0] = c[1]
+    np.subtract(c[1], c[0], out=d[0])
+    np.multiply(c[1], 0.5 * h, out=w[1])
+    np.add(c[1], c[0], out=d[1])
     d[1] *= 0.5 * h
     exps = np.zeros(shape, dtype=int)
     s = np.empty(shape, dtype=np.int32)
-    pair = np.arange(2)[:, None]
     for t in range(0, length, 2):
         k = min(2, length - t)  # steps t and t + 1; the last pass may hold one
-        coefficient(starts + t + pair[:k], c[:k])
-        ratio(c[:k], g[:k], tmp[:k])
+        coefficients(starts + t + pair[:k], c[:k], g[:k])
         for i in range(k):
             if t + i in spikes:
                 add_spikes(t + i, c[i], g[i])
@@ -948,19 +940,18 @@ def _segment_maps(v, h, energies, bounds, jumps=()) -> tuple[np.ndarray, np.ndar
             np.ldexp(w, s, out=w)
             np.ldexp(d, s, out=d)
             exps -= s
-    # the coefficients of each segment's nodes starts + length - 1 and starts + length:
-    # the end pair of the shorter segments
-    c_prev, c_end = c[k - 1], g[0]
-    coefficient(starts + length, c_end)
+    # c at each segment's nodes starts + length - 1 and starts + length (the end
+    # pair of the shorter segments), and G at the latter
+    c_prev, c_end = c[k - 1], c[2 - k]
+    coefficients(starts + length, c_end, g[0])
     to_pairs(w[..., extra:], d[..., extra:], c_prev[:, extra:], c_end[:, extra:], tmp[..., extra:])
     if extra:  # the last step of the longer segments
-        c_prev, c_end, g = c_end[:, :extra], c_prev[:, :extra], g[1][:, :extra]
+        c_prev, c_end, g = c_end[:, :extra], c_prev[:, :extra], g[0][:, :extra]
         w, d, tmp = w[..., :extra], d[..., :extra], tmp[..., :extra]
-        ratio(c_prev, g, tmp[0])
         if length in spikes:
             add_spikes(length, c_prev, g)
         step(g, w, d, tmp)
-        coefficient(starts[:extra] + length + 1, c_end)
+        coefficients(starts[:extra] + length + 1, c_end, tmp[0])  # its G is not needed
         to_pairs(w, d, c_prev, c_end, tmp)
     return out, exps
 

@@ -18,7 +18,7 @@ from specdesign.bands import (
 from specdesign.errors import NumericalFailure, ValidationError
 from specdesign.grid import SampledFn, make_grid
 from specdesign.potentials import Potential, comb_cell
-from specdesign.solver import bound_states, oracle_scope, secant_root
+from specdesign.solver import band_discriminant, bound_states, oracle_scope, secant_root
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +295,27 @@ class TestShiftZone:
             assert zone3.e_hi == pytest.approx(9.0, abs=1e-3)
             squeezed.append(zone3.width)
         assert all(a > b for a, b in zip(squeezed, squeezed[1:]))
+
+    def test_gap_open_by_less_than_1e_9_keeps_both_edges(self, comb):
+        # Delta + 2 dips to about -3e-11 on a gap some 2e-5 wide: the gap is open,
+        # and each edge lies where a bisection of Delta + 2 puts it.  Delta's
+        # rounding, about 1e-12, spans about 2e-7 in E where its slope is as
+        # small as at these edges (about 7e-6), so that is as close as two
+        # searches can agree; coincident edges would lie 1.1e-5 from each
+        p = shift_zone(comb, 3, 0.611328125)
+        zs = zones(p, 11.0)
+
+        def bisect(lo, hi):  # Delta + 2 > 0 at lo, < 0 at hi
+            while abs(hi - lo) > 1e-12:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if band_discriminant(p.cell, mid) + 2.0 > 0.0 else (lo, mid)
+            return 0.5 * (lo + hi)
+
+        inside = 0.5 * (zs[2].e_hi + zs[3].e_lo)
+        assert band_discriminant(p.cell, inside) + 2.0 < 0.0
+        assert zs[2].e_hi == pytest.approx(bisect(9.6113, inside), abs=1e-6)
+        assert zs[3].e_lo == pytest.approx(bisect(9.6114, inside), abs=1e-6)
+        assert zs[3].e_lo - zs[2].e_hi > 1e-5
 
     def test_window_validation(self, comb):
         with pytest.raises(ValidationError):

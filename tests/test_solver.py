@@ -340,20 +340,25 @@ def numerov_scattering(v, energy):
 
 
 def long_double_scattering(v, energies):
-    """R and T from a node-by-node sweep in long double, with the double-rounded
-    c = 1 - h^2 (V - E) / 12 and 12 - 10 c of the propagator (no deltas)."""
+    """R and T from a node-by-node sweep in long double from the right edge.
+
+    c = 1 - h^2 (V - E) / 12 and 12 - 10 c are formed in long double from the
+    exact samples and energies, so no rounding of c against 1 enters; a delta
+    g at sweep node j adds h g (2 - c[j]) y[j] to the step from it.
+    """
     g = v.grid
+    n = g.n_points
     e = np.asarray(energies, dtype=float)
-    vrev = v.values[::-1]
-    k_r = np.sqrt(e - vrev[0]).astype(np.longdouble)
-    x = np.longdouble(g.x_min) + np.arange(g.n_points) * np.longdouble(g.h)  # exactly h apart
-    c = [(1.0 - g.h * g.h * (vrev[j] - e) / 12.0) for j in range(3)]
+    h = np.longdouble(g.h)
+    c = 1 - h * h * (v.values[::-1, None].astype(np.longdouble) - e.astype(np.longdouble)) / 12
+    b = 12 - 10 * c
+    for j, strength in v.delta_nodes():
+        b[n - 1 - j] += h * np.longdouble(strength) * (2 - c[n - 1 - j])
+    k_r = np.sqrt(e - v.values[-1]).astype(np.longdouble)
+    x = np.longdouble(g.x_min) + np.arange(n) * h  # exactly h apart
     y = [np.exp(1j * k_r * x[-1]), np.exp(1j * k_r * x[-2])]
-    for j in range(1, g.n_points - 1):
-        b = (12.0 - 10.0 * c[1]).astype(np.longdouble)
-        y = [y[1], (b * y[1] - c[0].astype(np.longdouble) * y[0]) / c[2].astype(np.longdouble)]
-        nxt = vrev[j + 2] if j + 2 < g.n_points else vrev[-1]
-        c = [c[1], c[2], 1.0 - g.h * g.h * (nxt - e) / 12.0]
+    for j in range(1, n - 1):
+        y = [y[1], (b[j] * y[1] - c[j - 1] * y[0]) / c[j + 1]]
     k_l = np.sqrt(e - v.values[0]).astype(np.longdouble)
     return plane_wave_amplitudes(k_l, x[0], x[1], y[1], y[0])
 
@@ -375,8 +380,9 @@ class TestSegmentScattering:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended precision")
     def test_matches_long_double_sweep(self):
-        # a banded node-form sweep lands about 8e-12 from this reference, the
-        # summed segment sweep with its exactly spaced end pairs about 1e-13
+        # exact-E references: the banded `_numerov` sweep, whose c rounds
+        # against 1, lands 6e-10 in R and 4.2e-9 in T from this one; the summed
+        # segment sweep, whose G comes from h^2 (V - E), about 1.3e-13 and 3.7e-13
         v = self.step_potential()
         energies = np.array([1.2, 1.6, 2.5, 4.0, 7.5])
         want_r, want_t = long_double_scattering(v, energies)
@@ -384,6 +390,17 @@ class TestSegmentScattering:
         assert max(abs(r.R - w) for r, w in zip(got, want_r)) < 1e-12
         assert max(abs(r.T - w) for r, w in zip(got, want_t)) < 1e-12
 
+    def test_resolves_energy_below_the_coefficient_staircase(self):
+        # c = 1 - h^2 (V - E) / 12 moves only in steps of about 12 eps / h^2 in E;
+        # sixteen energies per step must still give a smooth, monotone |T|
+        v = self.step_potential()
+        delta = 12.0 * np.finfo(float).eps / v.grid.h ** 2 / 16.0
+        t = np.array([abs(r.T) for r in scattering_curve(v, 2.5 + delta * np.arange(9))])
+        steps = np.diff(t)
+        assert np.all(np.sign(steps) == np.sign(steps[0]))
+        assert np.max(np.abs(steps - steps.mean())) < 0.05 * abs(steps.mean())
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended precision")
     @pytest.mark.parametrize("layout", ["single", "six apart", "closer", "boundaries"])
     def test_deltas_match_numerov_sweep(self, layout):
         v = single_delta(2.0)
@@ -400,10 +417,10 @@ class TestSegmentScattering:
             }[layout]
             v = with_deltas(free_line(), [n - 1 - j for j in sweep_nodes])
         energies = [0.3, 1.0, 4.2, 9.0]
-        for res in scattering_curve(v, energies):
-            want_r, want_t = numerov_scattering(v, res.energy)
-            assert abs(res.R - want_r) < 1e-10
-            assert abs(res.T - want_t) < 1e-10
+        want_r, want_t = long_double_scattering(v, energies)
+        for res, r, t in zip(scattering_curve(v, energies), want_r, want_t):
+            assert abs(res.R - r) < 1e-10
+            assert abs(res.T - t) < 1e-10
 
     def test_one_point_equals_long_curve_element(self):
         v = with_deltas(soliton_well(), [4000, 4003, 12000])
