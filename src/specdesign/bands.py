@@ -83,7 +83,8 @@ def zones(p: PeriodicSystem, e_max: float) -> list[Zone]:
     resolves the highest wave number below the cut and is built once: a
     zone narrower than the error of its seeds, as the lowest zone of a
     tight-binding comb can be, is found at the sign change of Delta between
-    the gaps on either side.
+    the gaps on either side.  Where it is narrower than the rounding of
+    Delta too, that sign change is reported as its two coincident edges.
     """
     cell = p.cell
     v_min = float(cell.values.min())
@@ -236,14 +237,15 @@ class _EdgeSearch:
                     # from short steps: unlike below lam_0, that gap may be narrower than 1
                     centres.append(self._outside(1.0 if k % 2 else -1.0, hi, max(EDGE_TOL, hi - lo)))
                 d_lo, d_hi = self.delta(centres[k]), self.delta(centres[k + 1])
-                if (d_lo > 0.0) != (d_hi > 0.0):
-                    point = secant_root(self.delta, centres[k], d_lo, centres[k + 1], d_hi,
-                                        point, EDGE_TOL)
-            if not abs(self.delta(point)) < 2.0:
-                raise NumericalFailure(f"no point of zone {k + 1}, seeded at E={lo} and E={hi}, "
-                                       f"has |Delta| < 2")
+                if (d_lo > 0.0) == (d_hi > 0.0):
+                    raise NumericalFailure(f"no point of zone {k + 1}, seeded at E={lo} and "
+                                           f"E={hi}, has |Delta| < 2")
+                # where the zone is narrower than the rounding of Delta, no double
+                # has |Delta| < 2 and this sign change stands for both its edges
+                point = secant_root(self.delta, centres[k], d_lo, centres[k + 1], d_hi,
+                                    point, EDGE_TOL)
             points.append(point)
-        edges = [self._root(1.0, centres[0], points[0], seeds[0])]
+        edges = [self._root(1.0, points[0], centres[0], seeds[0])]
         for k in range(1, len(points)):
             edges.extend(self._gap(-1.0 if k % 2 else 1.0, points[k - 1], points[k],
                                    centres[k], seeds[2 * k - 1], seeds[2 * k]))
@@ -287,10 +289,14 @@ class _EdgeSearch:
                 return [centre, centre]
         return [self._root(sign, below, centre, a0), self._root(sign, above, centre, b0)]
 
-    def _root(self, sign, a, b, seed):
-        """Root of sign * Delta - 2 between a and b, where its signs differ."""
+    def _root(self, sign, point, centre, seed):
+        """The edge between a zone's point and a gap's centre: the root of
+        sign * Delta - 2 there, or the point itself if |Delta| >= 2 there too,
+        which ``refine`` leaves only in a zone below the rounding of Delta."""
+        if abs(self.delta(point)) >= 2.0:
+            return point
         f = lambda e: sign * self.delta(e) - 2.0
-        lo, hi = sorted((a, b))
+        lo, hi = sorted((point, centre))
         return secant_root(f, lo, f(lo), hi, f(hi), seed, EDGE_TOL)
 
 
@@ -339,7 +345,7 @@ def track_zone_shift(p: PeriodicSystem, aux_level: int, d_e_values, e_max: float
     return [_track_row(p, aux_level, d_e, e_aux + d_e, e_max, base) for d_e in d_e_values]
 
 
-def bisect_gap_closure(p: PeriodicSystem, aux_level: int, rows, e_max: float, tol=GAP_CLOSED):
+def bisect_gap_closure(p: PeriodicSystem, aux_level: int, rows, e_max: float):
     """Shift size at which the tracked gap closes, if the rows of `track_zone_shift`,
     the first at dE = 0, bracket it; each step is one more such row."""
     for a, b in zip(rows, rows[1:]):
@@ -348,7 +354,7 @@ def bisect_gap_closure(p: PeriodicSystem, aux_level: int, rows, e_max: float, to
     else:
         return None
     lo, hi = a["dE"], b["dE"]
-    while hi - lo > tol:
+    while hi - lo > GAP_CLOSED:
         mid = 0.5 * (lo + hi)
         row = _track_row(p, aux_level, mid, rows[0]["edge_energy"] + mid, e_max, rows[0]["zones"])
         if row["tracked_gap"] == 0.0:

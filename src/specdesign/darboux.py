@@ -598,11 +598,13 @@ def bargmann_reflectionless(levels, norms, *, half_width: float | None = None,
     coefficients, det A = sum_S C_S exp(-2 K_S x), K_S = sum_{m in S} kappa_m,
     so with the softmax weights w_S(x) of that sum
 
-        V(x) = -8 [ <K^2> - <K>^2 ],
+        V(x) = -8 <(K - <K>)^2>,
         psi_m = c_m e^{-kappa_m x} (sum_{S, m not in S} rho_mS C_S e^{-2K_S x}) / det A,
 
     which is unconditionally stable in log space; the direct matrix solve
     would lose all accuracy for clustered decay rates (Cauchy conditioning).
+    The variance of K is summed about its mean, which does not cancel as
+    <K^2> - <K>^2 does.
     """
     kap = np.asarray(list(levels), dtype=float)
     c = np.asarray(list(norms), dtype=float)
@@ -647,8 +649,7 @@ def bargmann_reflectionless(levels, norms, *, half_width: float | None = None,
     # einsum, not BLAS: a threaded matrix-vector product rounds differently
     # with the thread count
     k_mean = np.einsum("ij,j->i", w, k_sum)
-    k_sq = np.einsum("ij,j->i", w, k_sum**2)
-    vvals = -8.0 * (k_sq - k_mean**2)
+    vvals = -8.0 * np.einsum("ij,ij->i", w, (k_sum[None, :] - k_mean[:, None]) ** 2)
     v_new = Potential(SampledFn(v0.grid, vvals), DECAYING_LINE)
 
     states = []
@@ -725,11 +726,12 @@ def embed_bsec(k: float, lam: float, grid: Grid) -> TransformResult:
 
 
 def bsec_whole_line(k: float, lam: float, *, half_width: float = 120.0 * math.pi,
-                    left_pad: float = 6.0, n_points: int | None = None) -> Potential:
-    """Whole-line extension of the embedded-state potential: zero for x < 0."""
+                    n_points: int | None = None) -> Potential:
+    """Whole-line extension of the embedded-state potential to [-6, half_width]:
+    zero for x < 0."""
     if n_points is None:
-        n_points = default_points(half_width + left_pad)
-    g = make_grid(-left_pad, half_width, n_points)
+        n_points = default_points(half_width + 6.0)
+    g = make_grid(-6.0, half_width, n_points)
     v = bsec_potential_values(k, lam, g.x)
     v[g.x < 0] = 0.0
     return Potential(SampledFn(g, v), DECAYING_LINE)

@@ -68,12 +68,12 @@ def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:
     return Grid(float(x_min), float(x_max), n_points)
 
 
-def default_points(width: float, per_pi: int = POINTS_PER_PI) -> int:
+def default_points(width: float) -> int:
     """Default odd node count for a domain of the given width, at most MAX_POINTS."""
-    n = per_pi * width / math.pi
+    n = POINTS_PER_PI * width / math.pi
     if not n <= MAX_POINTS:
-        raise ValidationError(f"a domain {width:g} wide needs {n:.4g} nodes at {per_pi} per pi, "
-                              f"more than {MAX_POINTS}")
+        raise ValidationError(f"a domain {width:g} wide needs {n:.4g} nodes at "
+                              f"{POINTS_PER_PI} per pi, more than {MAX_POINTS}")
     n = int(round(n))
     n = max(n, 3)
     if n % 2 == 0:

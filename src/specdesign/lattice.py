@@ -140,10 +140,10 @@ def lattice_bound_states(sys: LatticeSystem, count: int, which: str = "lowest") 
     return states
 
 
-def stark_ladder(c: float, window: tuple[int, int], *, edge_tol: float = 1e-8) -> list[LatticeState]:
+def stark_ladder(c: float, window: tuple[int, int]) -> list[LatticeState]:
     """Equidistant ladder on the linear slope V(n) = c n.
 
-    Returns the window-interior eigenstates whose amplitude is below edge_tol
+    Returns the window-interior eigenstates whose amplitude is below 1e-8
     at both window ends; those form the ladder E_m = 2 + c m with one state
     per site offset, all sharing one shape shifted site by site.
     """
@@ -153,7 +153,7 @@ def stark_ladder(c: float, window: tuple[int, int], *, edge_tol: float = 1e-8) -
     sys = LatticeSystem(n_min, n_max, c * np.arange(n_min, n_max + 1), DECAYING)
     energies, vectors = _diagonalize(sys, 0, sys.size - 1)
     states = _make_states(energies, vectors)
-    ladder = [s for s in states if max(abs(s.psi[0]), abs(s.psi[-1])) < edge_tol]
+    ladder = [s for s in states if max(abs(s.psi[0]), abs(s.psi[-1])) < 1e-8]
     if not ladder:
         raise ValidationError(
             "window too small: no eigenstate satisfies the edge-amplitude guard; "

@@ -25,13 +25,13 @@ Method summary
   own so that no level depends on how many were asked for.  Newton steps on
   Cooley's correction (psi_L'(m) - psi_R'(m)) psi(m) / int psi^2 (J. W.
   Cooley, Math. Comp. 15, 363 (1961)) refine it until the signs of the
-  corrections bracket it within 2 rel_tol max(1, |E|); the assembled state
+  corrections bracket it within 2e-11 max(1, |E|); the assembled state
   must have k - 1 nodes.  If that fails, the level is bracketed by
   interior-node counts of the left shot (node theorem) and polished with
   secant steps on the matching Wronskian inside that bracket.
 * Inside ``oracle_scope()`` (the CLI opens one per run) the solved levels of
   each sampled potential are kept, keyed on its exact values, boundary kind,
-  deltas, grid and rel_tol, and a repeated or shorter request is served
+  deltas and grid, and a repeated or shorter request is served
   from them; a longer one solves only the missing levels.  The scope also
   counts the oracle's work (``OracleWork.ledger``).
 * Delta spikes enter exactly through the derivative jump
@@ -39,22 +39,21 @@ Method summary
   the kink, the jump adds h g (1 + h^2 (V - E) / 12) y[j] = h g (2 - c[j]) y[j]
   to the right side of the step from the spike's node j, with an O(h^5)
   local error like the recurrence's, so the banded solve runs straight through.
-* Scattering scans sweep every energy at once.  The steps are cut into up
-  to 1024 segments (the count depends on the grid only); each segment's
-  2 x 2 map of (mean, difference) = ((y[j-1] + y[j]) / 2, (y[j] - y[j-1]) / h)
-  is found for a block of energies in one pass of numpy array steps.  The
-  steps carry Blatt's summed variables w = c y and D[j] = w[j] - w[j-1]
-  (D[j+1] = D[j] + G[j] w[j] with G = h^2 (V - E) / c, which equals
-  (12 - 10 c - 2 c) / c but sees E at full relative precision, not only in
-  the steps of about 12 eps / h^2 that the rounded c resolves); y is taken
-  into w at each segment's start pair and back at its end pair, with c
-  rounded as the banded solve rounds it.  The maps are chained by pairwise
-  products rescaled by powers of two.  A spike adds the same term, divided
-  by c, to G at the step from its node.  Every energy's arithmetic is its
-  own, so a one-energy call equals the same element of a longer scan bit
-  for bit.  The energy blocks are
-  swept on the calling thread and, where the process may run on a second
-  CPU, one helper; the results do not depend on the thread count.
+* Scattering scans sweep every energy at once, in Blatt's summed variables
+  w = c y and D[j] = w[j] - w[j-1] (D[j+1] = D[j] + G[j] w[j] with
+  G = h^2 (V - E) / c, which equals (12 - 10 c - 2 c) / c but sees E at full
+  relative precision, not only in the steps of about 12 eps / h^2 that the
+  rounded c resolves).  The steps are cut into up to 1024 segments (the
+  count depends on the grid only); each segment's 2 x 2 map of (w, D) is
+  found for a block of energies in one pass of numpy array steps, and the
+  maps are chained by pairwise products rescaled by powers of two.  y goes
+  into (w, D) once, at the line's right end pair, and back at its left
+  one, with c rounded as the banded solve rounds it.  A spike adds the
+  same term, divided by c, to G at the step from its node.  Every energy's
+  arithmetic is its own, so a one-energy call equals the same element of a
+  longer scan bit for bit.  The energy blocks are swept on the calling
+  thread and, where the process may run on a second CPU, one helper; the
+  results do not depend on the thread count.
 * Band discriminants loop over energies, one banded solve each; the two
   columns of the transfer matrix are the right-hand sides.
 """
@@ -117,8 +116,8 @@ class ScatteringResult:
 class OracleWork:
     """Memo of bound-state solves and a ledger of the oracle's work, for one scope.
 
-    The memo is keyed on the exact sampled values, boundary kind, deltas,
-    grid and rel_tol, never on anything a transform reports.  The counts
+    The memo is keyed on the exact sampled values, boundary kind, deltas
+    and grid, never on anything a transform reports.  The counts
     depend only on what was asked, so they repeat exactly for the same run.
     Scattering scans are counted in their own block and add nothing to
     ``numerov_calls`` or ``nodes_swept``: they make no ``_numerov`` sweep.
@@ -227,7 +226,7 @@ def derivative_samples(y: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
     """dy/dx at every node for a solution of y'' = f y, O(h^4).
 
     Interior nodes use the centered difference corrected with the known
-    second derivative; ends fall back to one-sided five-point stencils.
+    second derivative; ends fall back to one-sided six-point stencils.
     """
     d = np.empty_like(y)
     d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h) - (h / 12.0) * (f[2:] * y[2:] - f[:-2] * y[:-2])
@@ -564,18 +563,19 @@ def secant_root(f, lo, f_lo, hi, f_hi, x, xtol) -> float:
 
 #: Cooley steps tried from the finite-difference seed before the bracketed path
 _COOLEY_STEPS = 12
+#: levels are refined to |dE| < this times max(1, |E|)
+_REL_TOL = 1e-11
 
 
 class _Spectrum:
     """The bound levels of one potential solved so far, lowest first.
 
     Levels are solved one at a time and each depends only on the potential,
-    its index and rel_tol, so a stored prefix equals a fresh solve bit for bit.
+    and its index, so a stored prefix equals a fresh solve bit for bit.
     """
 
-    def __init__(self, v: Potential, rel_tol: float):
+    def __init__(self, v: Potential):
         self.v = v
-        self.rel_tol = rel_tol
         self.deltas = v.delta_nodes(interior_only=True)
         self.levels: list[BoundState] = []
         self.e_top = None
@@ -657,7 +657,7 @@ class _Spectrum:
                 lo = energy
             else:
                 hi = energy
-            xtol = self.rel_tol * max(1.0, abs(energy))
+            xtol = _REL_TOL * max(1.0, abs(energy))
             if step == 0.0 or hi - lo <= 2 * xtol:
                 psi, nodes = matcher.state(energy)
                 return (energy, psi) if nodes == k - 1 else None
@@ -702,7 +702,7 @@ class _Spectrum:
                 break
 
         matcher = self._matcher(0.5 * (lo + hi))
-        xtol = self.rel_tol * max(1.0, abs(hi))
+        xtol = _REL_TOL * max(1.0, abs(hi))
         flo, fhi = matcher.mismatch(lo), matcher.mismatch(hi)
         if flo == 0.0:
             energy = lo
@@ -732,10 +732,10 @@ class _Spectrum:
         return energy, psi
 
 
-def bound_states(v: Potential, count: int, *, rel_tol: float = 1e-11) -> list[BoundState]:
+def bound_states(v: Potential, count: int) -> list[BoundState]:
     """The lowest `count` bound states of a potential, ordered by energy.
 
-    Energies are refined to |dE| < rel_tol * max(1, |E|).  For decaying
+    Energies are refined to |dE| < 1e-11 max(1, |E|).  For decaying
     boundary kinds only the levels genuinely below the continuum edge are
     returned, so the list may be shorter than requested.  The state arrays
     are read-only.  Inside an ``oracle_scope`` the levels of each sampled
@@ -755,15 +755,15 @@ def bound_states(v: Potential, count: int, *, rel_tol: float = 1e-11) -> list[Bo
         raise ValidationError("grid too coarse for the shooting solver (need >= 11 points)")
     work = _WORK.get()
     if work is None:
-        return _Spectrum(v, rel_tol).first(count)
-    key = (v.values.tobytes(), v.bc_kind, v.deltas, v.grid, rel_tol)
+        return _Spectrum(v).first(count)
+    key = (v.values.tobytes(), v.bc_kind, v.deltas, v.grid)
     spectrum = work.memo.get(key)
     work.calls += 1
     work.memo_hits += spectrum is not None
     calls, nodes = work.numerov_calls, work.nodes_swept
     try:
         if spectrum is None:
-            spectrum = work.memo[key] = _Spectrum(v, rel_tol)
+            spectrum = work.memo[key] = _Spectrum(v)
         return spectrum.first(count)
     finally:
         work.level_numerov_calls += work.numerov_calls - calls
@@ -791,14 +791,13 @@ _SCAN_THREADS = 2
 #: operation rounded: a nonzero c is at least 2**-53 in magnitude (1 - x is exact
 #: for x near 1), and |q| <= 12 (1 + |c|) (1 + 2 eps), so |G| <= (12 / |c| + 12)
 #: (1 + 3 eps) < 2**57 - 2 whatever the size of c.  One step grows max(|w|, |D|)
-#: by at most 2 + |G| < 2**57: this many steps by less than 2**912.  That leaves 2**111
-#: for the size of the start pairs (at most 2 |c|), the conversion of the end
-#: pairs back to y (a factor below 2**55) and the division of their difference by h.
-#: A spike adds h |g| |2 - c| / |c| to |G| at its step, which no bound on c limits.
-#: So a pass that holds a spike step, and the pass before it, end with a rescale
-#: (a spike on the extra step after the last pass has one before it): the maps stay
-#: finite while that pass's steps' 2 + |G| multiply to below 2**912, as they do for
-#: one spike whose term is below 2**854.  Past that the scan reports an overflow.
+#: by at most 2 + |G| < 2**57: this many steps, from the unit start pairs, to
+#: less than 2**912; the kernel converts nothing.  A spike adds h |g| |2 - c| / |c|
+#: to |G| at its step, which no bound on c limits.  So a pass that holds a spike
+#: step, and the pass before it, end with a rescale (a spike on the extra step
+#: after the last pass has one before it): the maps stay finite while that pass's
+#: steps' 2 + |G| multiply to below 2**1023, as they do for one spike whose term
+#: is below 2**965.  Past that the scan reports an overflow.
 #: It must be even: ``_segment_maps`` takes two steps per pass and rescales after the second
 _RESCALE_STEPS = 16
 assert _RESCALE_STEPS % 2 == 0
@@ -833,26 +832,24 @@ def _rescaled(m, exps):
 
 
 def _segment_maps(v, h, energies, bounds, jumps=()) -> tuple[np.ndarray, np.ndarray]:
-    """Numerov map of every segment for every energy, in (mean, difference) form.
+    """Numerov map of every segment for every energy, in Blatt's variables.
 
-    A pair (y[j-1], y[j]) is written as m = (y[j-1] + y[j]) / 2 and
-    d = (y[j] - y[j-1]) / h.  All segments step at once from (m, d) = (1, 0)
-    and (0, 1).  The recurrence c[j+1] y[j+1] = (12 - 10 c[j]) y[j] - c[j-1] y[j-1],
-    c = 1 - h^2 (V - E) / 12, is stepped in Blatt's variables w[j] = c[j] y[j]
-    and D[j] = w[j] - w[j-1] (J. M. Blatt, J. Comput. Phys. 1, 382 (1967)):
+    The recurrence c[j+1] y[j+1] = (12 - 10 c[j]) y[j] - c[j-1] y[j-1],
+    c = 1 - h^2 (V - E) / 12, is stepped in w[j] = c[j] y[j] and
+    D[j] = w[j] - w[j-1] (J. M. Blatt, J. Comput. Phys. 1, 382 (1967)):
 
         D[j+1] = D[j] + G[j] w[j],  w[j+1] = w[j] + D[j+1],  G[j] = h^2 (V[j] - E) / c[j],
 
     which is the same equation, but rounds w against itself only where the
     small D[j+1] is added.  G = (12 - 12 c) / c is formed from h^2 (V - E),
     not from the rounded c, so E enters it at full relative precision
-    however close c lies to 1.  c itself is rounded as ``_numerov`` rounds
-    it: the start pairs are taken into (w, D) with c at each segment's first
-    two nodes, and the end pairs back into y with c at its last two.  jumps
-    lists (node, strength) pairs of delta spikes: step t of segment s sweeps
-    node bounds[s] + t, and a spike g on that node adds ``_numerov``'s term
-    h g (2 - c) divided by c to G there.  Returns the maps, shape (2, 2, E, S),
-    at scale 2**exps.
+    however close c lies to 1.  A pair's (w, D) depends on that pair alone,
+    so each segment's map takes (w, D) at its start pair to (w, D) at its end
+    pair, and neighbouring maps multiply as they are: all segments step at
+    once from (w, D) = (1, 0) and (0, 1).  jumps lists (node, strength) pairs
+    of delta spikes: step t of segment s sweeps node bounds[s] + t, and a
+    spike g on that node adds ``_numerov``'s term h g (2 - c) divided by c to
+    G there.  Returns the maps, shape (2, 2, E, S), at scale 2**exps.
     """
     starts = bounds[:-1]
     count = starts.size
@@ -885,39 +882,13 @@ def _segment_maps(v, h, energies, bounds, jumps=()) -> tuple[np.ndarray, np.ndar
         d += tmp
         w += d
 
-    def to_pairs(w, d, c_prev, c_end, tmp):
-        """(w, D) to (mean, difference) of y in place, on a pair with coefficients c_prev, c_end.
-
-        y[j] - y[j-1] = D[j] / c[j-1] + w[j] (1 / c[j] - 1 / c[j-1]) keeps the
-        difference's relative precision, as c[j-1] - c[j] is exact for
-        neighbouring coefficients within a factor of two of each other.
-        tmp is scratch shaped like w.
-        """
-        np.multiply(c_end, c_prev, out=tmp[0])
-        np.subtract(c_prev, c_end, out=tmp[1])
-        np.divide(tmp[1], tmp[0], out=tmp[1])
-        np.multiply(w[0], tmp[1], out=tmp[0])
-        np.multiply(w[1], tmp[1], out=tmp[1])
-        d /= c_prev
-        d += tmp  # the difference of y
-        w /= c_end  # y at the pair's end
-        np.multiply(d, 0.5, out=tmp)
-        w -= tmp
-        d /= h
-
     shape = (energies.size, count)
-    out = np.empty((2, 2) + shape)
-    w, d = out  # the maps' two columns are stepped in place: rows (w, D), then (mean, difference)
+    out = np.zeros((2, 2) + shape)
+    out[0, 0] = out[1, 1] = 1.0
+    w, d = out  # rows (w, D) of the maps' two columns, stepped in place
     # c and G are formed for two steps per numpy call, which halves the calls that hold the GIL
     c, g, tmp = np.empty((2,) + shape), np.empty((2,) + shape), np.empty((2,) + shape)
     pair = np.arange(2)[:, None]
-    coefficients(starts - 1 + pair, c, g)
-    # (m, d) = (1, 0) is y = (1, 1), and (0, 1) is y = (-h/2, h/2)
-    w[0] = c[1]
-    np.subtract(c[1], c[0], out=d[0])
-    np.multiply(c[1], 0.5 * h, out=w[1])
-    np.add(c[1], c[0], out=d[1])
-    d[1] *= 0.5 * h
     exps = np.zeros(shape, dtype=int)
     s = np.empty(shape, dtype=np.int32)
     for t in range(0, length, 2):
@@ -940,19 +911,13 @@ def _segment_maps(v, h, energies, bounds, jumps=()) -> tuple[np.ndarray, np.ndar
             np.ldexp(w, s, out=w)
             np.ldexp(d, s, out=d)
             exps -= s
-    # c at each segment's nodes starts + length - 1 and starts + length (the end
-    # pair of the shorter segments), and G at the latter
-    c_prev, c_end = c[k - 1], c[2 - k]
-    coefficients(starts + length, c_end, g[0])
-    to_pairs(w[..., extra:], d[..., extra:], c_prev[:, extra:], c_end[:, extra:], tmp[..., extra:])
     if extra:  # the last step of the longer segments
-        c_prev, c_end, g = c_end[:, :extra], c_prev[:, :extra], g[0][:, :extra]
+        c, g = c[0][:, :extra], g[0][:, :extra]
         w, d, tmp = w[..., :extra], d[..., :extra], tmp[..., :extra]
+        coefficients(starts[:extra] + length, c, g)
         if length in spikes:
-            add_spikes(length, c_prev, g)
+            add_spikes(length, c, g)
         step(g, w, d, tmp)
-        coefficients(starts[:extra] + length + 1, c_end, tmp[0])  # its G is not needed
-        to_pairs(w, d, c_prev, c_end, tmp)
     return out, exps
 
 
@@ -1005,8 +970,9 @@ def _on_cpus(task, items) -> None:
 def _propagator(v, h, energies, jumps=()) -> tuple[np.ndarray, np.ndarray]:
     """Map of the Numerov sweep across v from nodes (0, 1) to (n-2, n-1), per energy.
 
-    The map acts on pairs in (mean, difference) form (see ``_segment_maps``)
-    and equals the returned (2, 2, E) array times 2**exps.  The steps are
+    The map acts on pairs in Blatt's (w, D) form (see ``_segment_maps``),
+    so the caller converts y at the two ends only, and it equals the
+    returned (2, 2, E) array times 2**exps.  The steps are
     cut into segments (``_segment_bounds``) whose maps are found for a block
     of energies at once, delta jumps included, and chained by pairwise
     products, each rescaled by a power of two.  The blocks are swept on
@@ -1073,9 +1039,33 @@ def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
         work.scattering_node_energies += g.n_points * e.size
         work.scattering_segments += _segment_bounds(g.n_points - 2).size - 1
 
+    # Plane waves exp(+-i k x) on an end pair with midpoint x_mid have mean
+    # exp(+-i k x_mid) cos(k h / 2) and, in the sweep's order (right to left),
+    # difference -+2i exp(+-i k x_mid) sin(k h / 2).  Taking the two nodes
+    # exactly h apart leaves the rounding of k x in a common phase, out of the
+    # difference that 1 / (k h) amplifies.  (cos and sin come from one complex
+    # exp, which takes the same path for every array length: a one-energy call
+    # must equal a longer scan bit for bit.)  Pairs go into Blatt's (w, D) and
+    # back with c at nodes 0, 1, n - 2 and n - 1, rounded as the sweep rounds it.
+    c0, c1, c_n2, c_n1 = 1.0 - g.h * g.h * (v.values[[0, 1, -2, -1], None] - e) / 12.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p, exps = _propagator(v.values[::-1], g.h, e, mirrored)
-    bad = ~np.isfinite(p.sum(axis=(0, 1)))
+        # The sweep starts from the transmitted wave exp(i k_r x) on the right
+        # pair, whose w = c[n-2] y[n-2] and
+        # D = c[n-2] (y[n-2] - y[n-1]) + (c[n-2] - c[n-1]) y[n-1] form no
+        # difference by cancellation ...
+        wave, half = np.exp(1j * k_r * (g.x[-1] - 0.5 * g.h)), np.exp(0.5j * k_r * g.h)
+        mean, diff = wave * half.real, -2j * wave * half.imag
+        w, d = c_n2 * (mean + 0.5 * diff), c_n2 * diff + (c_n2 - c_n1) * (mean - 0.5 * diff)
+        (p00, p01), (p10, p11) = p
+        w, d = p00 * w + p01 * d, p10 * w + p11 * d  # at scale 2**exps
+        # ... and ends on the left pair, where
+        # y[0] - y[1] = D / c[1] + w (c[1] - c[0]) / (c[0] c[1]) keeps its relative
+        # precision: c[1] - c[0] is exact for neighbouring coefficients within a
+        # factor of two of each other
+        diff = d / c1 + w * ((c1 - c0) / (c0 * c1))
+        mean = w / c0 - 0.5 * diff
+    bad = ~np.isfinite(mean)  # mean holds diff too
     if bad.any():
         energy = float(e[bad][0])
         c = 1.0 - g.h * g.h * (v.values - energy) / 12.0
@@ -1084,23 +1074,11 @@ def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
             raise NumericalFailure(f"Numerov coefficient vanishes at node {zeros[-1]}")
         raise NumericalFailure(f"scattering sweep overflows at E={energy}")
 
-    # Plane waves exp(+-i k x) on an end pair have (mean, difference)
-    # exp(+-i k x_mid) (cos(k h / 2), +-2i sin(k h / 2) / h), x_mid the pair's
-    # midpoint.  Taking the two nodes exactly h apart leaves the rounding of
-    # k x in a common phase, out of the difference that 1 / (k h) amplifies.
-    # The sweep starts from the transmitted wave exp(i k_r x) on the right
-    # pair (its differences run right to left) ...
-    # (cos and sin come from one complex exp, which takes the same path for
-    # every array length: a one-energy call must equal a longer scan bit for bit)
-    wave, half = np.exp(1j * k_r * (g.x[-1] - 0.5 * g.h)), np.exp(0.5j * k_r * g.h)
-    m0, d0 = wave * half.real, -2j * wave * half.imag / g.h
-    (p00, p01), (p10, p11) = p
-    m, d = p00 * m0 + p01 * d0, p10 * m0 + p11 * d0  # at scale 2**exps
-    # ... and ends on a exp(i k_l x) + b exp(-i k_l x) on the left pair, where
-    # a wave = (fwd + bwd) / 2 and b / wave = (fwd - bwd) / 2
+    # There a exp(i k_l x) + b exp(-i k_l x) has a wave = (fwd + bwd) / 2 and
+    # b / wave = (fwd - bwd) / 2
     wave, half = np.exp(1j * k_l * (g.x[0] + 0.5 * g.h)), np.exp(0.5j * k_l * g.h)
-    fwd = m / half.real
-    bwd = 0.5j * g.h * d / half.imag
+    fwd = mean / half.real
+    bwd = 0.5j * diff / half.imag
     a = 0.5 * (fwd + bwd) / wave
     b = 0.5 * (fwd - bwd) * wave
     t = np.ldexp(1.0, -exps) / a

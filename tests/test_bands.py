@@ -160,13 +160,17 @@ class TestZones:
         (zone,) = zones(system, e_max)
         assert (zone.e_lo, zone.e_hi) == pytest.approx((full[0].e_lo, full[0].e_hi), abs=1e-8)
 
-    def test_zone_below_the_rounding_of_delta(self, seed_cells):
-        # the lowest zone of this comb, about 8 kappa^2 e^(-kappa a) = 1e-20
-        # wide (kappa = |g|/2), is far below what Delta, of size up to
-        # cosh(kappa a) = 2.6e21 nearby, can resolve
-        with pytest.raises(NumericalFailure, match="zone 1, seeded at E="):
-            zones(PeriodicSystem(comb_cell(20.0, -5.0), 20.0), 10.0)
+    @pytest.mark.parametrize("period, g", [(10.0, -5.0), (15.0, -4.0), (15.0, -5.0),
+                                           (20.0, -3.0), (20.0, -4.0), (20.0, -5.0)])
+    def test_zone_below_the_rounding_of_delta(self, seed_cells, period, g):
+        # the lowest zone of these combs, about 8 kappa^2 e^(-kappa a) wide
+        # (kappa = |g|/2; 1e-20 at (20, -5)), is below the spacing of doubles
+        # near E = -g^2/4, so no double has |Delta| < 2 there; the sign change
+        # of Delta across it stands for both its edges
+        zs = zones(PeriodicSystem(comb_cell(period, g), period), 10.0)
         assert len(seed_cells) == 1
+        e = -g * g / 4
+        assert zs[0].e_lo == zs[0].e_hi == pytest.approx(e, abs=1e-8 * max(1.0, abs(e)))
 
     def test_e_max_below_the_first_edge(self, comb):
         assert zones(comb, 0.1) == []

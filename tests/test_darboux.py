@@ -377,6 +377,33 @@ class TestBargmann:
         assert max(abs(r.R) for r in sweep) < 1e-6
         assert orthonormality_defect(res.states) < 1e-6
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended precision")
+    def test_eight_levels_match_long_double_expansion(self):
+        # fig4_1's levels; the reference sums the same subset expansion in long
+        # double.  V = -8 (<K^2> - <K>^2) cancels to a relative error of 8.4e-9
+        # where |V| > 1e-3; the centred form stays within 2.7e-13
+        kappas = sorted((math.sqrt(65.0 - k * k) for k in range(1, 9)), reverse=True)
+        norms = [math.sqrt(2 * k) for k in kappas]
+        v = bargmann_reflectionless(kappas, norms).potential
+        kap = np.array(kappas, dtype=np.longdouble)
+        member = (np.arange(256)[:, None] >> np.arange(8)) & 1  # subset S, level m
+        k_sum = np.einsum("sm,m->s", member, kap)
+        pair = 2 * (np.log(np.abs(kap[:, None] - kap[None, :]) + np.eye(8, dtype=np.longdouble))
+                    - np.log(kap[:, None] + kap[None, :]))
+        log_c = (np.einsum("sm,m->s", member, np.log(np.array(norms, dtype=np.longdouble) ** 2
+                                                      / (2 * kap)))
+                 + np.einsum("si,sj,ij->s", member, member, np.triu(pair, 1)))
+        want = np.empty(v.grid.n_points, dtype=np.longdouble)
+        for lo in range(0, want.size, 1024):
+            x = v.grid.x[lo : lo + 1024].astype(np.longdouble)
+            logits = log_c[None, :] - 2 * k_sum[None, :] * x[:, None]
+            w = np.exp(logits - logits.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            spread = k_sum[None, :] - np.einsum("xs,s->x", w, k_sum)[:, None]
+            want[lo : lo + 1024] = -8 * np.einsum("xs,xs->x", w, spread**2)
+        deep = np.abs(want) > 1e-3
+        assert np.max(np.abs((v.values[deep] - want[deep]) / want[deep])) < 1e-11
+
     def test_validations(self):
         with pytest.raises(ValidationError):
             bargmann_reflectionless([1.0, 2.0], [1.0, 1.0])   # increasing

@@ -465,10 +465,11 @@ class TestSegmentScattering:
         body[node] = 49.0  # h^2 (V - E) / 12 = 1 at E = 1
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             m, _ = _segment_maps(body[::-1], g.h, np.array([1.0]), bounds)
-        # the map of every segment that steps from the node or ends on it, and no other
+        # the map of the segment that steps from the node, and no other: a
+        # segment that only ends on it never divides by its c
         broken = ~np.isfinite(m.sum(axis=(0, 1)))[0]
-        touched = (bounds[:-1] <= sweep_node) & (sweep_node <= bounds[1:])
-        assert np.array_equal(broken, touched)
+        steps_from = (bounds[:-1] <= sweep_node) & (sweep_node < bounds[1:])
+        assert np.array_equal(broken, steps_from)
         v = Potential(SampledFn(g, body), "decaying-line")
         with pytest.raises(NumericalFailure, match=f"node {node}$"):
             scattering(v, 1.0)
@@ -712,11 +713,17 @@ class TestRefinement:
         assert [s.nodes for s in states] == [0, 1, 2, 3]
         assert 0.0 < states[1].energy - states[0].energy < 1e-6
 
-    @pytest.mark.parametrize("make", [poschl_teller, soliton_well, "double_well"])
-    def test_bracketed_fallback_agrees(self, monkeypatch, make):
-        # with no Cooley steps every level takes the node-count bracket and Brent
+    @pytest.mark.parametrize("make, bracketed", [(poschl_teller, 0), (soliton_well, 0),
+                                                 ("double_well", 4)],
+                             ids=["poschl_teller", "soliton_well", "double_well"])
+    def test_bracketed_fallback_agrees(self, monkeypatch, make, bracketed):
+        # with no Cooley steps every level takes the node-count bracket and Brent;
+        # by default the double well's four levels, two near-degenerate doublets,
+        # take it too, so there the two solves share their path
         v = self.double_well() if make == "double_well" else make()
-        cooley = bound_states(v, 4)
+        with oracle_scope() as work:
+            cooley = bound_states(v, 4)
+        assert work.ledger()["bound_states"]["bracketed_levels"] == bracketed
         monkeypatch.setattr(solver_module, "_COOLEY_STEPS", 0)
         brent = bound_states(v, 4)
         assert len(cooley) == len(brent)

@@ -15,6 +15,9 @@ and its scattering curve are digested as the CLI would write them.  Last
 come the body, delta spikes, spectrum and 40-energy scattering curve of a
 free line with spikes of both signs where the scan's segments start and end
 (``spike_line_digests``); no workload or figure has a spike off a cell edge.
+Then come the artifacts and ``oracle_work`` of a ``band`` run at e_max 10 on
+each comb of ``COMBS``, whose lowest zone is narrower than the rounding of
+the discriminant (``comb_digests``).
 
 A change that must keep the program's output is checked by running this on
 both commits and comparing the two outputs with ``diff``.
@@ -35,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from specdesign import csvio  # noqa: E402
+from specdesign import cli, csvio  # noqa: E402
 from specdesign.figures import build_figure_bundle, figure_tags  # noqa: E402
 from specdesign.potentials import Potential, free_line  # noqa: E402
 from specdesign.solver import _segment_bounds, bound_states, scattering_curve  # noqa: E402
@@ -43,6 +46,8 @@ from specdesign.solver import _segment_bounds, bound_states, scattering_curve  #
 SEED = 5
 #: operations per workload
 OPERATIONS = {"design-chain": 48, "band-track": 2, "bsec-scan": 2}
+#: (period, strength) of the tight-binding combs of ``comb_digests``
+COMBS = ((10.0, -5.0), (15.0, -4.0), (15.0, -5.0), (20.0, -3.0), (20.0, -4.0), (20.0, -5.0))
 
 
 def _sha(data: bytes) -> str:
@@ -59,10 +64,14 @@ def workload_digests(name: str, count: int, out_root: Path):
             yield f"{run}/potential.csv", _sha(csvio.sampled_fn_bytes(res.potential.body, "V"))
             yield f"{run}/scattering.csv", _sha(csvio.scattering_bytes(curve))
             continue
-        for entry in result["artifacts"]:
-            yield f"{run}/{entry['path']}", entry["sha256"]
-        work = json.dumps(result["oracle_work"], sort_keys=True).encode()
-        yield f"{run}/oracle_work", _sha(work)
+        yield from _manifest_digests(run, result)
+
+
+def _manifest_digests(run: str, manifest: dict):
+    for entry in manifest["artifacts"]:
+        yield f"{run}/{entry['path']}", entry["sha256"]
+    work = json.dumps(manifest["oracle_work"], sort_keys=True).encode()
+    yield f"{run}/oracle_work", _sha(work)
 
 
 def figure_digests():
@@ -95,13 +104,22 @@ def spike_line_digests():
     yield "spike-line/scattering.csv", _sha(csvio.scattering_bytes(curve))
 
 
+def comb_digests(out_root: Path):
+    for period, strength in COMBS:
+        run = f"band/comb_{period:g}_{strength:g}"
+        config = cli.RunConfig(base="comb", params={"period": period, "strength": strength},
+                               numerics={"e_max": 10.0}, out=str(out_root / run))
+        yield from _manifest_digests(run, cli.run(config))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, count in OPERATIONS.items():
             for key, digest in workload_digests(name, count, Path(tmp)):
                 print(key, digest)
-    for key, digest in itertools.chain(figure_digests(), spike_line_digests()):
-        print(key, digest)
+        for key, digest in itertools.chain(figure_digests(), spike_line_digests(),
+                                           comb_digests(Path(tmp))):
+            print(key, digest)
     return 0
 
 
