@@ -28,7 +28,8 @@ from .darboux import shift_level
 from .errors import NumericalFailure, ValidationError
 from .grid import SampledFn
 from .potentials import HARD_WALLS, Potential
-from .solver import band_discriminant, bound_states, current_work, secant_root, transfer_matrix
+from .solver import (_transfer_matrices, band_discriminant_curve, bound_states, current_work,
+                     secant_steps)
 
 #: the accuracy of every zone edge, and how far a hard-wall level may lie
 #: outside the closure of its gap
@@ -75,12 +76,13 @@ def zones(p: PeriodicSystem, e_max: float) -> list[Zone]:
     eigenvalue of a coarse finite-difference cell and refined to EDGE_TOL
     on the sampled cell's discriminant: by secant steps on Delta -+ 2 inside
     a sign bracket, or, where the two edges of a gap lie closer than the
-    seeds can tell apart, on dDelta/dE = 0 first.  A gap whose extremum
-    falls short of +-2 by at most 1e-7, or passes it by no more than the
-    transfer matrix's rounding (see ``_EdgeSearch._gap``), is closed
-    (touching zones, as in the free limit) and reported as two coincident
-    edges; any other gap is open and both its edges are refined.  The coarse cell
-    resolves the highest wave number below the cut and is built once: a
+    seeds can tell apart, on dDelta/dE = 0 first.  The searches of a layout
+    step together, each round one ``band_discriminant_curve`` call.  A gap
+    whose extremum falls short of +-2 by at most 1e-7, or passes it by no
+    more than the rounding of the one-period map (see ``_EdgeSearch._gap``),
+    is closed (touching zones, as in the free limit) and reported as two
+    coincident edges; any other gap is open and both its edges are
+    refined.  The coarse cell resolves the highest wave number below the cut and is built once: a
     zone narrower than the error of its seeds, as the lowest zone of a
     tight-binding comb can be, is found at the sign change of Delta between
     the gaps on either side.  Where it is narrower than the rounding of
@@ -194,30 +196,41 @@ def _band_eigvals(band: np.ndarray, select: int, vl: float, vu: float, il: int,
     return w[:found]
 
 
+def _together(tasks):
+    """Sub-generator stepping the tasks, generators of energy requests, in
+    lockstep: each round yields the requests of all that are still running.
+    Returns their results, in order."""
+    tasks = list(tasks)
+    results = [None] * len(tasks)
+    running = range(len(tasks))
+    while running:
+        request, waiting = [], []
+        for i in running:
+            try:
+                request.extend(next(tasks[i]))
+                waiting.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        running = waiting
+        if request:
+            yield request
+    return results
+
+
 class _EdgeSearch:
     """Refines seeded zone edges on the discriminant of one cell.
 
-    Each energy's Delta is evaluated once; ``values`` holds them all.
+    The search runs as generators that yield the energies whose Delta they
+    need next and read it from ``values`` when resumed.  Independent
+    searches (every edge of a layout) step in lockstep, and each round of
+    requests is one ``band_discriminant_curve`` call.  Each energy's Delta
+    is evaluated once; ``values`` holds them all.
     """
 
     def __init__(self, cell: Potential):
         self.cell = cell
         self.values: dict[float, float] = {}
         self.tangencies = 0
-
-    def delta(self, e: float) -> float:
-        if e not in self.values:
-            self.values[e] = band_discriminant(self.cell, e)
-        return self.values[e]
-
-    def matrix(self, e: float) -> np.ndarray:
-        """The transfer matrix at e; its trace is stored as Delta(e)."""
-        m = transfer_matrix(self.cell, e)
-        self.values[e] = float(m[0, 0] + m[1, 1])
-        return m
-
-    def slope(self, e: float) -> float:
-        return (self.delta(e + _SLOPE_STEP) - self.delta(e - _SLOPE_STEP)) / (2 * _SLOPE_STEP)
 
     def refine(self, seeds: np.ndarray) -> list[float]:
         """Edges from the merged seeds lam_0, mu_1, mu_2, lam_1, ... and one more.
@@ -227,59 +240,114 @@ class _EdgeSearch:
         A gap is searched between points of its zones (|Delta| < 2): each at
         its seeds' midpoint, or else at Delta's sign change between its gaps.
         """
-        centres = [self._outside(1.0, seeds[0], -max(1.0, seeds[1] - seeds[0]))]
-        centres.extend(0.5 * (seeds[1:-1:2] + seeds[2::2]))
-        points = []
-        for k, (lo, hi) in enumerate(zip(seeds[0::2], seeds[1::2])):
-            point = 0.5 * (lo + hi)
-            if abs(self.delta(point)) >= 2.0:
-                if k + 1 == len(centres):   # the top seeded zone: step up to its gap,
-                    # from short steps: unlike below lam_0, that gap may be narrower than 1
-                    centres.append(self._outside(1.0 if k % 2 else -1.0, hi, max(EDGE_TOL, hi - lo)))
-                d_lo, d_hi = self.delta(centres[k]), self.delta(centres[k + 1])
-                if (d_lo > 0.0) == (d_hi > 0.0):
-                    raise NumericalFailure(f"no point of zone {k + 1}, seeded at E={lo} and "
-                                           f"E={hi}, has |Delta| < 2")
-                # where the zone is narrower than the rounding of Delta, no double
-                # has |Delta| < 2 and this sign change stands for both its edges
-                point = secant_root(self.delta, centres[k], d_lo, centres[k + 1], d_hi,
-                                    point, EDGE_TOL)
-            points.append(point)
-        edges = [self._root(1.0, points[0], centres[0], seeds[0])]
-        for k in range(1, len(points)):
-            edges.extend(self._gap(-1.0 if k % 2 else 1.0, points[k - 1], points[k],
-                                   centres[k], seeds[2 * k - 1], seeds[2 * k]))
-        return edges
+        task = self._refine(seeds)
+        try:
+            request = next(task)
+            while True:
+                new = sorted(set(request).difference(self.values))
+                self.values.update(zip(new, band_discriminant_curve(self.cell, new).tolist()))
+                request = next(task)
+        except StopIteration as stop:
+            return stop.value
+
+    def _refine(self, seeds):
+        points = list(0.5 * (seeds[0::2] + seeds[1::2]))
+        centres = list(0.5 * (seeds[1:-1:2] + seeds[2::2]))
+        step = -max(1.0, seeds[1] - seeds[0])
+        yield from self._deltas(points + centres + [seeds[0] + step])
+        centres.insert(0, (yield from self._outside(1.0, seeds[0], step)))
+        if abs(self.values[points[-1]]) >= 2.0:   # the top seeded zone: step up to its gap,
+            # from short steps: unlike below lam_0, that gap may be narrower than 1
+            k = len(points) - 1
+            centres.append((yield from self._outside(1.0 if k % 2 else -1.0, seeds[-1],
+                                                     max(EDGE_TOL, seeds[-1] - seeds[-2]))))
+        points = yield from _together(self._point(k, points[k], centres, seeds)
+                                      for k in range(len(points)))
+        parts = yield from _together(
+            [self._root(1.0, points[0], centres[0], seeds[0])]
+            + [self._gap(-1.0 if k % 2 else 1.0, points[k - 1], points[k], centres[k],
+                         seeds[2 * k - 1], seeds[2 * k]) for k in range(1, len(points))])
+        return [parts[0]] + [e for edges in parts[1:] for e in edges]
+
+    def _deltas(self, energies):
+        """Sub-generator: Delta at each energy, yielding those not yet evaluated."""
+        missing = [e for e in energies if e not in self.values]
+        if missing:
+            yield missing
+        return [self.values[e] for e in energies]
+
+    def _delta(self, e):
+        return (yield from self._deltas([e]))[0]
+
+    def _slope(self, e):
+        """Sub-generator: dDelta/dE at e by a central difference."""
+        up, down = yield from self._deltas([e + _SLOPE_STEP, e - _SLOPE_STEP])
+        return (up - down) / (2 * _SLOPE_STEP)
+
+    def _secant(self, f, lo, f_lo, hi, f_hi, x):
+        """Sub-generator: the sign change of f in [lo, hi] to EDGE_TOL, by
+        ``secant_steps``; f(e) is a sub-generator of its value."""
+        steps = secant_steps(lo, f_lo, hi, f_hi, x, EDGE_TOL)
+        try:
+            x = next(steps)
+            while True:
+                x = steps.send((yield from f(x)))
+        except StopIteration as stop:
+            return stop.value
+
+    def matrix(self, e: float) -> np.ndarray:
+        """The one-period map at e (in Blatt's (w, D) form, similar to the
+        transfer matrix); its trace is stored as Delta(e)."""
+        maps, delta = _transfer_matrices(self.cell, [e])
+        self.values[e] = float(delta[0])
+        return maps[..., 0]
+
+    def _point(self, k, point, centres, seeds):
+        """Sub-generator: a point of zone k, whose seeds' midpoint is `point`."""
+        if abs(self.values[point]) < 2.0:
+            return point
+        d_lo, d_hi = yield from self._deltas(centres[k : k + 2])
+        if (d_lo > 0.0) == (d_hi > 0.0):
+            raise NumericalFailure(f"no point of zone {k + 1}, seeded at E={seeds[2 * k]} and "
+                                   f"E={seeds[2 * k + 1]}, has |Delta| < 2")
+        # where the zone is narrower than the rounding of Delta, no double
+        # has |Delta| < 2 and this sign change stands for both its edges
+        return (yield from self._secant(self._delta, centres[k], d_lo, centres[k + 1], d_hi,
+                                        point))
 
     def _outside(self, sign, seed, step):
-        """The first of seed + step, seed + 2 step, seed + 4 step, ... with sign * Delta > 2."""
+        """Sub-generator: the first of seed + step, seed + 2 step, seed + 4 step, ...
+        with sign * Delta > 2."""
         for _ in range(60):
-            if sign * self.delta(seed + step) > 2.0:
+            if sign * (yield from self._delta(seed + step)) > 2.0:
                 return seed + step
             step *= 2.0
         raise NumericalFailure(f"no energy beyond the seed {seed} with {sign:+g} * Delta > 2")
 
     def _gap(self, sign, below, above, centre, a0, b0):
-        """Both edges of the gap where sign * Delta > 2, between zone points; seeds a0, b0.
+        """Sub-generator: both edges of the gap where sign * Delta > 2, between
+        zone points; seeds a0, b0.
 
         Where the seeds do not resolve the gap, it is open when Delta passes
         sign * 2 at its extremum: when the excess sign * Delta - 2 there is
-        positive, and so is -det(M - sign I), M the transfer matrix.  The two
+        positive, and so is -det(M - sign I), M the one-period map.  The two
         agree wherever det M = 1, but at a closed gap, where M = sign I, the
-        excess carries the error of M to first order (det M - 1, about 1e-12
-        on a free cell) and the determinant only to second order.
+        excess carries the error of M to first order and the determinant only
+        to second order.
         """
-        if sign * self.delta(centre) <= 2.0:
+        if sign * (yield from self._delta(centre)) <= 2.0:
             # the seeds do not resolve the gap: find the extremum first
-            d_below, d_above = sign * self.slope(below), sign * self.slope(above)
+            def signed_slope(e):
+                return sign * (yield from self._slope(e))
+
+            d_below, d_above = yield from _together(map(signed_slope, (below, above)))
             if not (d_below > 0.0 > d_above):
                 raise NumericalFailure(
                     f"Delta has no single extremum between E={below} and E={above}"
                 )
-            centre = secant_root(lambda e: sign * self.slope(e), below, d_below,
-                                 above, d_above, centre, EDGE_TOL)
+            centre = yield from self._secant(signed_slope, below, d_below, above, d_above, centre)
             m = self.matrix(centre)
-            excess = sign * self.delta(centre) - 2.0
+            excess = sign * self.values[centre] - 2.0
             if excess < -_GAP_SHORTFALL:
                 raise NumericalFailure(
                     f"Delta peaks {-excess:.3g} short of {2 * sign:+g} at E={centre}"
@@ -287,17 +355,23 @@ class _EdgeSearch:
             if excess <= 0.0 or (m[0, 0] - sign) * (m[1, 1] - sign) >= m[0, 1] * m[1, 0]:
                 self.tangencies += 1
                 return [centre, centre]
-        return [self._root(sign, below, centre, a0), self._root(sign, above, centre, b0)]
+        return (yield from _together([self._root(sign, below, centre, a0),
+                                      self._root(sign, above, centre, b0)]))
 
     def _root(self, sign, point, centre, seed):
-        """The edge between a zone's point and a gap's centre: the root of
-        sign * Delta - 2 there, or the point itself if |Delta| >= 2 there too,
-        which ``refine`` leaves only in a zone below the rounding of Delta."""
-        if abs(self.delta(point)) >= 2.0:
+        """Sub-generator: the edge between a zone's point and a gap's centre: the
+        root of sign * Delta - 2 there, or the point itself if |Delta| >= 2 there
+        too, which ``refine`` leaves only in a zone below the rounding of Delta."""
+        d_point, d_centre = yield from self._deltas([point, centre])
+        if abs(d_point) >= 2.0:
             return point
-        f = lambda e: sign * self.delta(e) - 2.0
-        lo, hi = sorted((point, centre))
-        return secant_root(f, lo, f(lo), hi, f(hi), seed, EDGE_TOL)
+
+        def f(e):
+            return sign * (yield from self._delta(e)) - 2.0
+
+        (lo, f_lo), (hi, f_hi) = sorted([(point, sign * d_point - 2.0),
+                                         (centre, sign * d_centre - 2.0)])
+        return (yield from self._secant(f, lo, f_lo, hi, f_hi, seed))
 
 
 def auxiliary_box(p: PeriodicSystem) -> Potential:

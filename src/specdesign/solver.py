@@ -54,8 +54,12 @@ Method summary
   longer scan bit for bit.  The energy blocks are swept on the calling
   thread and, where the process may run on a second CPU, one helper; the
   results do not depend on the thread count.
-* Band discriminants loop over energies, one banded solve each; the two
-  columns of the transfer matrix are the right-hand sides.
+* Band discriminants are scans too: the cell, extended periodically by one
+  node, is swept by the same segment maps for every energy at once, and
+  Delta(E) is the trace of the one-period map of (w, D) pairs.  y is never
+  converted: the conversion would use the same c at both ends and drop out
+  of the trace.  An edge delta steps from the extended cell's node n - 1,
+  and interior spikes stay where they are.
 """
 
 from __future__ import annotations
@@ -119,8 +123,9 @@ class OracleWork:
     The memo is keyed on the exact sampled values, boundary kind, deltas
     and grid, never on anything a transform reports.  The counts
     depend only on what was asked, so they repeat exactly for the same run.
-    Scattering scans are counted in their own block and add nothing to
-    ``numerov_calls`` or ``nodes_swept``: they make no ``_numerov`` sweep.
+    Scattering scans are counted in their own block, and zone searches
+    count their discriminant evaluations; neither adds to ``numerov_calls``
+    or ``nodes_swept``, since they make no ``_numerov`` sweep.
     """
 
     def __init__(self):
@@ -518,19 +523,9 @@ def _state_swf(v: Potential, energy, psi: np.ndarray) -> float:
 _SECANT_EVALS = 200
 
 
-def secant_root(f, lo, f_lo, hi, f_hi, x, xtol) -> float:
-    """Sign change of f in [lo, hi], where f_lo = f(lo) and f_hi = f(hi) differ in sign.
-
-    Secant steps through the last two points, starting from x and the
-    nearer end.  A step that would leave the bracket bisects it instead, as
-    does every third step if the last three have not halved the bracket.
-    Only the bracket ends the search: a secant step shorter than xtol / 2
-    is lengthened by xtol / 2 past its estimate, so that the next point
-    closes the bracket if f is smooth there.  Once the bracket is xtol wide
-    the root is interpolated linearly between its ends: within xtol of the
-    sign change even where f is a staircase whose flat steps send the
-    secant astray, and far closer where f is smooth.
-    """
+def secant_steps(lo, f_lo, hi, f_hi, x, xtol):
+    """The search of ``secant_root`` as a generator: it yields each point at
+    which it needs f, is sent f there, and returns the root."""
     if (f_lo > 0) == (f_hi > 0):
         raise NumericalFailure(f"no sign change between {lo} and {hi}")
     if not lo < x < hi:
@@ -540,7 +535,7 @@ def secant_root(f, lo, f_lo, hi, f_hi, x, xtol) -> float:
     for i in range(_SECANT_EVALS):
         if hi - lo <= xtol:
             return lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        fx = f(x)
+        fx = yield x
         if fx == 0.0:
             return x
         if (fx > 0) == (f_lo > 0):
@@ -559,6 +554,30 @@ def secant_root(f, lo, f_lo, hi, f_hi, x, xtol) -> float:
             nxt = 0.5 * (lo + hi)
         prev, f_prev, x = x, fx, nxt
     raise NumericalFailure(f"no root within {xtol} after {_SECANT_EVALS} evaluations in [{lo}, {hi}]")
+
+
+def secant_root(f, lo, f_lo, hi, f_hi, x, xtol) -> float:
+    """Sign change of f in [lo, hi], where f_lo = f(lo) and f_hi = f(hi) differ in sign.
+
+    Secant steps through the last two points, starting from x and the
+    nearer end.  A step that would leave the bracket bisects it instead, as
+    does every third step if the last three have not halved the bracket.
+    Only the bracket ends the search: a secant step shorter than xtol / 2
+    is lengthened by xtol / 2 past its estimate, so that the next point
+    closes the bracket if f is smooth there.  Once the bracket is xtol wide
+    the root is interpolated linearly between its ends: within xtol of the
+    sign change even where f is a staircase whose flat steps send the
+    secant astray, and far closer where f is smooth.  The steps are those of
+    ``secant_steps``, which a caller evaluating several searches at once
+    drives itself.
+    """
+    steps = secant_steps(lo, f_lo, hi, f_hi, x, xtol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 #: Cooley steps tried from the finite-difference seed before the bracketed path
@@ -819,10 +838,7 @@ def _segment_bounds(steps: int) -> np.ndarray:
 
 def _rescaled(m, exps):
     """m (2, 2, ...) and exps, each matrix rescaled in place by 2**k to a peak in [0.5, 1)."""
-    peak, tmp = np.abs(m[0, 0]), np.empty(m.shape[2:])
-    for a in (m[0, 1], m[1, 0], m[1, 1]):
-        np.abs(a, out=tmp)
-        np.maximum(peak, tmp, out=peak)
+    peak = np.abs(m).max(axis=(0, 1))
     s = np.empty(peak.shape, dtype=np.intc)
     np.frexp(peak, out=(peak, s))
     np.negative(s, out=s)
@@ -1004,10 +1020,8 @@ def _chain(m, exps) -> tuple[np.ndarray, np.ndarray]:
     while m.shape[-1] > 1:
         pairs = m.shape[-1] // 2
         a, b = m[..., 1 : 2 * pairs : 2], m[..., 0 : 2 * pairs : 2]  # later, earlier
-        prod = np.empty(a.shape)
-        for r in range(2):
-            for c in range(2):
-                prod[r, c] = a[r, 0] * b[0, c] + a[r, 1] * b[1, c]
+        prod = a[:, :1] * b[:1]  # prod[r, c] = a[r, 0] b[0, c] + a[r, 1] b[1, c]
+        prod += a[:, 1:] * b[1:]
         prod, prod_exps = _rescaled(prod, exps[:, 1 : 2 * pairs : 2] + exps[:, 0 : 2 * pairs : 2])
         if m.shape[-1] % 2:
             prod = np.concatenate((prod, m[..., -1:]), axis=-1)
@@ -1099,43 +1113,77 @@ def scattering(v: Potential, energy: float) -> ScatteringResult:
 # transfer matrix over one period
 
 
-def _transfer_matrices(cell: Potential, energies) -> list[np.ndarray]:
-    """One-period transfer matrices [[u, w], [u', w']] at the right cell edge.
+def _cell_deltas(cell: Potential) -> tuple[float, list[tuple[int, float]]]:
+    """The strength on the cell edge (node 0 or n - 1, one point of the lattice)
+    and the (node, strength) pairs of the interior spikes."""
+    edge, interior = 0.0, []
+    for j, strength in cell.delta_nodes(interior_only=False):
+        if 0 < j < cell.grid.n_points - 1:
+            interior.append((j, strength))
+        else:
+            edge += strength
+    return edge, interior
 
-    u and w start from (value, slope) = (1, 0) and (0, 1) at the left edge,
-    as the two start pairs of one sweep per energy; a delta on the left edge
-    is applied once before propagation.
+
+def _transfer_matrices(cell: Potential, energies) -> tuple[np.ndarray, np.ndarray]:
+    """One-period maps of Numerov pairs in Blatt's (w, D) form, and their traces Delta(E).
+
+    The cell's n nodes are extended periodically by one, to v[0 .. n-2],
+    v[0], v[1], and one ``_propagator`` sweep takes the pair at nodes (0, 1)
+    to the same pair one period on.  Interior spikes stay at their nodes; a
+    delta on the cell edge (node 0 or n - 1, the same point of the lattice)
+    becomes a spike at node n - 1, so that the period holds it once.  The
+    pairs go into (w, D) with the same c at both ends, so the map is
+    similar to the map of y pairs and has the same trace.  Returns the maps
+    (2, 2, E) and Delta (E,), at their exact scale.
     """
-    deltas = cell.delta_nodes(interior_only=False)
-    v = cell.values
-    h = cell.grid.h
-    interior = [(j, g) for j, g in deltas if j > 0]
-    if any(j < 5 or j > v.size - 6 for j, _ in interior):
-        raise ValidationError("interior delta too close to the cell edge")
-    edge = sum(g for j, g in deltas if j == 0)
-    dv, ddv = (float(d) for d in _start_derivs(v, h))
-    out = []
-    for energy in np.asarray(energies, dtype=float).tolist():
-        f0 = float(v[0]) - energy
-        y1 = (_taylor_step(1.0, edge, h, f0, dv, ddv), _taylor_step(0.0, 1.0, h, f0, dv, ddv))
-        y, e = _numerov(v, h, energy, (1.0, 0.0), y1, interior, tail=6)
-        u, w = y.T.tolist()
-        ends = [[u[-1], w[-1]], [_onesided_slope(u, h, False), _onesided_slope(w, h, False)]]
-        out.append(np.ldexp(ends, e))
-    return out
+    v, n = cell.values, cell.grid.n_points
+    edge, jumps = _cell_deltas(cell)
+    if edge:
+        jumps.append((n - 1, edge))
+    e = np.asarray(energies, dtype=float).reshape(-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m, exps = _propagator(np.concatenate((v[:-1], v[:2])), cell.grid.h, e, jumps)
+        bad = ~np.isfinite(m).all(axis=(0, 1))
+        if bad.any():
+            c = 1.0 - cell.grid.h ** 2 * (v[:-1] - e[bad][0]) / 12.0
+            zeros = np.nonzero(c == 0.0)[0]  # the sweep divides by c at nodes 1 .. n - 2 and 0
+            if zeros.size:
+                raise NumericalFailure(f"Numerov coefficient vanishes at node {zeros[0]}")
+            raise NumericalFailure(f"band discriminant sweep overflows at E={e[bad][0]}")
+        return np.ldexp(m, exps), np.ldexp(m[0, 0] + m[1, 1], exps)
 
 
 def transfer_matrix(cell: Potential, energy: float) -> np.ndarray:
-    """Full one-period transfer matrix (det = 1 up to discretization)."""
-    return _transfer_matrices(cell, [energy])[0]
+    """One-period transfer matrix [[u, w], [u', w']] at the right cell edge (det = 1
+    up to rounding: each step of the (w, D) map has determinant 1).
+
+    u and w start from (value, slope) = (1, 0) and (0, 1) at the left edge,
+    where a delta on the edge acts once first.  The (w, D) map of
+    ``_transfer_matrices`` is conjugated with their start pairs: node 1 from
+    the Taylor step ``_taylor_step`` (linear in the value and slope), both
+    nodes then in (w, D) form.
+    """
+    v, h = cell.values, cell.grid.h
+    m = _transfer_matrices(cell, [energy])[0][..., 0]
+    edge = _cell_deltas(cell)[0]
+    f0 = float(v[0]) - energy
+    dv, ddv = _start_derivs(v, h)
+    y1 = np.array([_taylor_step(1.0, edge, h, f0, dv, ddv), _taylor_step(0.0, 1.0, h, f0, dv, ddv)])
+    c0, c1 = 1.0 - h * h * (v[:2] - energy) / 12.0
+    start = np.array([c1 * y1, c1 * y1 - c0 * np.array([1.0, 0.0])])  # (w, D) of u and w
+    inverse = np.array([[start[1, 1], -start[0, 1]], [-start[1, 0], start[0, 0]]])
+    return np.einsum("ij,jk,kl->il", inverse, m, start) / (start[0, 0] * start[1, 1]
+                                                          - start[0, 1] * start[1, 0])
 
 
 def band_discriminant(cell: Potential, energy: float) -> float:
-    """Delta(E); |Delta| <= 2 exactly when E lies in an allowed zone."""
-    m = _transfer_matrices(cell, [energy])[0]
-    return float(m[0, 0] + m[1, 1])
+    """Delta(E); |Delta| <= 2 exactly when E lies in an allowed zone.  The
+    one-energy case of ``band_discriminant_curve``, bit for bit."""
+    return float(band_discriminant_curve(cell, [energy])[0])
 
 
 def band_discriminant_curve(cell: Potential, energies) -> np.ndarray:
-    """Discriminant Delta(E) = trace of the one-period transfer matrix."""
-    return np.array([m[0, 0] + m[1, 1] for m in _transfer_matrices(cell, energies)])
+    """Discriminant Delta(E), the trace of the one-period transfer matrix, at
+    every energy in one sweep (``_transfer_matrices``)."""
+    return _transfer_matrices(cell, energies)[1]

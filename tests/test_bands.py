@@ -102,7 +102,10 @@ class TestZones:
     ])
     def test_every_zone_of_a_long_cell_or_a_high_cut(self, period, n_points, e_max, count):
         # on a repulsive comb zone n runs from a root of |cos(ka) + (g/2k)
-        # sin(ka)| = 1 above ((n-1) pi/a)^2 up to the pinned edge (n pi/a)^2
+        # sin(ka)| = 1 above ((n-1) pi/a)^2 up to the pinned edge, level n of
+        # the cell with hard walls.  On the grid that level is Numerov's
+        # (12/h^2) (12 / (10 + 2 cos theta) - 1), theta = n pi h / a, which lies
+        # within (kh)^4 / 240 (1.2e-6 at E = 6889) of (n pi/a)^2
         def half_delta(e):
             k = math.sqrt(e)
             return math.cos(k * period) + 1.0 / k * math.sin(k * period)
@@ -112,8 +115,11 @@ class TestZones:
         for n, z in enumerate(zs, start=1):
             assert ((n - 1) * math.pi / period) ** 2 < z.e_lo < (n * math.pi / period) ** 2
             assert abs(half_delta(z.e_lo)) == pytest.approx(1.0, abs=1e-4)
-        tops = [(n * math.pi / period) ** 2 for n in range(1, count)]
-        assert [z.e_hi for z in zs[:-1]] == pytest.approx(tops, rel=1e-6, abs=1e-5)
+        h = period / (n_points - 1)
+        theta = np.pi * np.arange(1, count) * h / period
+        tops = 12.0 / h**2 * (12.0 / (10.0 + 2.0 * np.cos(theta)) - 1.0)
+        assert np.allclose(tops, (np.arange(1, count) * math.pi / period) ** 2, rtol=1.3e-6, atol=0)
+        assert [z.e_hi for z in zs[:-1]] == pytest.approx(tops, rel=1e-8, abs=1e-8)
 
     @pytest.fixture
     def seed_cells(self, monkeypatch):
@@ -124,10 +130,11 @@ class TestZones:
                             lambda cell, m, e_cut: built.append(m) or edge_seeds(cell, m, e_cut))
         return built
 
-    @pytest.mark.parametrize("period, g", [(5.0, -4.0), (8.0, -5.0), (10.0, -3.0), (20.0, -2.0)])
+    @pytest.mark.parametrize("period, g", [(5.0, -4.0), (8.0, -5.0), (10.0, -3.0), (20.0, -2.0),
+                                           (10.0, -5.0), (15.0, -4.0), (20.0, -3.0)])
     def test_narrow_zone_of_an_attractive_comb(self, seed_cells, period, g):
         # the level E = -g^2/4 of one delta widens into a zone 1.5e-3 (5, -4)
-        # down to 1.6e-8 (20, -2) wide, narrower than the error of its seeds:
+        # down to 1.7e-12 (20, -3) wide, narrower than the error of its seeds:
         # the seeds' midpoint misses it, and the sign change of Delta between
         # the gaps on either side finds it
         def half_delta(e):
@@ -137,12 +144,28 @@ class TestZones:
             kap = math.sqrt(-e)
             return math.cosh(period * kap) + g / (2 * kap) * math.sinh(period * kap)
 
+        def bisect(f, lo, hi):  # the sign change of f in [lo, hi], to the spacing of doubles
+            positive = f(lo) > 0
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if (f(mid) > 0) == positive else (lo, mid)
+            return lo
+
         zs = zones(PeriodicSystem(comb_cell(period, g), period), 10.0)
         assert len(seed_cells) == 1
         # zone 1, then one zone starting at each pinned edge (n pi/a)^2 below 10
         assert len(zs) == 1 + math.floor(period * math.sqrt(10.0) / math.pi)
-        assert zs[0].e_lo < -g * g / 4 < zs[0].e_hi and zs[0].width < 2e-3
-        for e in [e for z in zs for e in (z.e_lo, z.e_hi) if e < 10.0]:
+        assert zs[0].width < 2e-3
+        # zone 1 may be narrower than the tolerance, so its edges are compared
+        # with the roots of half_delta -+ 1 about its centre (half_delta = 0)
+        below, above = zs[0].e_lo - 1e-3, zs[0].e_hi + 1e-3
+        centre = bisect(half_delta, below, above)
+        roots = (bisect(lambda e: half_delta(e) - 1, below, centre),
+                 bisect(lambda e: half_delta(e) + 1, centre, above))
+        assert roots[0] < -g * g / 4 < roots[1]
+        for e, root in zip((zs[0].e_lo, zs[0].e_hi), roots):
+            assert abs(e - root) < 1e-8 * max(1.0, abs(root))
+        for e in [e for z in zs[1:] for e in (z.e_lo, z.e_hi) if e < 10.0]:
             tol = 1e-8 * max(1.0, abs(e))
             assert (abs(half_delta(e - tol)) - 1) * (abs(half_delta(e + tol)) - 1) < 0
 
@@ -160,17 +183,24 @@ class TestZones:
         (zone,) = zones(system, e_max)
         assert (zone.e_lo, zone.e_hi) == pytest.approx((full[0].e_lo, full[0].e_hi), abs=1e-8)
 
-    @pytest.mark.parametrize("period, g", [(10.0, -5.0), (15.0, -4.0), (15.0, -5.0),
-                                           (20.0, -3.0), (20.0, -4.0), (20.0, -5.0)])
+    @pytest.mark.parametrize("period, g", [(15.0, -5.0), (20.0, -4.0), (20.0, -5.0)])
     def test_zone_below_the_rounding_of_delta(self, seed_cells, period, g):
         # the lowest zone of these combs, about 8 kappa^2 e^(-kappa a) wide
-        # (kappa = |g|/2; 1e-20 at (20, -5)), is below the spacing of doubles
-        # near E = -g^2/4, so no double has |Delta| < 2 there; the sign change
-        # of Delta across it stands for both its edges
+        # (kappa = |g|/2; 2.6e-15 at (15, -5), 1e-20 at (20, -5)), is narrower
+        # than the rounding of Delta near E = -g^2/4, so no double has
+        # |Delta| < 2 in it; the sign change of Delta across it stands for both
+        # its edges
         zs = zones(PeriodicSystem(comb_cell(period, g), period), 10.0)
         assert len(seed_cells) == 1
         e = -g * g / 4
         assert zs[0].e_lo == zs[0].e_hi == pytest.approx(e, abs=1e-8 * max(1.0, abs(e)))
+
+    def test_tangency_map_stores_the_curve_delta(self, comb):
+        # the map that decides a closed gap stores its trace as that energy's Delta
+        search = bands._EdgeSearch(comb.cell)
+        for e in (0.5, 4.0, 9.7):
+            search.matrix(e)
+            assert search.values[e] == band_discriminant(comb.cell, e)
 
     def test_e_max_below_the_first_edge(self, comb):
         assert zones(comb, 0.1) == []
@@ -301,11 +331,11 @@ class TestShiftZone:
         assert all(a > b for a, b in zip(squeezed, squeezed[1:]))
 
     def test_gap_open_by_less_than_1e_9_keeps_both_edges(self, comb):
-        # Delta + 2 dips to about -3e-11 on a gap some 2e-5 wide: the gap is open,
+        # Delta + 2 dips to about -5e-11 on a gap some 2.6e-5 wide: the gap is open,
         # and each edge lies where a bisection of Delta + 2 puts it.  Delta's
-        # rounding, about 1e-12, spans about 2e-7 in E where its slope is as
-        # small as at these edges (about 7e-6), so that is as close as two
-        # searches can agree; coincident edges would lie 1.1e-5 from each
+        # rounding, about 2e-15, spans about 3e-10 in E where its slope is as
+        # small as at these edges (about 7e-6), so two searches can agree to
+        # that (see the next test); coincident edges would lie 1.3e-5 from each
         p = shift_zone(comb, 3, 0.611328125)
         zs = zones(p, 11.0)
 
@@ -320,6 +350,19 @@ class TestShiftZone:
         assert zs[2].e_hi == pytest.approx(bisect(9.6113, inside), abs=1e-6)
         assert zs[3].e_lo == pytest.approx(bisect(9.6114, inside), abs=1e-6)
         assert zs[3].e_lo - zs[2].e_hi > 1e-5
+
+    def test_barely_open_gap_edges_to_edge_tol(self, comb):
+        # the gap of the previous test: each edge within EDGE_TOL of a bisection
+        # of Delta + 2 (measured 1.0e-10 and 4.3e-10)
+        p = shift_zone(comb, 3, 0.611328125)
+        zs = zones(p, 11.0)
+        inside = 0.5 * (zs[2].e_hi + zs[3].e_lo)
+        for edge, outside in ((zs[2].e_hi, 9.6113), (zs[3].e_lo, 9.6114)):
+            lo, hi = outside, inside  # Delta + 2 > 0 at lo, < 0 at hi
+            while abs(hi - lo) > 1e-12:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if band_discriminant(p.cell, mid) + 2.0 > 0.0 else (lo, mid)
+            assert abs(edge - 0.5 * (lo + hi)) < bands.EDGE_TOL
 
     def test_window_validation(self, comb):
         with pytest.raises(ValidationError):

@@ -16,8 +16,9 @@ come the body, delta spikes, spectrum and 40-energy scattering curve of a
 free line with spikes of both signs where the scan's segments start and end
 (``spike_line_digests``); no workload or figure has a spike off a cell edge.
 Then come the artifacts and ``oracle_work`` of a ``band`` run at e_max 10 on
-each comb of ``COMBS``, whose lowest zone is narrower than the rounding of
-the discriminant (``comb_digests``).
+each comb of ``COMBS``, whose lowest zone is 7e-10 down to about 1e-20 wide,
+in three of them narrower than the rounding of the discriminant
+(``comb_digests``).
 
 A change that must keep the program's output is checked by running this on
 both commits and comparing the two outputs with ``diff``.
