@@ -133,7 +133,7 @@ def _center_seed(v: Potential, eps: float, u0: float, du0: float) -> np.ndarray:
     right, e_r = _launch(v.values[mid:], v.grid.h, eps, u0, du0)
     left, e_l = _launch(v.values[mid::-1], v.grid.h, eps, u0, -du0)
     top = max(e_l, e_r)
-    return np.concatenate((np.ldexp(left[:0:-1, 0], e_l - top), np.ldexp(right[:, 0], e_r - top)))
+    return np.concatenate((np.ldexp(left[:0:-1], e_l - top), np.ldexp(right, e_r - top)))
 
 
 def _mix_seed(v: Potential, eps: float, sigma: float):
@@ -425,9 +425,7 @@ def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray, e_n
         if wall < 1e-9:
             last_err = SingularityError(f"{name}: Wronskian collapses at a wall")
             continue
-        nz = w[w != 0.0]
-        signs = nz > 0
-        if np.any(signs != signs[0]):
+        if _count_sign_changes(w):
             j = int(np.argmin(np.abs(w)))
             last_err = SingularityError(
                 f"{name}: Wronskian changes sign near x = {g.x[j]:.6g}", x=float(g.x[j])

@@ -108,10 +108,6 @@ def sample(fn, grid: Grid) -> SampledFn:
     return SampledFn(grid, np.asarray(fn(grid.x), dtype=float))
 
 
-def constant(grid: Grid, value: float = 0.0) -> SampledFn:
-    return SampledFn(grid, np.full(grid.n_points, float(value)))
-
-
 def integrate(f: SampledFn) -> float:
     """Composite Simpson integral over the whole grid (exact for cubics)."""
     v = f.values

@@ -9,10 +9,10 @@ Method summary
 * Numerov integration (O(h^4)) of -psi'' + V psi = E psi.  A sweep is
   forward substitution on the lower-banded system
   c[j+1] y[j+1] - (12 - 10 c[j]) y[j] + c[j-1] y[j-1] = 0 with the two start
-  values fixed, solved by LAPACK ``dtbtrs`` for one or more start pairs at
-  once (one right-hand side each).  The solve runs in fixed-length chunks
-  and the carried pair is rescaled by a power of two between chunks, so
-  deep exponential tails cannot overflow and the rescaling is exact.
+  values fixed, solved by LAPACK ``dtbtrs`` in fixed-length chunks.  The
+  carried pair is rescaled by a power of two between chunks and every node
+  is brought to one such scale at the end, so deep exponential tails cannot
+  overflow and the rescaling is exact.
 * Bound states are integrated from both ends and matched at the rightmost
   classical turning point, which keeps the scheme stable inside deep
   classically forbidden tails; where a branch comes near a node there (as
@@ -81,9 +81,11 @@ from .potentials import DECAYING_HALF_LINE, DECAYING_LINE, Potential
 
 #: nodes per banded solve; the carried pair is rescaled between chunks
 _CHUNK = 4096
-#: a full sweep keeps the scale it was launched with unless it grows past
-#: 2**_MAX_EXP (about 1e250); then its largest values sit there and the
-#: smallest ones underflow first
+#: a sweep keeps the scale it was launched with unless a stretch (a run of
+#: nodes at one scale) starts, or the sweep ends, above 2**_MAX_EXP (about
+#: 1e250); then the highest of those sits there and the smallest values
+#: underflow first.  Rounding lets a sweep fall only about 2**-26 below a
+#: peak before it grows again, far less than the 2**193 left above
 _MAX_EXP = 830
 
 
@@ -240,18 +242,15 @@ def derivative_samples(y: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _numerov(v, h, energy, y0, y1, jumps=(), tail=0):
-    """Numerov solutions of -y'' + V y = E y across the sample array v.
+def _numerov(v, h, energy, y0, y1, jumps=()):
+    """Numerov solution of -y'' + V y = E y across the sample array v.
 
-    y0 and y1 are the values at nodes 0 and 1, scalars or one entry per
-    start pair; each pair is one right-hand side of the same banded solve.
-    jumps lists (node, strength) pairs with 1 <= node <= n - 2: the slope
-    jumps by strength * y at that node, which adds the term
-    h strength (2 - c[j]) y[j] to the step from it.  A chunk that overflows
-    is solved again in halves.
+    y0 and y1 are the values at nodes 0 and 1.  jumps lists (node, strength)
+    pairs with 1 <= node <= n - 2: the slope jumps by strength * y at that
+    node, which adds the term h strength (2 - c[j]) y[j] to the step from
+    it.  A chunk that overflows is solved again in halves.
 
-    Returns (y, e) with the solution equal to y * 2**e; y has one column per
-    start pair and holds every node, or only the last `tail` nodes.
+    Returns (y, e) with the solution equal to y * 2**e at every node.
     """
     n = len(v)
     work = _WORK.get()
@@ -265,44 +264,41 @@ def _numerov(v, h, energy, y0, y1, jumps=(), tail=0):
     for j, strength in jumps:
         ab[1, j] -= h * strength * (2.0 - c[j])
     ab[2] = c
-    recent = np.array([y0, y1], dtype=float).reshape(2, -1)  # last rows, at scale 2**e
-    out = None if tail else np.empty((n, recent.shape[1]))
-    if out is not None:
-        out[:2] = recent
+    y = np.empty(n)
+    y[:2] = y0, y1
+    pair = y[:2].copy()  # the last two values, at scale 2**e
     e = 0
-    scales = [(0, 0)]  # (first node, exponent) of each stretch of out
+    scales = [(0, 0)]  # (first node, exponent) of each stretch of y
     pos, length = 2, _CHUNK
     while pos < n:
         stop = min(n, pos + length)
-        rhs = np.zeros((stop - pos, recent.shape[1]), order="F")
-        rhs[0] = -ab[1, pos - 1] * recent[-1] - c[pos - 2] * recent[-2]
+        rhs = np.zeros(stop - pos)
+        rhs[0] = -ab[1, pos - 1] * pair[1] - c[pos - 2] * pair[0]
         if stop - pos > 1:
-            rhs[1] = -c[pos - 1] * recent[-1]
+            rhs[1] = -c[pos - 1] * pair[1]
         x, info = dtbtrs(ab[:, pos:stop], rhs, uplo="L", overwrite_b=1)
         if info > 0:
             raise NumericalFailure(f"Numerov coefficient vanishes at node {pos + info - 1}")
-        if stop - pos > 1 and not math.isfinite(x[-1].sum()):
+        if stop - pos > 1 and not math.isfinite(x[-1]):
             length = (stop - pos) // 2
             continue
         length = _CHUNK
-        if out is not None:
-            out[pos:stop] = x
-        recent = np.concatenate((recent, x[-6:]))[-6:]
+        y[pos:stop] = x
+        pair = np.concatenate((pair, x[-2:]))[-2:]
         pos = stop
         if pos < n:
-            s = math.frexp(np.abs(recent[-2:]).max())[1]
+            s = math.frexp(np.abs(pair).max())[1]
             if s:
-                recent = np.ldexp(recent, -s)
+                pair = np.ldexp(pair, -s)
                 e += s
                 scales.append((pos, e))
-    if tail:
-        return recent[-tail:], e
     exps = [s for _, s in scales]
-    ref = max(min(exps), max(exps) - _MAX_EXP)
+    top = max(max(exps), e + math.frexp(np.abs(pair).max())[1])
+    ref = max(min(exps), top - _MAX_EXP)
     for (a, s), (b, _) in zip(scales, scales[1:] + [(n, 0)]):
         if s != ref:
-            out[a:b] = np.ldexp(out[a:b], s - ref)
-    return out, ref
+            y[a:b] = np.ldexp(y[a:b], s - ref)
+    return y, ref
 
 
 def _launch(v, h, energy, y0, dy0):
@@ -345,9 +341,9 @@ def _sweep(v: Potential, energy, from_left: bool, deltas=(), reach=None) -> np.n
     # a jump on the last swept node would only act beyond it
     if from_left:
         jumps = [(j, g) for j, g in deltas if j <= reach - 2]
-        return _numerov(v.values[:reach], h, energy, y0, y1, jumps)[0][:, 0]
+        return _numerov(v.values[:reach], h, energy, y0, y1, jumps)[0]
     mirrored = [(n - 1 - j, g) for j, g in reversed(deltas) if n - 1 - j <= reach - 2]
-    return _numerov(v.values[::-1][:reach], h, energy, y0, y1, mirrored)[0][::-1, 0]
+    return _numerov(v.values[::-1][:reach], h, energy, y0, y1, mirrored)[0][::-1]
 
 
 def _node_count(v: Potential, energy, deltas) -> int:

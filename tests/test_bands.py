@@ -77,6 +77,21 @@ class TestZones:
         with pytest.raises(ValidationError):
             zones(comb, -5.0)
 
+    @pytest.mark.parametrize("e_max", [math.nan, 1e7], ids=["nan", "beyond_the_grid"])
+    def test_emax_out_of_reach(self, comb, e_max):
+        with pytest.raises(ValidationError):
+            zones(comb, e_max)
+
+    def test_three_node_cell_is_too_coarse(self):
+        with pytest.raises(ValidationError):
+            zones(free_system(n_points=3), 10.0)
+
+    def test_gap_between_names_an_inner_gap(self, comb):
+        zs = zones(comb, 10.0)
+        for k in (0, len(zs)):
+            with pytest.raises(ValidationError):
+                gap_between(zs, k)
+
     @pytest.mark.parametrize("g", [-3.0, -1.0, 0.5, 2.0, 7.0])
     def test_every_edge_solves_the_dispersion(self, g):
         # Kronig-Penney: the edges solve cos(ka) + (g/2k) sin(ka) = +-1 with

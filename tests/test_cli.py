@@ -20,7 +20,7 @@ from specdesign.csvio import (
 )
 from specdesign.errors import ValidationError
 from specdesign.figures import build_figure_bundle, figure_tags
-from specdesign.grid import make_grid, sample
+from specdesign.grid import SampledFn, make_grid, sample
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -504,6 +504,21 @@ class TestMainEntry:
         assert not manifest["steps"][0]["oracle"]["pass"]
         assert (out / "potential.csv").exists()
         assert capsys.readouterr().out.startswith("status: verification-failed")
+
+    def test_tall_barrier_is_a_numerical_failure(self, tmp_path):
+        # the box's left shots grow by about e^790 through the barrier: the
+        # sweeps must stay finite, and the failed shift seed exits 3 with a
+        # manifest, not 2 as if the input were invalid
+        g = make_grid(0.0, 30.0, 4001)
+        csv_path = tmp_path / "barrier.csv"
+        csv_path.write_bytes(sampled_fn_bytes(SampledFn(g, np.where(g.x > 5.0, 1000.0, 0.0)), "V"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"base = potential-csv\npath = {csv_path}\n"
+                       "[step]\nkind = shift\nn = 1\ndE = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "numerical-failure"
 
     def test_figure_writes_its_bundle(self, tmp_path):
         assert main(["figure", "fig1_1", "--out", str(tmp_path), "--points", "301"]) == EXIT_OK

@@ -296,17 +296,18 @@ class TestPropagator:
         for energy in (-0.5, 0.3, 1.7):
             want = reference_sweep(v, h, energy, 0.0, h, jumps)
             y, e = _numerov(v, h, energy, 0.0, h, sorted(jumps.items()))
-            got = np.ldexp(y[:, 0], e)
+            got = np.ldexp(y, e)
             assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
     def test_overflowing_chunk_is_split(self):
         # a flat barrier grows the solution by e^0.31 per node, e^2821 in all:
-        # a whole chunk would overflow, so it is solved again in halves
+        # a whole chunk would overflow, so it is solved again in halves, and
+        # the last stretch's growth of 2**361 must not overflow the output
         n, h, barrier = 9001, math.pi / 2000, 4e4
         c = 1.0 - h * h * barrier / 12.0
         theta = math.acosh((12.0 - 10.0 * c) / (2.0 * c))  # y_j = h sinh(j theta) / sinh(theta)
-        y, e = _numerov(np.full(n, barrier), h, 0.0, 0.0, h, tail=1)
-        log_end = math.log(y[-1, 0]) + e * math.log(2.0)
+        y, e = _numerov(np.full(n, barrier), h, 0.0, 0.0, h)
+        log_end = math.log(y[-1]) + e * math.log(2.0)
         exact = math.log(h) + theta * (n - 1) - math.log(2.0 * math.sinh(theta))
         assert log_end == pytest.approx(exact, rel=1e-12)
 
@@ -359,14 +360,19 @@ def plane_wave_amplitudes(k_l, x0, x1, psi0, psi1, scale=0):
 
 
 def numerov_scattering(v, energy):
-    """R and T from one banded ``_numerov`` sweep from the right edge."""
+    """R and T from banded ``_numerov`` sweeps from the right edge.
+
+    The real and imaginary parts of the right-moving wave are swept apart and
+    brought to a common power-of-two scale at the left end pair.
+    """
     g = v.grid
     mirrored = [(g.n_points - 1 - j, s) for j, s in reversed(v.delta_nodes())]
     k_r = math.sqrt(energy - v.values[-1])
     last, prev = np.exp(1j * k_r * g.x[-1]), np.exp(1j * k_r * g.x[-2])
-    y, e = _numerov(v.values[::-1], g.h, energy, (last.real, last.imag),
-                    (prev.real, prev.imag), mirrored, tail=2)
-    psi1, psi0 = y[:, 0] + 1j * y[:, 1]
+    (re, e_re), (im, e_im) = (_numerov(v.values[::-1], g.h, energy, y0, y1, mirrored)
+                              for y0, y1 in ((last.real, prev.real), (last.imag, prev.imag)))
+    e = max(e_re, e_im)
+    psi1, psi0 = np.ldexp(re[-2:], e_re - e) + 1j * np.ldexp(im[-2:], e_im - e)
     k_l = math.sqrt(energy - v.values[0])
     return plane_wave_amplitudes(k_l, g.x[0], g.x[1], psi0, psi1, e)
 
@@ -762,3 +768,17 @@ class TestRefinement:
         for a, b in zip(cooley, brent):
             assert a.energy == pytest.approx(b.energy, rel=1e-10, abs=1e-10)
             assert np.max(np.abs(a.psi.values - b.psi.values)) < 1e-9 * np.max(np.abs(b.psi.values))
+
+    def test_node_bisection_when_the_mismatch_keeps_its_sign(self, monkeypatch):
+        # a matching Wronskian of one sign at both ends of the node-count
+        # bracket leaves each level to bisection on the node count alone
+        v = box()
+        want = bound_states(v, 3)
+        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda self, k, e0: None)
+        monkeypatch.setattr(solver_module._Matcher, "mismatch", lambda self, energy: 1.0)
+        with oracle_scope() as work:
+            got = bound_states(v, 3)
+        assert work.ledger()["bound_states"]["bracketed_levels"] == 3
+        assert [s.nodes for s in got] == [0, 1, 2]
+        for a, b in zip(got, want):
+            assert a.energy == pytest.approx(b.energy, abs=5e-12 * max(1.0, abs(b.energy)))
