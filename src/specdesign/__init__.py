@@ -43,7 +43,6 @@ from .solver import (
     bound_states,
     scattering,
     scattering_curve,
-    transfer_matrix,
 )
 from .verify import isospectral_check, orthonormality_defect, peak_width, reflection_check
 
@@ -102,7 +101,6 @@ __all__ = [
     "soliton_well",
     "stark_ladder",
     "track_zone_shift",
-    "transfer_matrix",
     "zones",
 ]
 

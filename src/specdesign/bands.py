@@ -28,8 +28,7 @@ from .darboux import shift_level
 from .errors import NumericalFailure, ValidationError
 from .grid import SampledFn
 from .potentials import HARD_WALLS, Potential
-from .solver import (_transfer_matrices, band_discriminant_curve, bound_states, current_work,
-                     secant_steps)
+from .solver import _transfer_matrices, bound_states, current_work, secant_steps
 
 #: the accuracy of every zone edge, and how far a hard-wall level may lie
 #: outside the closure of its gap
@@ -76,18 +75,51 @@ def zones(p: PeriodicSystem, e_max: float) -> list[Zone]:
     eigenvalue of a coarse finite-difference cell and refined to EDGE_TOL
     on the sampled cell's discriminant: by secant steps on Delta -+ 2 inside
     a sign bracket, or, where the two edges of a gap lie closer than the
-    seeds can tell apart, on dDelta/dE = 0 first.  The searches of a layout
-    step together, each round one ``band_discriminant_curve`` call.  A gap
-    whose extremum falls short of +-2 by at most 1e-7, or passes it by no
-    more than the rounding of the one-period map (see ``_EdgeSearch._gap``),
-    is closed (touching zones, as in the free limit) and reported as two
-    coincident edges; any other gap is open and both its edges are
-    refined.  The coarse cell resolves the highest wave number below the cut and is built once: a
-    zone narrower than the error of its seeds, as the lowest zone of a
-    tight-binding comb can be, is found at the sign change of Delta between
-    the gaps on either side.  Where it is narrower than the rounding of
-    Delta too, that sign change is reported as its two coincident edges.
+    seeds can tell apart, on dDelta/dE = 0 first.  The searches step
+    together in rounds, each round one kernel call (``_refine_together``);
+    this is the one-layout case of ``_layouts``, which refines several
+    layouts in the same rounds.  A gap whose extremum falls short of +-2 by
+    at most 1e-7, or passes it by no more than the rounding of the
+    one-period map (see ``_EdgeSearch._gap``), is closed (touching zones, as
+    in the free limit) and reported as two coincident edges; any other gap
+    is open and both its edges are refined.  The coarse cell resolves the
+    highest wave number below the cut and is built once: a zone narrower
+    than the error of its seeds, as the lowest zone of a tight-binding comb
+    can be, is found at the sign change of Delta between the gaps on either
+    side.  Where it is narrower than the rounding of Delta too, that sign
+    change is reported as its two coincident edges.
     """
+    return _layouts([p], e_max)[0]
+
+
+def _layouts(systems, e_max: float) -> list[list[Zone]]:
+    """The zones below e_max of each system, as ``zones`` finds them, every
+    layout's searches refined in the same rounds.
+
+    The systems' cells must share a grid and deltas.  Each layout keeps its
+    own search, so its edges and its work counts are those of its own
+    ``zones`` call.
+    """
+    seeds = [_layout_seeds(p, e_max) for p in systems]
+    searches = [_EdgeSearch(p.cell) for p in systems]
+    found = _refine_together(searches, seeds)
+    work = current_work()
+    if work is not None:
+        work.zone_calls += len(searches)
+        work.zone_edges_seeded += sum(s.size - 1 for s in seeds)
+        work.zone_evaluations += sum(len(search.values) for search in searches)
+        work.zone_tangencies += sum(search.tangencies for search in searches)
+    layouts = []
+    for edges in found:
+        edges = [float(e) for e in edges if e < e_max] + [float(e_max)]
+        layouts.append([Zone(index=k + 1, e_lo=lo, e_hi=hi)
+                        for k, (lo, hi) in enumerate(zip(edges[0::2], edges[1::2]))])
+    return layouts
+
+
+def _layout_seeds(p: PeriodicSystem, e_max: float) -> np.ndarray:
+    """The edge seeds of p's zones below e_max (``_edge_seeds``), on a coarse cell
+    that resolves the highest wave number below the cut."""
     cell = p.cell
     v_min = float(cell.values.min())
     if not math.isfinite(e_max):
@@ -105,17 +137,7 @@ def zones(p: PeriodicSystem, e_max: float) -> list[Zone]:
     seeds = _edge_seeds(cell, m, e_cut)
     if seeds is None:
         raise ValidationError(f"e_max={e_max} lies beyond the reach of the cell's grid")
-    search = _EdgeSearch(cell)
-    edges = search.refine(seeds)
-    work = current_work()
-    if work is not None:
-        work.zone_calls += 1
-        work.zone_edges_seeded += seeds.size - 1
-        work.zone_evaluations += len(search.values)
-        work.zone_tangencies += search.tangencies
-    edges = [float(e) for e in edges if e < e_max] + [float(e_max)]
-    return [Zone(index=k + 1, e_lo=lo, e_hi=hi)
-            for k, (lo, hi) in enumerate(zip(edges[0::2], edges[1::2]))]
+    return seeds
 
 
 #: fewest intervals of the finite-difference cell that seeds the edges (fewer
@@ -221,10 +243,12 @@ class _EdgeSearch:
     """Refines seeded zone edges on the discriminant of one cell.
 
     The search runs as generators that yield the energies whose Delta they
-    need next and read it from ``values`` when resumed.  Independent
-    searches (every edge of a layout) step in lockstep, and each round of
-    requests is one ``band_discriminant_curve`` call.  Each energy's Delta
-    is evaluated once; ``values`` holds them all.
+    need next, each as a (search, energy) pair, and read it from ``values``
+    when resumed.  Independent searches (every edge of a layout, and every
+    layout of ``_layouts``) step in lockstep, and each round of requests is
+    one kernel call (``_refine_together``).  Each energy's Delta is
+    evaluated once per search; ``values`` holds them all, and no other
+    search's requests change them.
     """
 
     def __init__(self, cell: Potential):
@@ -232,25 +256,15 @@ class _EdgeSearch:
         self.values: dict[float, float] = {}
         self.tangencies = 0
 
-    def refine(self, seeds: np.ndarray) -> list[float]:
-        """Edges from the merged seeds lam_0, mu_1, mu_2, lam_1, ... and one more.
+    def _refine(self, seeds):
+        """Sub-generator: edges from the merged seeds lam_0, mu_1, mu_2, lam_1, ...
+        and one more.
 
         Zone k lies between seeds 2k-2 and 2k-1; gap k, between seeds 2k-1
         and 2k, is where (-1)^k Delta > 2, as is every energy below lam_0.
         A gap is searched between points of its zones (|Delta| < 2): each at
         its seeds' midpoint, or else at Delta's sign change between its gaps.
         """
-        task = self._refine(seeds)
-        try:
-            request = next(task)
-            while True:
-                new = sorted(set(request).difference(self.values))
-                self.values.update(zip(new, band_discriminant_curve(self.cell, new).tolist()))
-                request = next(task)
-        except StopIteration as stop:
-            return stop.value
-
-    def _refine(self, seeds):
         points = list(0.5 * (seeds[0::2] + seeds[1::2]))
         centres = list(0.5 * (seeds[1:-1:2] + seeds[2::2]))
         step = -max(1.0, seeds[1] - seeds[0])
@@ -271,7 +285,7 @@ class _EdgeSearch:
 
     def _deltas(self, energies):
         """Sub-generator: Delta at each energy, yielding those not yet evaluated."""
-        missing = [e for e in energies if e not in self.values]
+        missing = [(self, e) for e in energies if e not in self.values]
         if missing:
             yield missing
         return [self.values[e] for e in energies]
@@ -374,6 +388,29 @@ class _EdgeSearch:
         return (yield from self._secant(f, lo, f_lo, hi, f_hi, seed))
 
 
+def _refine_together(searches, seeds) -> list[list[float]]:
+    """The edges of every search from its seeds (``_EdgeSearch._refine``).
+
+    The searches step in lockstep, and each round is one ``_transfer_matrices``
+    call over their cells, its energies grouped by search.  No energy's
+    Delta depends on the others in its call, so each search finds what it
+    would find on its own.
+    """
+    cells = [search.cell for search in searches]
+    row = {search: i for i, search in enumerate(searches)}
+    task = _together(search._refine(x) for search, x in zip(searches, seeds))
+    try:
+        request = next(task)
+        while True:
+            rows, energies = zip(*sorted({(row[search], e) for search, e in request}))
+            deltas = _transfer_matrices(cells, energies, rows)[1].tolist()
+            for i, e, delta in zip(rows, energies, deltas):
+                searches[i].values[e] = delta
+            request = next(task)
+    except StopIteration as stop:
+        return stop.value
+
+
 def auxiliary_box(p: PeriodicSystem) -> Potential:
     """Hard-wall problem on one period with walls replacing the deltas."""
     return Potential(SampledFn(p.cell.grid, p.cell.values.copy()), HARD_WALLS)
@@ -410,13 +447,19 @@ def track_zone_shift(p: PeriodicSystem, aux_level: int, d_e_values, e_max: float
     Convenience wrapper for the gap-closure experiments; rows record the
     moving-edge position (the shifted auxiliary level) and the gap between
     the zones adjacent to it.  The auxiliary levels 1 .. aux_level must each
-    lie in the closure of their own gap of the unshifted layout.
+    lie in the closure of their own gap of the unshifted layout.  Every
+    shifted cell is built first, and all the layouts are refined together
+    (``_layouts``).
     """
+    d_e_values = list(d_e_values)
     aux_states = bound_states(auxiliary_box(p), aux_level)
-    base = zones(p, e_max)
+    shifted = [shift_zone(p, aux_level, d_e) for d_e in d_e_values if d_e != 0.0]
+    base, *layouts = _layouts([p] + shifted, e_max)
     check_dirichlet_levels(base, [s.energy for s in aux_states], e_max)
     e_aux = aux_states[aux_level - 1].energy
-    return [_track_row(p, aux_level, d_e, e_aux + d_e, e_max, base) for d_e in d_e_values]
+    layouts = iter(layouts)
+    return [_track_row(d_e, e_aux + d_e, next(layouts) if d_e != 0.0 else base)
+            for d_e in d_e_values]
 
 
 def bisect_gap_closure(p: PeriodicSystem, aux_level: int, rows, e_max: float):
@@ -430,7 +473,8 @@ def bisect_gap_closure(p: PeriodicSystem, aux_level: int, rows, e_max: float):
     lo, hi = a["dE"], b["dE"]
     while hi - lo > GAP_CLOSED:
         mid = 0.5 * (lo + hi)
-        row = _track_row(p, aux_level, mid, rows[0]["edge_energy"] + mid, e_max, rows[0]["zones"])
+        zs = zones(shift_zone(p, aux_level, mid), e_max) if mid != 0.0 else rows[0]["zones"]
+        row = _track_row(mid, rows[0]["edge_energy"] + mid, zs)
         if row["tracked_gap"] == 0.0:
             hi = mid
         else:
@@ -438,10 +482,9 @@ def bisect_gap_closure(p: PeriodicSystem, aux_level: int, rows, e_max: float):
     return 0.5 * (lo + hi)
 
 
-def _track_row(p, aux_level, d_e, edge, e_max, base) -> dict:
-    """The layout at shift d_e (base at 0) and the gap just above the moving edge
+def _track_row(d_e, edge, zs) -> dict:
+    """The layout zs at shift d_e and the gap just above the moving edge
     (to 1e-6): 0.0 once that edge has merged into the zone above, or matches none."""
-    zs = zones(shift_zone(p, aux_level, d_e), e_max) if d_e != 0.0 else base
     tracked = 0.0
     for i, z in enumerate(zs):
         if abs(z.e_hi - edge) < 1e-6 and i + 1 < len(zs):

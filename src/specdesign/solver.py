@@ -59,7 +59,10 @@ Method summary
   Delta(E) is the trace of the one-period map of (w, D) pairs.  y is never
   converted: the conversion would use the same c at both ends and drop out
   of the trace.  An edge delta steps from the extended cell's node n - 1,
-  and interior spikes stay where they are.
+  and interior spikes stay where they are.  Cells that share a grid and
+  deltas are swept as one stack, each energy on its own cell's row, so the
+  rounds of several zone searches are one call, with the bits of separate
+  ones.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ class OracleWork:
         self.level_numerov_calls = 0  # the share made inside bound_states
         self.level_nodes_swept = 0
         self.level_sweeps = 0.0  # that share in full-domain sweeps
-        self.zone_calls = 0  # bands.zones calls
+        self.zone_calls = 0  # zone layouts found: one per zones call, one per layout of a track
         self.zone_edges_seeded = 0
         self.zone_evaluations = 0  # discriminant evaluations refining them
         self.zone_tangencies = 0  # closed gaps refined on dDelta/dE = 0
@@ -500,7 +503,10 @@ def _first_lobe_positive(y: np.ndarray) -> np.ndarray:
 
 def _normalised(grid, energy, y: np.ndarray) -> np.ndarray:
     """y divided by its grid norm, then signed by `_first_lobe_positive`."""
-    norm = integrate(SampledFn(grid, y * y))
+    try:
+        norm = integrate(SampledFn(grid, y * y))
+    except ValidationError as exc:  # y * y is not finite: a fault of the sweep, not of its input
+        raise NumericalFailure(f"state at E={energy} is not finite") from exc
     if norm <= 0 or not math.isfinite(norm):
         raise NumericalFailure(f"state at E={energy} has invalid norm {norm}")
     return _first_lobe_positive(y / math.sqrt(norm))
@@ -843,7 +849,7 @@ def _rescaled(m, exps):
     return m, exps
 
 
-def _segment_maps(v, h, energies, bounds, jumps=()) -> tuple[np.ndarray, np.ndarray]:
+def _segment_maps(v, h, energies, rows, bounds, jumps=()) -> tuple[np.ndarray, np.ndarray]:
     """Numerov map of every segment for every energy, in Blatt's variables.
 
     The recurrence c[j+1] y[j+1] = (12 - 10 c[j]) y[j] - c[j-1] y[j-1],
@@ -858,16 +864,22 @@ def _segment_maps(v, h, energies, bounds, jumps=()) -> tuple[np.ndarray, np.ndar
     however close c lies to 1.  A pair's (w, D) depends on that pair alone,
     so each segment's map takes (w, D) at its start pair to (w, D) at its end
     pair, and neighbouring maps multiply as they are: all segments step at
-    once from (w, D) = (1, 0) and (0, 1).  jumps lists (node, strength) pairs
-    of delta spikes: step t of segment s sweeps node bounds[s] + t, and a
-    spike g on that node adds ``_numerov``'s term h g (2 - c) divided by c to
-    G there.  Returns the maps, shape (2, 2, E, S), at scale 2**exps.
+    once from (w, D) = (1, 0) and (0, 1).  v holds one potential per row and
+    energy i sweeps row rows[i]; each run of energies on one row costs one
+    subtraction per pass, so energies grouped by row cost fewest.  jumps lists
+    (node, strength) pairs of delta spikes, the same on every row: step t of
+    segment s sweeps node bounds[s] + t, and a spike g on that node adds
+    ``_numerov``'s term h g (2 - c) divided by c to G there.  Returns the
+    maps, shape (2, 2, E, S), at scale 2**exps.
     """
     starts = bounds[:-1]
     count = starts.size
     length, extra = divmod(int(bounds[-1] - bounds[0]), count)
     e = energies[:, None]
     hh = h * h
+    cuts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1), rows.size]
+    # (potential, its energies, their index in (..., E, S) arrays) of each run
+    runs = [(v[rows[lo]], e[lo:hi], np.s_[..., lo:hi, :]) for lo, hi in zip(cuts, cuts[1:])]
     spikes = {}  # step -> [(segment, strength)] of the spikes it sweeps
     for j, strength in jumps:
         first = int(np.searchsorted(bounds, j, side="right")) - 1
@@ -876,7 +888,8 @@ def _segment_maps(v, h, energies, bounds, jumps=()) -> tuple[np.ndarray, np.ndar
     def coefficients(nodes, c, g):
         """c = 1 - h^2 (V - E) / 12 into c and G = h^2 (V - E) / c into g, at nodes
         (..., S) for arrays (..., E, S).  c is rounded as ``_numerov`` rounds it."""
-        np.subtract(v[nodes][..., None, :], e, out=g)
+        for potential, run_e, at in runs:
+            np.subtract(potential[nodes][..., None, :], run_e, out=g[at])
         g *= hh
         np.divide(g, 12.0, out=c)
         np.subtract(1.0, c, out=c)
@@ -979,8 +992,9 @@ def _on_cpus(task, items) -> None:
         raise failures[0]
 
 
-def _propagator(v, h, energies, jumps=()) -> tuple[np.ndarray, np.ndarray]:
-    """Map of the Numerov sweep across v from nodes (0, 1) to (n-2, n-1), per energy.
+def _propagator(v, h, energies, rows, jumps=()) -> tuple[np.ndarray, np.ndarray]:
+    """Map of the Numerov sweep across row rows[i] of v (rows, n) from nodes
+    (0, 1) to (n-2, n-1), for each energy i.
 
     The map acts on pairs in Blatt's (w, D) form (see ``_segment_maps``),
     so the caller converts y at the two ends only, and it equals the
@@ -989,17 +1003,20 @@ def _propagator(v, h, energies, jumps=()) -> tuple[np.ndarray, np.ndarray]:
     of energies at once, delta jumps included, and chained by pairwise
     products, each rescaled by a power of two.  The blocks are swept on
     up to two CPUs the process may run on (``_on_cpus``), each writing only
-    its own energies.  No number depends on the other energies asked for, nor
-    on the thread that swept them.  Where a coefficient c vanishes, the map
-    is not finite.
+    its own energies.  No number depends on the other energies or rows asked
+    for, nor on the thread that swept them: a stack of potentials swept in
+    one call gives each the bits of its own call.  A block may split a run of
+    energies on one row.  Where a coefficient c vanishes, the map is not
+    finite.
     """
-    bounds = _segment_bounds(len(v) - 2)
+    bounds = _segment_bounds(v.shape[1] - 2)
     block = max(1, _BLOCK_DOUBLES // (bounds.size - 1))
     out = np.empty((2, 2, energies.size))
     out_exps = np.empty(energies.size, dtype=int)
 
     def sweep(lo):
-        m, exps = _segment_maps(v, h, energies[lo : lo + block], bounds, jumps)
+        m, exps = _segment_maps(v, h, energies[lo : lo + block], rows[lo : lo + block], bounds,
+                                jumps)
         out[:, :, lo : lo + block], out_exps[lo : lo + block] = _chain(*_rescaled(m, exps))
 
     _on_cpus(sweep, range(0, energies.size, block))
@@ -1059,7 +1076,7 @@ def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
     # back with c at nodes 0, 1, n - 2 and n - 1, rounded as the sweep rounds it.
     c0, c1, c_n2, c_n1 = 1.0 - g.h * g.h * (v.values[[0, 1, -2, -1], None] - e) / 12.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p, exps = _propagator(v.values[::-1], g.h, e, mirrored)
+        p, exps = _propagator(v.values[None, ::-1], g.h, e, np.zeros(e.size, dtype=int), mirrored)
         # The sweep starts from the transmitted wave exp(i k_r x) on the right
         # pair, whose w = c[n-2] y[n-2] and
         # D = c[n-2] (y[n-2] - y[n-1]) + (c[n-2] - c[n-1]) y[n-1] form no
@@ -1121,56 +1138,46 @@ def _cell_deltas(cell: Potential) -> tuple[float, list[tuple[int, float]]]:
     return edge, interior
 
 
-def _transfer_matrices(cell: Potential, energies) -> tuple[np.ndarray, np.ndarray]:
+def _transfer_matrices(cells, energies, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """One-period maps of Numerov pairs in Blatt's (w, D) form, and their traces Delta(E).
 
-    The cell's n nodes are extended periodically by one, to v[0 .. n-2],
-    v[0], v[1], and one ``_propagator`` sweep takes the pair at nodes (0, 1)
-    to the same pair one period on.  Interior spikes stay at their nodes; a
-    delta on the cell edge (node 0 or n - 1, the same point of the lattice)
-    becomes a spike at node n - 1, so that the period holds it once.  The
-    pairs go into (w, D) with the same c at both ends, so the map is
-    similar to the map of y pairs and has the same trace.  Returns the maps
-    (2, 2, E) and Delta (E,), at their exact scale.
+    cells is one cell or a stack of cells that share a grid and deltas;
+    energy i is taken on cell rows[i] (on the first if rows is None), and
+    energies grouped by cell sweep fastest.  Each cell's n nodes are
+    extended periodically by one, to v[0 .. n-2], v[0], v[1], and one
+    ``_propagator`` sweep takes the pair at nodes (0, 1) to the same pair one
+    period on.  Interior spikes stay at their nodes; a delta on the cell edge
+    (node 0 or n - 1, the same point of the lattice) becomes a spike at node
+    n - 1, so that the period holds it once.  The pairs go into (w, D) with
+    the same c at both ends, so the map is similar to the map of y pairs and
+    has the same trace.  Returns the maps (2, 2, E) and Delta (E,), at their
+    exact scale: for each energy, the bits of a one-cell, one-energy call.
     """
-    v, n = cell.values, cell.grid.n_points
+    if isinstance(cells, Potential):
+        cells = [cells]
+    cell = cells[0]
+    if any(c.grid != cell.grid or c.deltas != cell.deltas for c in cells):
+        raise ValidationError("stacked cells must share their grid and deltas")
+    n = cell.grid.n_points
     edge, jumps = _cell_deltas(cell)
     if edge:
         jumps.append((n - 1, edge))
     e = np.asarray(energies, dtype=float).reshape(-1)
+    rows = np.zeros(e.size, dtype=int) if rows is None else np.asarray(rows, dtype=int)
+    if rows.shape != e.shape or (rows.size and not 0 <= rows.min() <= rows.max() < len(cells)):
+        raise ValidationError(f"need one row in [0, {len(cells)}) per energy")
+    v = np.array([np.concatenate((c.values[:-1], c.values[:2])) for c in cells])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m, exps = _propagator(np.concatenate((v[:-1], v[:2])), cell.grid.h, e, jumps)
-        bad = ~np.isfinite(m).all(axis=(0, 1))
-        if bad.any():
-            c = 1.0 - cell.grid.h ** 2 * (v[:-1] - e[bad][0]) / 12.0
+        m, exps = _propagator(v, cell.grid.h, e, rows, jumps)
+        bad = np.flatnonzero(~np.isfinite(m).all(axis=(0, 1)))
+        if bad.size:
+            i = bad[0]
+            c = 1.0 - cell.grid.h ** 2 * (cells[rows[i]].values[:-1] - e[i]) / 12.0
             zeros = np.nonzero(c == 0.0)[0]  # the sweep divides by c at nodes 1 .. n - 2 and 0
             if zeros.size:
                 raise NumericalFailure(f"Numerov coefficient vanishes at node {zeros[0]}")
-            raise NumericalFailure(f"band discriminant sweep overflows at E={e[bad][0]}")
+            raise NumericalFailure(f"band discriminant sweep overflows at E={e[i]}")
         return np.ldexp(m, exps), np.ldexp(m[0, 0] + m[1, 1], exps)
-
-
-def transfer_matrix(cell: Potential, energy: float) -> np.ndarray:
-    """One-period transfer matrix [[u, w], [u', w']] at the right cell edge (det = 1
-    up to rounding: each step of the (w, D) map has determinant 1).
-
-    u and w start from (value, slope) = (1, 0) and (0, 1) at the left edge,
-    where a delta on the edge acts once first.  The (w, D) map of
-    ``_transfer_matrices`` is conjugated with their start pairs: node 1 from
-    the Taylor step ``_taylor_step`` (linear in the value and slope), both
-    nodes then in (w, D) form.
-    """
-    v, h = cell.values, cell.grid.h
-    m = _transfer_matrices(cell, [energy])[0][..., 0]
-    edge = _cell_deltas(cell)[0]
-    f0 = float(v[0]) - energy
-    dv, ddv = _start_derivs(v, h)
-    y1 = np.array([_taylor_step(1.0, edge, h, f0, dv, ddv), _taylor_step(0.0, 1.0, h, f0, dv, ddv)])
-    c0, c1 = 1.0 - h * h * (v[:2] - energy) / 12.0
-    start = np.array([c1 * y1, c1 * y1 - c0 * np.array([1.0, 0.0])])  # (w, D) of u and w
-    inverse = np.array([[start[1, 1], -start[0, 1]], [-start[1, 0], start[0, 0]]])
-    return np.einsum("ij,jk,kl->il", inverse, m, start) / (start[0, 0] * start[1, 1]
-                                                          - start[0, 1] * start[1, 0])
 
 
 def band_discriminant(cell: Potential, energy: float) -> float:
@@ -1179,7 +1186,8 @@ def band_discriminant(cell: Potential, energy: float) -> float:
     return float(band_discriminant_curve(cell, [energy])[0])
 
 
-def band_discriminant_curve(cell: Potential, energies) -> np.ndarray:
+def band_discriminant_curve(cells, energies, rows=None) -> np.ndarray:
     """Discriminant Delta(E), the trace of the one-period transfer matrix, at
-    every energy in one sweep (``_transfer_matrices``)."""
-    return _transfer_matrices(cell, energies)[1]
+    every energy in one sweep (``_transfer_matrices``): of one cell, or of
+    cell rows[i] of a stack that shares a grid and deltas at energy i."""
+    return _transfer_matrices(cells, energies, rows)[1]

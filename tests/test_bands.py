@@ -403,9 +403,27 @@ class TestTracking:
         with pytest.raises(NumericalFailure, match="level 1"):
             check_dirichlet_levels(wrong, [1.0, 4.0], 10.0)
         # track_zone_shift checks the layout it computes
-        monkeypatch.setattr(bands, "zones", lambda p, e_max: wrong)
+        monkeypatch.setattr(bands, "_layouts", lambda systems, e_max: [wrong] * len(systems))
         with pytest.raises(NumericalFailure, match="outside the closure"):
             track_zone_shift(comb, 2, [0.0, 0.25], e_max=10.0)
+
+    @pytest.mark.parametrize("strength, d_es, tangencies", [
+        (1.83, [0.0, 0.08, 0.15, 0.25, 0.35], 0),         # a band-track operation
+        (2.0, [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0], 0),  # fig6_22, whose gap closes
+        (0.0, [0.0, 0.25, 0.5], 3),                       # the free cell's closed gaps
+    ], ids=["band_track", "fig6_22", "free_cell"])
+    def test_track_rows_equal_layouts_found_alone(self, strength, d_es, tangencies):
+        # the layouts refined together are the layouts of their own zones() calls,
+        # bit for bit, and so are their work counts
+        p = PeriodicSystem(comb_cell(strength=strength), math.pi)
+        with oracle_scope() as together:
+            rows = track_zone_shift(p, 2, d_es, e_max=11.0)
+        with oracle_scope() as alone:
+            layouts = [zones(shift_zone(p, 2, d_e) if d_e else p, 11.0) for d_e in d_es]
+        assert [row["zones"] for row in rows] == layouts
+        assert together.ledger()["zones"] == alone.ledger()["zones"]
+        assert alone.ledger()["zones"]["calls"] == len(d_es)
+        assert alone.ledger()["zones"]["tangencies"] == tangencies
 
     def test_track_rows(self, comb):
         rows = track_zone_shift(comb, 2, [0.0, 0.25], e_max=10.0)

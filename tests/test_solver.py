@@ -22,6 +22,7 @@ import specdesign.solver as solver_module
 from specdesign.solver import (
     _Matcher,
     _count_sign_changes,
+    _normalised,
     _numerov,
     _segment_bounds,
     _segment_maps,
@@ -32,8 +33,8 @@ from specdesign.solver import (
     oracle_scope,
     scattering,
     scattering_curve,
-    transfer_matrix,
 )
+from references import transfer_matrix
 
 
 def poschl_teller(n_points=2001, cap=1e6):
@@ -118,6 +119,15 @@ class TestBoundStates:
     def test_count_validation(self):
         with pytest.raises(ValidationError):
             bound_states(box(), 0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_state_is_a_numerical_failure(self, bad):
+        # a sweep's fault, not invalid input: NumericalFailure (exit 3), not ValidationError
+        g = make_grid(0.0, 1.0, 11)
+        y = np.sin(math.pi * g.x)
+        y[4] = bad
+        with pytest.raises(NumericalFailure, match="not finite"):
+            _normalised(g, 1.0, y)
 
 
 class TestScattering:
@@ -263,6 +273,10 @@ class TestBandDiscriminant:
         cell = Potential(SampledFn(g, body), "hard-walls")
         with pytest.raises(NumericalFailure, match=f"node {node}$"):
             band_discriminant_curve(cell, [2.0, 1.0])
+        # in a stack, the diagnosis reads the failing energy's own cell
+        zero = Potential(SampledFn(g, np.zeros(41)), "hard-walls")
+        with pytest.raises(NumericalFailure, match=f"node {node}$"):
+            band_discriminant_curve([zero, cell], [1.0, 2.0, 1.0], [0, 1, 1])
 
     def test_rotated_comb_keeps_its_discriminant(self):
         # Delta is the trace of the period map, which moving the delta around
@@ -274,6 +288,34 @@ class TestBandDiscriminant:
         for j in (1, 2, 5, n // 2, n - 3, n - 2):
             rotated = Potential(cell.body, cell.bc_kind, ((float(x[j]), 2.0),))
             assert np.max(np.abs(band_discriminant_curve(rotated, es) - want)) < 1e-12
+
+    @pytest.mark.parametrize("block_doubles", [solver_module._BLOCK_DOUBLES, 1000],
+                             ids=["one_block", "blocks_of_4"])
+    def test_stacked_cells_match_their_own_calls(self, monkeypatch, block_doubles):
+        # cells sharing a grid, an interior spike and an edge delta; 250
+        # segments, so 1000 doubles make blocks of 4 energies, and the block
+        # boundary at energy 4 cuts through the run of cell 1
+        monkeypatch.setattr(solver_module, "_BLOCK_DOUBLES", block_doubles)
+        g = comb_cell().grid
+        x = g.x
+        deltas = ((0.0, 2.0), (float(x[700]), -1.5))
+        bodies = [np.zeros(g.n_points), 3.0 * np.sin(2.0 * x) ** 2, 0.5 * x]
+        cells = [Potential(SampledFn(g, body), "hard-walls", deltas) for body in bodies]
+        es = [0.3, 2.5, 7.0, 0.3, 1.1, 4.0, 6.2, 9.5, 0.3, 5.5, 8.8]
+        rows = [0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2]
+        got = band_discriminant_curve(cells, es, rows)
+        want = [band_discriminant_curve(cells[r], [e])[0] for e, r in zip(es, rows)]
+        assert got.tolist() == want
+        assert len(set(got[[0, 3, 8]])) == 3  # one energy, three cells
+
+    def test_stack_validation(self):
+        cell = comb_cell()
+        other = comb_cell(strength=1.0)
+        with pytest.raises(ValidationError, match="share"):
+            band_discriminant_curve([cell, other], [1.0, 2.0], [0, 1])
+        for rows in ([0], [0, 2], [-1, 0]):
+            with pytest.raises(ValidationError, match="one row"):
+                band_discriminant_curve([cell, cell], [1.0, 2.0], rows)
 
 
 def reference_sweep(v, h, energy, y0, y1, jumps):
@@ -502,7 +544,8 @@ class TestSegmentScattering:
         body = np.zeros(g.n_points)
         body[node] = 49.0  # h^2 (V - E) / 12 = 1 at E = 1
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            m, _ = _segment_maps(body[::-1], g.h, np.array([1.0]), bounds)
+            m, _ = _segment_maps(body[None, ::-1], g.h, np.array([1.0]), np.zeros(1, dtype=int),
+                                 bounds)
         # the map of the segment that steps from the node, and no other: a
         # segment that only ends on it never divides by its c
         broken = ~np.isfinite(m.sum(axis=(0, 1)))[0]
