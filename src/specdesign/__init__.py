@@ -8,10 +8,8 @@ direct-problem solver.
 
 from .bands import PeriodicSystem, Zone, shift_zone, track_zone_shift, zones
 from .darboux import (
-    ClosedFormDiscrepancyWarning,
     TransformResult,
     bargmann_reflectionless,
-    box_shift_closed_form,
     bsec_reflection_curve,
     bsec_whole_line,
     darboux_create,
@@ -30,11 +28,10 @@ from .lattice import (
     LatticeState,
     LatticeSystem,
     lattice_bound_states,
-    lattice_scattering,
     single_site,
     stark_ladder,
 )
-from .potentials import Potential, box, comb_cell, free_line, half_line, single_delta, soliton_well
+from .potentials import Potential, box, comb_cell, free_line, half_line, soliton_well
 from .solver import (
     BoundState,
     ScatteringResult,
@@ -48,7 +45,6 @@ from .verify import isospectral_check, orthonormality_defect, peak_width, reflec
 
 __all__ = [
     "BoundState",
-    "ClosedFormDiscrepancyWarning",
     "Grid",
     "LatticeState",
     "LatticeSystem",
@@ -66,7 +62,6 @@ __all__ = [
     "bargmann_reflectionless",
     "bound_states",
     "box",
-    "box_shift_closed_form",
     "bsec_reflection_curve",
     "bsec_whole_line",
     "build_figure_bundle",
@@ -85,7 +80,6 @@ __all__ = [
     "integrate",
     "isospectral_check",
     "lattice_bound_states",
-    "lattice_scattering",
     "make_grid",
     "orthonormality_defect",
     "peak_width",
@@ -96,7 +90,6 @@ __all__ = [
     "scattering_curve",
     "shift_level",
     "shift_zone",
-    "single_delta",
     "single_site",
     "soliton_well",
     "stark_ladder",

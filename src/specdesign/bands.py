@@ -246,14 +246,17 @@ class _EdgeSearch:
     need next, each as a (search, energy) pair, and read it from ``values``
     when resumed.  Independent searches (every edge of a layout, and every
     layout of ``_layouts``) step in lockstep, and each round of requests is
-    one kernel call (``_refine_together``).  Each energy's Delta is
-    evaluated once per search; ``values`` holds them all, and no other
+    one kernel call (``_refine_together``), the search's only way to the
+    kernel.  Each energy's Delta is evaluated once per search; ``values``
+    holds them all, ``maps`` the one-period map (Blatt's (w, D) form,
+    similar to the transfer matrix) whose trace each is, and no other
     search's requests change them.
     """
 
     def __init__(self, cell: Potential):
         self.cell = cell
         self.values: dict[float, float] = {}
+        self.maps: dict[float, np.ndarray] = {}
         self.tangencies = 0
 
     def _refine(self, seeds):
@@ -309,13 +312,6 @@ class _EdgeSearch:
         except StopIteration as stop:
             return stop.value
 
-    def matrix(self, e: float) -> np.ndarray:
-        """The one-period map at e (in Blatt's (w, D) form, similar to the
-        transfer matrix); its trace is stored as Delta(e)."""
-        maps, delta = _transfer_matrices(self.cell, [e])
-        self.values[e] = float(delta[0])
-        return maps[..., 0]
-
     def _point(self, k, point, centres, seeds):
         """Sub-generator: a point of zone k, whose seeds' midpoint is `point`."""
         if abs(self.values[point]) < 2.0:
@@ -360,8 +356,8 @@ class _EdgeSearch:
                     f"Delta has no single extremum between E={below} and E={above}"
                 )
             centre = yield from self._secant(signed_slope, below, d_below, above, d_above, centre)
-            m = self.matrix(centre)
-            excess = sign * self.values[centre] - 2.0
+            excess = sign * (yield from self._delta(centre)) - 2.0
+            m = self.maps[centre]
             if excess < -_GAP_SHORTFALL:
                 raise NumericalFailure(
                     f"Delta peaks {-excess:.3g} short of {2 * sign:+g} at E={centre}"
@@ -392,9 +388,9 @@ def _refine_together(searches, seeds) -> list[list[float]]:
     """The edges of every search from its seeds (``_EdgeSearch._refine``).
 
     The searches step in lockstep, and each round is one ``_transfer_matrices``
-    call over their cells, its energies grouped by search.  No energy's
-    Delta depends on the others in its call, so each search finds what it
-    would find on its own.
+    call over their cells, its energies grouped by search; each energy's map
+    is kept beside its Delta.  No energy's map depends on the others in its
+    call, so each search finds what it would find on its own.
     """
     cells = [search.cell for search in searches]
     row = {search: i for i, search in enumerate(searches)}
@@ -403,9 +399,10 @@ def _refine_together(searches, seeds) -> list[list[float]]:
         request = next(task)
         while True:
             rows, energies = zip(*sorted({(row[search], e) for search, e in request}))
-            deltas = _transfer_matrices(cells, energies, rows)[1].tolist()
-            for i, e, delta in zip(rows, energies, deltas):
+            maps, deltas = _transfer_matrices(cells, energies, rows)
+            for i, e, m, delta in zip(rows, energies, np.moveaxis(maps, -1, 0), deltas.tolist()):
                 searches[i].values[e] = delta
+                searches[i].maps[e] = m
             request = next(task)
     except StopIteration as stop:
         return stop.value

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import warnings
 
 import numpy as np
 
@@ -27,10 +26,8 @@ from .grid import Grid, SampledFn, cumulative_integral, default_points, integrat
 from .potentials import DECAYING_HALF_LINE, DECAYING_LINE, HARD_WALLS, Potential, free_line
 from .solver import (
     BoundState,
-    _Matcher,
     _count_sign_changes,
     _launch,
-    _match_index,
     _node_count,
     _normalised,
     _state_swf,
@@ -51,10 +48,6 @@ SINGULAR_FLOOR = 1e-12
 #: a level-shift seed is preferred when its Wronskian, relative to its peak,
 #: takes at least this many grid steps to rise from a hard wall
 WALL_NODES = 20
-
-
-class ClosedFormDiscrepancyWarning(UserWarning):
-    """A published closed-form expression failed its equation residual check."""
 
 
 @dataclass(frozen=True)
@@ -441,79 +434,6 @@ def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray, e_n
     if steep is not None:
         return steep[1]
     raise last_err if last_err is not None else SingularityError("no regular shift seed found")
-
-
-def box_shift_closed_form(t: float, grid: Grid) -> tuple[SampledFn, SampledFn]:
-    """Closed-form potential and shifted state for the width-pi box, E_1 = 1 -> 1 + t.
-
-    Evaluates the published expressions with the x-derivative expanded
-    analytically; for 1 + t < 0 the square roots continue through hyperbolic
-    functions so everything stays real.  The published eigenfunction has an
-    x-independent numerator; its equation residual is checked and, because it
-    fails (it cannot satisfy the wall conditions), a ClosedFormDiscrepancyWarning
-    is issued and the directly integrated eigenfunction is returned instead.
-    """
-    if abs(grid.x_min + math.pi / 2) > 1e-9 or abs(grid.x_max - math.pi / 2) > 1e-9:
-        raise ValidationError("closed-form shift is defined on the interval [-pi/2, pi/2]")
-    beta2 = 1.0 + t
-    x = grid.x
-    cx, sx = np.cos(x), np.sin(x)
-    # s solves s'' = -(1 + t) s with s(0) = 0; the published numerator
-    # cos(sqrt(1+t) a) of the state is x-independent
-    if beta2 > 1e-12:
-        b = math.sqrt(beta2)
-        s = np.sin(b * x)
-        sp = b * np.cos(b * x)          # s'
-        printed_num = math.cos(b * math.pi / 2)
-    elif beta2 < -1e-12:
-        gma = math.sqrt(-beta2)
-        s = np.sinh(gma * x)
-        sp = gma * np.cosh(gma * x)
-        printed_num = math.cosh(gma * math.pi / 2)
-    else:
-        s = x
-        sp = np.ones_like(x)
-        printed_num = 1.0
-    den = s * sx + sp * cx
-    num = (sp * cx - s * sx) * den + t * (s * cx) ** 2
-    _denominator_min(den, grid, "closed-form denominator")
-    wall_rel = min(abs(den[0]), abs(den[-1])) / np.max(np.abs(den))
-    if wall_rel < 1e-9:
-        # happens exactly when 1 + t hits a higher box level (crossing)
-        raise SingularityError(
-            f"closed-form denominator vanishes at a wall (1 + t = {beta2:.6g} "
-            "collides with another level)", x=grid.x_max)
-    vvals = 2.0 * t * num / (den * den)
-    v_fn = SampledFn(grid, vvals)
-
-    # test the published state against the equation before trusting it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi_printed = printed_num / den
-    res_printed = _equation_residual(psi_printed, vvals, beta2, grid)
-
-    pot = Potential(SampledFn(grid, np.clip(vvals, -DEFAULT_CAP, DEFAULT_CAP)), HARD_WALLS)
-    psi_direct = _Matcher(pot, _match_index(pot, beta2), ()).state(beta2)[0]
-    res_direct = _equation_residual(psi_direct, vvals, beta2, grid)
-    if res_printed > 100.0 * max(res_direct, 1e-10):
-        warnings.warn(
-            "published closed-form eigenfunction (x-independent numerator) fails the "
-            f"equation residual check ({res_printed:.3e} vs {res_direct:.3e} for the "
-            "directly integrated state); returning the integrated eigenfunction",
-            ClosedFormDiscrepancyWarning,
-            stacklevel=2,
-        )
-        return v_fn, SampledFn(grid, psi_direct)
-    return v_fn, SampledFn(grid, _normalised(grid, beta2, psi_printed))
-
-
-def _equation_residual(psi: np.ndarray, vvals: np.ndarray, energy: float, grid: Grid) -> float:
-    """Interior max of |-psi'' + V psi - E psi| / scale (plain FD; diagnostic only)."""
-    h = grid.h
-    lap = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / (h * h)
-    res = -lap + (vvals[1:-1] - energy) * psi[1:-1]
-    margin = max(4, grid.n_points // 50)
-    scale = (1.0 + abs(energy)) * np.max(np.abs(psi[margin:-margin]))
-    return float(np.max(np.abs(res[margin:-margin])) / scale)
 
 
 def scale_swf(v: Potential, n: int, lam: float, *,

@@ -1,4 +1,4 @@
-"""Discrete-coordinate wave mechanics: one allowed band, ladders, tunneling.
+"""Discrete-coordinate wave mechanics: one allowed band, bound states and ladders.
 
 Convention (pinned, since band pictures alone fix neither sign nor offset):
 
@@ -12,8 +12,6 @@ psi(n) -> (-1)^n psi(n) carries the spectrum of V onto 4 - spectrum(-V)
 from __future__ import annotations
 
 from dataclasses import dataclass
-import cmath
-import math
 
 import numpy as np
 
@@ -165,55 +163,3 @@ def stark_ladder(c: float, window: tuple[int, int]) -> list[LatticeState]:
 def ladder_index(state: LatticeState, c: float) -> int:
     """Rung number m of a ladder state: E = 2 + c m."""
     return int(round((state.energy - BAND_CENTER) / c))
-
-
-def bessel_recurrence_residual(state: LatticeState, c: float, sys_or_window) -> float:
-    """Max residual of J_{nu-1} + J_{nu+1} - (2 nu / z) J_nu on the samples.
-
-    The ladder eigenfunctions sample integer-order Bessel functions of fixed
-    argument z = 2/c; the three-term recurrence is their defining identity
-    and serves as a library-free oracle.
-    """
-    if isinstance(sys_or_window, LatticeSystem):
-        sites = sys_or_window.sites
-    else:
-        sites = np.arange(int(sys_or_window[0]), int(sys_or_window[1]) + 1)
-    m = ladder_index(state, c)
-    nu = sites - m
-    psi = state.psi
-    res = psi[:-2] + psi[2:] - c * nu[1:-1] * psi[1:-1]
-    return float(np.max(np.abs(res)))
-
-
-def lattice_scattering(sys: LatticeSystem, energy: float) -> tuple[complex, complex]:
-    """R and T amplitudes for a wave incident from the left at E in (0, 4).
-
-    The site potential must vanish near the window edges (compact support);
-    plane lattice waves e^{+-ikn} with E = 2 - 2 cos k are matched exactly,
-    so |R|^2 + |T|^2 = 1 to rounding.
-    """
-    if not BAND_LO < energy < BAND_HI:
-        raise ValidationError(f"energy must lie strictly inside the band (0, 4), got {energy}")
-    margin = 3
-    if sys.size < 2 * margin + 3:
-        raise ValidationError("lattice window too small for scattering")
-    if np.any(sys.v[:margin] != 0.0) or np.any(sys.v[-margin:] != 0.0):
-        raise ValidationError("site potential must vanish near the window edges")
-
-    k = math.acos((2.0 - energy) / 2.0)
-    sites = sys.sites
-    # transmitted wave T e^{ikn}, normalized to T = 1, recursed leftward
-    psi_right = cmath.exp(1j * k * sites[-1])
-    psi_next = cmath.exp(1j * k * (sites[-1] - 1))
-    psi = np.zeros(sys.size, dtype=complex)
-    psi[-1], psi[-2] = psi_right, psi_next
-    for j in range(sys.size - 2, 0, -1):
-        psi[j - 1] = (2.0 + sys.v[j] - energy) * psi[j] - psi[j + 1]
-
-    # decompose on the flat left edge: psi(n) = A e^{ikn} + B e^{-ikn}
-    e0 = cmath.exp(1j * k * sites[0])
-    e1 = cmath.exp(1j * k * sites[1])
-    det = e0 / e1 - e1 / e0
-    a = (psi[0] / e1 - psi[1] / e0) / det
-    b = (psi[1] * e0 - psi[0] * e1) / det
-    return b / a, 1.0 / a

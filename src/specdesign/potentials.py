@@ -134,12 +134,6 @@ def soliton_well(kappa: float = 1.0, center: float = 0.0,
     return p.with_body(v)
 
 
-def single_delta(strength: float, position: float = 0.0,
-                 half_width: float = 15.0, n_points: int | None = None) -> Potential:
-    p = free_line(half_width, n_points)
-    return Potential(p.body, DECAYING_LINE, ((position, strength),))
-
-
 def comb_cell(period: float = math.pi, strength: float = 2.0,
               n_points: int | None = None) -> Potential:
     """One period [0, a] of a Dirac comb: flat body, one delta at the cell edge."""

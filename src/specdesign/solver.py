@@ -695,6 +695,18 @@ class _Spectrum:
                 energy, last = 0.5 * (lo + hi), 0.5 * (hi - lo)
         return None
 
+    def _bisection(self, k: int, lo: float, n_lo: int, hi: float, n_hi: int):
+        """The halvings of the bracket [lo, hi] by node count, kept on the side
+        of level k: yields each new (lo, n_lo, hi, n_hi), without end."""
+        while True:
+            mid = 0.5 * (lo + hi)
+            n_mid = _node_count(self.v, mid, self.deltas)
+            if n_mid <= k - 1:
+                lo, n_lo = mid, n_mid
+            else:
+                hi, n_hi = mid, n_mid
+            yield lo, n_lo, hi, n_hi
+
     def _bracketed(self, k: int, e0: float):
         """(energy, state) of level k inside a node-count bracket (secant steps)."""
         v, deltas, e_top = self.v, self.deltas, self.e_top
@@ -712,13 +724,9 @@ class _Spectrum:
         else:
             raise NumericalFailure(f"could not bracket level {k} near E={e0}")
         # shrink to a bracket holding exactly this level
+        halvings = self._bisection(k, lo, n_lo, hi, n_hi)
         while n_lo < k - 1 or n_hi > k or hi - lo > max(0.5, 0.05 * abs(e0)):
-            mid = 0.5 * (lo + hi)
-            n_mid = _node_count(v, mid, deltas)
-            if n_mid <= k - 1:
-                lo, n_lo = mid, n_mid
-            else:
-                hi, n_hi = mid, n_mid
+            lo, n_lo, hi, n_hi = next(halvings)
             if hi - lo < 4e-16 * max(1.0, abs(hi)):
                 break
 
@@ -732,17 +740,11 @@ class _Spectrum:
         elif (flo > 0) != (fhi > 0):
             energy = secant_root(matcher.mismatch, lo, flo, hi, fhi, 0.5 * (lo + hi), xtol)
         else:
-            # fall back to bisection on the node count
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if _node_count(v, mid, deltas) <= k - 1:
-                    lo = mid
-                else:
-                    hi = mid
+            # fall back to the same bisection on the node count: the bracket,
+            # at most max(0.5, 0.05 |e0|) wide, halves to xtol, relative to E
+            for lo, _, hi, _ in halvings:
                 if hi - lo < xtol:
                     break
-            else:
-                raise NumericalFailure(f"node bisection did not converge for level {k}")
             energy = 0.5 * (lo + hi)
 
         psi, nodes = matcher.state(energy)

@@ -60,13 +60,6 @@ def orthonormality_defect(states) -> float:
     return worst
 
 
-def interval_mass(state, x_lo: float, x_hi: float) -> float:
-    """Probability mass of a state inside [x_lo, x_hi]."""
-    g = state.psi.grid
-    w = np.where((g.x >= x_lo) & (g.x <= x_hi), state.psi.values**2, 0.0)
-    return integrate(SampledFn(g, w))
-
-
 def peak_width(energies, values, *, level: float = 0.5) -> tuple[float, float, float]:
     """Peak position, height and width of a resonance curve.
 

@@ -18,6 +18,7 @@ from specdesign.bands import (
 from specdesign.errors import NumericalFailure, ValidationError
 from specdesign.grid import SampledFn, make_grid
 from specdesign.potentials import Potential, comb_cell
+import specdesign.solver as solver_module
 from specdesign.solver import band_discriminant, bound_states, oracle_scope, secant_root
 
 
@@ -211,11 +212,32 @@ class TestZones:
         assert zs[0].e_lo == zs[0].e_hi == pytest.approx(e, abs=1e-8 * max(1.0, abs(e)))
 
     def test_tangency_map_stores_the_curve_delta(self, comb):
-        # the map that decides a closed gap stores its trace as that energy's Delta
+        # the map that decides a closed gap is the one a round stored beside
+        # that energy's Delta, and its trace is that Delta
         search = bands._EdgeSearch(comb.cell)
+        search._refine = search._deltas   # one round that asks for the given energies
+        bands._refine_together([search], [[0.5, 4.0, 9.7]])
         for e in (0.5, 4.0, 9.7):
-            search.matrix(e)
-            assert search.values[e] == band_discriminant(comb.cell, e)
+            m = search.maps[e]
+            assert search.values[e] == band_discriminant(comb.cell, e) == m[0, 0] + m[1, 1]
+
+    def test_the_rounds_are_the_only_kernel_calls(self, monkeypatch):
+        # the free cell closes every gap below 30 at a tangency; the map of
+        # each tangency comes from a round, not from a call of its own
+        calls = []
+        propagator = solver_module._propagator
+
+        def counted(v, h, energies, rows, jumps=()):
+            calls.append(len(energies))
+            return propagator(v, h, energies, rows, jumps)
+
+        monkeypatch.setattr(solver_module, "_propagator", counted)
+        with oracle_scope() as work:
+            zs = zones(free_system(), 30.0)
+        ledger = work.ledger()["zones"]
+        assert [z.e_hi for z in zs[:-1]] == pytest.approx([1.0, 4.0, 9.0, 16.0, 25.0], abs=1e-6)
+        assert ledger["tangencies"] == 5
+        assert len(calls) == 8 and sum(calls) == ledger["evaluations"] == 81
 
     def test_e_max_below_the_first_edge(self, comb):
         assert zones(comb, 0.1) == []

@@ -21,6 +21,7 @@ from specdesign.csvio import (
 from specdesign.errors import ValidationError
 from specdesign.figures import build_figure_bundle, figure_tags
 from specdesign.grid import SampledFn, make_grid, sample
+from specdesign.verify import peak_width
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -105,6 +106,20 @@ class TestRun:
         assert manifest["status"] == "ok"
         v = read_sampled_fn((tmp_path / "inv" / "potential.csv").read_bytes())
         assert np.max(np.abs(v.values)) < 1e-6
+
+    def test_create_below_an_existing_level(self, tmp_path):
+        # the second create maps the first one's state onto its level 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("base = free-line\n[step]\nkind = create\nE = -1\n"
+                       "[step]\nkind = create\nE = -3\nsigma = 0.3\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        tol = manifest["resolved"]["tol_spectrum"]
+        for entry in manifest["steps"]:
+            assert entry["oracle"]["pass"] and entry["reflection"]["pass"]
+        measured = [row["measured"] for row in manifest["steps"][-1]["oracle"]["levels"]]
+        assert measured == pytest.approx([-3.0, -1.0], abs=tol)
 
     def test_validation_writes_nothing(self, tmp_path):
         cfg = parse_config("base = box\n[step]\nkind = shift\nn = 1\ndE = 50\n")
@@ -348,6 +363,45 @@ class TestMainEntry:
 
     def test_validation_exit_code(self, tmp_path):
         assert main(["figure", "nothing_here", "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+    def test_unknown_base_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("base = nowhere\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        assert "unknown base 'nowhere'" in capsys.readouterr().err
+
+    def test_figure_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        from specdesign import figures
+        from specdesign.errors import NumericalFailure
+
+        def boom(points):
+            raise NumericalFailure("synthetic failure")
+
+        monkeypatch.setitem(figures._TAGS, "fig1_1", boom)
+        assert main(["figure", "fig1_1", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert not (tmp_path / "fig1_1").exists()
+        assert "numerical failure: synthetic failure" in capsys.readouterr().err
+
+    def test_missing_level_fails_verification(self, tmp_path, monkeypatch):
+        # a create that adds no level leaves the oracle one level short: the
+        # level is recorded as not measured and the run exits 3
+        from specdesign import cli as cli_mod
+        from specdesign.darboux import TransformResult
+
+        monkeypatch.setattr(cli_mod, "darboux_create",
+                            lambda v, e_new, sigma, **kwargs: TransformResult(v, (), ()))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("base = free-line\n[step]\nkind = create\nE = -1\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "verification-failed"
+        oracle = manifest["steps"][0]["oracle"]
+        assert oracle["levels"] == [{"n": 1, "expected": -1.0, "measured": None,
+                                     "dev": float("inf")}]
+        assert not oracle["pass"]
 
     @pytest.mark.parametrize("step", ["kind = shift\ndE = 0.5\n", "kind = shift\nn = 1.5\ndE = 0.5\n"])
     def test_bad_step_exit_code(self, tmp_path, step):
@@ -596,6 +650,18 @@ class TestFigures:
     def test_unknown_tag(self):
         with pytest.raises(ValidationError):
             build_figure_bundle("fig9_99")
+
+    def test_fig6_14_total_reflection_and_growing_width(self):
+        # acceptance checks 8b and 8c on the bundle's own curves
+        bundle = build_figure_bundle("fig6_14")
+        widths = []
+        for lam in (0.5, 1.0, 2.0):
+            rows = bundle[f"fig6_14_reflection_lam{lam}.csv"].decode().splitlines()
+            assert rows[0] == "energy,abs_R"
+            energies, abs_r = np.array([row.split(",") for row in rows[1:]], dtype=float).T
+            assert abs_r[np.argmin(np.abs(energies - 10.0))] > 0.999
+            widths.append(peak_width(energies, abs_r)[2])
+        assert widths[0] < widths[1] < widths[2]
 
     @pytest.mark.parametrize("tag", ["fig1_2", "fig1_6", "fig2_1", "fig2_5",
                                      "fig4_1", "fig5_1", "fig6_13", "fig6_22", "fig7_6"])

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from specdesign.darboux import (
-    ClosedFormDiscrepancyWarning,
     bargmann_reflectionless,
-    box_shift_closed_form,
     bsec_potential_values,
     darboux_create,
     darboux_remove_ground,
@@ -20,13 +18,18 @@ from specdesign.darboux import (
 )
 from specdesign.errors import SingularityError, ValidationError
 from specdesign.grid import SampledFn, default_points, integrate, make_grid
-from specdesign.potentials import Potential, box, free_line, half_line, single_delta, soliton_well
+from specdesign.potentials import Potential, box, free_line, half_line, soliton_well
 from specdesign.solver import bound_states, scattering_curve
 from specdesign.verify import (
     delta_v_sign_pattern,
-    interval_mass,
     isospectral_check,
     orthonormality_defect,
+)
+from references import (
+    ClosedFormDiscrepancyWarning,
+    box_shift_closed_form,
+    interval_mass,
+    single_delta,
 )
 
 
@@ -153,6 +156,15 @@ class TestCreate:
             spectra.append(bound_states(res.potential, 1)[0].energy)
         assert all(a > b for a, b in zip(centers, centers[1:]))
         assert spectra == pytest.approx([-1.0] * 4, abs=1e-6)
+
+    def test_existing_level_is_mapped(self):
+        # creating below the soliton's level maps its state onto level 2 of the new well
+        res = darboux_create(soliton_well(1.0), -3.0)
+        oracle = bound_states(res.potential, 2)
+        assert [s.energy for s in res.states] == pytest.approx([-3.0, -1.0], abs=1e-9)
+        assert [s.energy for s in oracle] == pytest.approx([-3.0, -1.0], abs=1e-9)
+        mapped, solved = res.states[1].psi.values, oracle[1].psi.values
+        assert np.max(np.abs(mapped - solved)) < 1e-9 * np.max(np.abs(solved))
 
     def test_validations(self, the_box):
         fl = free_line()

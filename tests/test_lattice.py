@@ -9,13 +9,12 @@ from scipy.special import jv
 from specdesign.errors import ValidationError
 from specdesign.lattice import (
     LatticeSystem,
-    bessel_recurrence_residual,
     ladder_index,
     lattice_bound_states,
-    lattice_scattering,
     single_site,
     stark_ladder,
 )
+from references import bessel_recurrence_residual, lattice_scattering
 
 
 class TestBoundStates:

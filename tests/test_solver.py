@@ -14,7 +14,6 @@ from specdesign.potentials import (
     box,
     comb_cell,
     free_line,
-    single_delta,
     soliton_well,
 )
 from specdesign.darboux import bargmann_reflectionless, bsec_whole_line
@@ -34,7 +33,7 @@ from specdesign.solver import (
     scattering,
     scattering_curve,
 )
-from references import transfer_matrix
+from references import single_delta, transfer_matrix
 
 
 def poschl_teller(n_points=2001, cap=1e6):
