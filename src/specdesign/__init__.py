@@ -14,7 +14,6 @@ from .darboux import (
     bsec_whole_line,
     darboux_create,
     darboux_remove_ground,
-    degeneration_family,
     embed_bsec,
     factorization_solution,
     remove_level_by_swf,
@@ -22,7 +21,6 @@ from .darboux import (
     shift_level,
 )
 from .errors import NumericalFailure, SingularityError, ValidationError
-from .figures import build_figure_bundle, emit_figure_bundle, figure_tags
 from .grid import Grid, SampledFn, cumulative_integral, default_points, integrate, make_grid
 from .lattice import (
     LatticeState,
@@ -64,17 +62,13 @@ __all__ = [
     "box",
     "bsec_reflection_curve",
     "bsec_whole_line",
-    "build_figure_bundle",
     "comb_cell",
     "cumulative_integral",
     "darboux_create",
     "darboux_remove_ground",
     "default_points",
-    "degeneration_family",
     "embed_bsec",
-    "emit_figure_bundle",
     "factorization_solution",
-    "figure_tags",
     "free_line",
     "half_line",
     "integrate",

@@ -109,6 +109,7 @@ def _layouts(systems, e_max: float) -> list[list[Zone]]:
         work.zone_edges_seeded += sum(s.size - 1 for s in seeds)
         work.zone_evaluations += sum(len(search.values) for search in searches)
         work.zone_tangencies += sum(search.tangencies for search in searches)
+        work.zone_below_rounding += sum(len(search.below_rounding) for search in searches)
     layouts = []
     for edges in found:
         edges = [float(e) for e in edges if e < e_max] + [float(e_max)]
@@ -258,6 +259,7 @@ class _EdgeSearch:
         self.values: dict[float, float] = {}
         self.maps: dict[float, np.ndarray] = {}
         self.tangencies = 0
+        self.below_rounding: set[float] = set()  # points of zones reported as two coincident edges
 
     def _refine(self, seeds):
         """Sub-generator: edges from the merged seeds lam_0, mu_1, mu_2, lam_1, ...
@@ -374,6 +376,7 @@ class _EdgeSearch:
         too, which ``refine`` leaves only in a zone below the rounding of Delta."""
         d_point, d_centre = yield from self._deltas([point, centre])
         if abs(d_point) >= 2.0:
+            self.below_rounding.add(point)
             return point
 
         def f(e):

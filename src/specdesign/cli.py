@@ -6,14 +6,15 @@ solve    bound states (and scattering sweep, where defined) of a base system
 design   execute a transformation chain from a config file, verifying the
          spectrum after every step
 band     zone layout of a Dirac comb, optionally shifting a zone edge
-lattice  site-potential spectra, ladders and tunneling
-figure   emit one of the canned demonstration bundles
+lattice  site-potential spectra and Stark ladders
+figure   one of the demonstration bundles of ``_FIGURES``, checked like a design
 
 Configs are flat ``key = value`` text with repeated ``[step]`` blocks; a
 flag that is given overrides the file, and the file overrides the defaults
-in ``_BASES`` and ``_NUMERICS``.  Exit codes: 0 success, 2 invalid input
-(nothing is written), 3 numerical failure or a failed verification
-(partial artifacts plus a manifest marking the failed step).
+in ``_BASES`` and ``_NUMERICS``.  Every subcommand is one checked run
+(``_checked_run``) with the exit codes 0 success, 2 invalid input (nothing
+is written), 3 numerical failure or a failed verification (partial
+artifacts plus a manifest marking the failed step).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,8 @@ import numpy as np
 from . import csvio
 from .bands import PeriodicSystem, bisect_gap_closure, track_zone_shift, zones
 from .darboux import (
+    bargmann_reflectionless,
+    bsec_reflection_curve,
     darboux_create,
     embed_bsec,
     remove_level_by_swf,
@@ -41,8 +45,7 @@ from .darboux import (
     shift_level,
 )
 from .errors import NumericalFailure, SingularityError, ValidationError
-from .figures import emit_figure_bundle, figure_tags
-from .lattice import lattice_bound_states, single_site, stark_ladder
+from .lattice import ladder_index, lattice_bound_states, single_site, stark_ladder
 from .potentials import (
     DECAYING_HALF_LINE,
     DECAYING_LINE,
@@ -54,7 +57,7 @@ from .potentials import (
     half_line,
 )
 from .solver import band_discriminant_curve, bound_states, oracle_scope, scattering_curve
-from .verify import isospectral_check, reflection_check
+from .verify import isospectral_check, peak_width, reflection_check
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -141,11 +144,12 @@ class _Artifacts:
     def __init__(self):
         self.files: dict[str, bytes] = {}
         self.format_s = 0.0
+        self.prefix = ""
 
     def add(self, name: str, fmt, *args):
-        """Store the bytes fmt(*args) as file `name`."""
+        """Store the bytes fmt(*args) as file prefix + name; a bundle's prefix is its tag."""
         t0 = time.perf_counter()
-        self.files[name] = fmt(*args)
+        self.files[self.prefix + name] = fmt(*args)
         self.format_s += time.perf_counter() - t0
 
     def write(self, out_dir: Path) -> list[dict]:
@@ -162,49 +166,44 @@ class _Artifacts:
         return listing
 
 
-def _apply_step(v: Potential, step: dict, n_track: int, cap: float):
-    kind = _STEPS[step["kind"]]
-    return kind.apply(v, kind.with_defaults(step), n_track, cap)
-
-
 def run(config: RunConfig) -> dict:
-    """Execute a configured run; returns the manifest (also written to disk).
-
-    Raises ValidationError before anything is written; on numerical failure
-    the partial artifacts and a manifest marking the failed step are written
-    and the manifest reports status 'numerical-failure'.
+    """Execute a configured run through ``_checked_run``; returns the manifest
+    (also written to disk).  Raises ValidationError before anything is written.
     """
     config.validate()
     spec = _BASES[config.base]
     params = spec.with_defaults(config.params)
     numerics = _NUMERICS.with_defaults(config.numerics)
     base = spec.build(params, numerics)
-    out_dir = Path(config.out)
+    manifest = {"config": asdict(config), "resolved": _resolved(params, numerics)}
+    return _checked_run(partial(spec.run, base, config.chain, numerics), manifest, Path(config.out))
+
+
+def _resolved(params: dict, numerics: dict) -> dict:
+    """The manifest's record of a run's inputs with their defaults filled in."""
+    return {
+        "params": params,
+        "tol_spectrum": numerics["tol_spectrum"], "tol_reflection": numerics["tol_reflection"],
+        "verify_levels": numerics["verify_levels"], "emission_cap": numerics["cap"],
+    }
+
+
+def _checked_run(body: Callable, manifest: dict, out_dir: Path) -> dict:
+    """Run ``body(manifest, artifacts, timing)``, True if its checks pass, in one oracle
+    scope; write its artifacts and manifest.json whatever the outcome."""
     artifacts = _Artifacts()
     timing: dict = {"steps_ms": [], "scattering_ms": 0.0}
-    manifest: dict = {
-        "config": asdict(config),
-        "resolved": {
-            "params": params,
-            "tol_spectrum": numerics["tol_spectrum"], "tol_reflection": numerics["tol_reflection"],
-            "verify_levels": numerics["verify_levels"], "emission_cap": numerics["cap"],
-        },
-        "steps": [],
-        "status": "ok",
-    }
+    manifest.update(steps=[], status="ok")
     t_start = time.perf_counter()
 
     with oracle_scope() as work:
         try:
-            status_ok = spec.run(base, config.chain, numerics, manifest, artifacts, timing)
+            if not body(manifest, artifacts, timing):
+                manifest["status"] = "verification-failed"
         except (NumericalFailure, SingularityError) as exc:
-            manifest["status"] = "numerical-failure"
-            manifest["error"] = str(exc)
-            manifest["failed_step"] = len(manifest["steps"])
-            status_ok = False
+            manifest.update(status="numerical-failure", error=str(exc),
+                            failed_step=len(manifest["steps"]))
 
-    if manifest["status"] == "ok" and not status_ok:
-        manifest["status"] = "verification-failed"
     timing["total_ms"] = 1000.0 * (time.perf_counter() - t_start)
     timing["csv_ms"] = 1000.0 * artifacts.format_s
     manifest["oracle_work"] = work.ledger()
@@ -214,48 +213,67 @@ def run(config: RunConfig) -> dict:
     return manifest
 
 
-def _run_chain(v, chain, numerics, manifest, artifacts, timing):
-    verify_levels = numerics["verify_levels"]
+def _chain_start(v: Potential, numerics: dict, manifest: dict) -> list[float]:
+    """Record v's grid and oracle levels as the chain's base; returns the levels."""
     g = v.grid
     manifest["resolved"]["grid"] = {"x_min": g.x_min, "x_max": g.x_max, "n_points": g.n_points}
     if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE):
         manifest["resolved"]["truncation"] = g.x_max
-    expected = [s.energy for s in bound_states(v, verify_levels)]
+    expected = [s.energy for s in bound_states(v, numerics["verify_levels"])]
     manifest["resolved"]["base_spectrum"] = list(expected)
+    return expected
+
+
+def _checked_step(v: Potential, step: dict, expected: list, numerics: dict, manifest: dict,
+                 timing: dict, n_track: int = 0):
+    """Apply one step to v (mapping the `n_track` states the caller reads) and check it
+    with the oracle against `expected`, the levels before it; the manifest records both.
+    Returns (the TransformResult, the levels expected after it, True if its checks pass)."""
+    t0 = time.perf_counter()
+    kind = _STEPS[step["kind"]]
+    result = kind.apply(v, kind.with_defaults(step), n_track, numerics["cap"])
+    v_new = result.potential
+    expected = kind.expected(expected, step)
+    entry = {"step": dict(step), "log": [dict(e) for e in result.step_log]}
+    ok = True
+
+    if step["kind"] == "bsec":
+        entry["bsec_metrics"] = dict(result.step_log[0])
+    else:
+        check = isospectral_check(v_new, expected[:numerics["verify_levels"]],
+                                  numerics["tol_spectrum"])
+        entry["oracle"] = check
+        ok = check["pass"]
+        if step["kind"] == "scale_swf":
+            n = int(step["n"])
+            want = math.sqrt(1.0 + float(step["lambda"]))
+            before = bound_states(v, n)
+            after = bound_states(v_new, n)
+            if len(before) >= n and len(after) >= n:
+                ratio = after[n - 1].swf / before[n - 1].swf
+                entry["swf_ratio"] = {"measured": ratio, "expected": want,
+                                      "pass": bool(abs(ratio - want) < 1e-5)}
+                ok &= entry["swf_ratio"]["pass"]
+    if v_new.bc_kind == DECAYING_LINE:
+        sweep = reflection_check(v_new, [0.5, 1.0, 2.5, 5.0], numerics["tol_reflection"])
+        entry["reflection"] = sweep
+        if step["kind"] == "create":  # reflectionless claim applies
+            ok &= sweep["pass"]
+    timing["steps_ms"].append(1000.0 * (time.perf_counter() - t0))
+    manifest["steps"].append(entry)
+    return result, expected, ok
+
+
+def _run_chain(v, chain, numerics, manifest, artifacts, timing):
+    verify_levels = numerics["verify_levels"]
+    expected = _chain_start(v, numerics, manifest)
     all_ok = True
     step_log_all = []
 
     for step in chain:
-        t0 = time.perf_counter()
-        v_before = v
-        result = _apply_step(v, step, verify_levels, numerics["cap"])
+        result, expected, ok = _checked_step(v, step, expected, numerics, manifest, timing)
         v = result.potential
-        expected = _STEPS[step["kind"]].expected(expected, step)
-        entry = {"step": dict(step), "log": [dict(e) for e in result.step_log]}
-
-        if step["kind"] == "bsec":
-            entry["bsec_metrics"] = dict(result.step_log[0])
-        else:
-            check = isospectral_check(v, expected[:verify_levels], numerics["tol_spectrum"])
-            entry["oracle"] = check
-            all_ok &= check["pass"]
-            if step["kind"] == "scale_swf":
-                n = int(step["n"])
-                want = math.sqrt(1.0 + float(step["lambda"]))
-                before = bound_states(v_before, n)
-                after = bound_states(v, n)
-                if len(before) >= n and len(after) >= n:
-                    ratio = after[n - 1].swf / before[n - 1].swf
-                    entry["swf_ratio"] = {"measured": ratio, "expected": want,
-                                          "pass": bool(abs(ratio - want) < 1e-5)}
-                    all_ok &= entry["swf_ratio"]["pass"]
-        if v.bc_kind == DECAYING_LINE:
-            sweep = reflection_check(v, [0.5, 1.0, 2.5, 5.0], numerics["tol_reflection"])
-            entry["reflection"] = sweep
-            if step["kind"] == "create":  # reflectionless claim applies
-                all_ok &= sweep["pass"]
-        timing["steps_ms"].append(1000.0 * (time.perf_counter() - t0))
-        manifest["steps"].append(entry)
+        all_ok &= ok
         step_log_all.extend(result.step_log)
 
     if expected:
@@ -279,20 +297,11 @@ def _run_chain(v, chain, numerics, manifest, artifacts, timing):
 
 def _run_band(system, chain, numerics, manifest, artifacts, timing):
     e_max = numerics["e_max"]
-    track_values = [float(step["dE"]) for step in chain]
     t0 = time.perf_counter()
-    if track_values:
+    if chain:
         aux_level = _STEPS["shift_zone"].with_defaults(chain[0])["aux_level"]
-        rows = track_zone_shift(system, aux_level, [0.0] + track_values, e_max)
-        artifacts.add("zone_track.csv", csvio.zone_track_bytes, rows)
-        manifest["steps"].append({
-            "step": {"kind": "shift_zone", "aux_level": aux_level, "dE_values": track_values},
-            "rows": [
-                {"dE": r["dE"], "edge_energy": r["edge_energy"], "tracked_gap": r["tracked_gap"],
-                 "zones": [(z.e_lo, z.e_hi) for z in r["zones"]], "gaps": r["gaps"]}
-                for r in rows
-            ],
-        })
+        rows = _zone_track(system, aux_level, [float(step["dE"]) for step in chain], e_max,
+                           manifest, artifacts)
         closure = bisect_gap_closure(system, aux_level, rows, e_max)
         if closure is not None:
             manifest["resolved"]["gap_closure_dE"] = closure
@@ -305,6 +314,21 @@ def _run_band(system, chain, numerics, manifest, artifacts, timing):
                   csvio.discriminant_bytes, es, band_discriminant_curve(system.cell, es))
     timing["steps_ms"].append(1000.0 * (time.perf_counter() - t0))
     return True
+
+
+def _zone_track(system, aux_level, track_values, e_max, manifest, artifacts) -> list[dict]:
+    """The zones as one edge moves by each of track_values, as a manifest step and a CSV."""
+    rows = track_zone_shift(system, aux_level, [0.0] + track_values, e_max)
+    artifacts.add("zone_track.csv", csvio.zone_track_bytes, rows)
+    manifest["steps"].append({
+        "step": {"kind": "shift_zone", "aux_level": aux_level, "dE_values": track_values},
+        "rows": [
+            {"dE": r["dE"], "edge_energy": r["edge_energy"], "tracked_gap": r["tracked_gap"],
+             "zones": [(z.e_lo, z.e_hi) for z in r["zones"]], "gaps": r["gaps"]}
+            for r in rows
+        ],
+    })
+    return rows
 
 
 def _run_lattice(levels, chain, numerics, manifest, artifacts, timing):
@@ -483,6 +507,171 @@ _BASES = {
 
 
 # ---------------------------------------------------------------------------
+# figure bundles: plot-ready CSVs of the canonical experiments, each a checked
+# run of ``_STEPS`` steps on ``_BASES`` bases or of the oracle checks it names
+
+
+def _offset_curves(grid, base_values, result, n_states):
+    """x, V, dV plus the lowest transformed states raised to their energies."""
+    cols = [result.potential.values, result.potential.values - base_values]
+    header = ["x", "V", "dV"]
+    for s in result.states[:n_states]:
+        cols.append(s.psi.values + s.energy)
+        header.append(f"psi{s.n}_offset")
+    return csvio._grid_table(header, grid, cols)
+
+
+def _default_base(name: str, numerics: dict, manifest: dict):
+    """The base `name` with its default params, recorded in the manifest."""
+    spec = _BASES[name]
+    params = manifest["resolved"]["params"] = spec.with_defaults({})
+    return spec.build(params, numerics)
+
+
+def _curve_figure(base, step, n_states, numerics, manifest, artifacts, timing):
+    """One checked step on a base, drawn with its lowest n_states states."""
+    v = _default_base(base, numerics, manifest)
+    expected = _chain_start(v, numerics, manifest)
+    result, _, ok = _checked_step(v, step, expected, numerics, manifest, timing, n_states)
+    artifacts.add("curves.csv", _offset_curves, v.grid, v.values, result, n_states)
+    return ok
+
+
+def _fig_reflectionless_box_approx(numerics, manifest, artifacts, timing):
+    # acceptance check 7: the oracle finds the eight levels, and |R| = 0
+    targets = sorted(k * k - 65.0 for k in range(1, 9))
+    kappas = sorted((math.sqrt(-e) for e in targets), reverse=True)
+    res = bargmann_reflectionless(kappas, [math.sqrt(2 * k) for k in kappas],
+                                  n_points=numerics["points"])
+    v = res.potential
+    check = isospectral_check(v, targets, numerics["tol_spectrum"])
+    sweep = reflection_check(v, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+                             numerics["tol_reflection"])
+    manifest["steps"].append({"step": {"kind": "bargmann", "levels": targets},
+                              "log": list(res.step_log), "oracle": check, "reflection": sweep})
+    artifacts.add("potential.csv", csvio.sampled_fn_bytes, v.body, "V")
+    artifacts.add("spectrum.csv", csvio.spectrum_bytes, res.states)
+    return check["pass"] and sweep["pass"]
+
+
+def _fig_degeneration(numerics, manifest, artifacts, timing):
+    """Level 2 shifted to each gap d below level 3, each shift on the box."""
+    v = _default_base("box", numerics, manifest)
+    expected = _chain_start(v, numerics, manifest)
+    ok = True
+    for d in (1.0, 0.3, 0.1):
+        step = {"kind": "shift", "n": 2, "dE": expected[2] - expected[1] - d}
+        result, _, passed = _checked_step(v, step, expected, numerics, manifest, timing, 3)
+        artifacts.add(f"gap_{d}.csv", _offset_curves, v.grid, v.values, result, 3)
+        ok &= passed
+    return ok
+
+
+def _fig_bsec_resonance(numerics, manifest, artifacts, timing):
+    # acceptance checks 8b (|R| > 0.999 at E = 10) and 8c (the width grows with lambda)
+    energies = np.linspace(8.6, 11.4, 181)   # energies[90] = 10
+    for lam in (0.5, 1.0, 2.0):
+        rr = bsec_reflection_curve(math.sqrt(10.0), lam, energies, half_width=80 * math.pi)
+        abs_r = [abs(r.R) for r in rr]
+        manifest["steps"].append({"step": {"kind": "bsec_reflection", "E": 10.0, "lambda": lam},
+                                  "abs_R_at_E": abs_r[90], "width": peak_width(energies, abs_r)[2]})
+        artifacts.add(f"reflection_lam{lam}.csv", csvio._table,
+                      ["energy", "abs_R"], ((r.energy, abs(r.R)) for r in rr))
+    widths = [s["width"] for s in manifest["steps"]]
+    manifest["checks"] = {"total_reflection": all(s["abs_R_at_E"] > 0.999 for s in manifest["steps"]),
+                          "width_grows": bool(widths[0] < widths[1] < widths[2])}
+    return all(manifest["checks"].values())
+
+
+def _fig_zone_shift(numerics, manifest, artifacts, timing):
+    comb = _default_base("comb", numerics, manifest)
+    _zone_track(comb, 2, [0.25, 0.5, 0.75, 1.0, 1.5, 2.0], 11.0, manifest, artifacts)
+    return True
+
+
+def _lattice(base: str, numerics: dict, manifest: dict, **params):
+    """The sites and levels of a lattice base, recorded as a step."""
+    spec = _BASES[base]
+    sites, states = spec.build(spec.with_defaults(params), numerics)()
+    manifest["steps"].append({"step": {"kind": "lattice", "base": base, **params},
+                              "levels": [s.energy for s in states]})
+    return sites, states
+
+
+def _fig_lattice_above_band(numerics, manifest, artifacts, timing):
+    sites, below = _lattice("lattice-single-site", numerics, manifest, v0=-1.5)
+    _, above = _lattice("lattice-single-site", numerics, manifest, v0=1.5, which="highest")
+    artifacts.add("states.csv", csvio._table, ["n", "psi_below", "psi_above"],
+                  zip(sites, below[0].psi, above[0].psi))
+    return True
+
+
+def _fig_stark_ladders(numerics, manifest, artifacts, timing):
+    for c in (1.0, 0.5, 0.25):
+        sites, states = _lattice("lattice-stark", numerics, manifest, slope=c)
+        central = min(states, key=lambda s: abs(ladder_index(s, c)))
+        artifacts.add(f"ladder_C{c}.csv", csvio._table, ["n", "psi"], zip(sites, central.psi))
+    return True
+
+
+#: tag -> (body, description); body(numerics, manifest, artifacts, timing)
+#: adds the bundle's files and is True if its checks pass
+_FIGURES = {
+    "fig1_1": (partial(_curve_figure, "box", {"kind": "shift", "n": 1, "dE": -5.0}, 2),
+               "hard-wall box, ground level shifted 1 -> -4; states drawn at their energies"),
+    "fig1_2": (partial(_curve_figure, "box", {"kind": "shift", "n": 1, "dE": 1.5}, 2),
+               "hard-wall box, ground level raised 1 -> 2.5"),
+    "fig1_6": (partial(_curve_figure, "free-line", {"kind": "create", "E": -1.0, "sigma": 0.5}, 1),
+               "level torn from the free continuum at E = -1: the reflectionless soliton well"),
+    "fig2_1": (partial(_curve_figure, "box", {"kind": "scale_swf", "n": 1, "lambda": 3.0}, 2),
+               "box with the ground-state weight doubled (lambda = 3): state pressed to the left wall"),
+    "fig2_5": (partial(_curve_figure, "box", {"kind": "scale_swf", "n": 1, "lambda": -0.99}, 2),
+               "ground-state weight driven toward zero (lambda = -0.99): the state is pressed out"),
+    "fig4_1": (_fig_reflectionless_box_approx,
+               "reflectionless well carrying the 8 lowest box levels (shifted below threshold)"),
+    "fig5_1": (_fig_degeneration, "levels 2 and 3 driven together; the pair presses into the walls"),
+    "fig6_13": (partial(_curve_figure, "half-line", {"kind": "bsec", "E": 10.0, "lambda": 1.0}, 1),
+                "half-line potential confining a normalizable state at E = 10 inside the continuum"),
+    "fig6_14": (_fig_bsec_resonance,
+                "whole-line |R(E)|: total reflection at E = 10, width growing with lambda"),
+    "fig6_22": (_fig_zone_shift,
+                "second-zone upper edge driven upward on the Dirac comb: gap closes, next zone squeezed"),
+    "fig7_6": (_fig_lattice_above_band,
+               "bound state above the band in the upside-down well (sign-alternating companion)"),
+    "fig7_13": (_fig_stark_ladders,
+                "central ladder state on linear slopes C, C/2, C/4: same shape, denser spectrum"),
+}
+
+
+def figure_tags() -> list[str]:
+    return sorted(_FIGURES)
+
+
+def run_figure(tag: str, out_dir, points: int | None = None) -> dict:
+    """Build one bundle in out_dir as a checked run; returns its manifest.
+
+    The data files are named ``<tag>_<file>``, and README.txt lists them.
+    """
+    if tag not in _FIGURES:
+        raise ValidationError(f"unknown figure tag {tag!r}; known tags: {', '.join(figure_tags())}")
+    given = {} if points is None else {"points": points}
+    _NUMERICS.check("figure:", given)
+    numerics = _NUMERICS.with_defaults(given)
+    body, description = _FIGURES[tag]
+
+    def bundle(manifest, artifacts, timing):
+        artifacts.prefix = f"{tag}_"
+        ok = body(numerics, manifest, artifacts, timing)
+        artifacts.prefix = ""
+        readme = [f"bundle {tag}: {description}", ""] + [f"  {name}" for name in sorted(artifacts.files)]
+        artifacts.add("README.txt", str.encode, "\n".join(readme) + "\n")
+        return ok
+
+    manifest = {"figure": {"tag": tag, "points": points}, "resolved": _resolved({}, numerics)}
+    return _checked_run(bundle, manifest, Path(out_dir))
+
+
+# ---------------------------------------------------------------------------
 # argparse front end
 
 
@@ -537,8 +726,8 @@ def main(argv=None) -> int:
     runs["band"].add_argument("--de", type=float, action="append")
     runs["lattice"].add_argument("--mode", choices=["single-site", "stark"])
 
-    p_fig = sub.add_parser("figure", help="emit a demonstration bundle")
-    p_fig.add_argument("tag", nargs="?", help=f"one of: {', '.join(figure_tags())}")
+    p_fig = sub.add_parser("figure", help="build a demonstration bundle as a checked run")
+    p_fig.add_argument("tag", nargs="?", help="a bundle tag (see --list)")
     p_fig.add_argument("--list", action="store_true", help="list known tags")
     p_fig.add_argument("--out", help="output directory")
     p_fig.add_argument("--points", type=int, help="grid nodes (odd)")
@@ -549,9 +738,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalFailure, SingularityError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def _dispatch(args) -> int:
@@ -560,25 +746,22 @@ def _dispatch(args) -> int:
             print("\n".join(figure_tags()))
             return EXIT_OK
         out = Path(args.out or os.environ.get("SPECDESIGN_OUT", "out")) / args.tag
-        names = emit_figure_bundle(args.tag, out, args.points)
-        print(f"wrote {len(names)} files to {out}")
-        return EXIT_OK
-
-    cfg = _load_config(args)
-    if args.command == "solve":
-        cfg.chain = []
-    elif args.command == "band":
-        cfg.base = "comb"
-        if args.de:
-            aux = {} if args.shift_aux is None else {"aux_level": args.shift_aux}
-            cfg.chain = [{"kind": "shift_zone", **aux, "dE": d} for d in args.de]
-    elif args.command == "lattice":
-        cfg.base = "lattice-stark" if args.mode == "stark" else "lattice-single-site"
-
-    manifest = run(cfg)
-    worst = manifest["status"]
-    print(f"status: {worst}; artifacts in {cfg.out}")
-    return EXIT_OK if worst == "ok" else EXIT_NUMERICAL
+        manifest = run_figure(args.tag, out, args.points)
+    else:
+        cfg = _load_config(args)
+        if args.command == "solve":
+            cfg.chain = []
+        elif args.command == "band":
+            cfg.base = "comb"
+            if args.de:
+                aux = {} if args.shift_aux is None else {"aux_level": args.shift_aux}
+                cfg.chain = [{"kind": "shift_zone", **aux, "dE": d} for d in args.de]
+        elif args.command == "lattice":
+            cfg.base = "lattice-stark" if args.mode == "stark" else "lattice-single-site"
+        out = cfg.out
+        manifest = run(cfg)
+    print(f"status: {manifest['status']}; artifacts in {out}")
+    return EXIT_OK if manifest["status"] == "ok" else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -659,27 +659,3 @@ def bsec_reflection_curve(k: float, lam: float, energies, **kwargs):
     """|R(E)| scan for the whole-line embedded-state potential."""
     v = bsec_whole_line(k, lam, **kwargs)
     return scattering_curve(v, energies)
-
-
-def degeneration_family(v: Potential, n: int, deltas) -> list[TransformResult]:
-    """Drive levels n and n+1 together: one transform per requested gap.
-
-    Each family member shifts level n up so the gap E_{n+1} - E_n equals the
-    requested delta; exact degeneracy (delta = 0) is impossible in one
-    dimension and rejected.
-    """
-    deltas = [float(d) for d in deltas]
-    if any(d <= 0.0 for d in deltas):
-        raise ValidationError("gaps must be strictly positive (no exact degeneracy in 1-D)")
-    if list(deltas) != sorted(deltas, reverse=True) or len(set(deltas)) != len(deltas):
-        raise ValidationError("gaps must be strictly decreasing")
-    states = bound_states(v, n + 1)
-    if len(states) < n + 1:
-        raise ValidationError(f"need levels {n} and {n + 1}; found only {len(states)}")
-    gap = states[n].energy - states[n - 1].energy
-    out = []
-    for d in deltas:
-        if d >= gap:
-            raise ValidationError(f"requested gap {d} is not smaller than the current gap {gap:.9g}")
-        out.append(shift_level(v, n, gap - d, n_track=n + 1))
-    return out

@@ -148,6 +148,7 @@ class OracleWork:
         self.zone_edges_seeded = 0
         self.zone_evaluations = 0  # discriminant evaluations refining them
         self.zone_tangencies = 0  # closed gaps refined on dDelta/dE = 0
+        self.zone_below_rounding = 0  # zones narrower than the rounding of Delta
         self.scattering_calls = 0  # scattering_curve calls
         self.scattering_energies = 0
         self.scattering_node_energies = 0
@@ -171,6 +172,7 @@ class OracleWork:
                 "edges_seeded": self.zone_edges_seeded,
                 "evaluations": self.zone_evaluations,
                 "tangencies": self.zone_tangencies,
+                "below_rounding": self.zone_below_rounding,
             },
             "scattering": {
                 "calls": self.scattering_calls,

@@ -211,6 +211,16 @@ class TestZones:
         e = -g * g / 4
         assert zs[0].e_lo == zs[0].e_hi == pytest.approx(e, abs=1e-8 * max(1.0, abs(e)))
 
+    @pytest.mark.parametrize("period, g, count", [
+        (10.0, -5.0, 0), (15.0, -4.0, 0), (15.0, -5.0, 1), (20.0, -3.0, 0), (20.0, -4.0, 1),
+        (20.0, -5.0, 1), (math.pi, 2.0, 0)])
+    def test_zones_below_the_rounding_are_counted(self, period, g, count):
+        # the ledger counts each zone reported as two coincident edges once
+        with oracle_scope() as work:
+            zs = zones(PeriodicSystem(comb_cell(period, g), period), 10.0)
+        assert work.ledger()["zones"]["below_rounding"] == count
+        assert sum(z.e_lo == z.e_hi for z in zs) == count
+
     def test_tangency_map_stores_the_curve_delta(self, comb):
         # the map that decides a closed gap is the one a round stored beside
         # that energy's Delta, and its trace is that Delta

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from specdesign.cli import (
-    EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig, main, parse_config, run,
+    EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig, figure_tags, main, parse_config, run,
+    run_figure,
 )
 from specdesign.csvio import (
     _grid_table,
@@ -19,7 +20,6 @@ from specdesign.csvio import (
     states_bytes,
 )
 from specdesign.errors import ValidationError
-from specdesign.figures import build_figure_bundle, figure_tags
 from specdesign.grid import SampledFn, make_grid, sample
 from specdesign.verify import peak_width
 
@@ -132,10 +132,10 @@ class TestRun:
         from specdesign import cli as cli_mod
         from specdesign.errors import NumericalFailure
 
-        def boom(v, step, n_track, cap=1e6):
+        def boom(v, n, d_e, **kwargs):
             raise NumericalFailure("synthetic failure")
 
-        monkeypatch.setattr(cli_mod, "_apply_step", boom)
+        monkeypatch.setattr(cli_mod, "shift_level", boom)
         cfg = parse_config(CHAIN_CFG)
         cfg.out = str(tmp_path / "fail")
         manifest = run(cfg)
@@ -373,16 +373,43 @@ class TestMainEntry:
         assert "unknown base 'nowhere'" in capsys.readouterr().err
 
     def test_figure_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        from specdesign import figures
+        # a bundle is a checked run: a numerical failure ends it with a manifest
+        from specdesign import cli as cli_mod
         from specdesign.errors import NumericalFailure
 
-        def boom(points):
+        def boom(numerics, manifest, artifacts, timing):
             raise NumericalFailure("synthetic failure")
 
-        monkeypatch.setitem(figures._TAGS, "fig1_1", boom)
+        monkeypatch.setitem(cli_mod._FIGURES, "fig1_1", (boom, "fails"))
         assert main(["figure", "fig1_1", "--out", str(tmp_path)]) == EXIT_NUMERICAL
-        assert not (tmp_path / "fig1_1").exists()
-        assert "numerical failure: synthetic failure" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "fig1_1" / "manifest.json").read_text())
+        assert manifest["status"] == "numerical-failure"
+        assert manifest["error"] == "synthetic failure" and manifest["failed_step"] == 0
+        assert "status: numerical-failure" in capsys.readouterr().out
+
+    def test_figure_with_a_misplaced_level_fails_verification(self, tmp_path, monkeypatch):
+        # the oracle checks a bundle's transform as it checks a design step
+        from specdesign import cli as cli_mod
+
+        shift_level = cli_mod.shift_level
+        monkeypatch.setattr(cli_mod, "shift_level",
+                            lambda v, n, d_e, **kwargs: shift_level(v, n, d_e + 0.5, **kwargs))
+        assert main(["figure", "fig1_1", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        manifest = json.loads((tmp_path / "fig1_1" / "manifest.json").read_text())
+        assert manifest["status"] == "verification-failed"
+        assert not manifest["steps"][0]["oracle"]["pass"]
+
+    def test_figure_on_a_coarse_grid_fails_verification(self, tmp_path):
+        # 11 nodes: the shifted level misses its target by about 0.05
+        assert main(["figure", "fig1_1", "--points", "11", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        manifest = json.loads((tmp_path / "fig1_1" / "manifest.json").read_text())
+        assert manifest["status"] == "verification-failed"
+        assert manifest["steps"][0]["oracle"]["worst_dev"] > 1e-2
+
+    def test_figure_on_too_few_nodes_writes_nothing(self, tmp_path, capsys):
+        assert main(["figure", "fig4_1", "--points", "5", "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert not (tmp_path / "fig4_1").exists()
+        assert "grid too coarse" in capsys.readouterr().err
 
     def test_missing_level_fails_verification(self, tmp_path, monkeypatch):
         # a create that adds no level leaves the oracle one level short: the
@@ -577,10 +604,15 @@ class TestMainEntry:
     def test_figure_writes_its_bundle(self, tmp_path):
         assert main(["figure", "fig1_1", "--out", str(tmp_path), "--points", "301"]) == EXIT_OK
         written = {p.name: p.read_bytes() for p in (tmp_path / "fig1_1").iterdir()}
-        assert written == build_figure_bundle("fig1_1", points=301)
+        manifest = run_figure("fig1_1", tmp_path / "again", points=301)
+        assert sorted(written) == sorted(["manifest.json"]
+                                         + [a["path"] for a in manifest["artifacts"]])
+        for name in written.keys() - {"manifest.json"}:
+            assert written[name] == (tmp_path / "again" / name).read_bytes()
+        assert json.loads(written["manifest.json"])["status"] == "ok"
 
     def test_figure_takes_no_run_flags(self, tmp_path):
-        # a figure bundle reads no config and verifies nothing: --config and --tol are errors
+        # a figure bundle reads no config: --config and --tol are errors
         with pytest.raises(SystemExit) as exc:
             main(["figure", "fig1_1", "--config", str(tmp_path / "none.cfg"), "--tol", "5",
                   "--out", str(tmp_path)])
@@ -628,6 +660,12 @@ class TestFlagsOverTheFile:
         assert manifest["resolved"]["params"] == {"width": pytest.approx(np.pi)}
 
 
+def _bundle(tmp_path, tag, points=None) -> dict[str, bytes]:
+    """The files of one figure bundle, manifest.json left out."""
+    manifest = run_figure(tag, tmp_path / tag, points)
+    return {a["path"]: (tmp_path / tag / a["path"]).read_bytes() for a in manifest["artifacts"]}
+
+
 class TestFigures:
     def test_all_tags_defined(self):
         assert figure_tags() == sorted(
@@ -635,25 +673,26 @@ class TestFigures:
              "fig5_1", "fig6_13", "fig6_14", "fig6_22", "fig7_6", "fig7_13"]
         )
 
-    def test_fig1_1_columns(self):
-        bundle = build_figure_bundle("fig1_1", points=501)
+    def test_fig1_1_columns(self, tmp_path):
+        bundle = _bundle(tmp_path, "fig1_1", points=501)
         header = bundle["fig1_1_curves.csv"].decode().splitlines()[0]
         assert header == "x,V,dV,psi1_offset,psi2_offset"
         assert "README.txt" in bundle
 
-    def test_fig7_13_files(self):
-        bundle = build_figure_bundle("fig7_13")
+    def test_fig7_13_files(self, tmp_path):
+        bundle = _bundle(tmp_path, "fig7_13")
         names = set(bundle)
         assert {"fig7_13_ladder_C1.0.csv", "fig7_13_ladder_C0.5.csv",
                 "fig7_13_ladder_C0.25.csv", "README.txt"} <= names
 
-    def test_unknown_tag(self):
+    def test_unknown_tag(self, tmp_path):
         with pytest.raises(ValidationError):
-            build_figure_bundle("fig9_99")
+            run_figure("fig9_99", tmp_path / "fig9_99")
+        assert not (tmp_path / "fig9_99").exists()
 
-    def test_fig6_14_total_reflection_and_growing_width(self):
-        # acceptance checks 8b and 8c on the bundle's own curves
-        bundle = build_figure_bundle("fig6_14")
+    def test_fig6_14_total_reflection_and_growing_width(self, tmp_path):
+        # acceptance checks 8b and 8c on the bundle's own curves, and in its manifest
+        bundle = _bundle(tmp_path, "fig6_14")
         widths = []
         for lam in (0.5, 1.0, 2.0):
             rows = bundle[f"fig6_14_reflection_lam{lam}.csv"].decode().splitlines()
@@ -662,14 +701,40 @@ class TestFigures:
             assert abs_r[np.argmin(np.abs(energies - 10.0))] > 0.999
             widths.append(peak_width(energies, abs_r)[2])
         assert widths[0] < widths[1] < widths[2]
+        manifest = json.loads((tmp_path / "fig6_14" / "manifest.json").read_text())
+        assert [s["abs_R_at_E"] > 0.999 for s in manifest["steps"]] == [True] * 3
+        assert [s["width"] for s in manifest["steps"]] == widths
+        assert manifest["checks"] == {"total_reflection": True, "width_grows": True}
 
-    @pytest.mark.parametrize("tag", ["fig1_2", "fig1_6", "fig2_1", "fig2_5",
-                                     "fig4_1", "fig5_1", "fig6_13", "fig6_22", "fig7_6"])
-    def test_every_tag_builds(self, tag):
-        bundle = build_figure_bundle(tag)
-        assert "README.txt" in bundle
-        assert len(bundle) >= 2
-        for name, data in bundle.items():
+    def test_fig4_1_records_its_levels_and_reflection(self, tmp_path):
+        # acceptance check 7: the eight levels and |R| = 0, measured by the oracle
+        run_figure("fig4_1", tmp_path / "fig4_1")
+        (step,) = json.loads((tmp_path / "fig4_1" / "manifest.json").read_text())["steps"]
+        assert len(step["oracle"]["levels"]) == 8 and step["oracle"]["pass"]
+        assert step["reflection"]["pass"] and max(step["reflection"]["energies"]) == 64.0
+
+    @pytest.mark.parametrize("tag, config", [
+        ("fig1_1", "base = box\n[step]\nkind = shift\nn = 1\ndE = -5.0\n"),
+        ("fig1_6", "base = free-line\n[step]\nkind = create\nE = -1.0\nsigma = 0.5\n"),
+    ])
+    def test_chain_figure_step_is_the_design_step(self, tmp_path, tag, config):
+        figure = run_figure(tag, tmp_path / tag)
+        cfg = parse_config(config)
+        cfg.out = str(tmp_path / "design")
+        design = run(cfg)
+        assert json.loads(json.dumps(figure["steps"])) == json.loads(json.dumps(design["steps"]))
+        assert figure["resolved"]["base_spectrum"] == design["resolved"]["base_spectrum"]
+
+    @pytest.mark.parametrize("tag", figure_tags())
+    def test_every_tag_builds(self, tmp_path, tag):
+        assert main(["figure", tag, "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / tag / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["oracle_work"]["bound_states"]["calls"] >= 0
+        written = {p.name: p.read_bytes() for p in (tmp_path / tag).iterdir()}
+        assert "README.txt" in written
+        assert len(written) >= 3
+        for name, data in written.items():
             assert data  # non-empty
             if name.endswith(".csv"):
                 header, first = data.decode().splitlines()[:2]

@@ -9,7 +9,6 @@ from specdesign.darboux import (
     bsec_potential_values,
     darboux_create,
     darboux_remove_ground,
-    degeneration_family,
     embed_bsec,
     factorization_solution,
     remove_level_by_swf,
@@ -477,24 +476,25 @@ class TestBsec:
 
 
 class TestDegeneration:
+    """Levels 2 and 3 driven together: level 2 shifted up to gap d below level 3."""
+
+    @staticmethod
+    def family(v, deltas):
+        states = bound_states(v, 3)
+        gap = states[2].energy - states[1].energy
+        return [shift_level(v, 2, gap - d, n_track=3) for d in deltas]
+
     def test_gaps_reproduced(self, the_box):
         deltas = [1.0, 0.3, 0.1]
-        family = degeneration_family(the_box, 2, deltas)
+        family = self.family(the_box, deltas)
         for delta, res in zip(deltas, family):
             st = bound_states(res.potential, 3)
             assert st[2].energy - st[1].energy == pytest.approx(delta, abs=1e-6)
 
     def test_central_mass_escapes(self, the_box):
-        family = degeneration_family(the_box, 2, [1.0, 0.3, 0.1])
+        family = self.family(the_box, [1.0, 0.3, 0.1])
         masses = []
         for res in family:
             pair = [s for s in res.states if s.energy > 2.0][:2]
             masses.append(sum(interval_mass(s, -math.pi / 4, math.pi / 4) for s in pair))
         assert masses[0] > masses[1] > masses[2]
-
-    def test_zero_gap_rejected(self, the_box):
-        with pytest.raises(ValidationError):
-            degeneration_family(the_box, 2, [0.5, 0.0])
-        with pytest.raises(ValidationError):
-            degeneration_family(the_box, 2, [0.3, 0.5])
-

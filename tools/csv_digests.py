@@ -6,15 +6,17 @@ Usage (from the repository root):
 
 The runs are the first 48 ``design-chain`` operations of seed 5, two
 ``band-track`` and two ``bsec-scan`` operations of seed 5 (inputs from
-``perfbench/workloads.py``) and every figure bundle, README included.  Each
-output line is ``<run>/<file> <sha256>``; a ``design-chain`` or
-``band-track`` run also gets one line for its manifest's ``oracle_work``
-block, which holds counts only.  Manifests themselves carry timings and are
-not digested.  A ``bsec-scan`` run writes no files: its embedded potential
-and its scattering curve are digested as the CLI would write them.  Last
-come the body, delta spikes, spectrum and 40-energy scattering curve of a
-free line with spikes of both signs where the scan's segments start and end
-(``spike_line_digests``); no workload or figure has a spike off a cell edge.
+``perfbench/workloads.py``) and every figure bundle, README included, each
+built by ``cli.run_figure`` as the ``figure`` command builds it.  Each
+output line is ``<run>/<file> <sha256>``; a ``design-chain``,
+``band-track`` or figure run also gets one line for its manifest's
+``oracle_work`` block, which holds counts only.  Manifests themselves carry
+timings and are not digested.  A ``bsec-scan`` run writes no files: its
+embedded potential and its scattering curve are digested as the CLI would
+write them.  Last come the body, delta spikes, spectrum and 40-energy
+scattering curve of a free line with spikes of both signs where the scan's
+segments start and end (``spike_line_digests``); no workload or figure has
+a spike off a cell edge.
 Then come the artifacts and ``oracle_work`` of a ``band`` run at e_max 10 on
 each comb of ``COMBS``, whose lowest zone is 7e-10 down to about 1e-20 wide,
 in three of them narrower than the rounding of the discriminant
@@ -40,7 +42,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from specdesign import cli, csvio  # noqa: E402
-from specdesign.figures import build_figure_bundle, figure_tags  # noqa: E402
 from specdesign.potentials import Potential, free_line  # noqa: E402
 from specdesign.solver import _segment_bounds, bound_states, scattering_curve  # noqa: E402
 
@@ -75,10 +76,9 @@ def _manifest_digests(run: str, manifest: dict):
     yield f"{run}/oracle_work", _sha(work)
 
 
-def figure_digests():
-    for tag in figure_tags():
-        for name, data in sorted(build_figure_bundle(tag).items()):
-            yield f"figure/{tag}/{name}", _sha(data)
+def figure_digests(out_root: Path):
+    for tag in cli.figure_tags():
+        yield from _manifest_digests(f"figure/{tag}", cli.run_figure(tag, out_root / "figure" / tag))
 
 
 def spike_line():
@@ -118,7 +118,7 @@ def main() -> int:
         for name, count in OPERATIONS.items():
             for key, digest in workload_digests(name, count, Path(tmp)):
                 print(key, digest)
-        for key, digest in itertools.chain(figure_digests(), spike_line_digests(),
+        for key, digest in itertools.chain(figure_digests(Path(tmp)), spike_line_digests(),
                                            comb_digests(Path(tmp))):
             print(key, digest)
     return 0
