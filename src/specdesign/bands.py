@@ -416,8 +416,7 @@ def auxiliary_box(p: PeriodicSystem) -> Potential:
     return Potential(SampledFn(p.cell.grid, p.cell.values.copy()), HARD_WALLS)
 
 
-def shift_zone(p: PeriodicSystem, aux_level: int, d_e: float, *,
-               n_track: int = 0) -> PeriodicSystem:
+def shift_zone(p: PeriodicSystem, aux_level: int, d_e: float) -> PeriodicSystem:
     """Move the zone edge tied to a level of the auxiliary hard-wall problem.
 
     The potential change that shifts level `aux_level` of the cell-with-walls
@@ -426,7 +425,7 @@ def shift_zone(p: PeriodicSystem, aux_level: int, d_e: float, *,
     follows it, while the opposite (wall-pinned) edges stay put.
     """
     aux = auxiliary_box(p)
-    res = shift_level(aux, aux_level, d_e, n_track=n_track)
+    res = shift_level(aux, aux_level, d_e)
     dv = res.potential.values - aux.values
     new_cell = Potential(
         SampledFn(p.cell.grid, p.cell.values + dv), p.cell.bc_kind, p.cell.deltas

@@ -57,7 +57,8 @@ from .potentials import (
     half_line,
 )
 from .solver import band_discriminant_curve, bound_states, oracle_scope, scattering_curve
-from .verify import isospectral_check, peak_width, reflection_check
+from .verify import (delta_v_sign_pattern, isospectral_check, orthonormality_defect, peak_width,
+                     reflection_check)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -224,14 +225,20 @@ def _chain_start(v: Potential, numerics: dict, manifest: dict) -> list[float]:
     return expected
 
 
+def _add_step(manifest: dict, timing: dict, t0: float, **entry):
+    """Append one step's manifest entry and its time since t0: one timing per step."""
+    timing["steps_ms"].append(1000.0 * (time.perf_counter() - t0))
+    manifest["steps"].append(entry)
+
+
 def _checked_step(v: Potential, step: dict, expected: list, numerics: dict, manifest: dict,
-                 timing: dict, n_track: int = 0):
-    """Apply one step to v (mapping the `n_track` states the caller reads) and check it
-    with the oracle against `expected`, the levels before it; the manifest records both.
-    Returns (the TransformResult, the levels expected after it, True if its checks pass)."""
+                  timing: dict):
+    """Apply one step to v and check it with the oracle against `expected`, the levels
+    before it; the manifest records both.  Returns (the TransformResult, the levels
+    expected after it, True if its checks pass)."""
     t0 = time.perf_counter()
     kind = _STEPS[step["kind"]]
-    result = kind.apply(v, kind.with_defaults(step), n_track, numerics["cap"])
+    result = kind.apply(v, kind.with_defaults(step), numerics["cap"])
     v_new = result.potential
     expected = kind.expected(expected, step)
     entry = {"step": dict(step), "log": [dict(e) for e in result.step_log]}
@@ -259,8 +266,7 @@ def _checked_step(v: Potential, step: dict, expected: list, numerics: dict, mani
         entry["reflection"] = sweep
         if step["kind"] == "create":  # reflectionless claim applies
             ok &= sweep["pass"]
-    timing["steps_ms"].append(1000.0 * (time.perf_counter() - t0))
-    manifest["steps"].append(entry)
+    _add_step(manifest, timing, t0, **entry)
     return result, expected, ok
 
 
@@ -297,11 +303,10 @@ def _run_chain(v, chain, numerics, manifest, artifacts, timing):
 
 def _run_band(system, chain, numerics, manifest, artifacts, timing):
     e_max = numerics["e_max"]
-    t0 = time.perf_counter()
     if chain:
         aux_level = _STEPS["shift_zone"].with_defaults(chain[0])["aux_level"]
         rows = _zone_track(system, aux_level, [float(step["dE"]) for step in chain], e_max,
-                           manifest, artifacts)
+                           manifest, artifacts, timing)
         closure = bisect_gap_closure(system, aux_level, rows, e_max)
         if closure is not None:
             manifest["resolved"]["gap_closure_dE"] = closure
@@ -312,33 +317,34 @@ def _run_band(system, chain, numerics, manifest, artifacts, timing):
     es = np.linspace(float(system.cell.values.min()) - 1.0, e_max, 501)
     artifacts.add("discriminant.csv",
                   csvio.discriminant_bytes, es, band_discriminant_curve(system.cell, es))
-    timing["steps_ms"].append(1000.0 * (time.perf_counter() - t0))
     return True
 
 
-def _zone_track(system, aux_level, track_values, e_max, manifest, artifacts) -> list[dict]:
-    """The zones as one edge moves by each of track_values, as a manifest step and a CSV."""
+def _zone_track(system, aux_level, track_values, e_max, manifest, artifacts, timing) -> list[dict]:
+    """The zones as one edge moves by each of track_values, as a timed step and a CSV."""
+    t0 = time.perf_counter()
     rows = track_zone_shift(system, aux_level, [0.0] + track_values, e_max)
+    _add_step(manifest, timing, t0,
+              step={"kind": "shift_zone", "aux_level": aux_level, "dE_values": track_values},
+              rows=[{"dE": r["dE"], "edge_energy": r["edge_energy"],
+                     "tracked_gap": r["tracked_gap"], "zones": [(z.e_lo, z.e_hi) for z in r["zones"]],
+                     "gaps": r["gaps"]} for r in rows])
     artifacts.add("zone_track.csv", csvio.zone_track_bytes, rows)
-    manifest["steps"].append({
-        "step": {"kind": "shift_zone", "aux_level": aux_level, "dE_values": track_values},
-        "rows": [
-            {"dE": r["dE"], "edge_energy": r["edge_energy"], "tracked_gap": r["tracked_gap"],
-             "zones": [(z.e_lo, z.e_hi) for z in r["zones"]], "gaps": r["gaps"]}
-            for r in rows
-        ],
-    })
     return rows
 
 
-def _run_lattice(levels, chain, numerics, manifest, artifacts, timing):
+def _lattice(levels: Callable, step: dict, manifest: dict, timing: dict):
+    """Solve a lattice base (the call `levels` gives its sites and states) as a timed step."""
     t0 = time.perf_counter()
     sites, states = levels()
+    _add_step(manifest, timing, t0, step=step, levels=[s.energy for s in states])
+    return sites, states
+
+
+def _run_lattice(levels, chain, numerics, manifest, artifacts, timing):
+    sites, states = _lattice(levels, {"kind": "lattice"}, manifest, timing)
     artifacts.add("lattice_spectrum.csv", csvio.lattice_spectrum_bytes, states)
     artifacts.add("lattice_states.csv", csvio.lattice_states_bytes, sites, states)
-    manifest["steps"].append({"step": {"kind": "lattice"},
-                              "levels": [s.energy for s in states]})
-    timing["steps_ms"].append(1000.0 * (time.perf_counter() - t0))
     return True
 
 
@@ -408,8 +414,8 @@ class _Keys:
 class _StepKind(_Keys):
     """One step kind: its keys, the bases it runs on, what it does.
 
-    `apply` gets the step with its defaults filled in and returns the
-    TransformResult; `expected` edits the expected energies.
+    `apply(v, step, cap)` gets the step with its defaults filled in and returns
+    the TransformResult; `expected` edits the expected energies.
     """
 
     bases: tuple
@@ -439,31 +445,29 @@ _CONTINUUM_BASES = ("box", "free-line", "half-line", "potential-csv")
 _STEPS = {
     "shift": _StepKind(
         required=("n", "dE"), integers=("n",), bases=_CONTINUUM_BASES,
-        apply=lambda v, step, n_track, cap: shift_level(
-            v, int(step["n"]), float(step["dE"]), n_track=n_track, cap=cap),
+        apply=lambda v, step, cap: shift_level(v, int(step["n"]), float(step["dE"]), cap=cap),
         expected=_shifted,
     ),
     "create": _StepKind(
         required=("E",), optional={"sigma": 0.5}, bases=_CONTINUUM_BASES,
-        apply=lambda v, step, n_track, cap: darboux_create(
-            v, float(step["E"]), float(step["sigma"]), n_track=n_track, cap=cap),
+        apply=lambda v, step, cap: darboux_create(
+            v, float(step["E"]), float(step["sigma"]), cap=cap),
         expected=lambda levels, step: sorted(levels + [float(step["E"])]),
     ),
     "remove": _StepKind(
         required=("n",), integers=("n",), bases=_CONTINUUM_BASES,
-        apply=lambda v, step, n_track, cap: remove_level_by_swf(
-            v, int(step["n"]), n_track=n_track, cap=cap),
+        apply=lambda v, step, cap: remove_level_by_swf(v, int(step["n"]), cap=cap),
         # a level above the tracked ones leaves them as they are
         expected=lambda levels, step: levels[: int(step["n"]) - 1] + levels[int(step["n"]):],
     ),
     "scale_swf": _StepKind(
         required=("n", "lambda"), integers=("n",), bases=_CONTINUUM_BASES,
-        apply=lambda v, step, n_track, cap: scale_swf(
-            v, int(step["n"]), float(step["lambda"]), n_track=n_track, cap=cap),
+        apply=lambda v, step, cap: scale_swf(
+            v, int(step["n"]), float(step["lambda"]), cap=cap),
     ),
     "bsec": _StepKind(
         required=("E", "lambda"), positive=("E", "lambda"), bases=("half-line",),
-        apply=lambda v, step, n_track, cap: embed_bsec(
+        apply=lambda v, step, cap: embed_bsec(
             math.sqrt(float(step["E"])), float(step["lambda"]), v.grid),
     ),
     # the band run applies the whole chain at once, through track_zone_shift
@@ -511,14 +515,20 @@ _BASES = {
 # run of ``_STEPS`` steps on ``_BASES`` bases or of the oracle checks it names
 
 
-def _offset_curves(grid, base_values, result, n_states):
-    """x, V, dV plus the lowest transformed states raised to their energies."""
-    cols = [result.potential.values, result.potential.values - base_values]
-    header = ["x", "V", "dV"]
-    for s in result.states[:n_states]:
-        cols.append(s.psi.values + s.energy)
-        header.append(f"psi{s.n}_offset")
-    return csvio._grid_table(header, grid, cols)
+def _draw(name: str, v: Potential, step: dict, result, count: int, manifest, artifacts):
+    """Add the CSV `name`: x, V, dV and the step potential's lowest `count` states at their
+    energies, solved by the oracle (only the embedded state, in the continuum, is its
+    transform's).  The step's entry records their orthonormality and, for a shift, the
+    bump/knot signs of the potential change at the shifted state before the step."""
+    v_new = result.potential
+    states = result.states if step["kind"] == "bsec" else bound_states(v_new, count)
+    drawn = manifest["steps"][-1]["drawn"] = {
+        "orthonormality_defect": orthonormality_defect(states)}
+    if step["kind"] == "shift":
+        drawn["sign_pattern"] = delta_v_sign_pattern(v, v_new, bound_states(v, step["n"])[-1])
+    header = ["x", "V", "dV"] + [f"psi{s.n}_offset" for s in states]
+    cols = [v_new.values, v_new.values - v.values] + [s.psi.values + s.energy for s in states]
+    artifacts.add(name, csvio._grid_table, header, v.grid, cols)
 
 
 def _default_base(name: str, numerics: dict, manifest: dict):
@@ -532,13 +542,14 @@ def _curve_figure(base, step, n_states, numerics, manifest, artifacts, timing):
     """One checked step on a base, drawn with its lowest n_states states."""
     v = _default_base(base, numerics, manifest)
     expected = _chain_start(v, numerics, manifest)
-    result, _, ok = _checked_step(v, step, expected, numerics, manifest, timing, n_states)
-    artifacts.add("curves.csv", _offset_curves, v.grid, v.values, result, n_states)
+    result, _, ok = _checked_step(v, step, expected, numerics, manifest, timing)
+    _draw("curves.csv", v, step, result, n_states, manifest, artifacts)
     return ok
 
 
 def _fig_reflectionless_box_approx(numerics, manifest, artifacts, timing):
     # acceptance check 7: the oracle finds the eight levels, and |R| = 0
+    t0 = time.perf_counter()
     targets = sorted(k * k - 65.0 for k in range(1, 9))
     kappas = sorted((math.sqrt(-e) for e in targets), reverse=True)
     res = bargmann_reflectionless(kappas, [math.sqrt(2 * k) for k in kappas],
@@ -547,8 +558,8 @@ def _fig_reflectionless_box_approx(numerics, manifest, artifacts, timing):
     check = isospectral_check(v, targets, numerics["tol_spectrum"])
     sweep = reflection_check(v, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
                              numerics["tol_reflection"])
-    manifest["steps"].append({"step": {"kind": "bargmann", "levels": targets},
-                              "log": list(res.step_log), "oracle": check, "reflection": sweep})
+    _add_step(manifest, timing, t0, step={"kind": "bargmann", "levels": targets},
+              log=list(res.step_log), oracle=check, reflection=sweep)
     artifacts.add("potential.csv", csvio.sampled_fn_bytes, v.body, "V")
     artifacts.add("spectrum.csv", csvio.spectrum_bytes, res.states)
     return check["pass"] and sweep["pass"]
@@ -561,8 +572,8 @@ def _fig_degeneration(numerics, manifest, artifacts, timing):
     ok = True
     for d in (1.0, 0.3, 0.1):
         step = {"kind": "shift", "n": 2, "dE": expected[2] - expected[1] - d}
-        result, _, passed = _checked_step(v, step, expected, numerics, manifest, timing, 3)
-        artifacts.add(f"gap_{d}.csv", _offset_curves, v.grid, v.values, result, 3)
+        result, _, passed = _checked_step(v, step, expected, numerics, manifest, timing)
+        _draw(f"gap_{d}.csv", v, step, result, 3, manifest, artifacts)
         ok &= passed
     return ok
 
@@ -571,10 +582,11 @@ def _fig_bsec_resonance(numerics, manifest, artifacts, timing):
     # acceptance checks 8b (|R| > 0.999 at E = 10) and 8c (the width grows with lambda)
     energies = np.linspace(8.6, 11.4, 181)   # energies[90] = 10
     for lam in (0.5, 1.0, 2.0):
+        t0 = time.perf_counter()
         rr = bsec_reflection_curve(math.sqrt(10.0), lam, energies, half_width=80 * math.pi)
         abs_r = [abs(r.R) for r in rr]
-        manifest["steps"].append({"step": {"kind": "bsec_reflection", "E": 10.0, "lambda": lam},
-                                  "abs_R_at_E": abs_r[90], "width": peak_width(energies, abs_r)[2]})
+        _add_step(manifest, timing, t0, step={"kind": "bsec_reflection", "E": 10.0, "lambda": lam},
+                  abs_R_at_E=abs_r[90], width=peak_width(energies, abs_r)[2])
         artifacts.add(f"reflection_lam{lam}.csv", csvio._table,
                       ["energy", "abs_R"], ((r.energy, abs(r.R)) for r in rr))
     widths = [s["width"] for s in manifest["steps"]]
@@ -585,22 +597,22 @@ def _fig_bsec_resonance(numerics, manifest, artifacts, timing):
 
 def _fig_zone_shift(numerics, manifest, artifacts, timing):
     comb = _default_base("comb", numerics, manifest)
-    _zone_track(comb, 2, [0.25, 0.5, 0.75, 1.0, 1.5, 2.0], 11.0, manifest, artifacts)
+    _zone_track(comb, 2, [0.25, 0.5, 0.75, 1.0, 1.5, 2.0], 11.0,
+                manifest, artifacts, timing)
     return True
 
 
-def _lattice(base: str, numerics: dict, manifest: dict, **params):
-    """The sites and levels of a lattice base, recorded as a step."""
+def _lattice_figure(base: str, numerics: dict, manifest: dict, timing: dict, **params):
+    """`_lattice` on a lattice base with params over its defaults."""
     spec = _BASES[base]
-    sites, states = spec.build(spec.with_defaults(params), numerics)()
-    manifest["steps"].append({"step": {"kind": "lattice", "base": base, **params},
-                              "levels": [s.energy for s in states]})
-    return sites, states
+    levels = spec.build(spec.with_defaults(params), numerics)
+    return _lattice(levels, {"kind": "lattice", "base": base, **params}, manifest, timing)
 
 
 def _fig_lattice_above_band(numerics, manifest, artifacts, timing):
-    sites, below = _lattice("lattice-single-site", numerics, manifest, v0=-1.5)
-    _, above = _lattice("lattice-single-site", numerics, manifest, v0=1.5, which="highest")
+    sites, below = _lattice_figure("lattice-single-site", numerics, manifest, timing, v0=-1.5)
+    _, above = _lattice_figure("lattice-single-site", numerics, manifest, timing,
+                               v0=1.5, which="highest")
     artifacts.add("states.csv", csvio._table, ["n", "psi_below", "psi_above"],
                   zip(sites, below[0].psi, above[0].psi))
     return True
@@ -608,7 +620,7 @@ def _fig_lattice_above_band(numerics, manifest, artifacts, timing):
 
 def _fig_stark_ladders(numerics, manifest, artifacts, timing):
     for c in (1.0, 0.5, 0.25):
-        sites, states = _lattice("lattice-stark", numerics, manifest, slope=c)
+        sites, states = _lattice_figure("lattice-stark", numerics, manifest, timing, slope=c)
         central = min(states, key=lambda s: abs(ladder_index(s, c)))
         artifacts.add(f"ladder_C{c}.csv", csvio._table, ["n", "psi"], zip(sites, central.psi))
     return True
@@ -642,6 +654,9 @@ _FIGURES = {
                 "central ladder state on linear slopes C, C/2, C/4: same shape, denser spectrum"),
 }
 
+#: the bundles whose grids are fixed or that sample none: they take no `points`
+_FIXED_GRID = ("fig6_14", "fig7_6", "fig7_13")
+
 
 def figure_tags() -> list[str]:
     return sorted(_FIGURES)
@@ -655,6 +670,8 @@ def run_figure(tag: str, out_dir, points: int | None = None) -> dict:
     if tag not in _FIGURES:
         raise ValidationError(f"unknown figure tag {tag!r}; known tags: {', '.join(figure_tags())}")
     given = {} if points is None else {"points": points}
+    if given and tag in _FIXED_GRID:
+        raise ValidationError(f"figure {tag} takes no points: its grid is fixed or it has none")
     _NUMERICS.check("figure:", given)
     numerics = _NUMERICS.with_defaults(given)
     body, description = _FIGURES[tag]

@@ -52,7 +52,8 @@ WALL_NODES = 20
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Outcome of one transformation: potential, transformed states, log."""
+    """Outcome of one transformation: potential, states, log.  Only the closed forms
+    (Bargmann, embedded state) carry states; the oracle gives those of an edit."""
 
     potential: Potential
     states: tuple
@@ -165,28 +166,22 @@ def _mix_seed(v: Potential, eps: float, sigma: float):
     return r, ln_u
 
 
-def _factorize(v: Potential, eps: float, r: np.ndarray, states, cap: float):
+def _factorize(v: Potential, eps: float, r: np.ndarray, cap: float) -> tuple[Potential, int]:
     """One first-order Darboux step V -> V - 2 (ln u)'' with r = u'/u.
 
-    The partner is evaluated through the Riccati identity as 2 eps - V + 2 r^2
-    and each state psi of V maps to psi' - r psi, an unnormalized state of the
-    partner at the same energy.  Returns (partner, capped nodes, images).
+    The partner is evaluated through the Riccati identity as 2 eps - V + 2 r^2.
+    Returns (partner, capped nodes).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        v_new, n_capped = _partner(v, 2.0 * eps - v.values + 2.0 * r * r, cap)
-        images = [derivative_samples(s.psi.values, v.values - s.energy, v.grid.h) - r * s.psi.values
-                  for s in states]
-    return v_new, n_capped, images
+        return _partner(v, 2.0 * eps - v.values + 2.0 * r * r, cap)
 
 
 def _deform_weight(v: Potential, states, n: int, lam: float):
     """The rank-one weight deformation V -> V - 2 (ln(1 + lam I_n))''.
 
     I_n is the running norm of psi_n = states[n - 1]; the derivatives are
-    taken analytically via I_n' = psi_n^2.  psi_n maps to
-    sqrt(1 + lam) psi_n / (1 + lam I_n) and every other state psi_k to
-    psi_k - lam psi_n J_k / (1 + lam I_n), J_k the running overlap of psi_n
-    and psi_k.  Returns (1 + lam I_n, the unclipped potential values, images).
+    taken analytically via I_n' = psi_n^2.  Returns (1 + lam I_n, the
+    unclipped potential values).
     """
     if len(states) < n:
         raise ValidationError(f"potential has only {len(states)} bound levels")
@@ -196,16 +191,9 @@ def _deform_weight(v: Potential, states, n: int, lam: float):
     i_n = cumulative_integral(SampledFn(v.grid, psi * psi)).values
     i_n = np.clip(i_n / i_n[-1], 0.0, 1.0)
     den = 1.0 + lam * i_n
-    images = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vhat = v.values - 4.0 * lam * psi * dpsi / den + 2.0 * (lam * psi * psi / den) ** 2
-        for s in states:
-            if s.n == n:
-                images.append(math.sqrt(1.0 + lam) * psi / den)
-            else:
-                j_k = cumulative_integral(SampledFn(v.grid, psi * s.psi.values)).values
-                images.append(s.psi.values - lam * psi * j_k / den)
-    return den, vhat, images
+    return den, vhat
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +232,12 @@ def factorization_solution(v: Potential, eps: float, sigma: float = 0.5) -> Samp
 
 
 def darboux_remove_ground(v: Potential, ground: BoundState, *,
-                          n_track: int = 3, cap: float = DEFAULT_CAP) -> TransformResult:
+                          cap: float = DEFAULT_CAP) -> TransformResult:
     """Delete the ground level: V -> V - 2 (ln psi_1)''.
 
-    The excited states map to psi_k' - (psi_1'/psi_1) psi_k (renormalized) and
-    keep their energies; for hard walls the partner genuinely diverges at the
-    walls (the box turns into 2/cos^2 x) and the sampled output is clipped at
-    `cap` there.
+    The excited levels keep their energies; for hard walls the partner
+    genuinely diverges at the walls (the box turns into 2/cos^2 x) and the
+    sampled output is clipped at `cap` there.
     """
     _refuse_spikes(v, "darboux_remove_ground")
     if ground.nodes != 0:
@@ -262,23 +249,15 @@ def darboux_remove_ground(v: Potential, ground: BoundState, *,
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = du / u
-    excited = bound_states(v, 1 + n_track)[1:] if n_track > 0 else []
-    v_new, n_capped, images = _factorize(v, e1, r, excited, cap)
-
-    new_states = []
-    for i, (s, y) in enumerate(zip(excited, images), start=1):
-        y[0] = 0.0 if v.bc_kind == HARD_WALLS or v.bc_kind == DECAYING_HALF_LINE else y[0]
-        if v.bc_kind == HARD_WALLS:
-            y[-1] = 0.0
-        new_states.append(_make_state(v_new, s.energy, y, i))
+    v_new, n_capped = _factorize(v, e1, r, cap)
 
     log = ({"kind": "remove", "n": 1, "factorization_energy": e1,
             "denominator_min": dmin, "capped_nodes": n_capped},)
-    return TransformResult(v_new, tuple(new_states), log)
+    return TransformResult(v_new, (), log)
 
 
 def darboux_create(v: Potential, e_new: float, sigma: float = 0.5, *,
-                   n_track: int = 3, cap: float = DEFAULT_CAP) -> TransformResult:
+                   cap: float = DEFAULT_CAP) -> TransformResult:
     """Insert a new ground level at e_new below the existing spectrum.
 
     Only decaying-line potentials are supported: with Dirichlet walls the
@@ -296,31 +275,25 @@ def darboux_create(v: Potential, e_new: float, sigma: float = 0.5, *,
     edge = v.continuum_edge()
     if e_new >= edge:
         raise ValidationError(f"e_new={e_new} is not below the continuum edge {edge}")
-    existing = bound_states(v, n_track + 1)
-    if existing and e_new >= existing[0].energy:
+    ground = bound_states(v, 1)
+    if ground and e_new >= ground[0].energy:
         raise ValidationError(
-            f"e_new={e_new} is not below the current ground level {existing[0].energy:.9g}"
+            f"e_new={e_new} is not below the current ground level {ground[0].energy:.9g}"
         )
 
     r, ln_u = _mix_seed(v, e_new, sigma)
     dmin = math.exp(float(ln_u.min() - ln_u.max()))
     if dmin < SINGULAR_FLOOR:
         raise SingularityError("creation denominator collapsed")
-    v_new, n_capped, images = _factorize(v, e_new, r, existing, cap)
-
-    psi_new = np.exp(-(ln_u - ln_u.min()))
-    states = [_make_state(v_new, e_new, psi_new, 1)]
-    for i, (s, y) in enumerate(zip(existing, images), start=2):
-        states.append(_make_state(v_new, s.energy, y, i))
+    v_new, n_capped = _factorize(v, e_new, r, cap)
 
     log = ({"kind": "create", "e_new": e_new, "sigma": sigma,
             "factorization_energy": e_new, "denominator_min": dmin,
             "capped_nodes": n_capped},)
-    return TransformResult(v_new, tuple(states), log)
+    return TransformResult(v_new, (), log)
 
 
-def shift_level(v: Potential, n: int, d_e: float, *,
-                n_track: int = 4, cap: float = DEFAULT_CAP) -> TransformResult:
+def shift_level(v: Potential, n: int, d_e: float, *, cap: float = DEFAULT_CAP) -> TransformResult:
     """Move level n by d_e keeping every other level in place.
 
     Realized as the remove-then-create pair at factorization energies
@@ -335,8 +308,7 @@ def shift_level(v: Potential, n: int, d_e: float, *,
     _refuse_spikes(v, "shift_level")
     if n < 1:
         raise ValidationError("level index must be >= 1")
-    count = n + 1
-    states = bound_states(v, count)
+    states = bound_states(v, n + 1)
     if len(states) < n:
         raise ValidationError(f"potential has only {len(states)} bound levels; cannot shift level {n}")
     e_n = states[n - 1].energy
@@ -349,31 +321,13 @@ def shift_level(v: Potential, n: int, d_e: float, *,
             f"({lo:.9g}, {hi:.9g})"
         )
 
-    g = v.grid
     psi = states[n - 1].psi.values
-    dpsi = derivative_samples(psi, v.values - e_n, g.h)
+    dpsi = derivative_samples(psi, v.values - e_n, v.grid.h)
     u, du, w, dmin, realization = _shift_seed(v, target, psi, dpsi, e_n)
     wp = (e_n - target) * psi * u
     wpp = (e_n - target) * (dpsi * u + psi * du)
     with np.errstate(over="ignore", invalid="ignore"):
         v_new, n_capped = _partner(v, v.values - 2.0 * (wpp * w - wp * wp) / (w * w), cap)
-
-    new_states = []
-    entries = []
-    for s in states[: max(n, min(len(states), n_track))]:
-        if s.n == n:
-            entries.append((target, psi / w))
-            continue
-        dpk = derivative_samples(s.psi.values, v.values - s.energy, g.h)
-        w3 = -(
-            psi * (du * s.energy * s.psi.values - dpk * target * u)
-            - u * (dpsi * s.energy * s.psi.values - dpk * e_n * psi)
-            + s.psi.values * (dpsi * target * u - du * e_n * psi)
-        )
-        entries.append((s.energy, w3 / w))
-    entries.sort(key=lambda t: t[0])
-    for i, (energy, y) in enumerate(entries, start=1):
-        new_states.append(_make_state(v_new, energy, y, i))
 
     log = (
         {"kind": "shift", "n": n, "dE": d_e,
@@ -382,7 +336,7 @@ def shift_level(v: Potential, n: int, d_e: float, *,
          "factorization_energies": [e_n, target],
          "denominator_min": dmin, "capped_nodes": n_capped},
     )
-    return TransformResult(v_new, tuple(new_states), log)
+    return TransformResult(v_new, (), log)
 
 
 def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray, e_n: float):
@@ -436,8 +390,7 @@ def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray, e_n
     raise last_err if last_err is not None else SingularityError("no regular shift seed found")
 
 
-def scale_swf(v: Potential, n: int, lam: float, *,
-              n_track: int = 4, cap: float = DEFAULT_CAP) -> TransformResult:
+def scale_swf(v: Potential, n: int, lam: float, *, cap: float = DEFAULT_CAP) -> TransformResult:
     """Rescale the weight of level n: c_n -> sqrt(1 + lam) c_n, spectrum fixed.
 
     V -> V - 2 d^2/dx^2 ln(1 + lam I_n) with I_n the running norm of psi_n
@@ -450,20 +403,17 @@ def scale_swf(v: Potential, n: int, lam: float, *,
         raise ValidationError(f"lambda must exceed -1 (removal limit), got {lam}")
     if n < 1:
         raise ValidationError("level index must be >= 1")
-    states = bound_states(v, max(n, n_track))
-    den, vhat, images = _deform_weight(v, states, n, lam)
+    den, vhat = _deform_weight(v, bound_states(v, n), n, lam)
     dmin = _denominator_min(den, v.grid, "weight-deformation denominator")
     v_new, n_capped = _partner(v, vhat, cap)
-    new_states = [_make_state(v_new, s.energy, y, s.n) for s, y in zip(states, images)]
 
     log = ({"kind": "scale_swf", "n": n, "lambda": lam,
             "swf_factor": math.sqrt(1.0 + lam),
             "denominator_min": dmin, "capped_nodes": n_capped},)
-    return TransformResult(v_new, tuple(new_states), log)
+    return TransformResult(v_new, (), log)
 
 
-def remove_level_by_swf(v: Potential, n: int, *,
-                        n_track: int = 4, cap: float = DEFAULT_CAP) -> TransformResult:
+def remove_level_by_swf(v: Potential, n: int, *, cap: float = DEFAULT_CAP) -> TransformResult:
     """Remove level n by driving its weight to zero (the lam -> -1 limit).
 
     For the ground level this limit coincides with the elementary Darboux
@@ -480,27 +430,21 @@ def remove_level_by_swf(v: Potential, n: int, *,
         states = bound_states(v, 1)
         if not states:
             raise ValidationError("potential has no bound level to remove")
-        return darboux_remove_ground(v, states[0], n_track=n_track, cap=cap)
+        return darboux_remove_ground(v, states[0], cap=cap)
     if v.bc_kind != HARD_WALLS:
         raise ValidationError("excited-level weight removal needs hard walls "
                               "(the carrier escapes through a truncation edge otherwise)")
 
-    states = bound_states(v, max(n, n_track + 1))
-    den, vhat, images = _deform_weight(v, states, n, -1.0)
+    states = bound_states(v, n)
+    den, vhat = _deform_weight(v, states, n, -1.0)
     if np.any(den[1:-1] <= 0.0):
         raise SingularityError("running norm reached 1 inside the interval")
     v_new, n_capped = _partner(v, vhat, cap)
 
-    new_states = []
-    for s, y in zip(states, images):
-        if s.n != n:
-            y[-1] = 0.0
-            new_states.append(_make_state(v_new, s.energy, y, len(new_states) + 1))
-
     log = ({"kind": "remove", "n": n, "route": "weight -> 0 limit",
             "factorization_energy": states[n - 1].energy,
             "denominator_min": float(den[1:-1].min()), "capped_nodes": n_capped},)
-    return TransformResult(v_new, tuple(new_states), log)
+    return TransformResult(v_new, (), log)
 
 
 def bargmann_reflectionless(levels, norms, *, half_width: float | None = None,

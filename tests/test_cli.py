@@ -21,6 +21,8 @@ from specdesign.csvio import (
 )
 from specdesign.errors import ValidationError
 from specdesign.grid import SampledFn, make_grid, sample
+from specdesign.potentials import DECAYING_LINE, HARD_WALLS, Potential
+from specdesign.solver import bound_states
 from specdesign.verify import peak_width
 
 
@@ -718,10 +720,13 @@ class TestFigures:
         ("fig1_6", "base = free-line\n[step]\nkind = create\nE = -1.0\nsigma = 0.5\n"),
     ])
     def test_chain_figure_step_is_the_design_step(self, tmp_path, tag, config):
+        # the figure's step adds only the record of the states it draws
         figure = run_figure(tag, tmp_path / tag)
         cfg = parse_config(config)
         cfg.out = str(tmp_path / "design")
         design = run(cfg)
+        for step in figure["steps"]:
+            assert step.pop("drawn")["orthonormality_defect"] < 1e-8
         assert json.loads(json.dumps(figure["steps"])) == json.loads(json.dumps(design["steps"]))
         assert figure["resolved"]["base_spectrum"] == design["resolved"]["base_spectrum"]
 
@@ -731,6 +736,7 @@ class TestFigures:
         manifest = json.loads((tmp_path / tag / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert manifest["oracle_work"]["bound_states"]["calls"] >= 0
+        assert len(manifest["timing"]["steps_ms"]) == len(manifest["steps"])
         written = {p.name: p.read_bytes() for p in (tmp_path / tag).iterdir()}
         assert "README.txt" in written
         assert len(written) >= 3
@@ -739,6 +745,51 @@ class TestFigures:
             if name.endswith(".csv"):
                 header, first = data.decode().splitlines()[:2]
                 assert "," in header and "," in first
+
+    @pytest.mark.parametrize("tag, bc", [("fig1_1", HARD_WALLS), ("fig1_6", DECAYING_LINE),
+                                         ("fig2_5", HARD_WALLS), ("fig5_1", HARD_WALLS)])
+    def test_curves_draw_the_oracle_states(self, tmp_path, tag, bc):
+        # each psi column, raised to its energy, is the oracle's state of the
+        # potential in the V column, which holds its samples exactly
+        manifest = run_figure(tag, tmp_path / tag)
+        g = manifest["resolved"]["grid"]
+        grid = make_grid(g["x_min"], g["x_max"], g["n_points"])
+        curves = [a["path"] for a in manifest["artifacts"] if a["path"].endswith(".csv")]
+        for name in curves:
+            lines = (tmp_path / tag / name).read_text().splitlines()
+            rows = np.array([row.split(",") for row in lines[1:]], dtype=float)
+            states = bound_states(Potential(SampledFn(grid, rows[:, 1]), bc), rows.shape[1] - 3)
+            assert len(states) == rows.shape[1] - 3
+            for s, column in zip(states, rows[:, 3:].T):
+                assert np.array_equal(column, s.psi.values + s.energy)
+
+    def test_drawn_states_records(self, tmp_path):
+        # the bump/knot rule of the shifted level: a lowered ground level (fig1_1)
+        # gains attraction at its bump, a raised one (fig1_2) repulsion, and level 2
+        # raised toward level 3 (fig5_1) repulsion at both bumps, attraction at the knot
+        patterns = {"fig1_1": [{"bumps": [-1.0], "knots": []}],
+                    "fig1_2": [{"bumps": [1.0], "knots": []}],
+                    "fig5_1": [{"bumps": [1.0, 1.0], "knots": [-1.0]}] * 3}
+        for tag in ("fig1_1", "fig1_2", "fig1_6", "fig2_1", "fig2_5", "fig5_1", "fig6_13"):
+            steps = run_figure(tag, tmp_path / tag)["steps"]
+            assert all(step["drawn"]["orthonormality_defect"] < 1e-8 for step in steps)
+            assert ([step["drawn"].get("sign_pattern") for step in steps]
+                    == patterns.get(tag, [None] * len(steps)))
+
+    @pytest.mark.parametrize("tag", ["fig6_14", "fig7_6", "fig7_13"])
+    def test_fixed_grid_bundles_reject_points(self, tmp_path, capsys, tag):
+        assert main(["figure", tag, "--out", str(tmp_path), "--points", "101"]) == EXIT_VALIDATION
+        assert not (tmp_path / tag).exists()
+        assert f"figure {tag} takes no points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["band"], ["band", "--de", "0.5"], ["lattice"],
+                                  ["lattice", "--mode", "stark"]])
+def test_one_timing_per_step(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["timing"]["steps_ms"]) == len(manifest["steps"])
 
 
 class TestCsvRoundTrip:

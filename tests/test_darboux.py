@@ -18,7 +18,7 @@ from specdesign.darboux import (
 from specdesign.errors import SingularityError, ValidationError
 from specdesign.grid import SampledFn, default_points, integrate, make_grid
 from specdesign.potentials import Potential, box, free_line, half_line, soliton_well
-from specdesign.solver import bound_states, scattering_curve
+from specdesign.solver import bound_states, oracle_scope, scattering_curve
 from specdesign.verify import (
     delta_v_sign_pattern,
     isospectral_check,
@@ -56,6 +56,21 @@ def test_spikes_are_refused(transform):
     # each of these returned a wrong partner of the delta well (one level at -1)
     with pytest.raises(ValidationError, match="delta of strength -2 at x = 0"):
         transform(single_delta(-2.0))
+
+
+@pytest.mark.parametrize("transform, levels", [
+    (lambda: scale_swf(box(), 1, 3.0), 1),
+    (lambda: remove_level_by_swf(box(), 2), 2),
+    (lambda: remove_level_by_swf(box(), 1), 1),
+    (lambda: shift_level(box(), 2, 0.5), 3),
+    (lambda: darboux_create(soliton_well(1.0), -3.0), 1),
+], ids=["scale_swf", "remove_excited", "remove_ground", "shift_level", "darboux_create"])
+def test_edits_solve_only_the_levels_they_read(transform, levels):
+    # an edit returns no states: the oracle gives those of its potential
+    with oracle_scope() as work:
+        res = transform()
+    assert res.states == ()
+    assert work.levels_solved == levels
 
 
 class TestFactorizationSolution:
@@ -122,12 +137,6 @@ class TestRemoveGround:
         with pytest.raises(ValidationError):
             darboux_remove_ground(the_box, excited)
 
-    def test_transformed_states_carry_old_energies(self, the_box):
-        ground = bound_states(the_box, 1)[0]
-        res = darboux_remove_ground(the_box, ground, n_track=2)
-        assert [s.energy for s in res.states] == pytest.approx([4.0, 9.0], abs=1e-6)
-        assert [s.nodes for s in res.states] == [0, 1]
-
 
 class TestCreate:
     def test_one_soliton(self):
@@ -155,15 +164,6 @@ class TestCreate:
             spectra.append(bound_states(res.potential, 1)[0].energy)
         assert all(a > b for a, b in zip(centers, centers[1:]))
         assert spectra == pytest.approx([-1.0] * 4, abs=1e-6)
-
-    def test_existing_level_is_mapped(self):
-        # creating below the soliton's level maps its state onto level 2 of the new well
-        res = darboux_create(soliton_well(1.0), -3.0)
-        oracle = bound_states(res.potential, 2)
-        assert [s.energy for s in res.states] == pytest.approx([-3.0, -1.0], abs=1e-9)
-        assert [s.energy for s in oracle] == pytest.approx([-3.0, -1.0], abs=1e-9)
-        mapped, solved = res.states[1].psi.values, oracle[1].psi.values
-        assert np.max(np.abs(mapped - solved)) < 1e-9 * np.max(np.abs(solved))
 
     def test_validations(self, the_box):
         fl = free_line()
@@ -364,7 +364,6 @@ class TestRemoveBySwf:
         res = remove_level_by_swf(the_box, 2)
         check = isospectral_check(res.potential, [1.0, 9.0, 16.0], tol=1e-5)
         assert check["pass"], check
-        assert [s.energy for s in res.states[:2]] == pytest.approx([1.0, 9.0], abs=1e-6)
 
 
 class TestBargmann:
@@ -482,7 +481,7 @@ class TestDegeneration:
     def family(v, deltas):
         states = bound_states(v, 3)
         gap = states[2].energy - states[1].energy
-        return [shift_level(v, 2, gap - d, n_track=3) for d in deltas]
+        return [shift_level(v, 2, gap - d) for d in deltas]
 
     def test_gaps_reproduced(self, the_box):
         deltas = [1.0, 0.3, 0.1]
@@ -495,6 +494,6 @@ class TestDegeneration:
         family = self.family(the_box, [1.0, 0.3, 0.1])
         masses = []
         for res in family:
-            pair = [s for s in res.states if s.energy > 2.0][:2]
+            pair = [s for s in bound_states(res.potential, 3) if s.energy > 2.0][:2]
             masses.append(sum(interval_mass(s, -math.pi / 4, math.pi / 4) for s in pair))
         assert masses[0] > masses[1] > masses[2]
