@@ -1,8 +1,15 @@
 """Elementary spectral transformations of 1-D potentials.
 
-Each operation edits exactly one spectral datum (one level's position, one
-state's weight, one new/removed level) and leaves the rest of the spectral
-data fixed.  All transformed potentials have the form V - 2 (ln u)'' for a
+Each operation edits one spectral datum (one level's position, one state's
+weight, one new/removed level) and keeps the positions of the other levels.
+Only the weight operations (``scale_swf``, and ``remove_level_by_swf`` above
+the ground level) keep the other states' weights too: a level shift or a
+Darboux removal moves them.  On the 2001-node box, whose weights are 0.798,
+1.596, 2.394, 3.192 and 3.989, lowering level 1 by 5 moves the weight of
+level 2 to 0.977, and the Darboux ground removal leaves the surviving levels
+4, 9, 16 and 25 with weights of 0.0003 to 0.0018.
+
+All transformed potentials have the form V - 2 (ln u)'' for a
 suitable positive u; the second derivative is never formed by differencing
 samples.  Instead the identity
 
@@ -416,8 +423,11 @@ def scale_swf(v: Potential, n: int, lam: float, *, cap: float = DEFAULT_CAP) -> 
 def remove_level_by_swf(v: Potential, n: int, *, cap: float = DEFAULT_CAP) -> TransformResult:
     """Remove level n by driving its weight to zero (the lam -> -1 limit).
 
-    For the ground level this limit coincides with the elementary Darboux
-    removal, whose result is returned as it is.  For excited levels the limit
+    For the ground level the elementary Darboux removal is returned instead.
+    That is not the weight limit: both keep the other levels, but the limit
+    is another potential (on the width-pi box the weight deformation at
+    lam = -1 gives V(0) = 3.24, the Darboux removal 2.00), and only the limit
+    keeps the other states' weights.  For excited levels the limit
     is the weight deformation at lam = -1: V -> V - 2 d^2/dx^2 ln(1 - I_n),
     which presses the state out through the right wall while the other
     levels and their weights stay put; supported on hard-wall problems (on a

@@ -27,8 +27,9 @@ Method summary
   Cooley, Math. Comp. 15, 363 (1961)) refine it until the signs of the
   corrections bracket it within 2e-11 max(1, |E|); the assembled state
   must have k - 1 nodes.  If that fails, the level is bracketed by
-  interior-node counts of the left shot (node theorem) and polished with
-  secant steps on the matching Wronskian inside that bracket.
+  interior-node counts of the left shot (node theorem: level k has k - 1
+  nodes) and that bracket is bisected on the node count until it is
+  1e-11 max(1, |E|) wide.
 * Inside ``oracle_scope()`` (the CLI opens one per run) the solved levels of
   each sampled potential are kept, keyed on its exact values, boundary kind,
   deltas and grid, and a repeated or shorter request is served
@@ -138,7 +139,7 @@ class OracleWork:
         self.calls = 0  # bound_states calls
         self.memo_hits = 0  # calls whose potential was already stored
         self.levels_solved = 0
-        self.bracketed_levels = 0  # levels the Cooley steps left to the node-count bracket
+        self.bracketed_levels = 0  # levels the Cooley steps left to node-count bisection
         self.numerov_calls = 0  # _numerov sweeps outside scattering scans, transforms' seeds included
         self.nodes_swept = 0
         self.level_numerov_calls = 0  # the share made inside bound_states
@@ -415,8 +416,8 @@ class _Matcher:
     """Shoot-and-match at an interior node m from two half-domain sweeps.
 
     The left shot covers nodes 0 .. m+1 and the right shot m-1 .. N-1: all
-    that the matching Wronskian, the match-point test and the Cooley
-    correction read.  The last pair of shots is kept.
+    that the match-point test and the Cooley correction read.  The last
+    pair of shots is kept.
     """
 
     def __init__(self, v: Potential, m: int, deltas):
@@ -442,17 +443,6 @@ class _Matcher:
         dl = (yl[2] - yl[0]) / (2 * h) - (h / 12.0) * (f1 * yl[2] - f0 * yl[0])
         dr = (yr[2] - yr[0]) / (2 * h) - (h / 12.0) * (f1 * yr[2] - f0 * yr[0])
         return dl, dr
-
-    def mismatch(self, energy):
-        yl, yr = self.sweeps(energy)
-        m = self.m
-        # each branch is rescaled by a power of two around m: the ratio below
-        # is unchanged and its products cannot underflow
-        yl, yr = _unit(yl[m - 1 : m + 2]), _unit(yr[:3])
-        dl, dr = self._slopes(energy, yl, yr)
-        raw = dl * yr[1] - dr * yl[1]
-        scale = abs(dl * yr[1]) + abs(dr * yl[1]) + 1e-300
-        return float(raw / scale)
 
     def correction(self, energy) -> float:
         """Cooley's energy correction (psi_L'(m) - psi_R'(m)) psi(m) / int psi^2.
@@ -484,8 +474,8 @@ class _Matcher:
         yl, yr = self.sweeps(energy)
         m, start = self.m, self.m - 1  # yr[i] is node start + i
         # splice at the dominant lobe left of the turning point, not at the
-        # turning point itself: the tiny branch mismatch then lands where
-        # relative errors (and u'/u) are smallest
+        # turning point itself: the tiny slope jump between the branches then
+        # lands where relative errors (and u'/u) are smallest
         peak = 4 + int(np.argmax(np.abs(yl[4 : m + 1])))
         if peak < start:
             n = self.v.grid.n_points
@@ -523,13 +513,25 @@ def _state_swf(v: Potential, energy, psi: np.ndarray) -> float:
     return float(_onesided_slope(psi, h, True))
 
 
-#: evaluations secant_root makes before it gives up
+#: evaluations secant_steps makes before it gives up
 _SECANT_EVALS = 200
 
 
 def secant_steps(lo, f_lo, hi, f_hi, x, xtol):
-    """The search of ``secant_root`` as a generator: it yields each point at
-    which it needs f, is sent f there, and returns the root."""
+    """Sign change of f in [lo, hi], where f_lo = f(lo) and f_hi = f(hi) differ in sign.
+
+    A generator: it yields each point at which it needs f, is sent f there,
+    and returns the root, so that a caller can evaluate several searches at
+    once.  Secant steps through the last two points, starting from x and
+    the nearer end.  A step that would leave the bracket bisects it instead,
+    as does every third step if the last three have not halved the bracket.
+    Only the bracket ends the search: a secant step shorter than xtol / 2
+    is lengthened by xtol / 2 past its estimate, so that the next point
+    closes the bracket if f is smooth there.  Once the bracket is xtol wide
+    the root is interpolated linearly between its ends: within xtol of the
+    sign change even where f is a staircase whose flat steps send the
+    secant astray, and far closer where f is smooth.
+    """
     if (f_lo > 0) == (f_hi > 0):
         raise NumericalFailure(f"no sign change between {lo} and {hi}")
     if not lo < x < hi:
@@ -560,31 +562,7 @@ def secant_steps(lo, f_lo, hi, f_hi, x, xtol):
     raise NumericalFailure(f"no root within {xtol} after {_SECANT_EVALS} evaluations in [{lo}, {hi}]")
 
 
-def secant_root(f, lo, f_lo, hi, f_hi, x, xtol) -> float:
-    """Sign change of f in [lo, hi], where f_lo = f(lo) and f_hi = f(hi) differ in sign.
-
-    Secant steps through the last two points, starting from x and the
-    nearer end.  A step that would leave the bracket bisects it instead, as
-    does every third step if the last three have not halved the bracket.
-    Only the bracket ends the search: a secant step shorter than xtol / 2
-    is lengthened by xtol / 2 past its estimate, so that the next point
-    closes the bracket if f is smooth there.  Once the bracket is xtol wide
-    the root is interpolated linearly between its ends: within xtol of the
-    sign change even where f is a staircase whose flat steps send the
-    secant astray, and far closer where f is smooth.  The steps are those of
-    ``secant_steps``, which a caller evaluating several searches at once
-    drives itself.
-    """
-    steps = secant_steps(lo, f_lo, hi, f_hi, x, xtol)
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
-#: Cooley steps tried from the finite-difference seed before the bracketed path
+#: Cooley steps tried from the finite-difference seed before node-count bisection
 _COOLEY_STEPS = 12
 #: levels are refined to |dE| < this times max(1, |E|)
 _REL_TOL = 1e-11
@@ -658,7 +636,7 @@ class _Spectrum:
         correction then changes sign away from the level.  If a branch has
         come near a node at m, the match point moves left and the search
         restarts from that energy.
-        None (and the node-count bracket takes over) when this leaves the
+        None (and node-count bisection takes over) when this leaves the
         bound region or does not end in a state with k - 1 nodes.
         """
         matcher = self._matcher(e0)
@@ -697,59 +675,34 @@ class _Spectrum:
                 energy, last = 0.5 * (lo + hi), 0.5 * (hi - lo)
         return None
 
-    def _bisection(self, k: int, lo: float, n_lo: int, hi: float, n_hi: int):
-        """The halvings of the bracket [lo, hi] by node count, kept on the side
-        of level k: yields each new (lo, n_lo, hi, n_hi), without end."""
-        while True:
-            mid = 0.5 * (lo + hi)
-            n_mid = _node_count(self.v, mid, self.deltas)
-            if n_mid <= k - 1:
-                lo, n_lo = mid, n_mid
-            else:
-                hi, n_hi = mid, n_mid
-            yield lo, n_lo, hi, n_hi
-
     def _bracketed(self, k: int, e0: float):
-        """(energy, state) of level k inside a node-count bracket (secant steps)."""
+        """(energy, state) of level k by bisection on the node count.
+
+        The bracket about e0 widens until the left shot has at most k - 1
+        interior nodes at its low end and at least k at its high end (node
+        theorem), then halves on the node count until it is xtol wide; the
+        state is assembled at its midpoint.
+        """
         v, deltas, e_top = self.v, self.deltas, self.e_top
         width = max(1e-6, 1e-4 * max(1.0, abs(e0)))
-        for attempt in range(80):
+        for _ in range(80):
             lo, hi = e0 - width, e0 + width
             if e_top is not None:
                 hi = min(hi, e_top)
-            n_lo = _node_count(v, lo, deltas)
-            if n_lo <= k - 1:
-                n_hi = _node_count(v, hi, deltas)
-                if n_hi >= k:
-                    break
+            if _node_count(v, lo, deltas) <= k - 1 and _node_count(v, hi, deltas) >= k:
+                break
             width *= 3.0
         else:
             raise NumericalFailure(f"could not bracket level {k} near E={e0}")
-        # shrink to a bracket holding exactly this level
-        halvings = self._bisection(k, lo, n_lo, hi, n_hi)
-        while n_lo < k - 1 or n_hi > k or hi - lo > max(0.5, 0.05 * abs(e0)):
-            lo, n_lo, hi, n_hi = next(halvings)
-            if hi - lo < 4e-16 * max(1.0, abs(hi)):
-                break
-
-        matcher = self._matcher(0.5 * (lo + hi))
         xtol = _REL_TOL * max(1.0, abs(hi))
-        flo, fhi = matcher.mismatch(lo), matcher.mismatch(hi)
-        if flo == 0.0:
-            energy = lo
-        elif fhi == 0.0:
-            energy = hi
-        elif (flo > 0) != (fhi > 0):
-            energy = secant_root(matcher.mismatch, lo, flo, hi, fhi, 0.5 * (lo + hi), xtol)
-        else:
-            # fall back to the same bisection on the node count: the bracket,
-            # at most max(0.5, 0.05 |e0|) wide, halves to xtol, relative to E
-            for lo, _, hi, _ in halvings:
-                if hi - lo < xtol:
-                    break
-            energy = 0.5 * (lo + hi)
-
-        psi, nodes = matcher.state(energy)
+        while hi - lo >= xtol:
+            mid = 0.5 * (lo + hi)
+            if _node_count(v, mid, deltas) <= k - 1:
+                lo = mid
+            else:
+                hi = mid
+        energy = 0.5 * (lo + hi)
+        psi, nodes = self._matcher(energy).state(energy)
         if nodes != k - 1:
             raise NumericalFailure(
                 f"level {k}: assembled state has {nodes} nodes (expected {k - 1})"

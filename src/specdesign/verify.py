@@ -7,8 +7,6 @@ bookkeeping.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .grid import SampledFn, integrate
@@ -20,21 +18,21 @@ def isospectral_check(v: Potential, expected, tol: float = 1e-5) -> dict:
     """Compare the oracle spectrum of v against expected level positions.
 
     Returns a ledger entry: per-level (expected, measured, deviation) rows,
-    the worst deviation, and the overall verdict.
+    the worst deviation, and the overall verdict.  A level the oracle does
+    not find has measured and dev None, the worst deviation is then None
+    too, and the check fails; every value stays valid JSON.
     """
     expected = [float(e) for e in expected]
     found = bound_states(v, len(expected)) if expected else []
     rows = []
-    worst = 0.0
     for i, e in enumerate(expected):
-        if i < len(found):
-            dev = abs(found[i].energy - e)
-            rows.append({"n": i + 1, "expected": e, "measured": found[i].energy, "dev": dev})
-            worst = max(worst, dev)
-        else:
-            rows.append({"n": i + 1, "expected": e, "measured": None, "dev": math.inf})
-            worst = math.inf
-    return {"levels": rows, "worst_dev": worst, "tol": tol, "pass": bool(worst < tol)}
+        measured = found[i].energy if i < len(found) else None
+        dev = None if measured is None else abs(measured - e)
+        rows.append({"n": i + 1, "expected": e, "measured": measured, "dev": dev})
+    devs = [row["dev"] for row in rows]
+    worst = None if None in devs else max(devs, default=0.0)
+    return {"levels": rows, "worst_dev": worst, "tol": tol,
+            "pass": worst is not None and bool(worst < tol)}
 
 
 def reflection_check(v: Potential, energies, tol: float = 1e-5) -> dict:

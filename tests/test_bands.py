@@ -19,7 +19,7 @@ from specdesign.errors import NumericalFailure, ValidationError
 from specdesign.grid import SampledFn, make_grid
 from specdesign.potentials import Potential, comb_cell
 import specdesign.solver as solver_module
-from specdesign.solver import band_discriminant, bound_states, oracle_scope, secant_root
+from specdesign.solver import band_discriminant, bound_states, oracle_scope, secant_steps
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +291,17 @@ class TestZones:
         assert ledger["evaluations"] < 120
 
 
+def secant_root(f, lo, f_lo, hi, f_hi, x, xtol):
+    """The root ``secant_steps`` finds, with f evaluated at each point it yields."""
+    steps = secant_steps(lo, f_lo, hi, f_hi, x, xtol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 class TestSecantRoot:
     def test_converges_past_xtol(self):
         calls = []
@@ -309,8 +320,8 @@ class TestSecantRoot:
         assert root == pytest.approx(0.3, abs=1e-9)
 
     def test_ends_on_the_bracket_of_a_staircase(self):
-        # a smooth function of E rounded down to a grid 50 xtol wide, as the
-        # Numerov mismatch is: secant steps between two points on either side
+        # a smooth function of E rounded down to a grid 50 xtol wide, as a
+        # Numerov quantity is: secant steps between two points on either side
         # of one riser are short however far the sign change is
         xtol = 1e-11
         w = 50 * xtol

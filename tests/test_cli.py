@@ -35,6 +35,11 @@ def _subprocess_env(**extra) -> dict:
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+def _no_constant(name):
+    """parse_constant for json.loads: Infinity, -Infinity and NaN are not JSON."""
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 CHAIN_CFG = """
 # headline shift
 base = box
@@ -415,7 +420,8 @@ class TestMainEntry:
 
     def test_missing_level_fails_verification(self, tmp_path, monkeypatch):
         # a create that adds no level leaves the oracle one level short: the
-        # level is recorded as not measured and the run exits 3
+        # level is recorded as not measured, the manifest stays strict JSON
+        # (no Infinity or NaN) and the run exits 3
         from specdesign import cli as cli_mod
         from specdesign.darboux import TransformResult
 
@@ -425,11 +431,11 @@ class TestMainEntry:
         cfg.write_text("base = free-line\n[step]\nkind = create\nE = -1\n")
         out = tmp_path / "out"
         assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_no_constant)
         assert manifest["status"] == "verification-failed"
         oracle = manifest["steps"][0]["oracle"]
-        assert oracle["levels"] == [{"n": 1, "expected": -1.0, "measured": None,
-                                     "dev": float("inf")}]
+        assert oracle["levels"] == [{"n": 1, "expected": -1.0, "measured": None, "dev": None}]
+        assert oracle["worst_dev"] is None
         assert not oracle["pass"]
 
     @pytest.mark.parametrize("step", ["kind = shift\ndE = 0.5\n", "kind = shift\nn = 1.5\ndE = 0.5\n"])

@@ -797,30 +797,43 @@ class TestRefinement:
                                                  ("double_well", 4)],
                              ids=["poschl_teller", "soliton_well", "double_well"])
     def test_bracketed_fallback_agrees(self, monkeypatch, make, bracketed):
-        # with no Cooley steps every level takes the node-count bracket and Brent;
-        # by default the double well's four levels, two near-degenerate doublets,
+        # with no Cooley steps every level takes node-count bisection; by
+        # default the double well's four levels, two near-degenerate doublets,
         # take it too, so there the two solves share their path
         v = self.double_well() if make == "double_well" else make()
         with oracle_scope() as work:
             cooley = bound_states(v, 4)
         assert work.ledger()["bound_states"]["bracketed_levels"] == bracketed
         monkeypatch.setattr(solver_module, "_COOLEY_STEPS", 0)
-        brent = bound_states(v, 4)
-        assert len(cooley) == len(brent)
-        for a, b in zip(cooley, brent):
+        bisected = bound_states(v, 4)
+        assert len(cooley) == len(bisected)
+        for a, b in zip(cooley, bisected):
             assert a.energy == pytest.approx(b.energy, rel=1e-10, abs=1e-10)
             assert np.max(np.abs(a.psi.values - b.psi.values)) < 1e-9 * np.max(np.abs(b.psi.values))
 
-    def test_node_bisection_when_the_mismatch_keeps_its_sign(self, monkeypatch):
-        # a matching Wronskian of one sign at both ends of the node-count
-        # bracket leaves each level to bisection on the node count alone
+    def test_node_bisection_alone_gives_the_box_levels(self, monkeypatch):
+        # with the Cooley steps failing, bisection on the node count alone
+        # finds each level within the refinement tolerance
         v = box()
         want = bound_states(v, 3)
         monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda self, k, e0: None)
-        monkeypatch.setattr(solver_module._Matcher, "mismatch", lambda self, energy: 1.0)
         with oracle_scope() as work:
             got = bound_states(v, 3)
         assert work.ledger()["bound_states"]["bracketed_levels"] == 3
         assert [s.nodes for s in got] == [0, 1, 2]
         for a, b in zip(got, want):
             assert a.energy == pytest.approx(b.energy, abs=5e-12 * max(1.0, abs(b.energy)))
+
+    def test_bisected_levels_lie_between_node_count_jumps(self):
+        # every level of the double well goes through node-count bisection,
+        # which leaves it within xtol of the energy where the left shot gains
+        # its k-th node
+        v = self.double_well()
+        with oracle_scope() as work:
+            states = bound_states(v, 4)
+        assert work.ledger()["bound_states"]["bracketed_levels"] == 4
+        deltas = v.delta_nodes(interior_only=True)
+        for s in states:
+            xtol = solver_module._REL_TOL * max(1.0, abs(s.energy))
+            assert solver_module._node_count(v, s.energy - xtol, deltas) == s.n - 1
+            assert solver_module._node_count(v, s.energy + xtol, deltas) == s.n

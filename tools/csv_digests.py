@@ -15,8 +15,9 @@ timings and are not digested.  A ``bsec-scan`` run writes no files: its
 embedded potential and its scattering curve are digested as the CLI would
 write them.  Last come the body, delta spikes, spectrum and 40-energy
 scattering curve of a free line with spikes of both signs where the scan's
-segments start and end (``spike_line_digests``); no workload or figure has
-a spike off a cell edge.
+segments start and end, and the ``oracle_work`` of solving them
+(``spike_line_digests``); no workload or figure has a spike off a cell edge,
+and no other run here leaves a level to node-count bisection.
 Then come the artifacts and ``oracle_work`` of a ``band`` run at e_max 10 on
 each comb of ``COMBS``, whose lowest zone is 7e-10 down to about 1e-20 wide,
 in three of them narrower than the rounding of the discriminant
@@ -43,7 +44,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from specdesign import cli, csvio  # noqa: E402
 from specdesign.potentials import Potential, free_line  # noqa: E402
-from specdesign.solver import _segment_bounds, bound_states, scattering_curve  # noqa: E402
+from specdesign.solver import (  # noqa: E402
+    _segment_bounds, bound_states, oracle_scope, scattering_curve)
 
 SEED = 5
 #: operations per workload
@@ -100,9 +102,12 @@ def spike_line_digests():
     v = spike_line()
     yield "spike-line/potential.csv", _sha(csvio.sampled_fn_bytes(v.body, "V"))
     yield "spike-line/deltas", _sha(json.dumps(v.deltas).encode())
-    yield "spike-line/spectrum.csv", _sha(csvio.spectrum_bytes(bound_states(v, 3)))
-    curve = scattering_curve(v, np.linspace(0.05, 12.0, 40))
+    with oracle_scope() as work:
+        states = bound_states(v, 3)
+        curve = scattering_curve(v, np.linspace(0.05, 12.0, 40))
+    yield "spike-line/spectrum.csv", _sha(csvio.spectrum_bytes(states))
     yield "spike-line/scattering.csv", _sha(csvio.scattering_bytes(curve))
+    yield "spike-line/oracle_work", _sha(json.dumps(work.ledger(), sort_keys=True).encode())
 
 
 def comb_digests(out_root: Path):
