@@ -20,16 +20,21 @@ Method summary
   sweeps the left shot up to m + 1 and the right shot back to m - 1 (m the
   match node); the state is spliced from the left shot and a right shot
   reaching back to its peak.
-* Level k is seeded by the k-th eigenvalue of a finite-difference
-  tridiagonal on a coarse grid (at least 512 intervals), computed on its
-  own so that no level depends on how many were asked for.  Newton steps on
-  Cooley's correction (psi_L'(m) - psi_R'(m)) psi(m) / int psi^2 (J. W.
-  Cooley, Math. Comp. 15, 363 (1961)) refine it until the signs of the
-  corrections bracket it within 2e-11 max(1, |E|); the assembled state
-  must have k - 1 nodes.  If that fails, the level is bracketed by
-  interior-node counts of the left shot (node theorem: level k has k - 1
-  nodes) and that bracket is bisected on the node count until it is
-  1e-11 max(1, |E|) wide.
+* Level k is seeded by Richardson's extrapolation of the k-th eigenvalues
+  of two finite-difference tridiagonals, on a coarse grid (at least 128
+  intervals) and on the next coarser one, computed on its own so that no
+  level depends on how many were asked for.  Newton steps on Cooley's
+  correction (psi_L'(m) - psi_R'(m)) psi(m) / int psi^2 (J. W. Cooley,
+  Math. Comp. 15, 363 (1961)) refine it until the signs of the corrections
+  bracket it within 2e-11 max(1, |E|); the assembled state must have
+  k - 1 nodes.  If that fails, the level is bracketed by node counts of
+  the left shot (node theorem: level k has k - 1 nodes).  Either bracket
+  is narrowed on its own signs (the correction's, or the node count's) at
+  the boundaries of dyadic cells about 1e-11 max(1, |E|) wide, and the
+  level is the centre of the cell that holds the sign change: a point
+  that does not depend on the seed, nor, where the two signs agree, on
+  the path.  Where the state assembled there has the wrong node count,
+  the node-count path halves the cell until it has not.
 * Inside ``oracle_scope()`` (the CLI opens one per run) the solved levels of
   each sampled potential are kept, keyed on its exact values, boundary kind,
   deltas and grid, and a repeated or shorter request is served
@@ -140,6 +145,8 @@ class OracleWork:
         self.memo_hits = 0  # calls whose potential was already stored
         self.levels_solved = 0
         self.bracketed_levels = 0  # levels the Cooley steps left to node-count bisection
+        self.cooley_steps = 0  # Cooley corrections evaluated before the cell search
+        self.cell_steps = 0  # cell boundaries tested by either path
         self.numerov_calls = 0  # _numerov sweeps outside scattering scans, transforms' seeds included
         self.nodes_swept = 0
         self.level_numerov_calls = 0  # the share made inside bound_states
@@ -163,6 +170,8 @@ class OracleWork:
                 "memo_hits": self.memo_hits,
                 "levels_solved": self.levels_solved,
                 "bracketed_levels": self.bracketed_levels,
+                "cooley_steps": self.cooley_steps,
+                "cell_steps": self.cell_steps,
                 "numerov_calls": self.level_numerov_calls,
                 "nodes_swept": self.level_nodes_swept,
                 "sweeps_per_level": self.level_sweeps / solved,
@@ -353,49 +362,87 @@ def _sweep(v: Potential, energy, from_left: bool, deltas=(), reach=None) -> np.n
 
 
 def _node_count(v: Potential, energy, deltas) -> int:
-    # the full range matters: near-degenerate pairs press nodes into the
-    # final grid interval, and the terminal sample still carries their sign
-    return _count_sign_changes(_sweep(v, energy, True, deltas))
+    """Nodes of the left shot at `energy`: level k lies above `energy` where this is below k.
+
+    The full range matters: near-degenerate pairs press nodes into the final
+    grid interval, and the terminal sample still carries their sign.  On a
+    decaying right end a node beyond the last node counts too: the shot has
+    one there when its mismatch against the decaying tail,
+    y[n-2] - e^(kappa h) y[n-1], has the sign of y[n-1] (the signs are
+    compared, since a product of two rescaled values can overflow).
+    """
+    y = _sweep(v, energy, True, deltas)
+    count = _count_sign_changes(y)
+    kap2 = v.values[-1] - energy
+    if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE) and kap2 > 0.0:
+        last = float(y[-1])
+        tail = float(y[-2]) - math.exp(math.sqrt(kap2) * v.grid.h) * last
+        count += tail != 0.0 and (tail > 0.0) == (last > 0.0)
+    return count
 
 
-#: the finite-difference seed runs on every s-th node, s the largest divisor
+#: the finite-difference seeds run on every s-th node, s the largest divisor
 #: of the interval count that leaves at least this many intervals
-_SEED_INTERVALS = 512
+_SEED_INTERVALS = 128
 
 
-def _seed_matrix(v: Potential) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-difference Hamiltonian (diagonal, off-diagonal) on a coarse grid.
+def _seed_matrices(v: Potential) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Finite-difference Hamiltonians (diagonal, off-diagonal, stride) on two coarse grids.
 
-    Coarse nodes are every s-th node, walls included; deltas add to their
-    nearest coarse node.  Its eigenvalues are O((s h)^2) seeds that the
-    Cooley steps refine.
+    The fine grid takes every s-th node, walls included, and the coarse grid
+    every t-th, t the next divisor of the interval count above s.  Deltas
+    add to their nearest node of each grid.  The eigenvalues are O((s h)^2)
+    estimates that ``_fd_estimate`` extrapolates.  (The LAPACK wrapper wants
+    one off-diagonal element even for a one-row matrix.)
     """
     g = v.grid
     intervals = g.n_points - 1
     s = max(1, intervals // _SEED_INTERVALS)
     while intervals % s:
         s -= 1
-    h = s * g.h
-    vals = v.values[s:-1:s].copy()
-    for j, strength in v.delta_nodes(interior_only=False):
-        c = round(j / s)
-        if 1 <= c <= vals.size:
-            vals[c - 1] += strength / h
-    return 2.0 / h**2 + vals, np.full(vals.size - 1, -1.0 / h**2)
+    t = s + 1
+    while intervals % t:
+        t += 1
+    matrices = []
+    for stride in (s, t):
+        h = stride * g.h
+        vals = v.values[stride:-1:stride].copy()
+        for j, strength in v.delta_nodes(interior_only=False):
+            c = round(j / stride)
+            if 1 <= c <= vals.size:
+                vals[c - 1] += strength / h
+        matrices.append((2.0 / h**2 + vals, np.full(max(1, vals.size - 1), -1.0 / h**2), stride))
+    return matrices
 
 
-def _fd_estimate(fd: tuple[np.ndarray, np.ndarray], k: int) -> float:
-    """Seed for level k: the k-th eigenvalue of the coarse FD matrix.
-
-    Level k is computed on its own, so the seed (and every digit that
-    follows from it) does not depend on how many levels a call asks for.
-    """
-    diag, off = fd
+def _eigenvalue(diag: np.ndarray, off: np.ndarray, k: int) -> float:
+    """The k-th eigenvalue of a symmetric tridiagonal matrix, by one ``dstebz`` index
+    search; past its last row, the last eigenvalue plus the missing count."""
     top = min(k, diag.size)
     found, w, _, _, info = dstebz(diag, off, 3, 0.0, 0.0, top, top, 0.0, "E")
     if info or found != 1:
         raise NumericalFailure(f"finite-difference estimate of level {k} failed (info {info})")
     return float(w[0]) + k - top
+
+
+def _fd_estimate(fd: list[tuple[np.ndarray, np.ndarray, int]], k: int) -> float:
+    """Seed for level k: Richardson's extrapolation (r E_fine - E_coarse) / (r - 1).
+
+    E_fine and E_coarse are the k-th eigenvalues of the two matrices of
+    ``_seed_matrices`` and r = (h_coarse / h_fine)^2 (L. F. Richardson and
+    J. A. Gaunt, Phil. Trans. R. Soc. A 226, 299 (1927)): the O(h^2) errors
+    cancel and leave a fourth-order estimate.  Where the coarse matrix has
+    fewer than k rows, the seed is E_fine.  Level k is computed on its own,
+    so the seed does not depend on how many levels a call asks for; nor does
+    any level, since both refinements end on a point that does not depend on
+    the seed (``_cell_centre``).
+    """
+    (diag, off, s), (coarse_diag, coarse_off, t) = fd
+    fine = _eigenvalue(diag, off, k)
+    if coarse_diag.size < k:
+        return fine
+    r = (t / s) ** 2
+    return (r * fine - _eigenvalue(coarse_diag, coarse_off, k)) / (r - 1.0)
 
 
 def _match_index(v: Potential, energy, deltas=()) -> int:
@@ -568,11 +615,61 @@ _COOLEY_STEPS = 12
 _REL_TOL = 1e-11
 
 
+def _cell_width(lo: float, hi: float) -> float:
+    """u = 2^floor(log2(2 xtol)), xtol = _REL_TOL M, for the bracket [lo, hi].
+
+    M is the power of two at or below max(1, |E|), E the point of the bracket
+    nearest zero: u is set by the binade, so it changes only at powers of
+    two, which are boundaries of every cell, and a bracket's u is at most
+    that of any point in it.
+    """
+    near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    return math.ldexp(1.0, math.frexp(2.0 * _REL_TOL)[1] + math.frexp(max(1.0, near))[1] - 2)
+
+
+def _cell_centre(lo: float, hi: float, below, halvings: int = 0) -> tuple[float, float, float]:
+    """(centre, lo, hi): the centre of the dyadic cell [j u, (j + 1) u] that
+    holds the sign change in [lo, hi], and the bracket narrowed to that cell.
+
+    below(E) says whether E lies below the level (the signs at lo and hi are
+    taken as known).  The cell boundaries inside the bracket are tested,
+    nearest the middle first, until lo and hi share a cell of
+    ``_cell_width``; that cell lies in one binade, and u is the binade's own
+    width, a multiple of the first, halved `halvings` times.  The centre is
+    within u / 2 <= xtol of the sign change and depends only on the sign of
+    below at the boundaries, never on where the bracket came from.
+    """
+    work = _WORK.get()
+
+    def narrow(lo, hi, u):
+        while True:
+            a, b = math.floor(lo / u), math.ceil(hi / u)
+            if b - a <= 1:
+                return lo, hi
+            mid = (a + b) // 2 * u
+            if work is not None:
+                work.cell_steps += 1
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+
+    lo, hi = narrow(lo, hi, _cell_width(lo, hi))
+    u = math.ldexp(_cell_width(lo, hi), -halvings)
+    lo, hi = narrow(lo, hi, u)
+    return (math.floor(lo / u) + 0.5) * u, lo, hi
+
+
 class _Spectrum:
     """The bound levels of one potential solved so far, lowest first.
 
-    Levels are solved one at a time and each depends only on the potential,
+    Levels are solved one at a time and each depends only on the potential
     and its index, so a stored prefix equals a fresh solve bit for bit.
+    Level k starts from its Richardson seed (``_fd_estimate``); Cooley steps
+    refine it (``_cooley``), and node-count bisection (``_bracketed``) takes
+    over where they fail.  Both end on the same point, the centre of the
+    dyadic cell that holds the sign change (``_cell_centre``), so the seed
+    does not reach the level's digits, and assemble the state there.
     """
 
     def __init__(self, v: Potential):
@@ -595,7 +692,7 @@ class _Spectrum:
     def _solve(self, k: int) -> BoundState:
         v = self.v
         if self._fd is None:
-            self._fd = _seed_matrix(v)
+            self._fd = _seed_matrices(v)
         e0 = _fd_estimate(self._fd, k)
         if self.e_top is not None:
             e0 = min(e0, self.e_top)
@@ -625,25 +722,33 @@ class _Spectrum:
 
         Newton steps on Cooley's correction, kept inside the interval that
         the signs of the corrections seen so far bracket, and halving it
-        where a step would leave it, until that interval is 2 xtol wide.
-        The sign change is what ends the search, not a small step: the
-        Numerov coefficients 1 - h^2 (V - E) / 12 resolve E only to about
-        12 eps / h^2, so over stretches of a few 1e-10 the correction can
-        be flat or point at a root that is not there.  Until the level is
-        bracketed, a correction that does not halve the last move has the
-        match point checked at its energy: next to a hard wall psi(m) can
-        fall to a small fraction of its peak as E nears the level, and the
-        correction then changes sign away from the level.  If a branch has
-        come near a node at m, the match point moves left and the search
-        restarts from that energy.
+        where a step would leave it, until that interval is 2 xtol wide;
+        then the correction's sign picks the cell (``_cell_centre``), and
+        the state is assembled at its centre.  The sign change is what ends
+        the search, not a small step: the Numerov coefficients
+        1 - h^2 (V - E) / 12 resolve E only to about 12 eps / h^2, so over
+        stretches of a few 1e-10 the correction can be flat or point at a
+        root that is not there.  Corrections that have not halved the last
+        move for two steps in a row are crawling across such a plateau, and
+        the crawl-th such step in a row is lengthened by 2^(crawl - 1).  A
+        root predicted closer than xtol is stepped past, to the next cell
+        boundary.  Until the level is bracketed, a correction that does not
+        halve the last move has the match point checked at its energy: next
+        to a hard wall psi(m) can fall to a small fraction of its peak as E
+        nears the level, and the correction then changes sign away from the
+        level.  If a branch has come near a node at m, the match point moves
+        left and the search restarts from that energy.
         None (and node-count bisection takes over) when this leaves the
         bound region or does not end in a state with k - 1 nodes.
         """
+        work = _WORK.get()
         matcher = self._matcher(e0)
-        energy, last = e0, math.inf
+        energy, last, crawl = e0, math.inf, 0
         top = math.inf if self.e_top is None else self.e_top
         lo, hi = -math.inf, top
         for _ in range(_COOLEY_STEPS):
+            if work is not None:
+                work.cooley_steps += 1
             step = matcher.correction(energy)
             if (math.isinf(hi - lo) and abs(step) > 0.5 * last
                     and not matcher.good_match_point(energy)):
@@ -654,20 +759,26 @@ class _Spectrum:
                 lo, hi = -math.inf, top
             if not math.isfinite(step):
                 return None
-            if step > 0:
+            if step >= 0.0:
                 lo = energy
-            else:
+            if step <= 0.0:
                 hi = energy
             xtol = _REL_TOL * max(1.0, abs(energy))
-            if step == 0.0 or hi - lo <= 2 * xtol:
+            if hi - lo <= 2 * xtol:
+                energy = _cell_centre(lo, hi, lambda e: matcher.correction(e) > 0)[0]
                 psi, nodes = matcher.state(energy)
                 return (energy, psi) if nodes == k - 1 else None
-            # a root predicted closer than xtol is stepped past by xtol, so
-            # that the next correction changes sign and closes the bracket
-            target = energy + step + (math.copysign(xtol, step) if abs(step) < xtol else 0.0)
-            # a Newton step that no longer halves the last move is crawling
-            # across a rounding plateau: halve the bracket once it is narrow
-            if lo < target < hi and (abs(step) <= 0.5 * last or hi - lo > 4 * abs(step)):
+            crawl = 0 if abs(step) <= 0.5 * last else crawl + 1
+            move = math.ldexp(step, max(0, crawl - 1))
+            target = energy + move
+            if abs(move) < xtol:
+                # so that the next correction changes sign, on a boundary
+                u = _cell_width(target, target)
+                target = (math.ceil(target / u) if step > 0 else math.floor(target / u)) * u
+                if target == energy:
+                    target += math.copysign(u, step)
+            # a crawling step is taken while the bracket is wide against it
+            if lo < target < hi and (crawl == 0 or hi - lo > 4 * abs(move)):
                 energy, last = target, abs(step)
             elif math.isinf(hi - lo):
                 return None
@@ -676,12 +787,14 @@ class _Spectrum:
         return None
 
     def _bracketed(self, k: int, e0: float):
-        """(energy, state) of level k by bisection on the node count.
+        """(energy, state) of level k from the node count.
 
         The bracket about e0 widens until the left shot has at most k - 1
-        interior nodes at its low end and at least k at its high end (node
-        theorem), then halves on the node count until it is xtol wide; the
-        state is assembled at its midpoint.
+        nodes at its low end and at least k at its high end (node theorem);
+        then the node count picks the cell (``_cell_centre``), and the state
+        is assembled at its centre.  Where that state has not k - 1 nodes, as
+        at a doublet closer than the cell, the cell is halved about the sign
+        change until it has, or until the bracket is a few ulps wide.
         """
         v, deltas, e_top = self.v, self.deltas, self.e_top
         width = max(1e-6, 1e-4 * max(1.0, abs(e0)))
@@ -694,26 +807,25 @@ class _Spectrum:
             width *= 3.0
         else:
             raise NumericalFailure(f"could not bracket level {k} near E={e0}")
-        xtol = _REL_TOL * max(1.0, abs(hi))
-        while hi - lo >= xtol:
-            mid = 0.5 * (lo + hi)
-            if _node_count(v, mid, deltas) <= k - 1:
-                lo = mid
-            else:
-                hi = mid
-        energy = 0.5 * (lo + hi)
-        psi, nodes = self._matcher(energy).state(energy)
-        if nodes != k - 1:
-            raise NumericalFailure(
-                f"level {k}: assembled state has {nodes} nodes (expected {k - 1})"
-            )
-        return energy, psi
+        for halvings in itertools.count():
+            energy, lo, hi = _cell_centre(lo, hi, lambda e: _node_count(v, e, deltas) <= k - 1,
+                                          halvings)
+            psi, nodes = self._matcher(energy).state(energy)
+            if nodes == k - 1:
+                return energy, psi
+            if hi - lo <= 2 * math.ulp(energy):
+                raise NumericalFailure(
+                    f"level {k}: assembled state has {nodes} nodes (expected {k - 1})"
+                )
 
 
 def bound_states(v: Potential, count: int) -> list[BoundState]:
     """The lowest `count` bound states of a potential, ordered by energy.
 
-    Energies are refined to |dE| < 1e-11 max(1, |E|).  For decaying
+    Energies are refined to |dE| < 1e-11 max(1, |E|): each is the centre of
+    the dyadic cell, about that wide, that holds the sign change of the
+    Cooley correction or of the node count, so it does not depend on the
+    finite-difference seed it started from.  For decaying
     boundary kinds only the levels genuinely below the continuum edge are
     returned, so the list may be shorter than requested.  The state arrays
     are read-only.  Inside an ``oracle_scope`` the levels of each sampled

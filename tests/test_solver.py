@@ -751,6 +751,22 @@ class TestOracleScope:
             with pytest.raises(ValueError):
                 s.psi.values[0] = 1.0
 
+    def test_refinement_steps_are_counted(self, monkeypatch):
+        v = box()
+        ledgers = []
+        for _ in range(2):
+            with oracle_scope() as work:
+                bound_states(v, 4)
+            ledgers.append(work.ledger()["bound_states"])
+        assert ledgers[0] == ledgers[1]  # deterministic
+        assert ledgers[0]["cooley_steps"] >= 2 * 4
+        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda self, k, e0: None)
+        with oracle_scope() as work:
+            bound_states(v, 4)
+        ledger = work.ledger()["bound_states"]
+        assert ledger["cooley_steps"] == 0
+        assert ledger["cell_steps"] >= 4 * 10  # a bracket of 2e-4 or more, cells of 1e-10 or less
+
     def test_work_per_level_stays_in_budget(self):
         with oracle_scope() as work:
             bound_states(poschl_teller(), 4)
@@ -794,12 +810,13 @@ class TestRefinement:
         assert 0.0 < states[1].energy - states[0].energy < 1e-6
 
     @pytest.mark.parametrize("make, bracketed", [(poschl_teller, 0), (soliton_well, 0),
-                                                 ("double_well", 4)],
+                                                 ("double_well", 2)],
                              ids=["poschl_teller", "soliton_well", "double_well"])
     def test_bracketed_fallback_agrees(self, monkeypatch, make, bracketed):
         # with no Cooley steps every level takes node-count bisection; by
-        # default the double well's four levels, two near-degenerate doublets,
-        # take it too, so there the two solves share their path
+        # default the first level of each of the double well's two
+        # near-degenerate doublets takes it too, and the second compares the
+        # Cooley path with bisection
         v = self.double_well() if make == "double_well" else make()
         with oracle_scope() as work:
             cooley = bound_states(v, 4)
@@ -824,11 +841,20 @@ class TestRefinement:
         for a, b in zip(got, want):
             assert a.energy == pytest.approx(b.energy, abs=5e-12 * max(1.0, abs(b.energy)))
 
-    def test_bisected_levels_lie_between_node_count_jumps(self):
-        # every level of the double well goes through node-count bisection,
-        # which leaves it within xtol of the energy where the left shot gains
-        # its k-th node
+    def test_both_paths_end_on_the_same_box_levels(self, monkeypatch):
+        # the Cooley steps and node-count bisection end on the same cell
+        # centre and assemble the state there
+        v = box()
+        cooley = bound_states(v, 3)
+        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda self, k, e0: None)
+        assert same_states(bound_states(v, 3), cooley)
+
+    def test_bisected_levels_lie_between_node_count_jumps(self, monkeypatch):
+        # with the Cooley steps failing, every level of the double well goes
+        # through node-count bisection, which leaves it within xtol of the
+        # energy where the left shot gains its k-th node
         v = self.double_well()
+        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda self, k, e0: None)
         with oracle_scope() as work:
             states = bound_states(v, 4)
         assert work.ledger()["bound_states"]["bracketed_levels"] == 4
@@ -837,3 +863,60 @@ class TestRefinement:
             xtol = solver_module._REL_TOL * max(1.0, abs(s.energy))
             assert solver_module._node_count(v, s.energy - xtol, deltas) == s.n - 1
             assert solver_module._node_count(v, s.energy + xtol, deltas) == s.n
+
+    def test_doublet_closer_than_a_cell_solves_on_both_paths(self, monkeypatch):
+        # with a 2000 barrier the doublets are about 1e-10 apart, under the
+        # Numerov energy staircase: at the first cell centre the assembled
+        # state can have a node too many, and the cell is halved until it has not
+        v = self.double_well(2000.0)
+        states = bound_states(v, 4)
+        assert [s.nodes for s in states] == [0, 1, 2, 3]
+        monkeypatch.setattr(solver_module, "_COOLEY_STEPS", 0)
+        assert same_states(bound_states(v, 4), states)
+
+    @pytest.mark.parametrize("x0", [11.0, 11.5, 12.0])
+    def test_node_count_sees_a_node_beyond_the_last_node(self, monkeypatch, x0):
+        # the delta well's state has its node beyond the right end of the
+        # domain just above the level; the left shot's mismatch against the
+        # decaying tail counts it, so bisection finds the level itself
+        v = single_delta(-2.0, x0)
+        want = bound_states(v, 1)[0].energy
+        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda self, k, e0: None)
+        assert bound_states(v, 1)[0].energy == pytest.approx(want, abs=1e-9)
+        assert solver_module._Spectrum(v)._bracketed(1, -0.998)[0] == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [-0.998, -0.998001])
+    @pytest.mark.parametrize("x0", [11.0, 11.5, 12.0])
+    def test_cooley_steps_cross_a_rounding_plateau(self, monkeypatch, x0, seed):
+        # from these seeds the corrections stay near -6.6e-11 across a plateau
+        # some 7e-10 wide; lengthened steps cross it within the step budget
+        monkeypatch.setattr(solver_module, "_fd_estimate", lambda fd, k: seed)
+        with oracle_scope() as work:
+            bound_states(single_delta(-2.0, x0), 1)
+        assert work.ledger()["bound_states"]["bracketed_levels"] == 0
+
+    @pytest.mark.parametrize("rel", [1e-6, -1e-6, 3e-4, -3e-4])
+    @pytest.mark.parametrize("make", [box, poschl_teller, soliton_well,
+                                      lambda: single_delta(-2.0, 11.5)],
+                             ids=["box", "poschl_teller", "soliton_well", "delta_well"])
+    def test_levels_do_not_depend_on_the_seed(self, monkeypatch, make, rel):
+        v = make()
+        want = bound_states(v, 4)
+        seed = solver_module._fd_estimate
+        monkeypatch.setattr(solver_module, "_fd_estimate", lambda fd, k: seed(fd, k) * (1.0 + rel))
+        assert same_states(bound_states(v, 4), want)
+
+    @pytest.mark.parametrize("n_points, coarse_rows", [(11, 4), (263, 1)])
+    def test_seeds_on_grids_with_few_divisors(self, n_points, coarse_rows):
+        # 10 intervals: the fine grid takes every node and the coarse grid
+        # every 2nd; 262 = 2 x 131 intervals: the fine grid takes every 2nd
+        # node and the next divisor, 131, leaves one row.  Where the coarse
+        # matrix has fewer than k rows, level k is seeded by the fine one alone
+        v = box(n_points=n_points)
+        fd = solver_module._seed_matrices(v)
+        assert fd[1][0].size == coarse_rows
+        seeds = [solver_module._fd_estimate(fd, k) for k in range(1, 12)]
+        assert all(math.isfinite(e) for e in seeds) and seeds == sorted(seeds)
+        for k, e in enumerate(seeds[:3], start=1):
+            assert e == pytest.approx(k * k, rel=1e-2)
+        assert [s.nodes for s in bound_states(v, 3)] == [0, 1, 2]
