@@ -15,7 +15,6 @@ from .darboux import (
     darboux_create,
     darboux_remove_ground,
     embed_bsec,
-    factorization_solution,
     remove_level_by_swf,
     scale_swf,
     shift_level,
@@ -68,7 +67,6 @@ __all__ = [
     "darboux_remove_ground",
     "default_points",
     "embed_bsec",
-    "factorization_solution",
     "free_line",
     "half_line",
     "integrate",

@@ -57,4 +57,3 @@ dtbtrs = _flapack.dtbtrs
 dstebz = _flapack.dstebz
 dstein = _flapack.dstein
 dsbevx = _flapack.dsbevx
-dlamch = _flapack.dlamch

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ._lapack import dlamch, dsbevx
+from ._lapack import dsbevx
 from .darboux import shift_level
 from .errors import NumericalFailure, ValidationError
 from .grid import SampledFn
@@ -150,8 +150,9 @@ _SEED_RESOLUTION = 4.0
 #: seeds up to this fraction of e_max - min V above e_max are refined
 _SEED_MARGIN = 0.1
 #: absolute eigenvalue tolerance of the seed solve: twice the underflow
-#: threshold, the most accurate LAPACK's dsbevx offers
-_ABSTOL = 2 * dlamch("s")
+#: threshold (LAPACK's dlamch("s"), the smallest normal double), the most
+#: accurate dsbevx offers
+_ABSTOL = 2 * np.finfo(float).tiny
 #: a gap's extremum this far short of +-2 still closes it
 _GAP_SHORTFALL = 1e-7
 #: half-step of the central difference for dDelta/dE

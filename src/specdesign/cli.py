@@ -36,6 +36,7 @@ import numpy as np
 from . import csvio
 from .bands import PeriodicSystem, bisect_gap_closure, track_zone_shift, zones
 from .darboux import (
+    DEFAULT_CAP,
     bargmann_reflectionless,
     bsec_reflection_curve,
     darboux_create,
@@ -185,7 +186,7 @@ def _resolved(params: dict, numerics: dict) -> dict:
     return {
         "params": params,
         "tol_spectrum": numerics["tol_spectrum"], "tol_reflection": numerics["tol_reflection"],
-        "verify_levels": numerics["verify_levels"], "emission_cap": numerics["cap"],
+        "verify_levels": numerics["verify_levels"], "emission_cap": DEFAULT_CAP,
     }
 
 
@@ -238,7 +239,7 @@ def _checked_step(v: Potential, step: dict, expected: list, numerics: dict, mani
     expected after it, True if its checks pass)."""
     t0 = time.perf_counter()
     kind = _STEPS[step["kind"]]
-    result = kind.apply(v, kind.with_defaults(step), numerics["cap"])
+    result = kind.apply(v, kind.with_defaults(step))
     v_new = result.potential
     expected = kind.expected(expected, step)
     entry = {"step": dict(step), "log": [dict(e) for e in result.step_log]}
@@ -414,7 +415,7 @@ class _Keys:
 class _StepKind(_Keys):
     """One step kind: its keys, the bases it runs on, what it does.
 
-    `apply(v, step, cap)` gets the step with its defaults filled in and returns
+    `apply(v, step)` gets the step with its defaults filled in and returns
     the TransformResult; `expected` edits the expected energies.
     """
 
@@ -445,29 +446,27 @@ _CONTINUUM_BASES = ("box", "free-line", "half-line", "potential-csv")
 _STEPS = {
     "shift": _StepKind(
         required=("n", "dE"), integers=("n",), bases=_CONTINUUM_BASES,
-        apply=lambda v, step, cap: shift_level(v, int(step["n"]), float(step["dE"]), cap=cap),
+        apply=lambda v, step: shift_level(v, int(step["n"]), float(step["dE"])),
         expected=_shifted,
     ),
     "create": _StepKind(
         required=("E",), optional={"sigma": 0.5}, bases=_CONTINUUM_BASES,
-        apply=lambda v, step, cap: darboux_create(
-            v, float(step["E"]), float(step["sigma"]), cap=cap),
+        apply=lambda v, step: darboux_create(v, float(step["E"]), float(step["sigma"])),
         expected=lambda levels, step: sorted(levels + [float(step["E"])]),
     ),
     "remove": _StepKind(
         required=("n",), integers=("n",), bases=_CONTINUUM_BASES,
-        apply=lambda v, step, cap: remove_level_by_swf(v, int(step["n"]), cap=cap),
+        apply=lambda v, step: remove_level_by_swf(v, int(step["n"])),
         # a level above the tracked ones leaves them as they are
         expected=lambda levels, step: levels[: int(step["n"]) - 1] + levels[int(step["n"]):],
     ),
     "scale_swf": _StepKind(
         required=("n", "lambda"), integers=("n",), bases=_CONTINUUM_BASES,
-        apply=lambda v, step, cap: scale_swf(
-            v, int(step["n"]), float(step["lambda"]), cap=cap),
+        apply=lambda v, step: scale_swf(v, int(step["n"]), float(step["lambda"])),
     ),
     "bsec": _StepKind(
         required=("E", "lambda"), positive=("E", "lambda"), bases=("half-line",),
-        apply=lambda v, step, cap: embed_bsec(
+        apply=lambda v, step: embed_bsec(
             math.sqrt(float(step["E"])), float(step["lambda"]), v.grid),
     ),
     # the band run applies the whole chain at once, through track_zone_shift
@@ -481,9 +480,9 @@ _STEPS = {
 #: `truncation` is the free line's half-width
 _NUMERICS = _Keys(
     optional={"points": None, "truncation": 15.0, "tol_spectrum": 1e-5, "tol_reflection": 1e-5,
-              "verify_levels": 4, "e_max": 10.0, "cap": 1e6},
+              "verify_levels": 4, "e_max": 10.0},
     integers=("points", "verify_levels"),
-    positive=("truncation", "tol_spectrum", "tol_reflection", "cap"),
+    positive=("truncation", "tol_spectrum", "tol_reflection"),
 )
 
 #: every base; the builders look their constructors up when a run starts
@@ -517,11 +516,12 @@ _BASES = {
 
 def _draw(name: str, v: Potential, step: dict, result, count: int, manifest, artifacts):
     """Add the CSV `name`: x, V, dV and the step potential's lowest `count` states at their
-    energies, solved by the oracle (only the embedded state, in the continuum, is its
-    transform's).  The step's entry records their orthonormality and, for a shift, the
-    bump/knot signs of the potential change at the shifted state before the step."""
+    energies: the step's own states where it carries any (the embedded state, in the
+    continuum), else the oracle's.  The step's entry records their orthonormality and,
+    for a shift, the bump/knot signs of the potential change at the shifted state before
+    the step."""
     v_new = result.potential
-    states = result.states if step["kind"] == "bsec" else bound_states(v_new, count)
+    states = result.states or bound_states(v_new, count)
     drawn = manifest["steps"][-1]["drawn"] = {
         "orthonormality_defect": orthonormality_defect(states)}
     if step["kind"] == "shift":
@@ -561,7 +561,7 @@ def _fig_reflectionless_box_approx(numerics, manifest, artifacts, timing):
     _add_step(manifest, timing, t0, step={"kind": "bargmann", "levels": targets},
               log=list(res.step_log), oracle=check, reflection=sweep)
     artifacts.add("potential.csv", csvio.sampled_fn_bytes, v.body, "V")
-    artifacts.add("spectrum.csv", csvio.spectrum_bytes, res.states)
+    artifacts.add("spectrum.csv", csvio.spectrum_bytes, bound_states(v, len(targets)))
     return check["pass"] and sweep["pass"]
 
 

@@ -9,6 +9,11 @@ Darboux removal moves them.  On the 2001-node box, whose weights are 0.798,
 level 2 to 0.977, and the Darboux ground removal leaves the surviving levels
 4, 9, 16 and 25 with weights of 0.0003 to 0.0018.
 
+A transform returns its potential and step log, not its states: those come
+from the oracle (``bound_states``), and each transform asks it only for the
+levels it reads.  The one exception is ``embed_bsec``, whose state lies in
+the continuum, where the oracle finds no bound level.
+
 All transformed potentials have the form V - 2 (ln u)'' for a
 suitable positive u; the second derivative is never formed by differencing
 samples.  Instead the identity
@@ -35,7 +40,6 @@ from .solver import (
     BoundState,
     _count_sign_changes,
     _launch,
-    _node_count,
     _normalised,
     _state_swf,
     _sweep,
@@ -59,8 +63,8 @@ WALL_NODES = 20
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Outcome of one transformation: potential, states, log.  Only the closed forms
-    (Bargmann, embedded state) carry states; the oracle gives those of an edit."""
+    """Outcome of one transformation: potential, states, log.  Only the embedded state,
+    which lies in the continuum, is carried here; the oracle gives every bound state."""
 
     potential: Potential
     states: tuple
@@ -81,11 +85,11 @@ def _refuse_spikes(v: Potential, name: str) -> None:
                               f"(delta of strength {g:g} at x = {pos:g})")
 
 
-def _partner(v: Potential, values: np.ndarray, cap: float) -> tuple[Potential, int]:
-    """The transformed potential on v's grid, boundaries and deltas, clipped at +-cap.
-
-    Returns it with the number of nodes the clip changed.
+def _partner(v: Potential, values: np.ndarray) -> tuple[Potential, int]:
+    """The transformed potential on v's grid, boundaries and deltas, clipped at
+    +-DEFAULT_CAP.  Returns it with the number of nodes the clip changed.
     """
+    cap = DEFAULT_CAP
     clipped = np.clip(values, -cap, cap)
     clipped = np.nan_to_num(clipped, nan=cap, posinf=cap, neginf=-cap)
     n_capped = int(np.count_nonzero(clipped != values))
@@ -122,12 +126,6 @@ def _denominator_min(w: np.ndarray, grid: Grid, name: str, interior: bool = Fals
     return rel
 
 
-def _make_state(v_new: Potential, energy: float, values: np.ndarray, label: int) -> BoundState:
-    y = _normalised(v_new.grid, energy, np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=0.0))
-    return BoundState(n=label, nodes=_count_sign_changes(y[1:-1]), energy=float(energy),
-                      psi=SampledFn(v_new.grid, y), swf=_state_swf(v_new, energy, y))
-
-
 def _center_seed(v: Potential, eps: float, u0: float, du0: float) -> np.ndarray:
     """Solution of -u'' + V u = eps u launched from the grid midpoint."""
     mid = v.grid.mid_index
@@ -162,8 +160,6 @@ def _mix_seed(v: Potential, eps: float, sigma: float):
     ln_l -= ln_l[mid]
     ln_r -= ln_r[mid]
 
-    if sigma == 0.0:
-        return r_r, ln_r
     log_w = math.log(sigma / (1.0 - sigma)) + ln_l - ln_r
     w_l = np.exp(np.minimum(log_w, 0.0))      # sigma side, capped at 1
     w_r = np.exp(np.minimum(-log_w, 0.0))
@@ -173,14 +169,14 @@ def _mix_seed(v: Potential, eps: float, sigma: float):
     return r, ln_u
 
 
-def _factorize(v: Potential, eps: float, r: np.ndarray, cap: float) -> tuple[Potential, int]:
+def _factorize(v: Potential, eps: float, r: np.ndarray) -> tuple[Potential, int]:
     """One first-order Darboux step V -> V - 2 (ln u)'' with r = u'/u.
 
     The partner is evaluated through the Riccati identity as 2 eps - V + 2 r^2.
     Returns (partner, capped nodes).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _partner(v, 2.0 * eps - v.values + 2.0 * r * r, cap)
+        return _partner(v, 2.0 * eps - v.values + 2.0 * r * r)
 
 
 def _deform_weight(v: Potential, states, n: int, lam: float):
@@ -207,44 +203,12 @@ def _deform_weight(v: Potential, states, n: int, lam: float):
 # operations
 
 
-def factorization_solution(v: Potential, eps: float, sigma: float = 0.5) -> SampledFn:
-    """A solution u of -u'' + V u = eps u, normalized to max |u| = 1.
-
-    For eps equal to one of the bound-state energies this is the eigenfunction
-    itself (removal use).  For eps strictly below the spectrum it is the
-    sigma-mixture of the two edge-regular solutions: nodeless for
-    sigma in (0, 1), one-sided for sigma = 0 (creation use).
-    """
-    _refuse_spikes(v, "factorization_solution")
-    if not 0.0 <= sigma < 1.0:
-        raise ValidationError(f"sigma must lie in [0, 1), got {sigma}")
-    if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE) and eps >= v.continuum_edge():
-        raise ValidationError(f"eps={eps} is not below the continuum edge")
-
-    nodes_above = _node_count(v, eps + 1e-9 * max(1.0, abs(eps)), v.delta_nodes())
-    if nodes_above > 0:
-        # eps is above at least one level: legal only if it IS a level
-        states = bound_states(v, nodes_above)
-        target = states[-1]
-        if abs(target.energy - eps) <= 1e-7 * max(1.0, abs(eps)):
-            y = target.psi.values
-            return SampledFn(v.grid, y / np.max(np.abs(y)))
-        raise ValidationError(
-            f"eps={eps} lies inside the spectrum but is not an eigenvalue "
-            f"(nearest level {target.energy:.9g})"
-        )
-    r, ln_u = _mix_seed(v, eps, sigma)
-    u = np.exp(ln_u - ln_u.max())
-    return SampledFn(v.grid, u / np.max(np.abs(u)))
-
-
-def darboux_remove_ground(v: Potential, ground: BoundState, *,
-                          cap: float = DEFAULT_CAP) -> TransformResult:
+def darboux_remove_ground(v: Potential, ground: BoundState) -> TransformResult:
     """Delete the ground level: V -> V - 2 (ln psi_1)''.
 
     The excited levels keep their energies; for hard walls the partner
     genuinely diverges at the walls (the box turns into 2/cos^2 x) and the
-    sampled output is clipped at `cap` there.
+    sampled output is clipped at DEFAULT_CAP there.
     """
     _refuse_spikes(v, "darboux_remove_ground")
     if ground.nodes != 0:
@@ -256,15 +220,14 @@ def darboux_remove_ground(v: Potential, ground: BoundState, *,
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = du / u
-    v_new, n_capped = _factorize(v, e1, r, cap)
+    v_new, n_capped = _factorize(v, e1, r)
 
     log = ({"kind": "remove", "n": 1, "factorization_energy": e1,
             "denominator_min": dmin, "capped_nodes": n_capped},)
     return TransformResult(v_new, (), log)
 
 
-def darboux_create(v: Potential, e_new: float, sigma: float = 0.5, *,
-                   cap: float = DEFAULT_CAP) -> TransformResult:
+def darboux_create(v: Potential, e_new: float, sigma: float = 0.5) -> TransformResult:
     """Insert a new ground level at e_new below the existing spectrum.
 
     Only decaying-line potentials are supported: with Dirichlet walls the
@@ -292,7 +255,7 @@ def darboux_create(v: Potential, e_new: float, sigma: float = 0.5, *,
     dmin = math.exp(float(ln_u.min() - ln_u.max()))
     if dmin < SINGULAR_FLOOR:
         raise SingularityError("creation denominator collapsed")
-    v_new, n_capped = _factorize(v, e_new, r, cap)
+    v_new, n_capped = _factorize(v, e_new, r)
 
     log = ({"kind": "create", "e_new": e_new, "sigma": sigma,
             "factorization_energy": e_new, "denominator_min": dmin,
@@ -300,7 +263,7 @@ def darboux_create(v: Potential, e_new: float, sigma: float = 0.5, *,
     return TransformResult(v_new, (), log)
 
 
-def shift_level(v: Potential, n: int, d_e: float, *, cap: float = DEFAULT_CAP) -> TransformResult:
+def shift_level(v: Potential, n: int, d_e: float) -> TransformResult:
     """Move level n by d_e keeping every other level in place.
 
     Realized as the remove-then-create pair at factorization energies
@@ -334,7 +297,7 @@ def shift_level(v: Potential, n: int, d_e: float, *, cap: float = DEFAULT_CAP) -
     wp = (e_n - target) * psi * u
     wpp = (e_n - target) * (dpsi * u + psi * du)
     with np.errstate(over="ignore", invalid="ignore"):
-        v_new, n_capped = _partner(v, v.values - 2.0 * (wpp * w - wp * wp) / (w * w), cap)
+        v_new, n_capped = _partner(v, v.values - 2.0 * (wpp * w - wp * wp) / (w * w))
 
     log = (
         {"kind": "shift", "n": n, "dE": d_e,
@@ -397,7 +360,7 @@ def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray, e_n
     raise last_err if last_err is not None else SingularityError("no regular shift seed found")
 
 
-def scale_swf(v: Potential, n: int, lam: float, *, cap: float = DEFAULT_CAP) -> TransformResult:
+def scale_swf(v: Potential, n: int, lam: float) -> TransformResult:
     """Rescale the weight of level n: c_n -> sqrt(1 + lam) c_n, spectrum fixed.
 
     V -> V - 2 d^2/dx^2 ln(1 + lam I_n) with I_n the running norm of psi_n
@@ -412,7 +375,7 @@ def scale_swf(v: Potential, n: int, lam: float, *, cap: float = DEFAULT_CAP) -> 
         raise ValidationError("level index must be >= 1")
     den, vhat = _deform_weight(v, bound_states(v, n), n, lam)
     dmin = _denominator_min(den, v.grid, "weight-deformation denominator")
-    v_new, n_capped = _partner(v, vhat, cap)
+    v_new, n_capped = _partner(v, vhat)
 
     log = ({"kind": "scale_swf", "n": n, "lambda": lam,
             "swf_factor": math.sqrt(1.0 + lam),
@@ -420,7 +383,7 @@ def scale_swf(v: Potential, n: int, lam: float, *, cap: float = DEFAULT_CAP) -> 
     return TransformResult(v_new, (), log)
 
 
-def remove_level_by_swf(v: Potential, n: int, *, cap: float = DEFAULT_CAP) -> TransformResult:
+def remove_level_by_swf(v: Potential, n: int) -> TransformResult:
     """Remove level n by driving its weight to zero (the lam -> -1 limit).
 
     For the ground level the elementary Darboux removal is returned instead.
@@ -440,7 +403,7 @@ def remove_level_by_swf(v: Potential, n: int, *, cap: float = DEFAULT_CAP) -> Tr
         states = bound_states(v, 1)
         if not states:
             raise ValidationError("potential has no bound level to remove")
-        return darboux_remove_ground(v, states[0], cap=cap)
+        return darboux_remove_ground(v, states[0])
     if v.bc_kind != HARD_WALLS:
         raise ValidationError("excited-level weight removal needs hard walls "
                               "(the carrier escapes through a truncation edge otherwise)")
@@ -449,7 +412,7 @@ def remove_level_by_swf(v: Potential, n: int, *, cap: float = DEFAULT_CAP) -> Tr
     den, vhat = _deform_weight(v, states, n, -1.0)
     if np.any(den[1:-1] <= 0.0):
         raise SingularityError("running norm reached 1 inside the interval")
-    v_new, n_capped = _partner(v, vhat, cap)
+    v_new, n_capped = _partner(v, vhat)
 
     log = ({"kind": "remove", "n": n, "route": "weight -> 0 limit",
             "factorization_energy": states[n - 1].energy,
@@ -465,13 +428,13 @@ def bargmann_reflectionless(levels, norms, *, half_width: float | None = None,
     constants c_m > 0; the well V = -2 (ln det A)'' with
     A = 1 + c_m c_n e^{-(kappa_m + kappa_n) x} / (kappa_m + kappa_n) carries
     exactly the bound levels -kappa_m^2 and |R| = 0 at every positive energy.
+    Its states are the oracle's, like those of every edit.
 
     det A expands into a sum over soliton subsets S with strictly positive
     coefficients, det A = sum_S C_S exp(-2 K_S x), K_S = sum_{m in S} kappa_m,
     so with the softmax weights w_S(x) of that sum
 
         V(x) = -8 <(K - <K>)^2>,
-        psi_m = c_m e^{-kappa_m x} (sum_{S, m not in S} rho_mS C_S e^{-2K_S x}) / det A,
 
     which is unconditionally stable in log space; the direct matrix solve
     would lose all accuracy for clustered decay rates (Cauchy conditioning).
@@ -524,27 +487,11 @@ def bargmann_reflectionless(levels, norms, *, half_width: float | None = None,
     vvals = -8.0 * np.einsum("ij,ij->i", w, (k_sum[None, :] - k_mean[:, None]) ** 2)
     v_new = Potential(SampledFn(v0.grid, vvals), DECAYING_LINE)
 
-    states = []
-    for m in range(n_lev):
-        rho = np.ones(2**n_lev)
-        for mask in range(2**n_lev):
-            if mask >> m & 1:
-                rho[mask] = 0.0
-                continue
-            for j in range(n_lev):
-                if mask >> j & 1:
-                    rho[mask] *= (kap[m] - kap[j]) / (kap[m] + kap[j])
-        num = np.einsum("ij,j->i", terms, rho)
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi = c[m] * np.exp(-kap[m] * x) * num / tau
-        states.append(_make_state(v_new, -kap[m] ** 2, psi, n_lev - m))
-    states.sort(key=lambda s: s.energy)
-
     log = ({"kind": "create", "route": "reflectionless multi-level determinant (subset expansion)",
             "levels": [-float(k**2) for k in kap], "norms": list(map(float, c)),
             "denominator_min": float(tau.min() / tau.max()),
             "half_width": float(half_width)},)
-    return TransformResult(v_new, tuple(states), log)
+    return TransformResult(v_new, (), log)
 
 
 def _bsec_denominator(k: float, lam: float, x: np.ndarray) -> np.ndarray:
@@ -587,7 +534,9 @@ def embed_bsec(k: float, lam: float, grid: Grid) -> TransformResult:
     grid_norm = integrate(SampledFn(grid, psi * psi))
     d_l = float(den[-1])
     tail_fraction = 1.0 / d_l           # exact: (mass beyond L) / (1/lam)
-    state = _make_state(v_new, k * k, psi, 1)
+    y = _normalised(grid, k * k, psi)
+    state = BoundState(n=1, nodes=_count_sign_changes(y[1:-1]), energy=float(k * k),
+                       psi=SampledFn(grid, y), swf=_state_swf(v_new, k * k, y))
 
     log = ({"kind": "bsec", "e_bsec": k * k, "lambda": lam,
             "denominator_min": float(den.min() / den.max()),

@@ -476,10 +476,11 @@ class TestMainEntry:
     def test_bad_chain_exit_code(self, tmp_path, capsys, config):
         # an embedded-state energy of 0 or below, a key the step kind does not
         # read, aux_level values that disagree (the first step's is the
-        # default 2), a verify_levels that is not a positive integer, a cap of
-        # 0 or below, a base parameter or numerics option that is not a number
-        # of its kind or sign, a path that is not text, a key the base does
-        # not read and a grid of more than grid.MAX_POINTS nodes are invalid input
+        # default 2), a verify_levels that is not a positive integer, a base
+        # parameter or numerics option that is not a number of its kind or
+        # sign, a path that is not text, a key the base does not read (a
+        # misspelt width, or cap: the emission cap is a constant) and a grid
+        # of more than grid.MAX_POINTS nodes are invalid input
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         out = tmp_path / "out"
@@ -720,6 +721,17 @@ class TestFigures:
         (step,) = json.loads((tmp_path / "fig4_1" / "manifest.json").read_text())["steps"]
         assert len(step["oracle"]["levels"]) == 8 and step["oracle"]["pass"]
         assert step["reflection"]["pass"] and max(step["reflection"]["energies"]) == 64.0
+
+    def test_fig4_1_spectrum_is_the_oracles(self, tmp_path):
+        # the spectrum lists the levels the manifest checked, n = 1 the deepest
+        manifest = run_figure("fig4_1", tmp_path / "fig4_1")
+        rows = (tmp_path / "fig4_1" / "fig4_1_spectrum.csv").read_text().splitlines()
+        assert rows[0] == "n,energy,swf"
+        n, energy, _ = np.array([row.split(",") for row in rows[1:]], dtype=float).T
+        assert n.tolist() == list(range(1, 9))
+        assert np.all(np.diff(energy) > 0)
+        levels = manifest["steps"][0]["oracle"]["levels"]
+        assert energy.tolist() == [level["measured"] for level in levels]
 
     @pytest.mark.parametrize("tag, config", [
         ("fig1_1", "base = box\n[step]\nkind = shift\nn = 1\ndE = -5.0\n"),

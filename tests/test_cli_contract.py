@@ -24,8 +24,7 @@ BASES = {"box": ["width"], "free-line": [], "half-line": ["length"], "potential-
          "comb": ["period", "strength"],
          "lattice-single-site": ["v0", "half_width_sites", "count", "which"],
          "lattice-stark": ["slope", "window_sites"]}
-NUMERICS = ["points", "truncation", "tol_spectrum", "tol_reflection", "verify_levels", "e_max",
-            "cap"]
+NUMERICS = ["points", "truncation", "tol_spectrum", "tol_reflection", "verify_levels", "e_max"]
 STEP_KEYS = {"shift": ["n", "dE"], "create": ["E", "sigma"], "remove": ["n"],
              "scale_swf": ["n", "lambda"], "bsec": ["E", "lambda"],
              "shift_zone": ["dE", "aux_level"]}

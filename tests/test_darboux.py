@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from specdesign.darboux import (
+    _mix_seed,
     bargmann_reflectionless,
     bsec_potential_values,
     darboux_create,
     darboux_remove_ground,
     embed_bsec,
-    factorization_solution,
     remove_level_by_swf,
     scale_swf,
     shift_level,
@@ -49,9 +49,8 @@ def interior_mask(grid, margin=10):
     lambda v: darboux_remove_ground(v, bound_states(v, 1)[0]),
     lambda v: remove_level_by_swf(v, 1),
     lambda v: scale_swf(v, 1, 1.0),
-    lambda v: factorization_solution(v, -3.0),
 ], ids=["shift_level", "darboux_create", "darboux_remove_ground", "remove_level_by_swf",
-        "scale_swf", "factorization_solution"])
+        "scale_swf"])
 def test_spikes_are_refused(transform):
     # each of these returned a wrong partner of the delta well (one level at -1)
     with pytest.raises(ValidationError, match="delta of strength -2 at x = 0"):
@@ -64,9 +63,12 @@ def test_spikes_are_refused(transform):
     (lambda: remove_level_by_swf(box(), 1), 1),
     (lambda: shift_level(box(), 2, 0.5), 3),
     (lambda: darboux_create(soliton_well(1.0), -3.0), 1),
-], ids=["scale_swf", "remove_excited", "remove_ground", "shift_level", "darboux_create"])
+    (lambda: bargmann_reflectionless([2.0, 1.0], [2.0, 1.5]), 0),
+], ids=["scale_swf", "remove_excited", "remove_ground", "shift_level", "darboux_create",
+        "bargmann"])
 def test_edits_solve_only_the_levels_they_read(transform, levels):
-    # an edit returns no states: the oracle gives those of its potential
+    # an edit, Bargmann's well included, returns no states: the oracle gives
+    # those of its potential
     with oracle_scope() as work:
         res = transform()
     assert res.states == ()
@@ -75,34 +77,13 @@ def test_edits_solve_only_the_levels_they_read(transform, levels):
 
 class TestFactorizationSolution:
     def test_free_line_symmetric_mix_is_cosh(self):
+        # the nodeless mixture darboux_create factorizes with
         fl = free_line()
-        u = factorization_solution(fl, -1.0, 0.5)
+        _, ln_u = _mix_seed(fl, -1.0, 0.5)
+        u = np.exp(ln_u - ln_u.max())
         expected = np.cosh(fl.grid.x)
         expected /= expected.max()
-        assert np.max(np.abs(u.values - expected)) < 1e-9
-
-    def test_free_line_one_sided(self):
-        fl = free_line()
-        u = factorization_solution(fl, -1.0, 0.0)
-        expected = np.exp(-fl.grid.x)
-        expected /= expected.max()
-        assert np.max(np.abs(u.values - expected)) < 1e-9
-
-    def test_box_at_eigenvalue_returns_ground(self, the_box):
-        u = factorization_solution(the_box, 1.0, 0.5)
-        assert np.max(np.abs(u.values - np.cos(the_box.grid.x))) < 1e-8
-
-    def test_nodeless_below_ground(self, the_box):
-        u = factorization_solution(the_box, 0.2, 0.5)
-        assert np.all(u.values > 0)
-
-    def test_rejects_non_eigenvalue_inside_spectrum(self, the_box):
-        with pytest.raises(ValidationError):
-            factorization_solution(the_box, 2.5, 0.5)
-
-    def test_rejects_bad_sigma(self, the_box):
-        with pytest.raises(ValidationError):
-            factorization_solution(the_box, 0.5, 1.0)
+        assert np.max(np.abs(u - expected)) < 1e-9
 
 
 class TestRemoveGround:
@@ -385,7 +366,7 @@ class TestBargmann:
         assert check["pass"], check
         sweep = scattering_curve(res.potential, [0.5, 1.0, 2.0, 5.0, 9.0])
         assert max(abs(r.R) for r in sweep) < 1e-6
-        assert orthonormality_defect(res.states) < 1e-6
+        assert orthonormality_defect(bound_states(res.potential, 2)) < 1e-6
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended precision")
     def test_eight_levels_match_long_double_expansion(self):

@@ -22,7 +22,7 @@ from specdesign.lattice import DECAYING, LatticeSystem, single_site
 from specdesign.potentials import comb_cell
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ROUTINES = ("dtbtrs", "dstebz", "dstein", "dsbevx", "dlamch")
+ROUTINES = ("dtbtrs", "dstebz", "dstein", "dsbevx")
 
 
 def same_bits(a, b) -> bool:
