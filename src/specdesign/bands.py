@@ -28,7 +28,8 @@ from .darboux import shift_level
 from .errors import NumericalFailure, ValidationError
 from .grid import SampledFn
 from .potentials import HARD_WALLS, Potential
-from .solver import _transfer_matrices, bound_states, current_work, secant_steps
+from .solver import (_SEED_INTERVALS, _fd_cell, _transfer_matrices, bound_states, current_work,
+                     secant_steps)
 
 #: the accuracy of every zone edge, and how far a hard-wall level may lie
 #: outside the closure of its gap
@@ -141,9 +142,6 @@ def _layout_seeds(p: PeriodicSystem, e_max: float) -> np.ndarray:
     return seeds
 
 
-#: fewest intervals of the finite-difference cell that seeds the edges (fewer
-#: only on a cell with fewer)
-_SEED_INTERVALS = 128
 #: intervals per unit of 1/k at the highest wave number k below the cut: with
 #: k h <= 1/4 a seed sits low by about E (k h)^2 / 12, at most 0.5% of E
 _SEED_RESOLUTION = 4.0
@@ -167,18 +165,13 @@ def _edge_seeds(cell: Potential, m: int, e_cut: float) -> np.ndarray | None:
     bounds the zone above the last pair.  None when the coarse cell has too
     few eigenvalues for that.
 
-    The coarse cell takes V from the nearest sample; its node m is node 0 of
-    the next cell, so the matrix wraps around with corners -1/h^2 (periodic)
-    or +1/h^2 (antiperiodic).  Every delta goes on the diagonal of its
-    nearest coarse node as g/h, the edge delta on node 0.  Numbered
-    0, m-1, 1, m-2, ..., the wrapped matrix is pentadiagonal, and LAPACK's
-    banded solver finds just the eigenvalues asked for.
+    The coarse cell is ``solver._fd_cell``; its node m is node 0 of the next
+    cell, so the matrix wraps around with corners -1/h^2 (periodic) or
+    +1/h^2 (antiperiodic).  Numbered 0, m-1, 1, m-2, ..., the wrapped matrix
+    is pentadiagonal, and LAPACK's banded solver finds just the eigenvalues
+    asked for.
     """
-    intervals = cell.grid.n_points - 1
-    h = (cell.grid.x_max - cell.grid.x_min) / m
-    diag = cell.values[np.rint(np.arange(m) * (intervals / m)).astype(int)] + 2.0 / h**2
-    for j, strength in cell.delta_nodes(interior_only=False):
-        diag[round(j * m / intervals) % m] += strength / h
+    diag, h = _fd_cell(cell, m)
     order = np.empty(m, dtype=int)
     order[0::2] = np.arange((m + 1) // 2)
     order[1::2] = m - 1 - np.arange(m // 2)

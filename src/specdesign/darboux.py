@@ -10,9 +10,11 @@ level 2 to 0.977, and the Darboux ground removal leaves the surviving levels
 4, 9, 16 and 25 with weights of 0.0003 to 0.0018.
 
 A transform returns its potential and step log, not its states: those come
-from the oracle (``bound_states``), and each transform asks it only for the
-levels it reads.  The one exception is ``embed_bsec``, whose state lies in
-the continuum, where the oracle finds no bound level.
+from the oracle (``bound_states``).  An edit of level n reads its levels
+through ``_states``, every edit but creation tests its denominator with
+``_denominator_min``, and each ends in ``_edited``, which clips and logs.
+Only ``embed_bsec`` carries a state: it lies in the continuum, where the
+oracle finds no bound level.
 
 All transformed potentials have the form V - 2 (ln u)'' for a
 suitable positive u; the second derivative is never formed by differencing
@@ -85,15 +87,25 @@ def _refuse_spikes(v: Potential, name: str) -> None:
                               f"(delta of strength {g:g} at x = {pos:g})")
 
 
-def _partner(v: Potential, values: np.ndarray) -> tuple[Potential, int]:
-    """The transformed potential on v's grid, boundaries and deltas, clipped at
-    +-DEFAULT_CAP.  Returns it with the number of nodes the clip changed.
+def _states(v: Potential, n: int, count: int) -> list[BoundState]:
+    """The oracle's lowest `count` levels of v (count >= n), which must include level n."""
+    if n < 1:
+        raise ValidationError("level index must be >= 1")
+    states = bound_states(v, count)
+    if len(states) < n:
+        raise ValidationError(f"potential has only {len(states)} bound levels; "
+                              f"level {n} does not exist")
+    return states
+
+
+def _edited(v: Potential, values: np.ndarray, log: dict) -> TransformResult:
+    """An edit's result: `values` on v's grid, boundaries and deltas, clipped at
+    +-DEFAULT_CAP, with `log` as its one step-log entry; the log gains the number
+    of nodes the clip changed as ``capped_nodes``.
     """
-    cap = DEFAULT_CAP
-    clipped = np.clip(values, -cap, cap)
-    clipped = np.nan_to_num(clipped, nan=cap, posinf=cap, neginf=-cap)
-    n_capped = int(np.count_nonzero(clipped != values))
-    return Potential(SampledFn(v.grid, clipped), v.bc_kind, v.deltas), n_capped
+    clipped = np.nan_to_num(np.clip(values, -DEFAULT_CAP, DEFAULT_CAP), nan=DEFAULT_CAP)
+    log["capped_nodes"] = int(np.count_nonzero(clipped != values))
+    return TransformResult(Potential(SampledFn(v.grid, clipped), v.bc_kind, v.deltas), (), (log,))
 
 
 def _denominator_min(w: np.ndarray, grid: Grid, name: str, interior: bool = False) -> float:
@@ -101,28 +113,26 @@ def _denominator_min(w: np.ndarray, grid: Grid, name: str, interior: bool = Fals
 
     A denominator is singular when it changes sign (it has a node); mere
     smallness is legitimate in exponential tails and cancels in the ratio
-    algebra.  Structural zeros at hard walls are excluded via `interior`.
+    algebra.  The minimum is taken relative to the peak over the whole array;
+    structural zeros at hard walls are kept out of the test via `interior`.
     """
+    peak = float(np.max(np.abs(w)))
+    if peak == 0.0:
+        raise SingularityError(f"{name} vanished identically")
     vals = w[1:-1] if interior else w
     xs = grid.x[1:-1] if interior else grid.x
     a = np.abs(vals)
-    peak = float(a.max())
-    if peak == 0.0:
-        raise SingularityError(f"{name} vanished identically")
     j = int(np.argmin(a))
     rel = float(a[j] / peak)
     nz = vals != 0.0
     signs = vals[nz] > 0.0
-    if signs.size and np.any(signs != signs[0]):
-        flip = int(np.nonzero(np.diff(signs))[0][0])
-        x_flip = float(xs[np.nonzero(nz)[0][flip]])
+    flips = np.nonzero(signs[1:] != signs[:-1])[0]
+    if flips.size:
+        x_flip = float(xs[np.nonzero(nz)[0][flips[0]]])
         raise SingularityError(
-            f"{name} changes sign near x = {x_flip:.6g} (relative minimum {rel:.3e})", x=x_flip
-        )
+            f"{name} changes sign near x = {x_flip:.6g} (relative minimum {rel:.3e})", x=x_flip)
     if rel == 0.0:
-        raise SingularityError(
-            f"{name} vanishes at x = {xs[j]:.6g}", x=float(xs[j])
-        )
+        raise SingularityError(f"{name} vanishes at x = {xs[j]:.6g}", x=float(xs[j]))
     return rel
 
 
@@ -169,28 +179,25 @@ def _mix_seed(v: Potential, eps: float, sigma: float):
     return r, ln_u
 
 
-def _factorize(v: Potential, eps: float, r: np.ndarray) -> tuple[Potential, int]:
+def _factorize(v: Potential, eps: float, r: np.ndarray) -> np.ndarray:
     """One first-order Darboux step V -> V - 2 (ln u)'' with r = u'/u.
 
-    The partner is evaluated through the Riccati identity as 2 eps - V + 2 r^2.
-    Returns (partner, capped nodes).
+    The partner is evaluated through the Riccati identity as 2 eps - V + 2 r^2;
+    returns its unclipped values.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _partner(v, 2.0 * eps - v.values + 2.0 * r * r)
+        return 2.0 * eps - v.values + 2.0 * r * r
 
 
-def _deform_weight(v: Potential, states, n: int, lam: float):
+def _deform_weight(v: Potential, state: BoundState, lam: float):
     """The rank-one weight deformation V -> V - 2 (ln(1 + lam I_n))''.
 
-    I_n is the running norm of psi_n = states[n - 1]; the derivatives are
-    taken analytically via I_n' = psi_n^2.  Returns (1 + lam I_n, the
-    unclipped potential values).
+    I_n is the running norm of psi_n, the state's wavefunction; the
+    derivatives are taken analytically via I_n' = psi_n^2.  Returns
+    (1 + lam I_n, the unclipped potential values).
     """
-    if len(states) < n:
-        raise ValidationError(f"potential has only {len(states)} bound levels")
-    s_n = states[n - 1]
-    psi = s_n.psi.values
-    dpsi = derivative_samples(psi, v.values - s_n.energy, v.grid.h)
+    psi = state.psi.values
+    dpsi = derivative_samples(psi, v.values - state.energy, v.grid.h)
     i_n = cumulative_integral(SampledFn(v.grid, psi * psi)).values
     i_n = np.clip(i_n / i_n[-1], 0.0, 1.0)
     den = 1.0 + lam * i_n
@@ -217,14 +224,10 @@ def darboux_remove_ground(v: Potential, ground: BoundState) -> TransformResult:
     u = ground.psi.values
     du = derivative_samples(u, v.values - e1, v.grid.h)
     dmin = _denominator_min(u, v.grid, "ground-state denominator", interior=True)
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = du / u
-    v_new, n_capped = _factorize(v, e1, r)
-
-    log = ({"kind": "remove", "n": 1, "factorization_energy": e1,
-            "denominator_min": dmin, "capped_nodes": n_capped},)
-    return TransformResult(v_new, (), log)
+    return _edited(v, _factorize(v, e1, r), {"kind": "remove", "n": 1, "factorization_energy": e1,
+                                              "denominator_min": dmin})
 
 
 def darboux_create(v: Potential, e_new: float, sigma: float = 0.5) -> TransformResult:
@@ -251,16 +254,14 @@ def darboux_create(v: Potential, e_new: float, sigma: float = 0.5) -> TransformR
             f"e_new={e_new} is not below the current ground level {ground[0].energy:.9g}"
         )
 
+    # u itself overflows on the line, so its minimum is tested in log space
     r, ln_u = _mix_seed(v, e_new, sigma)
     dmin = math.exp(float(ln_u.min() - ln_u.max()))
     if dmin < SINGULAR_FLOOR:
         raise SingularityError("creation denominator collapsed")
-    v_new, n_capped = _factorize(v, e_new, r)
-
-    log = ({"kind": "create", "e_new": e_new, "sigma": sigma,
-            "factorization_energy": e_new, "denominator_min": dmin,
-            "capped_nodes": n_capped},)
-    return TransformResult(v_new, (), log)
+    return _edited(v, _factorize(v, e_new, r),
+                   {"kind": "create", "e_new": e_new, "sigma": sigma,
+                    "factorization_energy": e_new, "denominator_min": dmin})
 
 
 def shift_level(v: Potential, n: int, d_e: float) -> TransformResult:
@@ -276,11 +277,7 @@ def shift_level(v: Potential, n: int, d_e: float) -> TransformResult:
     and makes d_e = 0 the exact identity.
     """
     _refuse_spikes(v, "shift_level")
-    if n < 1:
-        raise ValidationError("level index must be >= 1")
-    states = bound_states(v, n + 1)
-    if len(states) < n:
-        raise ValidationError(f"potential has only {len(states)} bound levels; cannot shift level {n}")
+    states = _states(v, n, n + 1)
     e_n = states[n - 1].energy
     target = e_n + d_e
     lo = states[n - 2].energy if n >= 2 else -math.inf
@@ -293,23 +290,19 @@ def shift_level(v: Potential, n: int, d_e: float) -> TransformResult:
 
     psi = states[n - 1].psi.values
     dpsi = derivative_samples(psi, v.values - e_n, v.grid.h)
-    u, du, w, dmin, realization = _shift_seed(v, target, psi, dpsi, e_n)
+    u, du, w, dmin, realization = _shift_seed(v, target, psi, dpsi)
     wp = (e_n - target) * psi * u
     wpp = (e_n - target) * (dpsi * u + psi * du)
     with np.errstate(over="ignore", invalid="ignore"):
-        v_new, n_capped = _partner(v, v.values - 2.0 * (wpp * w - wp * wp) / (w * w))
-
-    log = (
-        {"kind": "shift", "n": n, "dE": d_e,
-         "realization": f"second-order pair (net of peel/remove/create/restore chain); "
-                        f"companion seed: {realization}",
-         "factorization_energies": [e_n, target],
-         "denominator_min": dmin, "capped_nodes": n_capped},
-    )
-    return TransformResult(v_new, (), log)
+        values = v.values - 2.0 * (wpp * w - wp * wp) / (w * w)
+    return _edited(v, values, {
+        "kind": "shift", "n": n, "dE": d_e,
+        "realization": f"second-order pair (net of peel/remove/create/restore chain); "
+                       f"companion seed: {realization}",
+        "factorization_energies": [e_n, target], "denominator_min": dmin})
 
 
-def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray, e_n: float):
+def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray):
     """Companion solution for a level shift, chosen so W(psi_n, u) is nodeless.
 
     Candidates, tried in a fixed order: the midpoint-launched solution
@@ -317,9 +310,9 @@ def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray, e_n
     for every symmetric well), then sign/weight mixtures of the two
     edge-regular solutions (the flattened form of the peeled creation's
     nodeless-mix freedom, needed for asymmetric wells).  The first candidate
-    whose Wronskian neither changes sign nor collapses at a wall wins; on
-    hard walls it must also rise over at least WALL_NODES grid steps, and
-    when no valid candidate does, the one that rises slowest wins.
+    whose Wronskian neither collapses at a wall nor fails ``_denominator_min``
+    wins; on hard walls it must also rise over at least WALL_NODES grid steps,
+    and when no valid candidate does, the one that rises slowest wins.
     """
     g = v.grid
     f_u = v.values - eps
@@ -342,13 +335,11 @@ def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray, e_n
         if wall < 1e-9:
             last_err = SingularityError(f"{name}: Wronskian collapses at a wall")
             continue
-        if _count_sign_changes(w):
-            j = int(np.argmin(np.abs(w)))
-            last_err = SingularityError(
-                f"{name}: Wronskian changes sign near x = {g.x[j]:.6g}", x=float(g.x[j])
-            )
+        try:
+            seed = (u, du, w, _denominator_min(w, g, f"{name}: Wronskian"), name)
+        except SingularityError as exc:
+            last_err = exc
             continue
-        seed = (u, du, w, float(np.min(np.abs(w)) / peak), name)
         # a Wronskian that rises from a hard wall over fewer than WALL_NODES
         # grid steps puts a spike there too narrow for the grid to resolve
         if v.bc_kind != HARD_WALLS or wall * (g.n_points - 1) >= WALL_NODES:
@@ -371,16 +362,10 @@ def scale_swf(v: Potential, n: int, lam: float) -> TransformResult:
     _refuse_spikes(v, "scale_swf")
     if lam <= -1.0:
         raise ValidationError(f"lambda must exceed -1 (removal limit), got {lam}")
-    if n < 1:
-        raise ValidationError("level index must be >= 1")
-    den, vhat = _deform_weight(v, bound_states(v, n), n, lam)
+    den, vhat = _deform_weight(v, _states(v, n, n)[-1], lam)
     dmin = _denominator_min(den, v.grid, "weight-deformation denominator")
-    v_new, n_capped = _partner(v, vhat)
-
-    log = ({"kind": "scale_swf", "n": n, "lambda": lam,
-            "swf_factor": math.sqrt(1.0 + lam),
-            "denominator_min": dmin, "capped_nodes": n_capped},)
-    return TransformResult(v_new, (), log)
+    return _edited(v, vhat, {"kind": "scale_swf", "n": n, "lambda": lam,
+                             "swf_factor": math.sqrt(1.0 + lam), "denominator_min": dmin})
 
 
 def remove_level_by_swf(v: Potential, n: int) -> TransformResult:
@@ -395,29 +380,20 @@ def remove_level_by_swf(v: Potential, n: int) -> TransformResult:
     which presses the state out through the right wall while the other
     levels and their weights stay put; supported on hard-wall problems (on a
     truncated line the escaping carrier would cross the truncation edge).
+    1 - I_n is 1 at the left wall and 0 at the right one, so only its
+    interior is tested for a node.
     """
     _refuse_spikes(v, "remove_level_by_swf")
-    if n < 1:
-        raise ValidationError("level index must be >= 1")
-    if n == 1:
-        states = bound_states(v, 1)
-        if not states:
-            raise ValidationError("potential has no bound level to remove")
-        return darboux_remove_ground(v, states[0])
-    if v.bc_kind != HARD_WALLS:
+    if n > 1 and v.bc_kind != HARD_WALLS:
         raise ValidationError("excited-level weight removal needs hard walls "
                               "(the carrier escapes through a truncation edge otherwise)")
-
-    states = bound_states(v, n)
-    den, vhat = _deform_weight(v, states, n, -1.0)
-    if np.any(den[1:-1] <= 0.0):
-        raise SingularityError("running norm reached 1 inside the interval")
-    v_new, n_capped = _partner(v, vhat)
-
-    log = ({"kind": "remove", "n": n, "route": "weight -> 0 limit",
-            "factorization_energy": states[n - 1].energy,
-            "denominator_min": float(den[1:-1].min()), "capped_nodes": n_capped},)
-    return TransformResult(v_new, (), log)
+    state = _states(v, n, n)[-1]
+    if n == 1:
+        return darboux_remove_ground(v, state)
+    den, vhat = _deform_weight(v, state, -1.0)
+    dmin = _denominator_min(den, v.grid, "running-norm denominator 1 - I_n", interior=True)
+    return _edited(v, vhat, {"kind": "remove", "n": n, "route": "weight -> 0 limit",
+                             "factorization_energy": state.energy, "denominator_min": dmin})
 
 
 def bargmann_reflectionless(levels, norms, *, half_width: float | None = None,

@@ -98,15 +98,6 @@ class SampledFn:
             raise ValidationError("sampled values must all be finite")
         object.__setattr__(self, "values", v)
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
-
-
-def sample(fn, grid: Grid) -> SampledFn:
-    """Sample a callable on a grid."""
-    return SampledFn(grid, np.asarray(fn(grid.x), dtype=float))
-
 
 def integrate(f: SampledFn) -> float:
     """Composite Simpson integral over the whole grid (exact for cubics)."""

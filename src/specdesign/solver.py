@@ -381,22 +381,39 @@ def _node_count(v: Potential, energy, deltas) -> int:
     return count
 
 
-#: the finite-difference seeds run on every s-th node, s the largest divisor
-#: of the interval count that leaves at least this many intervals
+#: fewest intervals of a coarse finite-difference cell (``_fd_cell``), fewer only
+#: on a grid with fewer
 _SEED_INTERVALS = 128
+
+
+def _fd_cell(v: Potential, m: int) -> tuple[np.ndarray, float]:
+    """The diagonal of v's finite-difference Hamiltonian on m coarse intervals, at
+    coarse nodes 0..m-1, and their spacing h.
+
+    Node c takes V from the sample nearest to it.  Every delta goes on the
+    diagonal of its nearest coarse node as g/h; node m counts as node 0, as
+    on a periodic cell.
+    """
+    g = v.grid
+    intervals = g.n_points - 1
+    h = (g.x_max - g.x_min) / m
+    diag = v.values[np.rint(np.arange(m) * (intervals / m)).astype(int)] + 2.0 / h**2
+    for j, strength in v.delta_nodes(interior_only=False):
+        diag[round(j * m / intervals) % m] += strength / h
+    return diag, h
 
 
 def _seed_matrices(v: Potential) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Finite-difference Hamiltonians (diagonal, off-diagonal, stride) on two coarse grids.
 
-    The fine grid takes every s-th node, walls included, and the coarse grid
-    every t-th, t the next divisor of the interval count above s.  Deltas
-    add to their nearest node of each grid.  The eigenvalues are O((s h)^2)
-    estimates that ``_fd_estimate`` extrapolates.  (The LAPACK wrapper wants
-    one off-diagonal element even for a one-row matrix.)
+    The fine grid takes every s-th node, s the largest divisor of the
+    interval count that leaves at least _SEED_INTERVALS intervals, and the
+    coarse grid every t-th, t the next divisor above s.  Each drops the
+    walls from the ``_fd_cell`` of its interval count.  The eigenvalues are
+    O((s h)^2) estimates that ``_fd_estimate`` extrapolates.  (The LAPACK
+    wrapper wants one off-diagonal element even for a one-row matrix.)
     """
-    g = v.grid
-    intervals = g.n_points - 1
+    intervals = v.grid.n_points - 1
     s = max(1, intervals // _SEED_INTERVALS)
     while intervals % s:
         s -= 1
@@ -405,13 +422,8 @@ def _seed_matrices(v: Potential) -> list[tuple[np.ndarray, np.ndarray, int]]:
         t += 1
     matrices = []
     for stride in (s, t):
-        h = stride * g.h
-        vals = v.values[stride:-1:stride].copy()
-        for j, strength in v.delta_nodes(interior_only=False):
-            c = round(j / stride)
-            if 1 <= c <= vals.size:
-                vals[c - 1] += strength / h
-        matrices.append((2.0 / h**2 + vals, np.full(max(1, vals.size - 1), -1.0 / h**2), stride))
+        diag, h = _fd_cell(v, intervals // stride)
+        matrices.append((diag[1:], np.full(max(1, diag.size - 2), -1.0 / h**2), stride))
     return matrices
 
 

@@ -58,20 +58,25 @@ def orthonormality_defect(states) -> float:
     return worst
 
 
-def peak_width(energies, values, *, level: float = 0.5) -> tuple[float, float, float]:
+#: where the resonance width is measured: this fraction of the way from the
+#: curve's minimum up to its peak
+PEAK_WIDTH_LEVEL = 0.5
+
+
+def peak_width(energies, values) -> tuple[float, float, float]:
     """Peak position, height and width of a resonance curve.
 
     The width is measured where the curve crosses
-    baseline + level * (peak - baseline), with the baseline taken as the
-    curve minimum over the scan (prominence-based half width); crossings are
-    linearly interpolated.
+    baseline + PEAK_WIDTH_LEVEL * (peak - baseline), with the baseline
+    taken as the curve minimum over the scan (prominence-based half width);
+    crossings are linearly interpolated.
     """
     e = np.asarray(energies, dtype=float)
     y = np.asarray(values, dtype=float)
     i0 = int(np.argmax(y))
     peak_e, peak_y = float(e[i0]), float(y[i0])
     base = float(y.min())
-    cut = base + level * (peak_y - base)
+    cut = base + PEAK_WIDTH_LEVEL * (peak_y - base)
 
     def cross(idx_range, backward):
         prev = i0

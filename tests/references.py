@@ -24,6 +24,11 @@ from specdesign.solver import (
 )
 
 
+def sample(fn, grid: Grid) -> SampledFn:
+    """Sample a callable on a grid."""
+    return SampledFn(grid, np.asarray(fn(grid.x), dtype=float))
+
+
 def transfer_matrix(cell: Potential, energy: float) -> np.ndarray:
     """One-period transfer matrix [[u, w], [u', w']] at the right cell edge (det = 1
     up to rounding: each step of the (w, D) map has determinant 1).

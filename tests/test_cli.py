@@ -20,11 +20,12 @@ from specdesign.csvio import (
     states_bytes,
 )
 from specdesign.errors import ValidationError
-from specdesign.grid import SampledFn, make_grid, sample
+from specdesign.grid import SampledFn, make_grid
 from specdesign.potentials import DECAYING_LINE, HARD_WALLS, Potential
 from specdesign.solver import bound_states
 from specdesign.verify import peak_width
 
+from references import sample
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -450,6 +451,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("config", [
         "base = half-line\n[step]\nkind = bsec\nE = -1\nlambda = 1\n",
         "base = half-line\n[step]\nkind = bsec\nE = 0\nlambda = 1\n",
+        "base = half-line\n[step]\nkind = bsec\nE = 9\nlambda = 1\n"
+        "[step]\nkind = bsec\nE = 16\nlambda = 1\n",
         "base = box\n[step]\nkind = shift\nn = 1\ndE = 0.5\nsigma = 0.5\n",
         "base = comb\n[step]\nkind = shift_zone\ndE = 0.1\n"
         "[step]\nkind = shift_zone\ndE = 0.2\naux_level = 3\n",
@@ -474,13 +477,15 @@ class TestMainEntry:
         "base = box\npoints = 4194305\n",
     ])
     def test_bad_chain_exit_code(self, tmp_path, capsys, config):
-        # an embedded-state energy of 0 or below, a key the step kind does not
-        # read, aux_level values that disagree (the first step's is the
-        # default 2), a verify_levels that is not a positive integer, a base
-        # parameter or numerics option that is not a number of its kind or
-        # sign, a path that is not text, a key the base does not read (a
-        # misspelt width, or cap: the emission cap is a constant) and a grid
-        # of more than grid.MAX_POINTS nodes are invalid input
+        # an embedded-state energy of 0 or below, a bsec step after another
+        # (it builds on the bare half-line and would drop the first), a key
+        # the step kind does not read, aux_level values that disagree (the
+        # first step's is the default 2), a verify_levels that is not a
+        # positive integer, a base parameter or numerics option that is not a
+        # number of its kind or sign, a path that is not text, a key the base
+        # does not read (a misspelt width, or cap: the emission cap is a
+        # constant) and a grid of more than grid.MAX_POINTS nodes are invalid
+        # input
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         out = tmp_path / "out"
@@ -519,9 +524,11 @@ class TestMainEntry:
         ["--e-max", "nan"], ["--e-max", "inf"], ["--e-max=-inf"],
         ["--strength", "nan"], ["--strength", "inf"],
         ["--shift-aux", "0", "--de", "0.1"], ["--shift-aux", "-1", "--de", "0.1"],
+        ["--shift-aux", "3"],
     ])
     def test_bad_band_input_exit_code(self, tmp_path, capsys, args):
-        # non-finite numbers and auxiliary levels below 1 are invalid input
+        # non-finite numbers, auxiliary levels below 1 and an auxiliary level
+        # with no --de steps to carry it are invalid input
         out = tmp_path / "out"
         assert main(["band", *args, "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
@@ -579,7 +586,9 @@ class TestMainEntry:
         assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         (entry,) = manifest["steps"]
-        assert entry["bsec_metrics"] == entry["log"][0]
+        assert entry["log"][0]["kind"] == "bsec"
+        assert entry["log"][0]["norm_total_analytic"] == 1.0
+        assert "bsec_metrics" not in entry  # the log holds the step's metrics, once
         assert "oracle" not in entry  # the embedded level is not a bound state to re-solve
         assert (out / "potential.csv").exists()
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specdesign.darboux import (
+    _denominator_min,
     _mix_seed,
     bargmann_reflectionless,
     bsec_potential_values,
@@ -17,7 +18,7 @@ from specdesign.darboux import (
 )
 from specdesign.errors import SingularityError, ValidationError
 from specdesign.grid import SampledFn, default_points, integrate, make_grid
-from specdesign.potentials import Potential, box, free_line, half_line, soliton_well
+from specdesign.potentials import HARD_WALLS, Potential, box, free_line, half_line, soliton_well
 from specdesign.solver import bound_states, oracle_scope, scattering_curve
 from specdesign.verify import (
     delta_v_sign_pattern,
@@ -345,6 +346,33 @@ class TestRemoveBySwf:
         res = remove_level_by_swf(the_box, 2)
         check = isospectral_check(res.potential, [1.0, 9.0, 16.0], tol=1e-5)
         assert check["pass"], check
+
+    def test_running_norm_reaching_one_is_located(self):
+        # behind a barrier of 1000 from x = 5 the running norm of psi_2 reaches
+        # 1 well inside the interval: the removal is singular there, and the
+        # error says where
+        g = make_grid(0.0, 30.0, 19101)
+        barrier_box = Potential(SampledFn(g, np.where(g.x > 5.0, 1000.0, 0.0)), HARD_WALLS)
+        with pytest.raises(SingularityError) as exc:
+            remove_level_by_swf(barrier_box, 2)
+        assert exc.value.x is not None and 5.0 < exc.value.x < 30.0
+
+
+class TestDenominatorMin:
+    def test_sign_change_reports_the_first_flip(self):
+        g = make_grid(0.0, 4.0, 9)      # x = 0, 0.5, ..., 4
+        w = np.array([1.0, 0.5, 0.0, -0.5, -1.0, -0.5, 0.0, 0.5, 1.0])
+        with pytest.raises(SingularityError, match="changes sign") as exc:
+            _denominator_min(w, g, "test denominator")
+        assert exc.value.x == 0.5      # the last node before the first flip
+
+    def test_interior_skips_the_walls_but_not_the_peak(self):
+        # the minimum is relative to the peak of the whole array, walls included
+        g = make_grid(0.0, 4.0, 9)
+        w = np.array([0.0, 0.5, 0.25, 0.5, 1.0, 0.5, 0.25, 0.5, 2.0])
+        assert _denominator_min(w, g, "test denominator", interior=True) == 0.125
+        with pytest.raises(SingularityError, match="vanishes at x = 0"):
+            _denominator_min(w, g, "test denominator")
 
 
 class TestBargmann:

@@ -12,8 +12,9 @@ from specdesign.grid import (
     default_points,
     integrate,
     make_grid,
-    sample,
 )
+
+from references import sample
 
 
 def test_make_grid_spacing():
