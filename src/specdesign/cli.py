@@ -239,8 +239,9 @@ def _add_step(manifest: dict, timing: dict, t0: float, **entry):
 def _checked_step(v: Potential, step: dict, expected: list, numerics: dict, manifest: dict,
                   timing: dict):
     """Apply one step to v and check it with the oracle against `expected`, the levels
-    before it; the manifest records both.  Returns (the TransformResult, the levels
-    expected after it, True if its checks pass)."""
+    before it, and on a line against v's |R(E)|, which every edit keeps; the manifest
+    records both.  Returns (the TransformResult, the levels expected after it, True if
+    its checks pass)."""
     t0 = time.perf_counter()
     kind = _STEPS[step["kind"]]
     result = kind.apply(v, kind.with_defaults(step))
@@ -265,10 +266,9 @@ def _checked_step(v: Potential, step: dict, expected: list, numerics: dict, mani
                                       "pass": bool(abs(ratio - want) < 1e-5)}
                 ok &= entry["swf_ratio"]["pass"]
     if v_new.bc_kind == DECAYING_LINE:
-        sweep = reflection_check(v_new, [0.5, 1.0, 2.5, 5.0], numerics["tol_reflection"])
-        entry["reflection"] = sweep
-        if step["kind"] == "create":  # reflectionless claim applies
-            ok &= sweep["pass"]
+        entry["reflection"] = reflection_check(v_new, [0.5, 1.0, 2.5, 5.0],
+                                               numerics["tol_reflection"], before=v)
+        ok &= entry["reflection"]["pass"]
     _add_step(manifest, timing, t0, **entry)
     return result, expected, ok
 
@@ -769,7 +769,8 @@ def _dispatch(args) -> int:
     else:
         cfg = _load_config(args)
         if args.command == "solve":
-            cfg.chain = []
+            if cfg.chain:
+                raise ValidationError("solve takes no [step] blocks; use design")
         elif args.command == "band":
             cfg.base = "comb"
             if args.shift_aux is not None and not args.de:

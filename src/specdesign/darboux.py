@@ -7,7 +7,9 @@ the ground level) keep the other states' weights too: a level shift or a
 Darboux removal moves them.  On the 2001-node box, whose weights are 0.798,
 1.596, 2.394, 3.192 and 3.989, lowering level 1 by 5 moves the weight of
 level 2 to 0.977, and the Darboux ground removal leaves the surviving levels
-4, 9, 16 and 25 with weights of 0.0003 to 0.0018.
+4, 9, 16 and 25 with weights of 0.0003 to 0.0018.  A weight is the oracle's
+(``BoundState.swf``): the slope at a left wall, or the right tail constant
+on a decaying line, and the weight deformation runs from that end.
 
 A transform returns its potential and step log, not its states: those come
 from the oracle (``bound_states``).  An edit of level n reads its levels
@@ -192,18 +194,22 @@ def _factorize(v: Potential, eps: float, r: np.ndarray) -> np.ndarray:
 def _deform_weight(v: Potential, state: BoundState, lam: float):
     """The rank-one weight deformation V -> V - 2 (ln(1 + lam I_n))''.
 
-    I_n is the running norm of psi_n, the state's wavefunction; the
+    I_n is the running norm of psi_n, the state's wavefunction, from the end
+    where the state's weight is measured: the left wall, or on a decaying
+    line the right end (its weight is the right tail constant), where the
+    arrays are mirrored.  That weight grows by sqrt(1 + lam).  The
     derivatives are taken analytically via I_n' = psi_n^2.  Returns
     (1 + lam I_n, the unclipped potential values).
     """
-    psi = state.psi.values
-    dpsi = derivative_samples(psi, v.values - state.energy, v.grid.h)
+    mirror = slice(None, None, -1 if v.bc_kind == DECAYING_LINE else 1)
+    psi, values = state.psi.values[mirror], v.values[mirror]
+    dpsi = derivative_samples(psi, values - state.energy, v.grid.h)
     i_n = cumulative_integral(SampledFn(v.grid, psi * psi)).values
     i_n = np.clip(i_n / i_n[-1], 0.0, 1.0)
     den = 1.0 + lam * i_n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vhat = v.values - 4.0 * lam * psi * dpsi / den + 2.0 * (lam * psi * psi / den) ** 2
-    return den, vhat
+        vhat = values - 4.0 * lam * psi * dpsi / den + 2.0 * (lam * psi * psi / den) ** 2
+    return den[mirror], vhat[mirror]
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +361,11 @@ def scale_swf(v: Potential, n: int, lam: float) -> TransformResult:
     """Rescale the weight of level n: c_n -> sqrt(1 + lam) c_n, spectrum fixed.
 
     V -> V - 2 d^2/dx^2 ln(1 + lam I_n) with I_n the running norm of psi_n
-    (the weight deformation `_deform_weight`).  lam > 0 presses the state
-    toward the left wall, lam in (-1, 0) toward the right; lam -> -1 is the
-    removal limit and is rejected here.
+    (the weight deformation `_deform_weight`), taken from the end where c_n
+    is measured: the left wall (psi_n'(x_min)), or on a decaying line the
+    right end (the right tail constant).  lam > 0 presses the state toward
+    that end, lam in (-1, 0) away from it; lam -> -1 is the removal limit
+    and is rejected here.
     """
     _refuse_spikes(v, "scale_swf")
     if lam <= -1.0:

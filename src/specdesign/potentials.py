@@ -46,20 +46,14 @@ class Potential:
             if not math.isfinite(strength):
                 raise ValidationError(f"delta strength must be finite, got {strength}")
         v = self.body.values
-        ptp = float(v.max() - v.min())
-        tol = EDGE_FLATNESS * ptp + 1e-9
-        if self.bc_kind == DECAYING_LINE:
-            for side, dv in (("left", v[1] - v[0]), ("right", v[-1] - v[-2])):
-                if abs(dv) > tol:
-                    raise ValidationError(
-                        f"decaying-line potential not flat at {side} edge "
-                        f"(|dV|={abs(dv):.3e} > {tol:.3e}); enlarge the truncation"
-                    )
-        elif self.bc_kind == DECAYING_HALF_LINE:
-            if abs(v[-1] - v[-2]) > tol:
+        tol = EDGE_FLATNESS * float(v.max() - v.min()) + 1e-9
+        truncated = {DECAYING_LINE: ("left", "right"), DECAYING_HALF_LINE: ("right",)}
+        for side in truncated.get(self.bc_kind, ()):
+            dv = v[1] - v[0] if side == "left" else v[-1] - v[-2]
+            if abs(dv) > tol:
                 raise ValidationError(
-                    f"decaying-half-line potential not flat at right edge "
-                    f"(|dV|={abs(v[-1] - v[-2]):.3e} > {tol:.3e}); enlarge the truncation"
+                    f"{self.bc_kind} potential not flat at {side} edge "
+                    f"(|dV|={abs(dv):.3e} > {tol:.3e}); enlarge the truncation"
                 )
 
     @property

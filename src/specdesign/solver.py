@@ -15,11 +15,11 @@ Method summary
   overflow and the rescaling is exact.
 * Bound states are integrated from both ends and matched at the rightmost
   classical turning point, which keeps the scheme stable inside deep
-  classically forbidden tails; where a branch comes near a node there (as
-  next to a hard wall), the match point moves left.  Matching only
-  sweeps the left shot up to m + 1 and the right shot back to m - 1 (m the
-  match node); the state is spliced from the left shot and a right shot
-  reaching back to its peak.
+  classically forbidden tails; where a branch comes near a node there at
+  the seed (as next to a hard wall), the match point moves left before the
+  Cooley steps.  Matching only sweeps the left shot up to m + 1 and the
+  right shot back to m - 1 (m the match node); the state is spliced from
+  the left shot and a right shot reaching back to its peak.
 * Level k is seeded by Richardson's extrapolation of the k-th eigenvalues
   of two finite-difference tridiagonals, on a coarse grid (at least 128
   intervals) and on the next coarser one, computed on its own so that no
@@ -45,6 +45,7 @@ Method summary
   the kink, the jump adds h g (1 + h^2 (V - E) / 12) y[j] = h g (2 - c[j]) y[j]
   to the right side of the step from the spike's node j, with an O(h^5)
   local error like the recurrence's, so the banded solve runs straight through.
+  Every sweep, scan and seed cell reads the spikes from the potential itself.
 * Scattering scans sweep every energy at once, in Blatt's summed variables
   w = c y and D[j] = w[j] - w[j-1] (D[j+1] = D[j] + G[j] w[j] with
   G = h^2 (V - E) / c, which equals (12 - 10 c - 2 c) / c but sees E at full
@@ -244,14 +245,20 @@ def _onesided_slope(y, h, at_start):
             + 75.0 * y[-5] - 12.0 * y[-6]) / (60.0 * h)
 
 
+def _centred_slope(y0, y2, f0, f2, h: float):
+    """dy/dx midway between (y0, f0) and (y2, f2), 2 h apart, on a solution of y'' = f y:
+    the centred difference corrected with the known second derivative, O(h^4)."""
+    return (y2 - y0) / (2.0 * h) - (h / 12.0) * (f2 * y2 - f0 * y0)
+
+
 def derivative_samples(y: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
     """dy/dx at every node for a solution of y'' = f y, O(h^4).
 
-    Interior nodes use the centered difference corrected with the known
-    second derivative; ends fall back to one-sided six-point stencils.
+    Interior nodes use ``_centred_slope``; ends fall back to one-sided
+    six-point stencils.
     """
     d = np.empty_like(y)
-    d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h) - (h / 12.0) * (f[2:] * y[2:] - f[:-2] * y[:-2])
+    d[1:-1] = _centred_slope(y[:-2], y[2:], f[:-2], f[2:], h)
     d[0] = _onesided_slope(y, h, True)
     d[-1] = _onesided_slope(y, h, False)
     return d
@@ -335,13 +342,14 @@ def _count_sign_changes(y) -> int:
     return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
-def _sweep(v: Potential, energy, from_left: bool, deltas=(), reach=None) -> np.ndarray:
+def _sweep(v: Potential, energy, from_left: bool, reach=None) -> np.ndarray:
     """Solution regular at one edge (wall zero or decaying tail), in grid order.
 
     Only the `reach` nodes nearest the starting edge are swept (all by
     default); forward substitution on a prefix gives the same numbers as on
     the whole array, up to an exact power-of-two scale.  The overall positive
-    scale is arbitrary.
+    scale is arbitrary.  v's delta spikes jump the slope; one within 5 nodes
+    of an edge is a ValidationError.
     """
     h = v.grid.h
     n = v.grid.n_points
@@ -353,6 +361,7 @@ def _sweep(v: Potential, energy, from_left: bool, deltas=(), reach=None) -> np.n
             side = "left" if from_left else "right"
             raise ValidationError(f"energy {energy} not below the {side} continuum edge")
         y0, y1 = 1.0, math.exp(math.sqrt(kap2) * h)
+    deltas = v.delta_nodes(interior_only=True)
     # a jump on the last swept node would only act beyond it
     if from_left:
         jumps = [(j, g) for j, g in deltas if j <= reach - 2]
@@ -361,7 +370,7 @@ def _sweep(v: Potential, energy, from_left: bool, deltas=(), reach=None) -> np.n
     return _numerov(v.values[::-1][:reach], h, energy, y0, y1, mirrored)[0][::-1]
 
 
-def _node_count(v: Potential, energy, deltas) -> int:
+def _node_count(v: Potential, energy) -> int:
     """Nodes of the left shot at `energy`: level k lies above `energy` where this is below k.
 
     The full range matters: near-degenerate pairs press nodes into the final
@@ -371,7 +380,7 @@ def _node_count(v: Potential, energy, deltas) -> int:
     y[n-2] - e^(kappa h) y[n-1], has the sign of y[n-1] (the signs are
     compared, since a product of two rescaled values can overflow).
     """
-    y = _sweep(v, energy, True, deltas)
+    y = _sweep(v, energy, True)
     count = _count_sign_changes(y)
     kap2 = v.values[-1] - energy
     if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE) and kap2 > 0.0:
@@ -457,15 +466,14 @@ def _fd_estimate(fd: list[tuple[np.ndarray, np.ndarray, int]], k: int) -> float:
     return (r * fine - _eigenvalue(coarse_diag, coarse_off, k)) / (r - 1.0)
 
 
-def _match_index(v: Potential, energy, deltas=()) -> int:
+def _match_index(v: Potential, energy) -> int:
     """Rightmost classical turning point, clipped away from the edges.
 
-    The node of a negative spike (from `deltas`, the interior delta nodes)
-    counts as allowed: a delta well binds its state there even where
-    V > E on every node.
+    The node of a negative spike of v counts as allowed: a delta well binds
+    its state there even where V > E on every node.
     """
     allowed = np.nonzero(v.values <= energy)[0]
-    wells = [j for j, strength in deltas if strength < 0]
+    wells = [j for j, strength in v.delta_nodes(interior_only=True) if strength < 0]
     n = v.grid.n_points
     m = max(allowed[-1:].tolist() + wells, default=n // 2)
     return min(max(m, 4), n - 5)
@@ -479,29 +487,20 @@ class _Matcher:
     pair of shots is kept.
     """
 
-    def __init__(self, v: Potential, m: int, deltas):
+    def __init__(self, v: Potential, m: int):
         self.v = v
         self.h = v.grid.h
         self.m = m
-        self.deltas = deltas
         self._last = None
 
     def sweeps(self, energy):
         """(yl, yr): yl[i] is node i, yr[i] is node m - 1 + i."""
         if self._last is None or self._last[0] != (energy, self.m):
             n = self.v.grid.n_points
-            yl = _sweep(self.v, energy, True, self.deltas, self.m + 2)
-            yr = _sweep(self.v, energy, False, self.deltas, n - self.m + 1)
+            yl = _sweep(self.v, energy, True, self.m + 2)
+            yr = _sweep(self.v, energy, False, n - self.m + 1)
             self._last = (energy, self.m), yl, yr
         return self._last[1:]
-
-    def _slopes(self, energy, yl, yr):
-        """Numerov-corrected slopes at m of the left and right branches."""
-        m, h = self.m, self.h
-        f0, f1 = self.v.values[m - 1] - energy, self.v.values[m + 1] - energy
-        dl = (yl[2] - yl[0]) / (2 * h) - (h / 12.0) * (f1 * yl[2] - f0 * yl[0])
-        dr = (yr[2] - yr[0]) / (2 * h) - (h / 12.0) * (f1 * yr[2] - f0 * yr[0])
-        return dl, dr
 
     def correction(self, energy) -> float:
         """Cooley's energy correction (psi_L'(m) - psi_R'(m)) psi(m) / int psi^2.
@@ -516,7 +515,9 @@ class _Matcher:
         m = self.m
         left = yl / yl[m]
         right = yr / yr[1]
-        dl, dr = self._slopes(energy, left[m - 1 :], right)
+        f0, f2 = self.v.values[m - 1] - energy, self.v.values[m + 1] - energy
+        dl = _centred_slope(left[m - 1], left[m + 1], f0, f2, self.h)
+        dr = _centred_slope(right[0], right[2], f0, f2, self.h)
         left, right = left[: m + 1], right[2:]
         norm = self.h * (np.einsum("i,i", left, left) + np.einsum("i,i", right, right))
         return float((dl - dr) / norm)
@@ -538,7 +539,7 @@ class _Matcher:
         peak = 4 + int(np.argmax(np.abs(yl[4 : m + 1])))
         if peak < start:
             n = self.v.grid.n_points
-            yr, start = _sweep(self.v, energy, False, self.deltas, n - peak), peak
+            yr, start = _sweep(self.v, energy, False, n - peak), peak
         if abs(yr[peak - start]) > 1e-6 * np.max(np.abs(yr[peak - start :])):
             m = peak
         y = _unit(np.concatenate((yl[:m], (yl[m] / yr[m - start]) * yr[m - start :])))
@@ -686,7 +687,6 @@ class _Spectrum:
 
     def __init__(self, v: Potential):
         self.v = v
-        self.deltas = v.delta_nodes(interior_only=True)
         self.levels: list[BoundState] = []
         self.e_top = None
         self.n_exist = math.inf
@@ -694,7 +694,7 @@ class _Spectrum:
         if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE):
             edge = v.continuum_edge()
             self.e_top = edge - 1e-9 * max(1.0, abs(edge))
-            self.n_exist = _node_count(v, self.e_top, self.deltas)
+            self.n_exist = _node_count(v, self.e_top)
 
     def first(self, count: int) -> list[BoundState]:
         while len(self.levels) < min(count, self.n_exist):
@@ -708,7 +708,7 @@ class _Spectrum:
         e0 = _fd_estimate(self._fd, k)
         if self.e_top is not None:
             e0 = min(e0, self.e_top)
-        found = self._cooley(k, e0)
+        found = self._cooley(k, e0, self._matcher(e0))
         work = _WORK.get()
         if work is not None:
             work.levels_solved += 1
@@ -722,15 +722,16 @@ class _Spectrum:
         """Matcher at the turning point of `energy`, moved left until neither
         branch is near a node there."""
         v = self.v
-        matcher = _Matcher(v, _match_index(v, energy, self.deltas), self.deltas)
+        matcher = _Matcher(v, _match_index(v, energy))
         for _ in range(12):
             if matcher.good_match_point(energy):
                 break
             matcher.m = max(4, matcher.m - max(1, v.grid.n_points // 40))
         return matcher
 
-    def _cooley(self, k: int, e0: float):
-        """(energy, state) of level k by Cooley steps from the seed, or None.
+    def _cooley(self, k: int, e0: float, matcher: _Matcher):
+        """(energy, state) of level k by Cooley steps from the seed e0 at the
+        match point `matcher` (``_matcher``, picked at e0), or None.
 
         Newton steps on Cooley's correction, kept inside the interval that
         the signs of the corrections seen so far bracket, and halving it
@@ -744,17 +745,11 @@ class _Spectrum:
         move for two steps in a row are crawling across such a plateau, and
         the crawl-th such step in a row is lengthened by 2^(crawl - 1).  A
         root predicted closer than xtol is stepped past, to the next cell
-        boundary.  Until the level is bracketed, a correction that does not
-        halve the last move has the match point checked at its energy: next
-        to a hard wall psi(m) can fall to a small fraction of its peak as E
-        nears the level, and the correction then changes sign away from the
-        level.  If a branch has come near a node at m, the match point moves
-        left and the search restarts from that energy.
-        None (and node-count bisection takes over) when this leaves the
-        bound region or does not end in a state with k - 1 nodes.
+        boundary; the match point stays put.  None (and node-count bisection
+        takes over) when this leaves the bound region or does not end in a
+        state with k - 1 nodes.
         """
         work = _WORK.get()
-        matcher = self._matcher(e0)
         energy, last, crawl = e0, math.inf, 0
         top = math.inf if self.e_top is None else self.e_top
         lo, hi = -math.inf, top
@@ -762,13 +757,6 @@ class _Spectrum:
             if work is not None:
                 work.cooley_steps += 1
             step = matcher.correction(energy)
-            if (math.isinf(hi - lo) and abs(step) > 0.5 * last
-                    and not matcher.good_match_point(energy)):
-                # the corrections so far may point the wrong way: restart
-                # from here with a match point that is good at this energy
-                matcher = self._matcher(energy)
-                step = matcher.correction(energy)
-                lo, hi = -math.inf, top
             if not math.isfinite(step):
                 return None
             if step >= 0.0:
@@ -808,20 +796,19 @@ class _Spectrum:
         at a doublet closer than the cell, the cell is halved about the sign
         change until it has, or until the bracket is a few ulps wide.
         """
-        v, deltas, e_top = self.v, self.deltas, self.e_top
+        v, e_top = self.v, self.e_top
         width = max(1e-6, 1e-4 * max(1.0, abs(e0)))
         for _ in range(80):
             lo, hi = e0 - width, e0 + width
             if e_top is not None:
                 hi = min(hi, e_top)
-            if _node_count(v, lo, deltas) <= k - 1 and _node_count(v, hi, deltas) >= k:
+            if _node_count(v, lo) <= k - 1 and _node_count(v, hi) >= k:
                 break
             width *= 3.0
         else:
             raise NumericalFailure(f"could not bracket level {k} near E={e0}")
         for halvings in itertools.count():
-            energy, lo, hi = _cell_centre(lo, hi, lambda e: _node_count(v, e, deltas) <= k - 1,
-                                          halvings)
+            energy, lo, hi = _cell_centre(lo, hi, lambda e: _node_count(v, e) <= k - 1, halvings)
             psi, nodes = self._matcher(energy).state(energy)
             if nodes == k - 1:
                 return energy, psi
@@ -1124,6 +1111,16 @@ def _chain(m, exps) -> tuple[np.ndarray, np.ndarray]:
     return m[..., 0], exps[:, 0]
 
 
+def _scan_failure(scan: str, values, h, energy: float, mirrored: bool = False):
+    """Raise the NumericalFailure of a scan whose map at `energy` is not finite: the
+    node of the first of `values` (the last, for a sweep from the right, `mirrored`)
+    whose Numerov coefficient vanishes, or else an overflow of the `scan` sweep."""
+    zeros = np.flatnonzero(1.0 - h * h * (values - energy) / 12.0 == 0.0)
+    if zeros.size:
+        raise NumericalFailure(f"Numerov coefficient vanishes at node {zeros[-1 if mirrored else 0]}")
+    raise NumericalFailure(f"{scan} sweep overflows at E={energy}")
+
+
 def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
     """Reflection/transmission amplitudes at several energies.
 
@@ -1173,14 +1170,10 @@ def scattering_curve(v: Potential, energies) -> list[ScatteringResult]:
         # factor of two of each other
         diff = d / c1 + w * ((c1 - c0) / (c0 * c1))
         mean = w / c0 - 0.5 * diff
-    bad = ~np.isfinite(mean)  # mean holds diff too
-    if bad.any():
-        energy = float(e[bad][0])
-        c = 1.0 - g.h * g.h * (v.values - energy) / 12.0
-        zeros = np.nonzero(c[:-1] == 0.0)[0]  # the sweep divides by c at every node but the last
-        if zeros.size:
-            raise NumericalFailure(f"Numerov coefficient vanishes at node {zeros[-1]}")
-        raise NumericalFailure(f"scattering sweep overflows at E={energy}")
+    bad = np.flatnonzero(~np.isfinite(mean))  # mean holds diff too
+    if bad.size:
+        # the sweep divides by c at every node but the last
+        _scan_failure("scattering", v.values[:-1], g.h, float(e[bad[0]]), mirrored=True)
 
     # There a exp(i k_l x) + b exp(-i k_l x) has a wave = (fwd + bwd) / 2 and
     # b / wave = (fwd - bwd) / 2
@@ -1252,12 +1245,9 @@ def _transfer_matrices(cells, energies, rows=None) -> tuple[np.ndarray, np.ndarr
         m, exps = _propagator(v, cell.grid.h, e, rows, jumps)
         bad = np.flatnonzero(~np.isfinite(m).all(axis=(0, 1)))
         if bad.size:
+            # the sweep divides by c at nodes 1 .. n - 2 and 0
             i = bad[0]
-            c = 1.0 - cell.grid.h ** 2 * (cells[rows[i]].values[:-1] - e[i]) / 12.0
-            zeros = np.nonzero(c == 0.0)[0]  # the sweep divides by c at nodes 1 .. n - 2 and 0
-            if zeros.size:
-                raise NumericalFailure(f"Numerov coefficient vanishes at node {zeros[0]}")
-            raise NumericalFailure(f"band discriminant sweep overflows at E={e[i]}")
+            _scan_failure("band discriminant", cells[rows[i]].values[:-1], cell.grid.h, float(e[i]))
         return np.ldexp(m, exps), np.ldexp(m[0, 0] + m[1, 1], exps)
 
 

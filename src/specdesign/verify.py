@@ -35,17 +35,20 @@ def isospectral_check(v: Potential, expected, tol: float = 1e-5) -> dict:
             "pass": worst is not None and bool(worst < tol)}
 
 
-def reflection_check(v: Potential, energies, tol: float = 1e-5) -> dict:
-    """Assert |R(E)| stays below tol on an energy sweep (reflectionless claim)."""
+def reflection_check(v: Potential, energies, tol: float = 1e-5,
+                     before: Potential | None = None) -> dict:
+    """Compare |R(E)| of v on an energy sweep with that of the potential `before`
+    an edit (every continuum edit keeps |R|), or with 0 where there is none (a
+    reflectionless claim); passes when no |R| differs by tol or more.
+    """
     results = scattering_curve(v, energies)
-    worst = max(abs(r.R) for r in results)
-    return {
-        "energies": [r.energy for r in results],
-        "abs_R": [abs(r.R) for r in results],
-        "worst_abs_R": worst,
-        "tol": tol,
-        "pass": bool(worst < tol),
-    }
+    abs_r = [abs(r.R) for r in results]
+    entry = {"energies": [r.energy for r in results], "abs_R": abs_r, "worst_abs_R": max(abs_r)}
+    want = [0.0] * len(abs_r)
+    if before is not None:
+        want = entry["abs_R_before"] = [abs(r.R) for r in scattering_curve(before, energies)]
+    entry["worst_dev"] = max(abs(a - b) for a, b in zip(abs_r, want))
+    return {**entry, "tol": tol, "pass": bool(entry["worst_dev"] < tol)}
 
 
 def orthonormality_defect(states) -> float:

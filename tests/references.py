@@ -171,7 +171,7 @@ def box_shift_closed_form(t: float, grid: Grid) -> tuple[SampledFn, SampledFn]:
     res_printed = _equation_residual(psi_printed, vvals, beta2, grid)
 
     pot = Potential(SampledFn(grid, np.clip(vvals, -DEFAULT_CAP, DEFAULT_CAP)), HARD_WALLS)
-    psi_direct = _Matcher(pot, _match_index(pot, beta2), ()).state(beta2)[0]
+    psi_direct = _Matcher(pot, _match_index(pot, beta2)).state(beta2)[0]
     res_direct = _equation_residual(psi_direct, vvals, beta2, grid)
     if res_printed > 100.0 * max(res_direct, 1e-10):
         warnings.warn(

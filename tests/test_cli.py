@@ -253,11 +253,12 @@ class TestRun:
             work.append(manifest["oracle_work"])
         assert work[0] == work[1]
         scans = work[0]["scattering"]
-        # a four-energy reflection check after each step, then scattering.csv
-        assert scans["calls"] == 3
-        assert scans["energies"] == 2 * 4 + 40
+        # a four-energy reflection check of the potentials before and after
+        # each step, then scattering.csv
+        assert scans["calls"] == 5
+        assert scans["energies"] == 2 * 2 * 4 + 40
         assert scans["node_energies"] == 19109 * scans["energies"]
-        assert scans["segments"] == 3 * 1024
+        assert scans["segments"] == 5 * 1024
         assert (tmp_path / "a" / "scattering.csv").read_bytes() == \
             (tmp_path / "b" / "scattering.csv").read_bytes()
 
@@ -358,6 +359,33 @@ class TestRun:
         assert manifest["status"] == "ok"
         assert manifest["resolved"]["base_spectrum"] == pytest.approx([-1.0], abs=1e-6)
 
+    def test_create_on_a_reflecting_line(self, tmp_path):
+        # a level created under the bump 1.5 exp(-x^2) keeps its |R| of 0.95
+        # to 0.028 at the check energies, within 5.7e-11
+        v = sample(lambda x: 1.5 * np.exp(-x * x), make_grid(-15.0, 15.0, 19109))
+        csv_path = tmp_path / "bump.csv"
+        csv_path.write_bytes(sampled_fn_bytes(v, "V"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"base = potential-csv\npath = {csv_path}\nbc = decaying-line\n"
+                       "[step]\nkind = create\nE = -1\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        reflection = json.loads((out / "manifest.json").read_text())["steps"][0]["reflection"]
+        assert reflection["abs_R_before"] == pytest.approx(reflection["abs_R"], abs=1e-9)
+        assert min(reflection["abs_R"]) > 0.02 and reflection["pass"]
+
+    @pytest.mark.parametrize("lam", [2.0, -0.5])
+    def test_scale_swf_on_a_line(self, tmp_path, lam):
+        # the line's weight is its right tail constant, which the deformation
+        # from the right end scales by sqrt(1 + lam)
+        cfg = parse_config(f"base = free-line\n[step]\nkind = create\nE = -1\n"
+                           f"[step]\nkind = scale_swf\nn = 1\nlambda = {lam}\n")
+        cfg.out = str(tmp_path / "swf")
+        manifest = run(cfg)
+        assert manifest["status"] == "ok"
+        ratio = manifest["steps"][1]["swf_ratio"]
+        assert ratio["measured"] == pytest.approx(np.sqrt(1.0 + lam), abs=1e-5)
+
 
 class TestMainEntry:
     def test_import_leaves_out_scipy_optimize(self):
@@ -368,6 +396,14 @@ class TestMainEntry:
 
     def test_solve_exit_code(self, tmp_path):
         assert main(["solve", "--base", "box", "--out", str(tmp_path / "s")]) == EXIT_OK
+
+    def test_solve_with_steps_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CHAIN_CFG)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        assert "solve takes no [step] blocks" in capsys.readouterr().err
 
     def test_validation_exit_code(self, tmp_path):
         assert main(["figure", "nothing_here", "--out", str(tmp_path)]) == EXIT_VALIDATION

@@ -13,6 +13,7 @@ from specdesign.grid import (
     integrate,
     make_grid,
 )
+from specdesign.potentials import Potential
 
 from references import sample
 
@@ -55,6 +56,21 @@ def test_sampled_fn_validates():
         SampledFn(g, np.zeros(4))
     with pytest.raises(ValidationError):
         SampledFn(g, np.array([0.0, 1.0, np.nan, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bc, side", [("decaying-line", "left"), ("decaying-line", "right"),
+                                      ("decaying-half-line", "right")])
+def test_truncated_edges_must_be_flat(bc, side):
+    # a unit step on a truncated edge is refused, and taken where that end is a wall
+    g = make_grid(0.0, 10.0, 101)
+    v = np.zeros(101)
+    v[0 if side == "left" else -1] = 1.0
+    with pytest.raises(ValidationError, match=rf"^{bc} potential not flat at {side} edge "
+                       r"\(\|dV\|=1\.000e\+00 > 1\.000e-03\); enlarge the truncation$"):
+        Potential(SampledFn(g, v), bc)
+    Potential(SampledFn(g, v), "hard-walls")
+    if side == "left":
+        Potential(SampledFn(g, v), "decaying-half-line")
 
 
 def test_integrate_constant():

@@ -119,6 +119,17 @@ class TestBoundStates:
         with pytest.raises(ValidationError):
             bound_states(box(), 0)
 
+    @pytest.mark.parametrize("make", [box, free_line])
+    @pytest.mark.parametrize("node", [0, 4, -5, -2])
+    def test_spike_next_to_an_edge_is_invalid(self, make, node):
+        # the sweeps read the spikes from the potential: one within 5 nodes
+        # of an edge is invalid input, whether the first sweep is a node
+        # count below the continuum (line) or a match-point pick (box)
+        v = make()
+        spiked = Potential(v.body, v.bc_kind, ((v.grid.x[node], -2.0),))
+        with pytest.raises(ValidationError, match="too close to the domain edge"):
+            bound_states(spiked, 1)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_state_is_a_numerical_failure(self, bad):
         # a sweep's fault, not invalid input: NumericalFailure (exit 3), not ValidationError
@@ -563,6 +574,15 @@ class TestSegmentScattering:
         with pytest.raises(NumericalFailure, match="node 28$"):
             scattering(v, 1.0)
 
+    def test_overflowing_spikes_are_reported(self):
+        # two adjacent spikes of 1e300 at the middle nodes overflow the map
+        # where no coefficient vanishes
+        v = free_line()
+        x, mid = v.grid.x, v.grid.mid_index
+        spiked = Potential(v.body, "decaying-line", ((x[mid], 1e300), (x[mid + 1], 1e300)))
+        with pytest.raises(NumericalFailure, match=r"^scattering sweep overflows at E=1\.0$"):
+            scattering_curve(spiked, [1.0])
+
     def test_scans_raise_no_floating_point_warnings(self):
         v0 = free_line()
         barrier = Potential(SampledFn(v0.grid, 2500.0 / np.cosh(v0.grid.x / 4.0) ** 8),
@@ -760,7 +780,7 @@ class TestOracleScope:
             ledgers.append(work.ledger()["bound_states"])
         assert ledgers[0] == ledgers[1]  # deterministic
         assert ledgers[0]["cooley_steps"] >= 2 * 4
-        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda self, k, e0: None)
+        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda *args: None)
         with oracle_scope() as work:
             bound_states(v, 4)
         ledger = work.ledger()["bound_states"]
@@ -780,20 +800,19 @@ class TestHalfSweeps:
     def test_half_sweeps_are_prefix_and_suffix_of_full_sweeps(self, offset):
         # 19,109 nodes (several chunks), a delta at m + offset
         v = single_delta(-2.0)
-        deltas = v.delta_nodes()
-        m = deltas[0][0] - offset
+        m = v.delta_nodes()[0][0] - offset
         n = v.grid.n_points
         for energy in (-1.3, -1.0, -0.4):
-            yl, yr = _Matcher(v, m, deltas).sweeps(energy)
-            assert equal_up_to_power_of_two(yl, _sweep(v, energy, True, deltas)[: m + 2])
-            assert equal_up_to_power_of_two(yr, _sweep(v, energy, False, deltas)[m - 1 :])
+            yl, yr = _Matcher(v, m).sweeps(energy)
+            assert equal_up_to_power_of_two(yl, _sweep(v, energy, True)[: m + 2])
+            assert equal_up_to_power_of_two(yr, _sweep(v, energy, False)[m - 1 :])
             assert yl.size == m + 2 and yr.size == n - m + 1
 
     def test_hard_wall_half_sweeps(self):
         v = poschl_teller()
         for m in (40, 1000, 1996):
             for energy in (3.0, 9.0, 20.5):
-                yl, yr = _Matcher(v, m, ()).sweeps(energy)
+                yl, yr = _Matcher(v, m).sweeps(energy)
                 assert equal_up_to_power_of_two(yl, _sweep(v, energy, True)[: m + 2])
                 assert equal_up_to_power_of_two(yr, _sweep(v, energy, False)[m - 1 :])
 
@@ -833,7 +852,7 @@ class TestRefinement:
         # finds each level within the refinement tolerance
         v = box()
         want = bound_states(v, 3)
-        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda self, k, e0: None)
+        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda *args: None)
         with oracle_scope() as work:
             got = bound_states(v, 3)
         assert work.ledger()["bound_states"]["bracketed_levels"] == 3
@@ -846,7 +865,7 @@ class TestRefinement:
         # centre and assemble the state there
         v = box()
         cooley = bound_states(v, 3)
-        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda self, k, e0: None)
+        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda *args: None)
         assert same_states(bound_states(v, 3), cooley)
 
     def test_bisected_levels_lie_between_node_count_jumps(self, monkeypatch):
@@ -854,15 +873,14 @@ class TestRefinement:
         # through node-count bisection, which leaves it within xtol of the
         # energy where the left shot gains its k-th node
         v = self.double_well()
-        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda self, k, e0: None)
+        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda *args: None)
         with oracle_scope() as work:
             states = bound_states(v, 4)
         assert work.ledger()["bound_states"]["bracketed_levels"] == 4
-        deltas = v.delta_nodes(interior_only=True)
         for s in states:
             xtol = solver_module._REL_TOL * max(1.0, abs(s.energy))
-            assert solver_module._node_count(v, s.energy - xtol, deltas) == s.n - 1
-            assert solver_module._node_count(v, s.energy + xtol, deltas) == s.n
+            assert solver_module._node_count(v, s.energy - xtol) == s.n - 1
+            assert solver_module._node_count(v, s.energy + xtol) == s.n
 
     def test_doublet_closer_than_a_cell_solves_on_both_paths(self, monkeypatch):
         # with a 2000 barrier the doublets are about 1e-10 apart, under the
@@ -881,7 +899,7 @@ class TestRefinement:
         # decaying tail counts it, so bisection finds the level itself
         v = single_delta(-2.0, x0)
         want = bound_states(v, 1)[0].energy
-        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda self, k, e0: None)
+        monkeypatch.setattr(solver_module._Spectrum, "_cooley", lambda *args: None)
         assert bound_states(v, 1)[0].energy == pytest.approx(want, abs=1e-9)
         assert solver_module._Spectrum(v)._bracketed(1, -0.998)[0] == pytest.approx(want, abs=1e-9)
 
