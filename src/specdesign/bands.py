@@ -421,10 +421,7 @@ def shift_zone(p: PeriodicSystem, aux_level: int, d_e: float) -> PeriodicSystem:
     aux = auxiliary_box(p)
     res = shift_level(aux, aux_level, d_e)
     dv = res.potential.values - aux.values
-    new_cell = Potential(
-        SampledFn(p.cell.grid, p.cell.values + dv), p.cell.bc_kind, p.cell.deltas
-    )
-    return PeriodicSystem(new_cell, p.period)
+    return PeriodicSystem(p.cell.with_body(p.cell.values + dv), p.period)
 
 
 def gap_between(zs: list[Zone], k: int) -> float:

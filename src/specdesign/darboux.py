@@ -14,7 +14,8 @@ on a decaying line, and the weight deformation runs from that end.
 A transform returns its potential and step log, not its states: those come
 from the oracle (``bound_states``).  An edit of level n reads its levels
 through ``_states``, every edit but creation tests its denominator with
-``_denominator_min``, and each ends in ``_edited``, which clips and logs.
+``_denominator_min`` (creation's u is positive by construction), and each
+ends in ``_edited``, which clips and logs.
 Only ``embed_bsec`` carries a state: it lies in the continuum, where the
 oracle finds no bound level.
 
@@ -56,9 +57,6 @@ from .solver import (
 #: divergences like 2/cos^2 x are genuine; the clip only affects nodes where
 #: the wavefunctions vanish anyway)
 DEFAULT_CAP = 1e6
-
-#: relative denominator floor below which a transformation is declared singular
-SINGULAR_FLOOR = 1e-12
 
 #: a level-shift seed is preferred when its Wronskian, relative to its peak,
 #: takes at least this many grid steps to rise from a hard wall
@@ -107,7 +105,7 @@ def _edited(v: Potential, values: np.ndarray, log: dict) -> TransformResult:
     """
     clipped = np.nan_to_num(np.clip(values, -DEFAULT_CAP, DEFAULT_CAP), nan=DEFAULT_CAP)
     log["capped_nodes"] = int(np.count_nonzero(clipped != values))
-    return TransformResult(Potential(SampledFn(v.grid, clipped), v.bc_kind, v.deltas), (), (log,))
+    return TransformResult(v.with_body(clipped), (), (log,))
 
 
 def _denominator_min(w: np.ndarray, grid: Grid, name: str, interior: bool = False) -> float:
@@ -136,15 +134,6 @@ def _denominator_min(w: np.ndarray, grid: Grid, name: str, interior: bool = Fals
     if rel == 0.0:
         raise SingularityError(f"{name} vanishes at x = {xs[j]:.6g}", x=float(xs[j]))
     return rel
-
-
-def _center_seed(v: Potential, eps: float, u0: float, du0: float) -> np.ndarray:
-    """Solution of -u'' + V u = eps u launched from the grid midpoint."""
-    mid = v.grid.mid_index
-    right, e_r = _launch(v.values[mid:], v.grid.h, eps, u0, du0)
-    left, e_l = _launch(v.values[mid::-1], v.grid.h, eps, u0, -du0)
-    top = max(e_l, e_r)
-    return np.concatenate((np.ldexp(left[:0:-1], e_l - top), np.ldexp(right, e_r - top)))
 
 
 def _mix_seed(v: Potential, eps: float, sigma: float):
@@ -244,7 +233,10 @@ def darboux_create(v: Potential, e_new: float, sigma: float = 0.5) -> TransformR
     finite interval necessarily changes the boundary condition instead of
     adding a level.  sigma in (0, 1) selects where the new state localizes
     (1/2 is symmetric); the degenerate sigma = 0 solution adds no level and
-    is rejected here.
+    is rejected here.  u = (1-sigma) u_R + sigma u_L is positive by
+    construction (``_mix_seed`` raises if either solution has a node), so
+    nothing is tested; the log records u's dynamic range, min u / max u, as
+    ``denominator_min``.
     """
     _refuse_spikes(v, "darboux_create")
     if v.bc_kind != DECAYING_LINE:
@@ -260,11 +252,9 @@ def darboux_create(v: Potential, e_new: float, sigma: float = 0.5) -> TransformR
             f"e_new={e_new} is not below the current ground level {ground[0].energy:.9g}"
         )
 
-    # u itself overflows on the line, so its minimum is tested in log space
+    # u itself overflows on the line, so its range is taken in log space
     r, ln_u = _mix_seed(v, e_new, sigma)
     dmin = math.exp(float(ln_u.min() - ln_u.max()))
-    if dmin < SINGULAR_FLOOR:
-        raise SingularityError("creation denominator collapsed")
     return _edited(v, _factorize(v, e_new, r),
                    {"kind": "create", "e_new": e_new, "sigma": sigma,
                     "factorization_energy": e_new, "denominator_min": dmin})
@@ -308,36 +298,44 @@ def shift_level(v: Potential, n: int, d_e: float) -> TransformResult:
         "factorization_energies": [e_n, target], "denominator_min": dmin})
 
 
+def _shift_candidates(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray):
+    """Solutions of -u'' + V u = eps u, named, in the order tried: the one launched
+    from the grid midpoint with (u, u') = (-psi_n', psi_n) there, then the difference
+    and the sum of the two edge-regular solutions at unit peak, which are swept only
+    once the midpoint seed is passed over."""
+    mid = v.grid.mid_index
+    right, e_r = _launch(v.values[mid:], v.grid.h, eps, -dpsi[mid], psi[mid])
+    left, e_l = _launch(v.values[mid::-1], v.grid.h, eps, -dpsi[mid], -psi[mid])
+    top = max(e_l, e_r)
+    yield "midpoint", np.concatenate((np.ldexp(left[:0:-1], e_l - top), np.ldexp(right, e_r - top)))
+    u_l, u_r = (u / np.max(np.abs(u)) for u in (_sweep(v, eps, True), _sweep(v, eps, False)))
+    yield "edge mix 1*L-1*R", u_l - u_r
+    yield "edge mix 1*L+1*R", u_l + u_r
+
+
 def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray):
     """Companion solution for a level shift, chosen so W(psi_n, u) is nodeless.
 
-    Candidates, tried in a fixed order: the midpoint-launched solution
-    phase-orthogonal to psi_n (exact in the dE -> 0 limit, the right choice
-    for every symmetric well), then sign/weight mixtures of the two
-    edge-regular solutions (the flattened form of the peeled creation's
-    nodeless-mix freedom, needed for asymmetric wells).  The first candidate
-    whose Wronskian neither collapses at a wall nor fails ``_denominator_min``
-    wins; on hard walls it must also rise over at least WALL_NODES grid steps,
-    and when no valid candidate does, the one that rises slowest wins.
+    Three candidates, tried in a fixed order (``_shift_candidates``): the
+    midpoint-launched solution phase-orthogonal to psi_n (exact in the
+    dE -> 0 limit, the right choice for every symmetric well), then the
+    difference and the sum of the two edge-regular solutions (the flattened
+    form of the peeled creation's nodeless-mix freedom, needed for asymmetric
+    wells).  The first candidate whose Wronskian neither collapses at a wall
+    (both ends of a box, x = 0 of a half-line; a decaying end is no wall)
+    nor fails ``_denominator_min`` wins; on hard walls it must also rise over
+    at least WALL_NODES grid steps, and when no valid candidate does, the one
+    that rises slowest wins.
     """
     g = v.grid
     f_u = v.values - eps
-    mid = g.mid_index
-    candidates = [("midpoint", _center_seed(v, eps, -dpsi[mid], psi[mid]))]
-    u_l = _sweep(v, eps, True)
-    u_r = _sweep(v, eps, False)
-    u_l = u_l / np.max(np.abs(u_l))
-    u_r = u_r / np.max(np.abs(u_r))
-    for a, b_ in ((1.0, -1.0), (1.0, 1.0), (1.0, -3.0), (3.0, -1.0), (1.0, 3.0), (3.0, 1.0)):
-        candidates.append((f"edge mix {a:g}*L{b_:+g}*R", a * u_l + b_ * u_r))
-
-    last_err = None
-    steep = None
-    for name, u in candidates:
+    walls = {HARD_WALLS: [0, -1], DECAYING_HALF_LINE: [0]}.get(v.bc_kind, [])
+    last_err = steep = None
+    for name, u in _shift_candidates(v, eps, psi, dpsi):
         du = derivative_samples(u, f_u, g.h)
         w = psi * du - dpsi * u
         peak = np.max(np.abs(w))
-        wall = min(abs(w[0]), abs(w[-1])) / peak if peak else 0.0
+        wall = float(np.min(np.abs(w[walls]), initial=peak) / peak) if peak else 1.0
         if wall < 1e-9:
             last_err = SingularityError(f"{name}: Wronskian collapses at a wall")
             continue
@@ -354,7 +352,7 @@ def _shift_seed(v: Potential, eps: float, psi: np.ndarray, dpsi: np.ndarray):
             steep = (wall, seed)
     if steep is not None:
         return steep[1]
-    raise last_err if last_err is not None else SingularityError("no regular shift seed found")
+    raise last_err
 
 
 def scale_swf(v: Potential, n: int, lam: float) -> TransformResult:

@@ -1243,12 +1243,13 @@ def _transfer_matrices(cells, energies, rows=None) -> tuple[np.ndarray, np.ndarr
     v = np.array([np.concatenate((c.values[:-1], c.values[:2])) for c in cells])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         m, exps = _propagator(v, cell.grid.h, e, rows, jumps)
-        bad = np.flatnonzero(~np.isfinite(m).all(axis=(0, 1)))
-        if bad.size:
-            # the sweep divides by c at nodes 1 .. n - 2 and 0
-            i = bad[0]
-            _scan_failure("band discriminant", cells[rows[i]].values[:-1], cell.grid.h, float(e[i]))
-        return np.ldexp(m, exps), np.ldexp(m[0, 0] + m[1, 1], exps)
+        maps, trace = np.ldexp(m, exps), np.ldexp(m[0, 0] + m[1, 1], exps)
+    bad = np.flatnonzero(~(np.isfinite(maps).all(axis=(0, 1)) & np.isfinite(trace)))
+    if bad.size:
+        # the sweep divides by c at nodes 1 .. n - 2 and 0
+        i = bad[0]
+        _scan_failure("band discriminant", cells[rows[i]].values[:-1], cell.grid.h, float(e[i]))
+    return maps, trace
 
 
 def band_discriminant(cell: Potential, energy: float) -> float:

@@ -21,7 +21,7 @@ from specdesign.csvio import (
 )
 from specdesign.errors import ValidationError
 from specdesign.grid import SampledFn, make_grid
-from specdesign.potentials import DECAYING_LINE, HARD_WALLS, Potential
+from specdesign.potentials import DECAYING_LINE, HARD_WALLS, Potential, half_line
 from specdesign.solver import bound_states
 from specdesign.verify import peak_width
 
@@ -654,6 +654,20 @@ class TestMainEntry:
         assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "numerical-failure"
+
+    def test_half_line_ground_shift(self, tmp_path):
+        # the well -6 exp(-(x - 2)^2) on [0, 30] has levels -3.916 and -0.554;
+        # its decaying end is no wall for the shift seed's Wronskian
+        v = sample(lambda x: -6.0 * np.exp(-(x - 2.0) ** 2), half_line(30.0).grid)
+        csv_path = tmp_path / "well.csv"
+        csv_path.write_bytes(sampled_fn_bytes(v, "V"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"base = potential-csv\npath = {csv_path}\nbc = decaying-half-line\n"
+                       "[step]\nkind = shift\nn = 1\ndE = 0.8\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
 
     def test_figure_writes_its_bundle(self, tmp_path):
         assert main(["figure", "fig1_1", "--out", str(tmp_path), "--points", "301"]) == EXIT_OK

@@ -129,10 +129,17 @@ class TestCreate:
         st = bound_states(res.potential, 1)
         assert st[0].energy == pytest.approx(-1.0, abs=1e-6)
 
-    def test_reflectionless_preservation(self):
+    @pytest.mark.parametrize("e_new", [-2.25, -4.0, -9.0])
+    def test_reflectionless_preservation(self, e_new):
+        # the free line's partner is the one-soliton well -2 kappa^2 sech^2(kappa x);
+        # u's dynamic range on [-15, 15] is about 2 e^(-15 kappa), 1.9e-13 at
+        # E = -4 and 5.7e-20 at E = -9, and measures no node
         fl = free_line()
-        res = darboux_create(fl, -2.25, 0.5)  # kappa = 1.5, depth -2 kappa^2
-        assert res.potential.values.min() == pytest.approx(-4.5, abs=1e-6)
+        kappa = math.sqrt(-e_new)
+        res = darboux_create(fl, e_new, 0.5)
+        assert bound_states(res.potential, 1)[0].energy == pytest.approx(e_new, abs=1e-9)
+        exact = -2.0 * kappa**2 / np.cosh(kappa * fl.grid.x) ** 2
+        assert np.max(np.abs(res.potential.values - exact)) < 1e-8
         sweep = scattering_curve(res.potential, [0.25, 0.5, 1.0, 2.5, 5.0, 10.0])
         assert max(abs(r.R) for r in sweep) < 1e-6
 
@@ -223,18 +230,43 @@ class TestShiftLevel:
         check = isospectral_check(res.potential, target, tol=1e-5)
         assert check["pass"], check
 
-    def test_line_shift_slides_along_soliton_family(self):
+    @pytest.mark.parametrize("kappa, d_e", [(1.0, -1.25), (3.0, 8.0)])
+    def test_line_shift_slides_along_soliton_family(self, kappa, d_e):
         # the one-level reflectionless well stays in its family when its
-        # level moves: V must be -2 kappa^2 sech^2(kappa (x - x0))
-        sw = soliton_well()
-        res = shift_level(sw, 1, -1.25)
-        assert bound_states(res.potential, 1)[0].energy == pytest.approx(-2.25, abs=1e-8)
+        # level moves: V must be -2 kappa'^2 sech^2(kappa' (x - x0)).  Raising
+        # the level of the deep well, the Wronskian is small at the line's ends,
+        # which are no walls
+        sw = soliton_well(kappa)
+        res = shift_level(sw, 1, d_e)
+        k_new = math.sqrt(kappa**2 - d_e)
+        assert bound_states(res.potential, 1)[0].energy == pytest.approx(-k_new**2, abs=1e-8)
         x = sw.grid.x
         x0 = x[int(np.argmin(res.potential.values))]
-        exact = -4.5 / np.cosh(1.5 * (x - x0)) ** 2
+        exact = -2.0 * k_new**2 / np.cosh(k_new * (x - x0)) ** 2
         assert np.max(np.abs(res.potential.values - exact)) < 1e-6
         sweep = scattering_curve(res.potential, [0.5, 1.0, 3.0, 7.0])
         assert max(abs(r.R) for r in sweep) < 1e-6
+
+    @pytest.mark.parametrize("d_e", [0.8, -0.8, 2.0, -3.0])
+    def test_half_line_ground_shift(self, d_e):
+        # only x = 0 is a wall: at the decaying end x = 30 the midpoint seed's
+        # Wronskian is 2.7e-21 of its peak at dE = 0.8, which is no collapse
+        hl = half_line(30.0)
+        v = hl.with_body(-6.0 * np.exp(-(hl.grid.x - 2.0) ** 2))
+        e1, e2 = (s.energy for s in bound_states(v, 2))
+        res = shift_level(v, 1, d_e)
+        after = [s.energy for s in bound_states(res.potential, 3)]
+        assert after == pytest.approx([e1 + d_e, e2], abs=1e-8)
+
+    def test_edge_solutions_are_swept_only_when_the_midpoint_seed_fails(self, the_box):
+        # the midpoint seed is two half sweeps of 1001 nodes; the two
+        # edge-regular sweeps of 2001 nodes each are not made
+        with oracle_scope() as work:
+            res = shift_level(the_box, 1, -5.0)
+        ledger = work.ledger()
+        assert res.step_log[0]["realization"].endswith("companion seed: midpoint")
+        assert ledger["numerov_calls"] - ledger["bound_states"]["numerov_calls"] == 2
+        assert ledger["nodes_swept"] - ledger["bound_states"]["nodes_swept"] == 2002
 
 
 class TestClosedForm:

@@ -583,6 +583,15 @@ class TestSegmentScattering:
         with pytest.raises(NumericalFailure, match=r"^scattering sweep overflows at E=1\.0$"):
             scattering_curve(spiked, [1.0])
 
+    def test_overflowing_spikes_fail_the_discriminant(self):
+        # the same pair in a comb cell: the scaled map is finite, and only
+        # its rescaling overflows
+        c = comb_cell()
+        x, n = c.grid.x, c.grid.n_points
+        spiked = Potential(c.body, c.bc_kind, c.deltas + ((x[n // 2], 1e300), (x[n // 2 + 1], 1e300)))
+        with pytest.raises(NumericalFailure, match=r"^band discriminant sweep overflows at E=1\.0$"):
+            band_discriminant_curve(spiked, [1.0])
+
     def test_scans_raise_no_floating_point_warnings(self):
         v0 = free_line()
         barrier = Potential(SampledFn(v0.grid, 2500.0 / np.cosh(v0.grid.x / 4.0) ** 8),

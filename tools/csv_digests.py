@@ -10,7 +10,8 @@ The runs are the first 48 ``design-chain`` operations of seed 5, two
 built by ``cli.run_figure`` as the ``figure`` command builds it.  Each
 output line is ``<run>/<file> <sha256>``; a ``design-chain``,
 ``band-track`` or figure run also gets one line for its manifest's
-``oracle_work`` block, which holds counts only.  Manifests themselves carry
+``oracle_work`` block, which holds counts only: the sha256 of its sorted JSON,
+then that JSON in compact form, so that a diff names the count that moved.  Manifests themselves carry
 timings and are not digested.  A ``bsec-scan`` run writes no files: its
 embedded potential and its scattering curve are digested as the CLI would
 write them.  Last come the body, delta spikes, spectrum and 40-energy
@@ -71,11 +72,16 @@ def workload_digests(name: str, count: int, out_root: Path):
         yield from _manifest_digests(run, result)
 
 
+def _work_digest(work: dict) -> str:
+    """The sha256 of a sorted ``oracle_work`` block, followed by its compact JSON."""
+    sha = _sha(json.dumps(work, sort_keys=True).encode())
+    return f"{sha} {json.dumps(work, sort_keys=True, separators=(',', ':'))}"
+
+
 def _manifest_digests(run: str, manifest: dict):
     for entry in manifest["artifacts"]:
         yield f"{run}/{entry['path']}", entry["sha256"]
-    work = json.dumps(manifest["oracle_work"], sort_keys=True).encode()
-    yield f"{run}/oracle_work", _sha(work)
+    yield f"{run}/oracle_work", _work_digest(manifest["oracle_work"])
 
 
 def figure_digests(out_root: Path):
@@ -107,7 +113,7 @@ def spike_line_digests():
         curve = scattering_curve(v, np.linspace(0.05, 12.0, 40))
     yield "spike-line/spectrum.csv", _sha(csvio.spectrum_bytes(states))
     yield "spike-line/scattering.csv", _sha(csvio.scattering_bytes(curve))
-    yield "spike-line/oracle_work", _sha(json.dumps(work.ledger(), sort_keys=True).encode())
+    yield "spike-line/oracle_work", _work_digest(work.ledger())
 
 
 def comb_digests(out_root: Path):
