@@ -259,6 +259,7 @@ class TestRun:
         assert scans["energies"] == 2 * 2 * 4 + 40
         assert scans["node_energies"] == 19109 * scans["energies"]
         assert scans["segments"] == 5 * 1024
+        assert scans["stepped_energies"] == scans["energies"]  # segments of 18 steps
         assert (tmp_path / "a" / "scattering.csv").read_bytes() == \
             (tmp_path / "b" / "scattering.csv").read_bytes()
 

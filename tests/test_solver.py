@@ -20,7 +20,10 @@ from specdesign.darboux import bargmann_reflectionless, bsec_whole_line
 import specdesign.solver as solver_module
 from specdesign.solver import (
     _Matcher,
+    _cell_maps,
     _count_sign_changes,
+    _energy_cells,
+    _interpolated,
     _normalised,
     _numerov,
     _segment_bounds,
@@ -318,6 +321,30 @@ class TestBandDiscriminant:
         assert got.tolist() == want
         assert len(set(got[[0, 3, 8]])) == 3  # one energy, three cells
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energies_are_bad_input(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            band_discriminant_curve(comb_cell(), [1.0, bad])
+
+    def test_stacked_long_cells_interpolate_on_their_own_rows(self, monkeypatch):
+        # 65,537 steps make segments of 64 and 65 steps, so the maps are
+        # interpolated in cells keyed by row; each energy still gets the bits
+        # of its own one-cell call.  Against the directly stepped Delta it
+        # read within 2570 eps of max(1, |Delta|) (at E = 0.3 on the zero
+        # cell, where Delta lies 3.9e-13 from its closed form)
+        g = make_grid(0.0, math.pi, 65539)
+        assert np.diff(_segment_bounds(g.n_points - 1)).max() == 65
+        bodies = [np.zeros(g.n_points), 3.0 * np.sin(2.0 * g.x) ** 2]
+        cells = [Potential(SampledFn(g, body), "hard-walls", ((0.0, 1.5),)) for body in bodies]
+        es, rows = [0.3, 2.5, 0.3, 2.6, 9.1], [0, 0, 1, 1, 1]
+        got = band_discriminant_curve(cells, es, rows)
+        want = [band_discriminant_curve(cells[r], [e])[0] for e, r in zip(es, rows)]
+        assert got.tolist() == want
+        monkeypatch.setattr(solver_module, "_INTERPOLATED_STEPS", g.n_points)
+        direct = band_discriminant_curve(cells, es, rows)
+        assert np.all(np.abs(got - direct) < 2**13 * np.finfo(float).eps
+                      * np.maximum(1.0, np.abs(direct)))
+
     def test_stack_validation(self):
         cell = comb_cell()
         other = comb_cell(strength=1.0)
@@ -565,6 +592,27 @@ class TestSegmentScattering:
         with pytest.raises(NumericalFailure, match=f"node {node}$"):
             scattering(v, 1.0)
 
+    def test_vanishing_coefficient_on_a_long_segment_grid_raises(self):
+        # 65,537 steps of h = 1/2 make segments of 64 and 65 steps, whose maps
+        # are interpolated in energy; an energy where some c falls below 1/2
+        # (below max V - 6 / h^2 = 25 here) is stepped directly instead, so a
+        # vanishing c is reported, not interpolated across
+        v0 = free_line(16384.5, 65539)
+        assert v0.grid.h == 0.5 and np.diff(_segment_bounds(v0.grid.n_points - 2)).max() == 65
+        body = np.zeros(v0.grid.n_points)
+        body[30000] = 49.0  # h^2 (V - E) / 12 = 1 at E = 1
+        v = Potential(SampledFn(v0.grid, body), "decaying-line")
+        with pytest.raises(NumericalFailure, match="^Numerov coefficient vanishes at node 30000$"):
+            scattering_curve(v, [1.0, 1.5])
+        with oracle_scope() as work:
+            assert math.isfinite(scattering_curve(v, [1.5, 25.5])[0].T.real)
+        assert work.ledger()["scattering"]["stepped_energies"] == 1 + 8
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energies_are_bad_input(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            scattering_curve(soliton_well(), [1.0, bad])
+
     def test_vanishing_coefficient_next_to_a_delta_names_its_node(self):
         # a spike two nodes from the vanishing coefficient leaves that node to be named
         g = make_grid(-15.0, 15.0, 61)  # h = 1/2
@@ -631,8 +679,92 @@ class TestSegmentScattering:
         assert work.ledger()["scattering"] == {
             "calls": 2, "energies": 4, "node_energies": 4 * v.grid.n_points,
             "segments": 2 * (_segment_bounds(v.grid.n_points - 2).size - 1),
+            "stepped_energies": 4,  # segments of 18 steps: every energy is stepped
         }
         assert work.numerov_calls == 0 and work.nodes_swept == 0
+
+
+class TestInterpolatedMaps:
+    """Segment maps interpolated in energy from each cell's Chebyshev maps, on
+    163,903-node lines (1024 segments of 160 and 161 steps), against maps stepped
+    directly at every energy."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def line(kind):
+        g = make_grid(-6.0, 80.0 * math.pi, 163903)
+        if kind == "barrier":
+            body = 2500.0 / np.cosh((g.x - 100.0) / 4.0) ** 8
+            return Potential(SampledFn(g, body), "decaying-line"), np.linspace(2.0, 40.0, 97)
+        v = with_deltas(Potential(SampledFn(g, np.zeros(g.n_points)), "decaying-line"),
+                        [40000, 40003, 120000])
+        return v, np.linspace(0.05, 12.0, 103)
+
+    @pytest.mark.parametrize("kind", ["barrier", "spikes"])
+    def test_maps_match_directly_stepped_maps(self, kind):
+        # measured: each interpolated map within 12.3 eps (barrier) and 9.0
+        # eps (spikes) of the stepped one, relative to the map's largest entry
+        v, energies = self.line(kind)
+        n, h = v.grid.n_points, v.grid.h
+        values = v.values[None, ::-1]
+        jumps = [(n - 1 - j, s) for j, s in reversed(v.delta_nodes(interior_only=True))]
+        bounds = _segment_bounds(n - 2)
+        rows = np.zeros(energies.size, dtype=int)
+        points, point_rows, cells = _energy_cells(values, h, energies, rows, bounds)
+        # and one energy on a Chebyshev point, which takes that point's map
+        energies, rows = np.append(energies, points[-1, 3]), np.append(rows, 0)
+        cells = np.append(cells, points.shape[0] - 1)
+        assert cells.min() == 0 and points.size < energies.size
+        maps, top = _cell_maps(values, h, points, point_rows, bounds, jumps, 16)
+        got, exps = _interpolated(maps, top, points, cells, energies)
+        want, want_exps = _segment_maps(values, h, energies, rows, bounds, jumps)
+        want = np.ldexp(want, want_exps - exps)
+        error = np.abs(got - want).max(axis=(0, 1)) / np.abs(want).max(axis=(0, 1))
+        assert error.max() < 32 * self.EPS
+        assert np.array_equal(got[:, :, -1], want[:, :, -1])
+
+    @pytest.mark.parametrize("kind", ["barrier", "spikes"])
+    def test_scan_matches_directly_stepped_scan(self, monkeypatch, kind):
+        # measured: R within 2804 eps (barrier) and 1399 eps (spikes), T within
+        # 4910 eps and 5541 eps of |T|; each is below the error of the direct
+        # scan itself against a long-double sweep (1.7e-11 and 6.0e-12 in R
+        # on every twelfth and tenth energy)
+        v, energies = self.line(kind)
+        with oracle_scope() as work:
+            got = scattering_curve(v, energies)
+        assert work.ledger()["scattering"]["stepped_energies"] < energies.size
+        monkeypatch.setattr(solver_module, "_INTERPOLATED_STEPS", v.grid.n_points)
+        want = scattering_curve(v, energies)
+        assert max(abs(a.R - b.R) for a, b in zip(got, want)) < 2**13 * self.EPS
+        assert max(abs(a.T - b.T) / abs(b.T) for a, b in zip(got, want)) < 2**14 * self.EPS
+        if kind == "barrier":
+            assert 0.0 < min(abs(b.T) for b in want) < 1e-100
+
+    def test_cells_are_stepped_a_group_at_a_time(self):
+        # 40 energies over [10, 1000] fall in 40 cells of width 8: their 320
+        # Chebyshev maps held at once peaked at 16.5 MB, and 5.9 MB stepped
+        # four cells at a time
+        v = bsec_whole_line(3.0, 1.0, half_width=80.0 * math.pi)
+        energies = np.linspace(10.0, 1000.0, 40)
+        scattering_curve(v, energies[:2])
+        tracemalloc.start()
+        try:
+            with oracle_scope() as work:
+                scattering_curve(v, energies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert work.ledger()["scattering"]["stepped_energies"] == 8 * 40
+        assert peak < 8_000_000
+
+    def test_one_point_equals_long_curve_element(self):
+        # 8 cells, so two groups of cells
+        v, energies = self.line("spikes")
+        curve = scattering_curve(v, energies)
+        for res in curve[::17]:
+            single = scattering(v, res.energy)
+            assert (single.R, single.T) == (res.R, res.T)
 
 
 class TestScanThreads:
@@ -655,14 +787,17 @@ class TestScanThreads:
 
     @pytest.mark.parametrize("case", ["bsec-scan line", "line with deltas"])
     def test_results_do_not_depend_on_the_thread_count(self, monkeypatch, case):
-        # both grids make 1024 segments, so blocks of 16 energies
+        # both grids make 1024 segments, so blocks of 16 stepped energies
         if case == "bsec-scan line":
+            # segments of 160 steps: the 45 energies fall in the cells [2, 4),
+            # [4, 8) and [8, 16), whose 24 Chebyshev energies are stepped in 2 blocks
             k = 3.0
             v = bsec_whole_line(k, 1.0, half_width=80.0 * math.pi)
-            energies, blocks = k * k + 0.08 * np.arange(-22, 23), 3
+            energies, stepped = k * k + 0.3 * np.arange(-22, 23), 24
         else:  # its delta jumps are steps of the segment maps, in the helpers too
             v = with_deltas(free_line(), [3000, 3004, 9000, 15000])
-            energies, blocks = np.linspace(0.05, 12.0, 103), 7
+            energies, stepped = np.linspace(0.05, 12.0, 103), 103
+        blocks = -(-stepped // 16)
         one, one_ledger, one_threads = self.scan(monkeypatch, v, energies, 1)
         assert len(one_threads["_segment_maps"]) == 1
         # two CPUs, and more CPUs than threads, with threads switching every microsecond
@@ -678,6 +813,7 @@ class TestScanThreads:
             assert len(threads["_segment_maps"]) == min(workers, solver_module._SCAN_THREADS, blocks)
             assert threads["_numerov"] == set()
         assert one_ledger["scattering"]["calls"] == 1
+        assert one_ledger["scattering"]["stepped_energies"] == stepped
         assert one_ledger["numerov_calls"] == one_ledger["nodes_swept"] == 0
 
     def test_vanishing_coefficient_in_a_helper_raises_without_warnings(self, monkeypatch):
