@@ -244,8 +244,8 @@ def darboux_create(v: Potential, e_new: float, sigma: float = 0.5) -> TransformR
     if not 0.0 < sigma < 1.0:
         raise ValidationError(f"creation needs sigma strictly inside (0, 1), got {sigma}")
     edge = v.continuum_edge()
-    if e_new >= edge:
-        raise ValidationError(f"e_new={e_new} is not below the continuum edge {edge}")
+    if not -math.inf < e_new < edge:
+        raise ValidationError(f"e_new must be finite and below the continuum edge {edge}, got {e_new}")
     ground = bound_states(v, 1)
     if ground and e_new >= ground[0].energy:
         raise ValidationError(
@@ -366,8 +366,8 @@ def scale_swf(v: Potential, n: int, lam: float) -> TransformResult:
     and is rejected here.
     """
     _refuse_spikes(v, "scale_swf")
-    if lam <= -1.0:
-        raise ValidationError(f"lambda must exceed -1 (removal limit), got {lam}")
+    if not -1.0 < lam < math.inf:
+        raise ValidationError(f"lambda must be finite and exceed -1 (removal limit), got {lam}")
     den, vhat = _deform_weight(v, _states(v, n, n)[-1], lam)
     dmin = _denominator_min(den, v.grid, "weight-deformation denominator")
     return _edited(v, vhat, {"kind": "scale_swf", "n": n, "lambda": lam,
@@ -501,10 +501,10 @@ def embed_bsec(k: float, lam: float, grid: Grid) -> TransformResult:
     1/(lam D(L)); both are recorded in the step log together with the grid
     norm so the convergence of the norm integral is checkable.
     """
-    if lam <= 0:
-        raise ValidationError(f"lambda must be positive, got {lam}")
-    if k <= 0:
-        raise ValidationError(f"k must be positive, got {k}")
+    if not 0.0 < lam < math.inf:
+        raise ValidationError(f"lambda must be finite and positive, got {lam}")
+    if not 0.0 < k < math.inf:
+        raise ValidationError(f"k must be finite and positive, got {k}")
     if abs(grid.x_min) > 1e-12:
         raise ValidationError("half-line grid must start at 0")
     x = grid.x

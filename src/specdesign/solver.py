@@ -668,6 +668,8 @@ def _cell_centre(lo: float, hi: float, below, halvings: int = 0) -> tuple[float,
             if b - a <= 1:
                 return lo, hi
             mid = (a + b) // 2 * u
+            if not lo < mid < hi:  # a cell finer than the doubles about E
+                return lo, hi
             if work is not None:
                 work.cell_steps += 1
             if below(mid):
@@ -884,20 +886,22 @@ _BLOCK_DOUBLES = 2**14
 #: where 3, 4 and 8 were slower than 2 and held 5.0, 6.6 and 12.8 MB
 _SCAN_THREADS = 2
 #: the segments' (w, D) values are rescaled by powers of two, to a peak below 1,
-#: every this many steps.  G = q / c with q = h^2 (V - E) and c = 1 - q / 12, each
-#: operation rounded: a nonzero c is at least 2**-53 in magnitude (1 - x is exact
-#: for x near 1), and |q| <= 12 (1 + |c|) (1 + 2 eps), so |G| <= (12 / |c| + 12)
-#: (1 + 3 eps) < 2**57 - 2 whatever the size of c.  One step grows max(|w|, |D|)
-#: by at most 2 + |G| < 2**57: this many steps, from the unit start pairs, to
-#: less than 2**912; the kernel converts nothing.  A spike adds h |g| |2 - c| / |c|
-#: to |G| at its step, which no bound on c limits.  So a pass that holds a spike
-#: step, and the pass before it, end with a rescale (a spike on the extra step
-#: after the last pass has one before it): the maps stay finite while that pass's
-#: steps' 2 + |G| multiply to below 2**1023, as they do for one spike whose term
-#: is below 2**965.  Past that the scan reports an overflow.
-#: It must be even: ``_segment_maps`` takes two steps per pass and rescales after the second
+#: after every this many steps.  G = q / c with q = h^2 (V - E) and c = 1 - q / 12,
+#: each operation rounded: a nonzero c is at least 2**-53 in magnitude (1 - x is
+#: exact for x near 1), and |q| <= 12 (1 + |c|) (1 + 2 eps), so |G| <= (12 / |c| + 12)
+#: (1 + 3 eps) < 2**57 - 2 whatever the size of c.  One step grows max(|w|, |D|) by
+#: at most 2 + |G| < 2**57: this many steps, from the unit start pairs, to less than
+#: 2**912; the kernel converts nothing.  A spike adds h |g| |2 - c| / |c| to |G| at
+#: its step, which no bound on c limits.  So the step before a spike step, and the
+#: spike step itself, also end with a rescale: every spike step starts from a peak
+#: of at most 1, and the maps stay finite while its own 2 + |G| is below 2**1023, as
+#: it is for a spike whose term is below 2**1022, however close the next spike lies.
+#: Past that the scan reports an overflow.
 _RESCALE_STEPS = 16
-assert _RESCALE_STEPS % 2 == 0
+#: ``_segment_maps`` forms c and G for this many steps per numpy call, which cuts
+#: the calls that hold the GIL; one step per call made a 40-energy scan of a
+#: 19,109-node line 7-8% slower, and a 501-energy comb discriminant 3-6% (2 vCPUs)
+_PASS_STEPS = 2
 
 
 def _segment_bounds(steps: int) -> np.ndarray:
@@ -945,8 +949,12 @@ def _segment_maps(v, h, energies, rows, bounds, jumps=()) -> tuple[np.ndarray, n
     subtraction per pass, so energies grouped by row cost fewest.  jumps lists
     (node, strength) pairs of delta spikes, the same on every row: step t of
     segment s sweeps node bounds[s] + t, and a spike g on that node adds
-    ``_numerov``'s term h g (2 - c) divided by c to G there.  Returns the
-    maps, shape (2, 2, E, S), at scale 2**exps.
+    ``_numerov``'s term h g (2 - c) divided by c to G there.  The steps run
+    in one sequence, t = 0, 1, ..., the last of them (t = the shorter
+    segments' length) on the longer segments alone; each pass of the loop
+    forms c and G for ``_PASS_STEPS`` of them, and (w, D) is rescaled after
+    the steps that ``_RESCALE_STEPS`` names.  Returns the maps, shape
+    (2, 2, E, S), at scale 2**exps.
     """
     starts = bounds[:-1]
     count = starts.size
@@ -971,54 +979,42 @@ def _segment_maps(v, h, energies, rows, bounds, jumps=()) -> tuple[np.ndarray, n
         np.subtract(1.0, c, out=c)
         g /= c
 
-    def add_spikes(t, c, g):
-        """The terms h g (2 - c) / c of the spikes that step t sweeps, added to the ratios g."""
-        segments, strengths = map(list, zip(*spikes[t]))
-        at = c[:, segments]
-        g[:, segments] += h * np.array(strengths) * (2.0 - at) / at
-
-    def step(g, w, d, tmp):
-        """One step of (w, d) from the node with ratio g; tmp is scratch."""
-        np.multiply(g, w, out=tmp)
-        d += tmp
-        w += d
-
     shape = (energies.size, count)
     out = np.zeros((2, 2) + shape)
     out[0, 0] = out[1, 1] = 1.0
     w, d = out  # rows (w, D) of the maps' two columns, stepped in place
-    # c and G are formed for two steps per numpy call, which halves the calls that hold the GIL
-    c, g, tmp = np.empty((2,) + shape), np.empty((2,) + shape), np.empty((2,) + shape)
-    pair = np.arange(2)[:, None]
-    exps = np.zeros(shape, dtype=int)
+    c, g = np.empty((_PASS_STEPS,) + shape), np.empty((_PASS_STEPS,) + shape)
+    tmp = np.empty_like(w)
+    ahead = np.arange(_PASS_STEPS)[:, None]
+    exps = scale = np.zeros(shape, dtype=int)  # scale: exps, or its part the last step moves
     s = np.empty(shape, dtype=np.int32)
-    for t in range(0, length, 2):
-        k = min(2, length - t)  # steps t and t + 1; the last pass may hold one
-        coefficients(starts + t + pair[:k], c[:k], g[:k])
-        for i in range(k):
-            if t + i in spikes:
-                add_spikes(t + i, c[i], g[i])
-            step(g[i], w, d, tmp)
-        # after step t + 1, and around each pass that holds a spike
-        if (k == 2 and t % _RESCALE_STEPS == _RESCALE_STEPS - 2
-                or any(t + i in spikes for i in range(4))):
-            np.abs(w, out=tmp)
-            np.maximum(tmp[0], tmp[1], out=g[0])
-            np.abs(d, out=tmp)
-            np.maximum(tmp[0], tmp[1], out=tmp[0])
-            np.maximum(g[0], tmp[0], out=g[0])
-            np.frexp(g[0], out=(g[0], s))
-            np.negative(s, out=s)
-            np.ldexp(w, s, out=w)
-            np.ldexp(d, s, out=d)
-            exps -= s
-    if extra:  # the last step of the longer segments
-        c, g = c[0][:, :extra], g[0][:, :extra]
-        w, d, tmp = w[..., :extra], d[..., :extra], tmp[..., :extra]
-        coefficients(starts[:extra] + length, c, g)
-        if length in spikes:
-            add_spikes(length, c, g)
-        step(g, w, d, tmp)
+    steps = length + (extra > 0)
+    for t in range(0, steps, _PASS_STEPS):
+        k = min(_PASS_STEPS, steps - t)  # steps t, t + 1, ...; the last pass may hold fewer
+        # on every segment; the last step's past the longer segments go unused
+        coefficients(starts + t + ahead[:k], c[:k], g[:k])
+        for i, j in enumerate(range(t, t + k)):
+            if j in spikes:  # their terms h g (2 - c) / c, added to G
+                segments, strengths = map(list, zip(*spikes[j]))
+                at = c[i][:, segments]
+                g[i][:, segments] += h * np.array(strengths) * (2.0 - at) / at
+            if j == length:  # the last step moves the longer segments alone
+                g, w, d, tmp, s, scale = (a[..., :extra] for a in (g, w, d, tmp, s, scale))
+            np.multiply(g[i], w, out=tmp)  # step j
+            d += tmp
+            w += d
+            if (j + 1) % _RESCALE_STEPS == 0 or j in spikes or j + 1 in spikes:
+                peak = g[i]  # spent by the step
+                np.abs(w, out=tmp)
+                np.maximum(tmp[0], tmp[1], out=peak)
+                np.abs(d, out=tmp)
+                np.maximum(tmp[0], tmp[1], out=tmp[0])
+                np.maximum(peak, tmp[0], out=peak)
+                np.frexp(peak, out=(peak, s))
+                np.negative(s, out=s)
+                np.ldexp(w, s, out=w)
+                np.ldexp(d, s, out=d)
+                scale -= s
     return out, exps
 
 

@@ -166,6 +166,11 @@ class TestCreate:
         with pytest.raises(ValidationError):
             darboux_create(sol, -0.5, 0.5)         # not below the existing ground
 
+    @pytest.mark.parametrize("e_new", [math.nan, -math.inf, math.inf])
+    def test_non_finite_energy_is_bad_input(self, e_new):
+        with pytest.raises(ValidationError, match="must be finite"):
+            darboux_create(free_line(), e_new)
+
 
 class TestShiftLevel:
     def test_headline_ground_shift(self, the_box):
@@ -346,6 +351,11 @@ class TestScaleSwf:
         with pytest.raises(ValidationError):
             scale_swf(the_box, 1, -1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_is_bad_input(self, the_box, lam):
+        with pytest.raises(ValidationError, match="must be finite"):
+            scale_swf(the_box, 1, lam)
+
 
 class TestRemoveBySwf:
     def test_ground_route_matches_darboux(self, the_box):
@@ -513,6 +523,14 @@ class TestBsec:
         off_grid = make_grid(1.0, 10.0, 1001)
         with pytest.raises(ValidationError):
             embed_bsec(1.0, 1.0, off_grid)
+
+    @pytest.mark.parametrize("k, lam", [(math.nan, 1.0), (math.inf, 1.0), (3.0, math.nan),
+                                        (3.0, math.inf)])
+    def test_non_finite_parameters_are_bad_input(self, k, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="must be finite"):
+                embed_bsec(k, lam, make_grid(0.0, 10.0, 1001))
 
 
 class TestDegeneration:

@@ -548,6 +548,21 @@ class TestSegmentScattering:
             single = scattering(v, res.energy)
             assert (single.R, single.T) == (res.R, res.T)
 
+    @pytest.mark.parametrize("pass_steps", [1, 3])
+    def test_curve_does_not_depend_on_the_pass_length(self, monkeypatch, pass_steps):
+        # a pass forms c and G for _PASS_STEPS steps, but every step and every
+        # rescale stays where it was; the spikes sit on a longer segment's
+        # first and last steps and on the step after it
+        v0 = soliton_well()
+        n = v0.grid.n_points
+        bounds = _segment_bounds(n - 2)
+        assert np.diff(bounds)[1] > np.diff(bounds)[-1]
+        v = with_deltas(v0, [n - 1 - j for j in (bounds[1], bounds[2] - 1, bounds[2])])
+        energies = np.linspace(0.05, 12.0, 41)
+        want = [(r.R, r.T) for r in scattering_curve(v, energies)]
+        monkeypatch.setattr(solver_module, "_PASS_STEPS", pass_steps)
+        assert [(r.R, r.T) for r in scattering_curve(v, energies)] == want
+
     def test_tall_barrier_transmits_tiny_but_finite(self):
         v0 = free_line()
         x = v0.grid.x
@@ -623,22 +638,37 @@ class TestSegmentScattering:
             scattering(v, 1.0)
 
     def test_overflowing_spikes_are_reported(self):
-        # two adjacent spikes of 1e300 at the middle nodes overflow the map
-        # where no coefficient vanishes
-        v = free_line()
-        x, mid = v.grid.x, v.grid.mid_index
-        spiked = Potential(v.body, "decaying-line", ((x[mid], 1e300), (x[mid + 1], 1e300)))
+        # a spike of 1e300 on a node whose c is about 9.1e-13 at E = 1 adds
+        # more than the largest double to G there, where no coefficient vanishes
+        g = free_line().grid
+        body = np.zeros(g.n_points)
+        body[g.mid_index] = 1.0 + 12.0 * (1.0 - 2.0**-40) / g.h**2
+        spiked = Potential(SampledFn(g, body), "decaying-line", ((g.x[g.mid_index], 1e300),))
         with pytest.raises(NumericalFailure, match=r"^scattering sweep overflows at E=1\.0$"):
             scattering_curve(spiked, [1.0])
 
+    @pytest.mark.parametrize("offset", range(4))
+    def test_adjacent_large_spikes_reflect_wherever_they_sit(self, offset):
+        # each spike step starts from a rescaled pair, so a pair of 1e300
+        # spikes gives the same kind of outcome on whichever steps it falls
+        v = free_line()
+        x, mid = v.grid.x, v.grid.mid_index + offset
+        spiked = Potential(v.body, "decaying-line", ((x[mid], 1e300), (x[mid + 1], 1e300)))
+        res = scattering_curve(spiked, [1.0])[0]
+        assert abs(res.R) > 1.0 - 1e-5
+        assert res.T == 0.0
+        assert abs(res.flux_defect) < 1e-12
+
     def test_overflowing_spikes_fail_the_discriminant(self):
-        # the same pair in a comb cell: the scaled map is finite, and only
-        # its rescaling overflows
+        # the same pair in a comb cell, wherever it sits: the scaled map is
+        # finite, and only its rescaling overflows
         c = comb_cell()
         x, n = c.grid.x, c.grid.n_points
-        spiked = Potential(c.body, c.bc_kind, c.deltas + ((x[n // 2], 1e300), (x[n // 2 + 1], 1e300)))
-        with pytest.raises(NumericalFailure, match=r"^band discriminant sweep overflows at E=1\.0$"):
-            band_discriminant_curve(spiked, [1.0])
+        for mid in range(n // 2, n // 2 + 4):
+            spiked = Potential(c.body, c.bc_kind, c.deltas + ((x[mid], 1e300), (x[mid + 1], 1e300)))
+            with pytest.raises(NumericalFailure,
+                               match=r"^band discriminant sweep overflows at E=1\.0$"):
+                band_discriminant_curve(spiked, [1.0])
 
     def test_scans_raise_no_floating_point_warnings(self):
         v0 = free_line()
@@ -1036,6 +1066,30 @@ class TestRefinement:
         assert [s.nodes for s in states] == [0, 1, 2, 3]
         monkeypatch.setattr(solver_module, "_COOLEY_STEPS", 0)
         assert same_states(bound_states(v, 4), states)
+
+    def test_cell_centre_stops_where_cells_are_finer_than_the_doubles(self):
+        # a bracket one ulp (2^-35) wide, whose cell is halved 17 times from
+        # 2^-19 to 2^-36: the boundary between its ends rounds onto lo
+        lo = 131710.2314107449
+        hi = lo + math.ulp(lo)
+        calls = []
+
+        def below(energy):
+            calls.append(energy)
+            assert len(calls) < 64, "the bracket does not narrow"
+            return True
+
+        centre, got_lo, got_hi = solver_module._cell_centre(lo, hi, below, 17)
+        assert (got_lo, got_hi) == (lo, hi) and lo <= centre <= hi
+        assert calls == []
+
+    def test_box_level_on_a_cell_finer_than_the_doubles(self):
+        # level 363 of the default box goes to node-count bisection, whose
+        # halved cells pass below the spacing of the doubles at 131710
+        with oracle_scope() as work:
+            top = bound_states(box(), 363)[-1]
+        assert work.ledger()["bound_states"]["bracketed_levels"] > 0
+        assert top.nodes == 362 and top.energy == pytest.approx(131710.23141, rel=1e-9)
 
     @pytest.mark.parametrize("x0", [11.0, 11.5, 12.0])
     def test_node_count_sees_a_node_beyond_the_last_node(self, monkeypatch, x0):
