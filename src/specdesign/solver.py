@@ -53,7 +53,12 @@ Method summary
   rounded c resolves).  The steps are cut into up to 1024 segments (the
   count depends on the grid only); each segment's 2 x 2 map of (w, D) is
   found for a block of energies in one pass of numpy array steps, and the
-  maps are chained by pairwise products rescaled by powers of two.  y goes
+  maps are chained by pairwise products rescaled by powers of two.  A run
+  of neighbouring segments with the same samples and no spike (the zero
+  body of a comb cell, the flat ends of a line) is stepped once, and each
+  distinct pair of maps is multiplied once per level of the chain, where
+  the runs number at most 3/4 of the segments; the products keep their
+  bits.  y goes
   into (w, D) once, at the line's right end pair, and back at its left
   one, with c rounded as the banded solve rounds it.  A spike adds the
   same term, divided by c, to G at the step from its node.  Every energy's
@@ -878,7 +883,8 @@ def bound_states(v: Potential, count: int) -> list[BoundState]:
 _SEGMENTS = 1024
 #: ... of at least this many steps each
 _SEGMENT_STEPS = 8
-#: energies are swept in blocks whose (energy, segment) arrays hold about this many doubles
+#: energies are swept in blocks whose arrays of (energy, map of the chain plan's
+#: widest level) and of (energy, Chebyshev point) hold about this many doubles
 _BLOCK_DOUBLES = 2**14
 #: blocks are swept on at most this many threads.  Each thread holds one block
 #: in flight (1.7 MB for a 1024-segment scan), so this caps the scan's memory
@@ -898,6 +904,14 @@ _SCAN_THREADS = 2
 #: it is for a spike whose term is below 2**1022, however close the next spike lies.
 #: Past that the scan reports an overflow.
 _RESCALE_STEPS = 16
+#: ``_propagator`` steps one segment per run of equal neighbouring segments only
+#: where the runs number at most this share of the segments.  Each level of
+#: the chain then gathers its distinct pairs, which costs about half of what their
+#: products cost.  Shared over unshared time of 40-energy scans of 19,109-node lines
+#: whose runs numbered 0.5, 0.75, 0.85 and 0.97 of the segments: 0.73-0.76,
+#: 0.86-0.87, 1.03-1.05 and 1.02-1.05; of the 181-energy ``bsec-scan`` scan (1002
+#: runs of 1024 segments) 1.01-1.02 (2 vCPUs, two sessions of 30 shuffled rounds)
+_SHARED_RUNS = 0.75
 #: ``_segment_maps`` forms c and G for this many steps per numpy call, which cuts
 #: the calls that hold the GIL; one step per call made a 40-energy scan of a
 #: 19,109-node line 7-8% slower, and a 501-energy comb discriminant 3-6% (2 vCPUs)
@@ -929,8 +943,8 @@ def _rescaled(m, exps):
     return m, exps
 
 
-def _segment_maps(v, h, energies, rows, bounds, jumps=()) -> tuple[np.ndarray, np.ndarray]:
-    """Numerov map of every segment for every energy, in Blatt's variables.
+def _segment_maps(v, h, energies, rows, bounds, jumps, segments) -> tuple[np.ndarray, np.ndarray]:
+    """Numerov map of each of the `segments` for every energy, in Blatt's variables.
 
     The recurrence c[j+1] y[j+1] = (12 - 10 c[j]) y[j] - c[j-1] y[j-1],
     c = 1 - h^2 (V - E) / 12, is stepped in w[j] = c[j] y[j] and
@@ -953,12 +967,15 @@ def _segment_maps(v, h, energies, rows, bounds, jumps=()) -> tuple[np.ndarray, n
     in one sequence, t = 0, 1, ..., the last of them (t = the shorter
     segments' length) on the longer segments alone; each pass of the loop
     forms c and G for ``_PASS_STEPS`` of them, and (w, D) is rescaled after
-    the steps that ``_RESCALE_STEPS`` names.  Returns the maps, shape
-    (2, 2, E, S), at scale 2**exps.
+    the steps that ``_RESCALE_STEPS`` names.  A segment's map depends on its
+    length, its samples, its spikes, h and E alone, so only the segments
+    listed in `segments` (ascending, every spiked one among them) are
+    stepped.  Returns their maps, shape (2, 2, E, S), at scale 2**exps.
     """
-    starts = bounds[:-1]
+    length, extra = divmod(int(bounds[-1] - bounds[0]), bounds.size - 1)
+    starts = bounds[segments]
     count = starts.size
-    length, extra = divmod(int(bounds[-1] - bounds[0]), count)
+    extra = int(np.searchsorted(segments, extra))  # the longer segments stepped
     e = energies[:, None]
     hh = h * h
     cuts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1), rows.size]
@@ -967,7 +984,8 @@ def _segment_maps(v, h, energies, rows, bounds, jumps=()) -> tuple[np.ndarray, n
     spikes = {}  # step -> [(segment, strength)] of the spikes it sweeps
     for j, strength in jumps:
         first = int(np.searchsorted(bounds, j, side="right")) - 1
-        spikes.setdefault(j - int(bounds[first]), []).append((first, strength))
+        spikes.setdefault(j - int(bounds[first]), []).append(
+            (int(np.searchsorted(segments, first)), strength))
 
     def coefficients(nodes, c, g):
         """c = 1 - h^2 (V - E) / 12 into c and G = h^2 (V - E) / c into g, at nodes
@@ -995,9 +1013,9 @@ def _segment_maps(v, h, energies, rows, bounds, jumps=()) -> tuple[np.ndarray, n
         coefficients(starts + t + ahead[:k], c[:k], g[:k])
         for i, j in enumerate(range(t, t + k)):
             if j in spikes:  # their terms h g (2 - c) / c, added to G
-                segments, strengths = map(list, zip(*spikes[j]))
-                at = c[i][:, segments]
-                g[i][:, segments] += h * np.array(strengths) * (2.0 - at) / at
+                spiked, strengths = map(list, zip(*spikes[j]))
+                at = c[i][:, spiked]
+                g[i][:, spiked] += h * np.array(strengths) * (2.0 - at) / at
             if j == length:  # the last step moves the longer segments alone
                 g, w, d, tmp, s, scale = (a[..., :extra] for a in (g, w, d, tmp, s, scale))
             np.multiply(g[i], w, out=tmp)  # step j
@@ -1128,18 +1146,19 @@ def _barycentric(points, energies) -> np.ndarray:
     return q / total[:, None]
 
 
-def _cell_maps(v, h, points, point_rows, bounds, jumps, block) -> tuple[np.ndarray, np.ndarray]:
-    """Segment maps (2, 2, C, P, S) at the Chebyshev points (C, P) of each cell, on
-    its row, stepped in blocks of `block` energies on up to two CPUs (``_on_cpus``),
-    and per cell and segment the largest of the points' exponents (C, S): every
-    point's map is brought to it."""
+def _cell_maps(v, h, points, point_rows, bounds, jumps, segments,
+               block) -> tuple[np.ndarray, np.ndarray]:
+    """Maps (2, 2, C, P, S) of the `segments` at the Chebyshev points (C, P) of each
+    cell, on its row, stepped in blocks of `block` energies on up to two CPUs
+    (``_on_cpus``), and per cell and segment the largest of the points' exponents
+    (C, S): every point's map is brought to it."""
     nodes, node_rows = points.reshape(-1), np.repeat(point_rows, points.shape[1])
-    maps = np.empty((2, 2, nodes.size, bounds.size - 1))
+    maps = np.empty((2, 2, nodes.size, segments.size))
     exps = np.empty(maps.shape[2:], dtype=int)
 
     def step(lo):
         maps[:, :, lo : lo + block], exps[lo : lo + block] = _segment_maps(
-            v, h, nodes[lo : lo + block], node_rows[lo : lo + block], bounds, jumps)
+            v, h, nodes[lo : lo + block], node_rows[lo : lo + block], bounds, jumps, segments)
 
     _on_cpus(step, range(0, nodes.size, block))
     maps = maps.reshape(2, 2, *points.shape, -1)
@@ -1162,6 +1181,68 @@ def _interpolated(maps, top, points, cells, energies) -> tuple[np.ndarray, np.nd
     return mix, top[cells]
 
 
+def _segment_runs(v, rows, bounds, jumps) -> np.ndarray:
+    """Run of each segment (S,), counted from 0 along the sweep.
+
+    Neighbouring segments share a run when they have the same length, the
+    same samples, bit for bit, on each of the `rows` of v, and no spike:
+    their maps are then the same at every energy.  Where the runs would
+    number more than ``_SHARED_RUNS`` times the segments, each segment is a
+    run of its own.  The runs read the samples and the spikes only.
+    """
+    count = bounds.size - 1
+    length, extra = divmod(int(bounds[-1] - bounds[0]), count)
+    used = np.flatnonzero(np.bincount(rows, minlength=v.shape[0]))
+    rows = [v[row].view(np.uint64) for row in used]
+    same = np.ones(count - 1, dtype=bool)  # segment s + 1 repeats segment s
+    for row in rows:  # first samples, which rule out most pairs that differ
+        same &= row[bounds[1:-1]] == row[bounds[:-2]]
+    if 0 < extra < count:
+        same[extra - 1] = False
+    for j, _ in jumps:
+        spiked = int(np.searchsorted(bounds, j, side="right")) - 1
+        same[max(spiked - 1, 0) : spiked + 1] = False
+    repeats = (1.0 - _SHARED_RUNS) * count  # at least, for runs to be shared
+    if same.sum() >= repeats:
+        for row in rows:
+            for lo, hi, size in ((0, extra, length + 1), (extra, count, length)):
+                if hi - lo > 1:
+                    nodes = row[bounds[lo] : bounds[hi]].reshape(hi - lo, size)
+                    same[lo : hi - 1] &= (nodes[1:] == nodes[:-1]).all(axis=1)
+    if same.sum() < repeats:
+        return np.arange(count)
+    return np.concatenate(([0], np.cumsum(~same)))
+
+
+def _chain_plan(runs) -> tuple[list, int]:
+    """The levels of ``_chain``'s pairwise tree over segments of these runs
+    (``_segment_runs``), and the count of maps at its widest level.
+
+    A level lists, for each distinct (later, earlier) pair of its maps, the
+    index of each, and the map carried to the next level unpaired (None if
+    there is none); the next level holds their products in that order, then
+    the carried map.  Equal pairs lie next to each other, since the runs,
+    and so the pairs of every level, only grow along the sweep.  With no
+    run longer than one segment the levels take the maps in order, as slices.
+    """
+    plan, widest, ids = [], int(runs[-1]) + 1, runs
+    while ids.size > 1:
+        pairs, odd = divmod(ids.size, 2)
+        carried = int(ids[-1]) if odd else None
+        if ids[-1] == ids.size - 1:  # every map distinct, in order
+            plan.append((slice(1, 2 * pairs, 2), slice(0, 2 * pairs, 2), carried))
+            ids = np.arange(pairs + odd)
+            continue
+        later, earlier = ids[1 : 2 * pairs : 2], ids[0 : 2 * pairs : 2]
+        pair = later * ids.size + earlier
+        new = np.ones(pairs + odd, dtype=bool)  # a pair unlike the one before, or the carried map
+        np.not_equal(pair[1:], pair[:-1], out=new[1:pairs])
+        plan.append((later[new[:pairs]], earlier[new[:pairs]], carried))
+        ids = new.cumsum() - 1
+        widest = max(widest, int(ids[-1]) + 1)
+    return plan, widest
+
+
 def _propagator(v, h, energies, rows, jumps=()) -> tuple[np.ndarray, np.ndarray, int]:
     """Map of the Numerov sweep across row rows[i] of v (rows, n) from nodes
     (0, 1) to (n-2, n-1), for each energy i, and the count of energies stepped.
@@ -1173,6 +1254,17 @@ def _propagator(v, h, energies, rows, jumps=()) -> tuple[np.ndarray, np.ndarray,
     energies at once, delta jumps included, and chained by pairwise
     products, each rescaled by a power of two.
 
+    Neighbouring segments of one length, with the same samples on every row
+    the call uses and no spike, form a run (``_segment_runs``), found once
+    per call (where they would number more than ``_SHARED_RUNS`` times the
+    segments, each segment is a run of its own).  Only the first segment of
+    each run is stepped, and ``_chain`` follows a plan (``_chain_plan``)
+    that multiplies each distinct pair of maps once per level.  The
+    products are those of the tree over all the segments, bit for bit, and
+    with no run longer than one segment the plan is that tree.  A block
+    holds as many energies as make about ``_BLOCK_DOUBLES`` doubles of the
+    plan's widest level, or of the Chebyshev points where those are more.
+
     Each segment's map is analytic in E.  On grids with long segments
     (``_energy_cells``) it is stepped only at the Chebyshev points of each
     energy cell that holds a requested energy, once per call, and every
@@ -1180,25 +1272,28 @@ def _propagator(v, h, energies, rows, jumps=()) -> tuple[np.ndarray, np.ndarray,
     segment, the points' maps are brought to the largest of their
     exponents, and the barycentric mix of them is chained.  Energies where a
     coefficient c may fall below 1/2, and every energy on grids with shorter
-    segments, are stepped directly.  The stepped blocks are swept on up to two CPUs
-    the process may run on (``_on_cpus``), each writing only its own
-    energies; the cells are stepped a group at a time, as many as fill one
-    block per thread, and the interpolated maps of a group's energies are
-    mixed and chained one block at a time on the calling thread.  No number depends on the other energies or
-    rows asked for, nor on the thread that swept them: a stack of
-    potentials swept in one call gives each the bits of its own call.  A
-    block may split a run of energies on one row.  Where a coefficient c
-    vanishes, the map is not finite.
+    segments, are stepped directly.  The stepped blocks are swept on up to
+    two CPUs the process may run on (``_on_cpus``), each writing only its
+    own energies; the cells are stepped a group at a time, as many as fill
+    one block per thread, and the interpolated maps of a group's energies
+    are mixed and chained one block at a time on the calling thread.  No
+    number depends on the other energies or rows asked for, nor on the
+    thread that swept them: a stack of potentials swept in one call gives
+    each the bits of its own call.  A block may split a run of energies on
+    one row.  Where a coefficient c vanishes, the map is not finite.
     """
     bounds = _segment_bounds(v.shape[1] - 2)
-    block = max(1, _BLOCK_DOUBLES // (bounds.size - 1))
+    runs = _segment_runs(v, rows, bounds, jumps)
+    stepped = np.flatnonzero(np.diff(runs, prepend=-1))  # the first segment of each run
+    plan, widest = _chain_plan(runs)
+    block = max(1, _BLOCK_DOUBLES // max(widest, _CHEBYSHEV_POINTS))
     out = np.empty((2, 2, energies.size))
     out_exps = np.empty(energies.size, dtype=int)
     points, point_rows, key = _energy_cells(v, h, energies, rows, bounds)
 
     def sweep(at):
-        m, exps = _segment_maps(v, h, energies[at], rows[at], bounds, jumps)
-        out[:, :, at], out_exps[at] = _chain(*_rescaled(m, exps))
+        m, exps = _segment_maps(v, h, energies[at], rows[at], bounds, jumps, stepped)
+        out[:, :, at], out_exps[at] = _chain(*_rescaled(m, exps), plan)
 
     direct = np.flatnonzero(key < 0)
     _on_cpus(sweep, [direct[lo : lo + block] for lo in range(0, direct.size, block)])
@@ -1207,31 +1302,42 @@ def _propagator(v, h, energies, rows, jumps=()) -> tuple[np.ndarray, np.ndarray,
     group = max(1, _SCAN_THREADS * block // _CHEBYSHEV_POINTS)
     for first in range(0, points.shape[0], group):
         cells = slice(first, first + group)
-        maps, top = _cell_maps(v, h, points[cells], point_rows[cells], bounds, jumps, block)
+        maps, top = _cell_maps(v, h, points[cells], point_rows[cells], bounds, jumps, stepped,
+                               block)
         lo, hi = np.searchsorted(key[inside], [first, first + group])
         for start in range(lo, hi, block):
             at = inside[start : min(start + block, hi)]
             m, exps = _interpolated(maps, top, points[cells], key[at] - first, energies[at])
-            out[:, :, at], out_exps[at] = _chain(*_rescaled(m, exps))
+            out[:, :, at], out_exps[at] = _chain(*_rescaled(m, exps), plan)
     return out, out_exps, direct.size + points.size
 
 
-def _chain(m, exps) -> tuple[np.ndarray, np.ndarray]:
-    """Product of the maps m (2, 2, E, S) at scale 2**exps (E, S), last segment leftmost.
+def _take(x, at) -> np.ndarray:
+    """x[..., at] for a slice or an index array `at`; the latter as a C-ordered copy,
+    since x[..., array] lays the last axis out first, which made the products
+    and their rescaling several times slower."""
+    return x[..., at] if isinstance(at, slice) else x.take(at, axis=-1)
+
+
+def _chain(m, exps, plan) -> tuple[np.ndarray, np.ndarray]:
+    """Product of the segment maps at scale 2**exps, last segment leftmost, from
+    the maps m (2, 2, E, K) of their runs and the exponents (E, K).
 
     Neighbours are multiplied pairwise, level by level, each product written
     out by components and rescaled by a power of two; the order depends
-    only on S.  Returns the (2, 2, E) product and its exponents.
+    only on the segment count.  Each level follows its entry of `plan`
+    (``_chain_plan``): the distinct pairs are multiplied once each, and the
+    product of equal pairs is shared.  Returns the (2, 2, E) product and its
+    exponents.
     """
-    while m.shape[-1] > 1:
-        pairs = m.shape[-1] // 2
-        a, b = m[..., 1 : 2 * pairs : 2], m[..., 0 : 2 * pairs : 2]  # later, earlier
+    for later, earlier, carried in plan:
+        a, b = _take(m, later), _take(m, earlier)
         prod = a[:, :1] * b[:1]  # prod[r, c] = a[r, 0] b[0, c] + a[r, 1] b[1, c]
         prod += a[:, 1:] * b[1:]
-        prod, prod_exps = _rescaled(prod, exps[:, 1 : 2 * pairs : 2] + exps[:, 0 : 2 * pairs : 2])
-        if m.shape[-1] % 2:
-            prod = np.concatenate((prod, m[..., -1:]), axis=-1)
-            prod_exps = np.concatenate((prod_exps, exps[:, -1:]), axis=-1)
+        prod, prod_exps = _rescaled(prod, _take(exps, later) + _take(exps, earlier))
+        if carried is not None:
+            prod = np.concatenate((prod, m[..., carried, None]), axis=-1)
+            prod_exps = np.concatenate((prod_exps, exps[:, carried, None]), axis=-1)
         m, exps = prod, prod_exps
     return m[..., 0], exps[:, 0]
 

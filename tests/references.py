@@ -18,6 +18,7 @@ from specdesign.solver import (
     _cell_deltas,
     _match_index,
     _normalised,
+    _rescaled,
     _start_derivs,
     _taylor_step,
     _transfer_matrices,
@@ -50,6 +51,27 @@ def transfer_matrix(cell: Potential, energy: float) -> np.ndarray:
     inverse = np.array([[start[1, 1], -start[0, 1]], [-start[1, 0], start[0, 0]]])
     return np.einsum("ij,jk,kl->il", inverse, m, start) / (start[0, 0] * start[1, 1]
                                                           - start[0, 1] * start[1, 0])
+
+
+def pairwise_chain(m, exps) -> tuple[np.ndarray, np.ndarray]:
+    """Product of the maps m (2, 2, E, S) at scale 2**exps (E, S), last segment leftmost.
+
+    The scan's pairwise tree over every segment, with nothing shared:
+    neighbours are multiplied pairwise, level by level, each product written
+    out by components and rescaled by a power of two.  Returns the (2, 2, E)
+    product and its exponents.
+    """
+    while m.shape[-1] > 1:
+        pairs = m.shape[-1] // 2
+        a, b = m[..., 1 : 2 * pairs : 2], m[..., 0 : 2 * pairs : 2]  # later, earlier
+        prod = a[:, :1] * b[:1]  # prod[r, c] = a[r, 0] b[0, c] + a[r, 1] b[1, c]
+        prod += a[:, 1:] * b[1:]
+        prod, prod_exps = _rescaled(prod, exps[:, 1 : 2 * pairs : 2] + exps[:, 0 : 2 * pairs : 2])
+        if m.shape[-1] % 2:
+            prod = np.concatenate((prod, m[..., -1:]), axis=-1)
+            prod_exps = np.concatenate((prod_exps, exps[:, -1:]), axis=-1)
+        m, exps = prod, prod_exps
+    return m[..., 0], exps[:, 0]
 
 
 def single_delta(strength: float, position: float = 0.0,

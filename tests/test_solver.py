@@ -21,14 +21,18 @@ import specdesign.solver as solver_module
 from specdesign.solver import (
     _Matcher,
     _cell_maps,
+    _cell_deltas,
     _count_sign_changes,
     _energy_cells,
     _interpolated,
     _normalised,
     _numerov,
+    _rescaled,
     _segment_bounds,
     _segment_maps,
+    _segment_runs,
     _sweep,
+    _transfer_matrices,
     band_discriminant,
     band_discriminant_curve,
     bound_states,
@@ -36,7 +40,7 @@ from specdesign.solver import (
     scattering,
     scattering_curve,
 )
-from references import single_delta, transfer_matrix
+from references import pairwise_chain, single_delta, transfer_matrix
 
 
 def poschl_teller(n_points=2001, cap=1e6):
@@ -597,7 +601,7 @@ class TestSegmentScattering:
         body[node] = 49.0  # h^2 (V - E) / 12 = 1 at E = 1
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             m, _ = _segment_maps(body[None, ::-1], g.h, np.array([1.0]), np.zeros(1, dtype=int),
-                                 bounds)
+                                 bounds, [], np.arange(bounds.size - 1))
         # the map of the segment that steps from the node, and no other: a
         # segment that only ends on it never divides by its c
         broken = ~np.isfinite(m.sum(axis=(0, 1)))[0]
@@ -746,9 +750,11 @@ class TestInterpolatedMaps:
         energies, rows = np.append(energies, points[-1, 3]), np.append(rows, 0)
         cells = np.append(cells, points.shape[0] - 1)
         assert cells.min() == 0 and points.size < energies.size
-        maps, top = _cell_maps(values, h, points, point_rows, bounds, jumps, 16)
+        maps, top = _cell_maps(values, h, points, point_rows, bounds, jumps,
+                               np.arange(bounds.size - 1), 16)
         got, exps = _interpolated(maps, top, points, cells, energies)
-        want, want_exps = _segment_maps(values, h, energies, rows, bounds, jumps)
+        want, want_exps = _segment_maps(values, h, energies, rows, bounds, jumps,
+                                        np.arange(bounds.size - 1))
         want = np.ldexp(want, want_exps - exps)
         error = np.abs(got - want).max(axis=(0, 1)) / np.abs(want).max(axis=(0, 1))
         assert error.max() < 32 * self.EPS
@@ -797,6 +803,119 @@ class TestInterpolatedMaps:
             assert (single.R, single.T) == (res.R, res.T)
 
 
+class TestSharedRuns:
+    """Neighbouring segments with the same samples and no spike are stepped once
+    per run, and each distinct pair of maps is multiplied once per level; the
+    scans keep the bits of the tree over every segment."""
+
+    @staticmethod
+    def unshared(monkeypatch):
+        """Make every segment a run of its own, as if no two were alike."""
+        monkeypatch.setattr(solver_module, "_segment_runs",
+                            lambda v, rows, bounds, jumps: np.arange(bounds.size - 1))
+
+    @staticmethod
+    def comb_scan():
+        """The base comb and the 501 energies of a band run's discriminant.csv."""
+        cell = comb_cell()
+        return cell, np.linspace(float(cell.values.min()) - 1.0, 10.0, 501)
+
+    def test_comb_curve_is_the_pairwise_chain_of_every_segment(self):
+        cell, energies = self.comb_scan()
+        n, h = cell.grid.n_points, cell.grid.h
+        v = np.concatenate((cell.values[:-1], cell.values[:2]))[None]
+        bounds = _segment_bounds(n - 1)
+        assert bounds.size - 1 == 250
+        m, exps = _segment_maps(v, h, energies, np.zeros(energies.size, dtype=int), bounds,
+                                [(n - 1, _cell_deltas(cell)[0])], np.arange(bounds.size - 1))
+        m, exps = pairwise_chain(*_rescaled(m, exps))
+        curve = band_discriminant_curve(cell, energies)
+        assert curve.tolist() == np.ldexp(m[0, 0] + m[1, 1], exps).tolist()
+        assert [band_discriminant(cell, e) for e in energies] == curve.tolist()
+
+    def test_stacked_rows_share_no_run_and_keep_their_own_bits(self):
+        g = comb_cell().grid
+        n = g.n_points
+        bodies = [np.zeros(n), 3.0 * np.sin(2.0 * g.x) ** 2]
+        cells = [Potential(SampledFn(g, body), "hard-walls", ((0.0, 2.0),)) for body in bodies]
+        v = np.array([np.concatenate((c.values[:-1], c.values[:2])) for c in cells])
+        bounds, jumps = _segment_bounds(n - 1), [(n - 1, 2.0)]
+        assert _segment_runs(v, np.array([0]), bounds, jumps)[-1] == 1  # zeros, then the spike
+        assert np.array_equal(_segment_runs(v, np.array([0, 1]), bounds, jumps),
+                              np.arange(bounds.size - 1))
+        energies = np.array([0.3, 2.5, 7.0, 0.3, 1.1, 4.0])
+        rows = np.array([0, 0, 0, 1, 1, 1])
+        maps, deltas = _transfer_matrices(cells, energies, rows)
+        for r, cell in enumerate(cells):
+            own_maps, own_deltas = _transfer_matrices(cell, energies[rows == r])
+            assert np.array_equal(maps[..., rows == r], own_maps)
+            assert np.array_equal(deltas[rows == r], own_deltas)
+
+    def test_spikes_inside_and_at_the_ends_of_runs(self, monkeypatch):
+        # a barrier of 2 on |x| < 1, whose edges fall inside segments 469 and 536
+        # of the sweep (each starts like the segment before it, then differs),
+        # and spikes inside a segment, on a segment's first and last nodes, and
+        # on the last node of the segment before another spiked one
+        v0 = free_line()
+        n = v0.grid.n_points
+        v0 = v0.with_body(np.where(np.abs(v0.grid.x) < 1.0, 2.0, 0.0))
+        bounds = _segment_bounds(n - 2)
+        sweep_nodes = [bounds[100] + 5, bounds[300], bounds[501] - 1, bounds[700] - 1,
+                       bounds[700] + 2]
+        v = with_deltas(v0, [n - 1 - int(j) for j in sweep_nodes])
+        jumps = [(n - 1 - j, s) for j, s in reversed(v.delta_nodes(interior_only=True))]
+        runs = _segment_runs(v.values[None, ::-1], np.zeros(1, dtype=int), bounds, jumps)
+        # five spiked segments, two barrier edges, and the eight runs between
+        # and around them: the run from 537 to 698 splits where the segments
+        # get shorter
+        assert np.flatnonzero(np.bincount(runs) == 1).size == 7
+        assert runs[-1] + 1 == 15
+        energies = np.linspace(0.05, 12.0, 40)
+        got = [(r.R, r.T) for r in scattering_curve(v, energies)]
+        self.unshared(monkeypatch)
+        assert [(r.R, r.T) for r in scattering_curve(v, energies)] == got
+
+    def test_interpolated_scan_of_the_bsec_line(self, monkeypatch):
+        # the line is zero on x < 0, about 24 of its 1024 segments of 160 steps;
+        # those runs would leave more than _SHARED_RUNS of the segments, so the
+        # scan shares them only when that share is raised
+        k = 3.0
+        v = bsec_whole_line(k, 1.0, half_width=80.0 * math.pi)
+        n = v.grid.n_points
+
+        def runs():
+            return _segment_runs(v.values[None, ::-1], np.zeros(1, dtype=int),
+                                 _segment_bounds(n - 2), [])
+
+        assert runs()[-1] + 1 == 1024
+        monkeypatch.setattr(solver_module, "_SHARED_RUNS", 1.0)
+        assert 990 < runs()[-1] + 1 < 1010
+        energies = k * k + 0.3 * np.arange(-22, 23)
+        with oracle_scope() as work:
+            got = [(r.R, r.T) for r in scattering_curve(v, energies)]
+        assert work.ledger()["scattering"]["stepped_energies"] == 24  # interpolated
+        self.unshared(monkeypatch)
+        assert [(r.R, r.T) for r in scattering_curve(v, energies)] == got
+
+    def test_segments_stepped_per_block(self, monkeypatch):
+        stepped = []
+
+        def spy(*args, _inner=_segment_maps, **kwargs):
+            m, exps = _inner(*args, **kwargs)
+            stepped.append(m.shape[-1])
+            return m, exps
+
+        monkeypatch.setattr(solver_module, "_segment_maps", spy)
+        # the base comb: its 249 zero segments as one, and the one that holds the edge spike
+        cell, energies = self.comb_scan()
+        band_discriminant_curve(cell, energies)
+        assert stepped == [2]
+        # a soliton well has no equal neighbours: every segment is stepped
+        stepped.clear()
+        scattering_curve(soliton_well(), np.linspace(0.05, 12.0, 40))
+        assert stepped == [1024] * 3
+
+
 class TestScanThreads:
     """scattering_curve's energy blocks swept on the calling thread and helpers."""
 
@@ -815,19 +934,39 @@ class TestScanThreads:
         monkeypatch.undo()
         return [(r.R, r.T) for r in results], work.ledger(), threads
 
-    @pytest.mark.parametrize("case", ["bsec-scan line", "line with deltas"])
+    @staticmethod
+    def block(v):
+        """Energies per block of a scan of v: as many as make about _BLOCK_DOUBLES
+        doubles of its chain plan's widest level (or of the Chebyshev points)."""
+        n = v.grid.n_points
+        jumps = [(n - 1 - j, s) for j, s in reversed(v.delta_nodes(interior_only=True))]
+        runs = solver_module._segment_runs(v.values[None, ::-1], np.zeros(1, dtype=int),
+                                           _segment_bounds(n - 2), jumps)
+        widest = solver_module._chain_plan(runs)[1]
+        return solver_module._BLOCK_DOUBLES // max(widest, solver_module._CHEBYSHEV_POINTS)
+
+    @pytest.mark.parametrize("case", ["bsec-scan line", "line with deltas",
+                                      "soliton line with deltas"])
     def test_results_do_not_depend_on_the_thread_count(self, monkeypatch, case):
-        # both grids make 1024 segments, so blocks of 16 stepped energies
+        # every grid makes 1024 segments
         if case == "bsec-scan line":
             # segments of 160 steps: the 45 energies fall in the cells [2, 4),
-            # [4, 8) and [8, 16), whose 24 Chebyshev energies are stepped in 2 blocks
+            # [4, 8) and [8, 16), whose 24 Chebyshev energies are stepped in 2
+            # blocks of 16 (too few of its segments repeat for runs to be shared)
             k = 3.0
             v = bsec_whole_line(k, 1.0, half_width=80.0 * math.pi)
-            energies, stepped = k * k + 0.3 * np.arange(-22, 23), 24
-        else:  # its delta jumps are steps of the segment maps, in the helpers too
+            energies, stepped, blocks = k * k + 0.3 * np.arange(-22, 23), 24, 2
+        elif case == "line with deltas":
+            # its delta jumps are steps of the segment maps; the spikes split the
+            # zero body into runs, and the plan's widest level holds 9 maps, so the
+            # 103 energies fill one block and no helper starts
             v = with_deltas(free_line(), [3000, 3004, 9000, 15000])
-            energies, stepped = np.linspace(0.05, 12.0, 103), 103
-        blocks = -(-stepped // 16)
+            energies, stepped, blocks = np.linspace(0.05, 12.0, 103), 103, 1
+        else:  # the same spikes on a body with no equal neighbours: blocks of 16,
+            # and the jumps are stepped in the helpers too
+            v = with_deltas(soliton_well(), [3000, 3004, 9000, 15000])
+            energies, stepped, blocks = np.linspace(0.05, 12.0, 103), 103, 7
+        assert blocks == -(-stepped // self.block(v))
         one, one_ledger, one_threads = self.scan(monkeypatch, v, energies, 1)
         assert len(one_threads["_segment_maps"]) == 1
         # two CPUs, and more CPUs than threads, with threads switching every microsecond
@@ -847,17 +986,28 @@ class TestScanThreads:
         assert one_ledger["numerov_calls"] == one_ledger["nodes_swept"] == 0
 
     def test_vanishing_coefficient_in_a_helper_raises_without_warnings(self, monkeypatch):
-        g = make_grid(-4096.0, 4096.0, 16385)  # h = 1/2, 1024 segments: blocks of 16 energies
-        body = np.zeros(g.n_points)
+        # h = 1/2 and 1024 segments; the body has no equal neighbours, so no
+        # run is shared and the 40 energies fall in 3 blocks of 16
+        g = make_grid(-4096.0, 4096.0, 16385)
+        body = -1e-3 / np.cosh(g.x / 64.0) ** 2
         body[8000] = 49.0  # h^2 (V - E) / 12 = 1 at E = 1
         v = Potential(SampledFn(g, body), "decaying-line")
+        assert self.block(v) == 16
         energies = np.linspace(0.05, 2.0, 40)
         energies[20] = 1.0  # in the second block, which the helper sweeps
+        swept = []  # (thread, whether E = 1 is among its energies) of each block
+
+        def spy(v, h, energies, *args, _inner=_segment_maps):
+            swept.append((threading.current_thread(), 1.0 in energies))
+            return _inner(v, h, energies, *args)
+
+        monkeypatch.setattr(solver_module, "_segment_maps", spy)
         monkeypatch.setattr(solver_module, "_cpus", lambda: 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailure, match="node 8000$"):
                 scattering_curve(v, energies)
+        assert [t is threading.current_thread() for t, failing in swept if failing] == [False]
 
     def test_failures_are_raised_after_every_thread_stops(self, monkeypatch):
         def task(item):

@@ -19,6 +19,11 @@ scattering curve of a free line with spikes of both signs where the scan's
 segments start and end, and the ``oracle_work`` of solving them
 (``spike_line_digests``); no workload or figure has a spike off a cell edge,
 and no other run here leaves a level to node-count bisection.
+Then the body and the scattering curve, at the 40 energies of a ``design``
+run's ``scattering.csv``, of a free line with a barrier of 2 on |x| < 1
+(``barrier_line_digests``): the scan shares one stepped map among each run
+of equal neighbouring segments, and this line has such runs on both sides
+of its barrier.
 Then come the artifacts and ``oracle_work`` of a ``band`` run at e_max 10 on
 each comb of ``COMBS``, whose lowest zone is 7e-10 down to about 1e-20 wide,
 in three of them narrower than the rounding of the discriminant
@@ -116,6 +121,16 @@ def spike_line_digests():
     yield "spike-line/oracle_work", _work_digest(work.ledger())
 
 
+def barrier_line_digests():
+    line = free_line()
+    v = line.with_body(np.where(np.abs(line.grid.x) < 1.0, 2.0, 0.0))
+    yield "barrier-line/potential.csv", _sha(csvio.sampled_fn_bytes(v.body, "V"))
+    with oracle_scope() as work:
+        curve = scattering_curve(v, np.linspace(0.25, 10.0, 40))
+    yield "barrier-line/scattering.csv", _sha(csvio.scattering_bytes(curve))
+    yield "barrier-line/oracle_work", _work_digest(work.ledger())
+
+
 def comb_digests(out_root: Path):
     for period, strength in COMBS:
         run = f"band/comb_{period:g}_{strength:g}"
@@ -130,7 +145,7 @@ def main() -> int:
             for key, digest in workload_digests(name, count, Path(tmp)):
                 print(key, digest)
         for key, digest in itertools.chain(figure_digests(Path(tmp)), spike_line_digests(),
-                                           comb_digests(Path(tmp))):
+                                           barrier_line_digests(), comb_digests(Path(tmp))):
             print(key, digest)
     return 0
 
