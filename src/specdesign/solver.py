@@ -63,9 +63,8 @@ Method summary
   one, with c rounded as the banded solve rounds it.  A spike adds the
   same term, divided by c, to G at the step from its node.  Every energy's
   arithmetic is its own, so a one-energy call equals the same element of a
-  longer scan bit for bit.  The energy blocks are swept on the calling
-  thread and, where the process may run on a second CPU, one helper; the
-  results do not depend on the thread count.  Where the longest segment
+  longer scan bit for bit.  The energies are swept a block at a time on
+  the calling thread, so one block is in flight.  Where the longest segment
   holds 64 steps or more, each segment's map, analytic in E, is stepped
   only at 8 Chebyshev points of each dyadic energy cell that holds a
   requested energy, and interpolated to every energy of the cell in
@@ -86,12 +85,10 @@ Method summary
 from __future__ import annotations
 
 from contextlib import contextmanager
-from contextvars import ContextVar, copy_context
+from contextvars import ContextVar
 from dataclasses import dataclass
 import itertools
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -704,7 +701,7 @@ class _Spectrum:
         self.v = v
         self.levels: list[BoundState] = []
         self.e_top = None
-        self.n_exist = math.inf
+        self.n_exist = v.grid.n_points - 2  # the Numerov problem's size
         self._fd = None
         if v.bc_kind in (DECAYING_LINE, DECAYING_HALF_LINE):
             edge = v.continuum_edge()
@@ -839,12 +836,13 @@ def bound_states(v: Potential, count: int) -> list[BoundState]:
     Energies are refined to |dE| < 1e-11 max(1, |E|): each is the centre of
     the dyadic cell, about that wide, that holds the sign change of the
     Cooley correction or of the node count, so it does not depend on the
-    finite-difference seed it started from.  For decaying
-    boundary kinds only the levels genuinely below the continuum edge are
-    returned, so the list may be shorter than requested.  The state arrays
-    are read-only.  Inside an ``oracle_scope`` the levels of each sampled
-    potential are kept and a repeated request is served from them; the
-    result is the same, bit for bit.
+    finite-difference seed it started from.  The list may be shorter than
+    requested: a grid of n nodes holds at most n - 2 levels, and for
+    decaying boundary kinds only the levels genuinely below the continuum
+    edge are returned.  The state arrays are read-only.  Inside an
+    ``oracle_scope`` the levels of each sampled potential are kept and a
+    repeated request is served from them; the result is the same, bit for
+    bit.
 
     Raises
     ------
@@ -853,8 +851,8 @@ def bound_states(v: Potential, count: int) -> list[BoundState]:
     NumericalFailure
         if bracketing or refinement fails to converge.
     """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValidationError(f"count must be an integer >= 1, got {count!r}")
     if v.grid.n_points < 11:
         raise ValidationError("grid too coarse for the shooting solver (need >= 11 points)")
     work = _WORK.get()
@@ -884,13 +882,10 @@ _SEGMENTS = 1024
 #: ... of at least this many steps each
 _SEGMENT_STEPS = 8
 #: energies are swept in blocks whose arrays of (energy, map of the chain plan's
-#: widest level) and of (energy, Chebyshev point) hold about this many doubles
+#: widest level) and of (energy, Chebyshev point) hold about this many doubles.
+#: One block is in flight at a time (1.7 MB for a 1024-segment scan), so this
+#: caps the scan's memory
 _BLOCK_DOUBLES = 2**14
-#: blocks are swept on at most this many threads.  Each thread holds one block
-#: in flight (1.7 MB for a 1024-segment scan), so this caps the scan's memory
-#: whatever the host's CPU count.  More threads were timed on 2 CPUs only,
-#: where 3, 4 and 8 were slower than 2 and held 5.0, 6.6 and 12.8 MB
-_SCAN_THREADS = 2
 #: the segments' (w, D) values are rescaled by powers of two, to a peak below 1,
 #: after every this many steps.  G = q / c with q = h^2 (V - E) and c = 1 - q / 12,
 #: each operation rounded: a nonzero c is at least 2**-53 in magnitude (1 - x is
@@ -912,9 +907,9 @@ _RESCALE_STEPS = 16
 #: 0.86-0.87, 1.03-1.05 and 1.02-1.05; of the 181-energy ``bsec-scan`` scan (1002
 #: runs of 1024 segments) 1.01-1.02 (2 vCPUs, two sessions of 30 shuffled rounds)
 _SHARED_RUNS = 0.75
-#: ``_segment_maps`` forms c and G for this many steps per numpy call, which cuts
-#: the calls that hold the GIL; one step per call made a 40-energy scan of a
-#: 19,109-node line 7-8% slower, and a 501-energy comb discriminant 3-6% (2 vCPUs)
+#: ``_segment_maps`` forms c and G for this many steps per numpy call; one step per
+#: call made a 40-energy scan of a 19,109-node line 7-8% slower, and a 501-energy
+#: comb discriminant 3-6% (2 vCPUs)
 _PASS_STEPS = 2
 
 
@@ -1036,52 +1031,6 @@ def _segment_maps(v, h, energies, rows, bounds, jumps, segments) -> tuple[np.nda
     return out, exps
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _on_cpus(task, items) -> None:
-    """task(item) for every item, on the calling thread and one helper per further CPU.
-
-    There are at most ``_SCAN_THREADS`` threads, and no more than items.
-    Thread i takes item i, then the next item no thread has taken, so a
-    thread slowed by other load on its CPU takes fewer.  After a failure no
-    thread takes another item.  The helpers run in a copy of the caller's
-    context, since numpy's ``errstate`` and the oracle ledger are context
-    variables.  An exception from any thread is raised here, once every
-    thread has stopped.
-    """
-    n = max(1, min(_cpus(), _SCAN_THREADS, len(items)))
-    untaken, lock = itertools.count(n), threading.Lock()
-    failures = []
-    errors = np.geterr()  # numpy < 2 keeps errstate per thread, outside the context
-
-    def drain(i):
-        try:
-            with np.errstate(**errors):
-                while i < len(items) and not failures:
-                    task(items[i])
-                    with lock:
-                        i = next(untaken)
-        except BaseException as exc:  # raised again on the calling thread below
-            failures.append(exc)
-
-    helpers = [threading.Thread(target=copy_context().run, args=(drain, i)) for i in range(1, n)]
-    for t in helpers:
-        t.start()
-    try:
-        drain(0)
-    finally:
-        for t in helpers:
-            t.join()
-    if failures:
-        raise failures[0]
-
-
 #: on grids whose longest segment holds at least this many steps, ``_propagator``
 #: interpolates the segment maps in energy ...
 _INTERPOLATED_STEPS = 64
@@ -1146,21 +1095,12 @@ def _barycentric(points, energies) -> np.ndarray:
     return q / total[:, None]
 
 
-def _cell_maps(v, h, points, point_rows, bounds, jumps, segments,
-               block) -> tuple[np.ndarray, np.ndarray]:
+def _cell_maps(v, h, points, point_rows, bounds, jumps, segments) -> tuple[np.ndarray, np.ndarray]:
     """Maps (2, 2, C, P, S) of the `segments` at the Chebyshev points (C, P) of each
-    cell, on its row, stepped in blocks of `block` energies on up to two CPUs
-    (``_on_cpus``), and per cell and segment the largest of the points' exponents
-    (C, S): every point's map is brought to it."""
-    nodes, node_rows = points.reshape(-1), np.repeat(point_rows, points.shape[1])
-    maps = np.empty((2, 2, nodes.size, segments.size))
-    exps = np.empty(maps.shape[2:], dtype=int)
-
-    def step(lo):
-        maps[:, :, lo : lo + block], exps[lo : lo + block] = _segment_maps(
-            v, h, nodes[lo : lo + block], node_rows[lo : lo + block], bounds, jumps, segments)
-
-    _on_cpus(step, range(0, nodes.size, block))
+    cell, on its row, stepped in one ``_segment_maps`` call, and per cell and segment
+    the largest of the points' exponents (C, S): every point's map is brought to it."""
+    maps, exps = _segment_maps(v, h, points.reshape(-1), np.repeat(point_rows, points.shape[1]),
+                               bounds, jumps, segments)
     maps = maps.reshape(2, 2, *points.shape, -1)
     exps = exps.reshape(*points.shape, -1)
     top = exps.max(axis=1)
@@ -1272,15 +1212,14 @@ def _propagator(v, h, energies, rows, jumps=()) -> tuple[np.ndarray, np.ndarray,
     segment, the points' maps are brought to the largest of their
     exponents, and the barycentric mix of them is chained.  Energies where a
     coefficient c may fall below 1/2, and every energy on grids with shorter
-    segments, are stepped directly.  The stepped blocks are swept on up to
-    two CPUs the process may run on (``_on_cpus``), each writing only its
-    own energies; the cells are stepped a group at a time, as many as fill
-    one block per thread, and the interpolated maps of a group's energies
-    are mixed and chained one block at a time on the calling thread.  No
-    number depends on the other energies or rows asked for, nor on the
-    thread that swept them: a stack of potentials swept in one call gives
-    each the bits of its own call.  A block may split a run of energies on
-    one row.  Where a coefficient c vanishes, the map is not finite.
+    segments, are stepped directly, a block at a time.  The cells are
+    stepped a group at a time, as many as their Chebyshev points fill one
+    block, and the interpolated maps of a group's energies are mixed and
+    chained a block at a time, so one block is in flight.  No number
+    depends on the other energies or rows asked for: a stack of potentials
+    swept in one call gives each the bits of its own call.  A block may
+    split a run of energies on one row.  Where a coefficient c vanishes,
+    the map is not finite.
     """
     bounds = _segment_bounds(v.shape[1] - 2)
     runs = _segment_runs(v, rows, bounds, jumps)
@@ -1291,19 +1230,17 @@ def _propagator(v, h, energies, rows, jumps=()) -> tuple[np.ndarray, np.ndarray,
     out_exps = np.empty(energies.size, dtype=int)
     points, point_rows, key = _energy_cells(v, h, energies, rows, bounds)
 
-    def sweep(at):
+    direct = np.flatnonzero(key < 0)
+    for lo in range(0, direct.size, block):
+        at = direct[lo : lo + block]
         m, exps = _segment_maps(v, h, energies[at], rows[at], bounds, jumps, stepped)
         out[:, :, at], out_exps[at] = _chain(*_rescaled(m, exps), plan)
-
-    direct = np.flatnonzero(key < 0)
-    _on_cpus(sweep, [direct[lo : lo + block] for lo in range(0, direct.size, block)])
     inside = np.flatnonzero(key >= 0)
     inside = inside[np.argsort(key[inside], kind="stable")]
-    group = max(1, _SCAN_THREADS * block // _CHEBYSHEV_POINTS)
+    group = max(1, block // _CHEBYSHEV_POINTS)
     for first in range(0, points.shape[0], group):
         cells = slice(first, first + group)
-        maps, top = _cell_maps(v, h, points[cells], point_rows[cells], bounds, jumps, stepped,
-                               block)
+        maps, top = _cell_maps(v, h, points[cells], point_rows[cells], bounds, jumps, stepped)
         lo, hi = np.searchsorted(key[inside], [first, first + group])
         for start in range(lo, hi, block):
             at = inside[start : min(start + block, hi)]

@@ -398,6 +398,21 @@ class TestMainEntry:
     def test_solve_exit_code(self, tmp_path):
         assert main(["solve", "--base", "box", "--out", str(tmp_path / "s")]) == EXIT_OK
 
+    def test_solve_on_a_coarse_box_writes_every_level(self, tmp_path):
+        # 11 nodes hold 9 levels; asking for 20 writes those 9
+        out = tmp_path / "s"
+        argv = ["solve", "--base", "box", "--points", "11", "--count", "20", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert len((out / "spectrum.csv").read_text().splitlines()) == 1 + 9
+
+    def test_shift_of_a_level_past_the_grid_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("base = box\npoints = 11\n[step]\nkind = shift\nn = 10\ndE = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        assert "level 10 does not exist" in capsys.readouterr().err
+
     def test_solve_with_steps_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CHAIN_CFG)

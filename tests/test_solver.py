@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import tracemalloc
 import warnings
 
@@ -125,6 +123,22 @@ class TestBoundStates:
     def test_count_validation(self):
         with pytest.raises(ValidationError):
             bound_states(box(), 0)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3"])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(ValidationError, match="count must be an integer"):
+            bound_states(box(n_points=11), count)
+
+    def test_a_hard_wall_grid_holds_n_minus_2_levels(self):
+        # the Numerov problem on 11 nodes is 9 x 9: asking for 20 levels gives
+        # those 9, at the closed form of the discrete spectrum of the empty box
+        v = box(n_points=11)
+        states = bound_states(v, 20)
+        assert [s.nodes for s in states] == list(range(9))
+        theta = np.arange(1, 10) * math.pi / 10
+        exact = 12.0 / v.grid.h**2 * (1.0 - np.cos(theta)) / (5.0 + np.cos(theta))
+        assert np.allclose([s.energy for s in states], exact, rtol=1e-10, atol=0.0)
+        assert same_states(bound_states(v, np.int64(9)), states)
 
     @pytest.mark.parametrize("make", [box, free_line])
     @pytest.mark.parametrize("node", [0, 4, -5, -2])
@@ -687,23 +701,20 @@ class TestSegmentScattering:
         assert all(0.0 < abs(r.T) < 1e-100 for r in tiny)
         assert all(math.isfinite(abs(r.R)) for r in scan)
 
-    def test_scan_working_set_does_not_grow(self, monkeypatch):
+    def test_scan_working_set_does_not_grow(self):
         # tracemalloc's peak for this scan was 4,024,235 bytes with the kernel
-        # that stepped (y, y[j] - y[j-1]) over 16 work arrays; it must hold
-        # however many CPUs the host has
+        # that stepped (y, y[j] - y[j-1]) over 16 work arrays
         k = 3.0
         v = bsec_whole_line(k, 1.0, half_width=80.0 * math.pi)
         energies = k * k + 0.02 * np.arange(-90, 91)
         scattering_curve(v, energies[:3])
-        for cpus in (1, 8):
-            monkeypatch.setattr(solver_module, "_cpus", lambda n=cpus: n)
-            tracemalloc.start()
-            try:
-                scattering_curve(v, energies)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 4_024_235, cpus
+        tracemalloc.start()
+        try:
+            scattering_curve(v, energies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_024_235
 
     def test_scans_count_in_their_own_ledger(self):
         v = soliton_well()
@@ -751,7 +762,7 @@ class TestInterpolatedMaps:
         cells = np.append(cells, points.shape[0] - 1)
         assert cells.min() == 0 and points.size < energies.size
         maps, top = _cell_maps(values, h, points, point_rows, bounds, jumps,
-                               np.arange(bounds.size - 1), 16)
+                               np.arange(bounds.size - 1))
         got, exps = _interpolated(maps, top, points, cells, energies)
         want, want_exps = _segment_maps(values, h, energies, rows, bounds, jumps,
                                         np.arange(bounds.size - 1))
@@ -779,8 +790,9 @@ class TestInterpolatedMaps:
 
     def test_cells_are_stepped_a_group_at_a_time(self):
         # 40 energies over [10, 1000] fall in 40 cells of width 8: their 320
-        # Chebyshev maps held at once peaked at 16.5 MB, and 5.9 MB stepped
-        # four cells at a time
+        # Chebyshev maps held at once peaked at 16.5 MB, 5.97 MB stepped four
+        # cells at a time in two blocks, and 2.35 MB two cells at a time in
+        # one; it stays within the bound of test_scan_working_set_does_not_grow
         v = bsec_whole_line(3.0, 1.0, half_width=80.0 * math.pi)
         energies = np.linspace(10.0, 1000.0, 40)
         scattering_curve(v, energies[:2])
@@ -792,7 +804,7 @@ class TestInterpolatedMaps:
         finally:
             tracemalloc.stop()
         assert work.ledger()["scattering"]["stepped_energies"] == 8 * 40
-        assert peak < 8_000_000
+        assert peak <= 4_024_235
 
     def test_one_point_equals_long_curve_element(self):
         # 8 cells, so two groups of cells
@@ -917,22 +929,23 @@ class TestSharedRuns:
 
 
 class TestScanThreads:
-    """scattering_curve's energy blocks swept on the calling thread and helpers."""
+    """scattering_curve's energy blocks, swept one after another on the calling thread."""
 
     @staticmethod
-    def scan(monkeypatch, v, energies, workers):
-        """Results, ledger and the threads that ran each spied kernel, with `workers` CPUs."""
-        monkeypatch.setattr(solver_module, "_cpus", lambda: workers)
-        threads = {"_segment_maps": set(), "_numerov": set()}
-        for name, seen in threads.items():
-            def spy(*args, _inner=getattr(solver_module, name), _seen=seen, **kwargs):
-                _seen.add(threading.current_thread())
-                return _inner(*args, **kwargs)
-            monkeypatch.setattr(solver_module, name, spy)
+    def scan(monkeypatch, v, energies):
+        """Results, ledger and the energies stepped in each block (one per
+        ``_segment_maps`` call)."""
+        blocks = []
+
+        def spy(v, h, energies, *args, _inner=_segment_maps):
+            blocks.append(energies.copy())
+            return _inner(v, h, energies, *args)
+
+        monkeypatch.setattr(solver_module, "_segment_maps", spy)
         with oracle_scope() as work:
             results = scattering_curve(v, energies)
         monkeypatch.undo()
-        return [(r.R, r.T) for r in results], work.ledger(), threads
+        return [(r.R, r.T) for r in results], work.ledger(), blocks
 
     @staticmethod
     def block(v):
@@ -948,44 +961,40 @@ class TestScanThreads:
     @pytest.mark.parametrize("case", ["bsec-scan line", "line with deltas",
                                       "soliton line with deltas"])
     def test_results_do_not_depend_on_the_thread_count(self, monkeypatch, case):
-        # every grid makes 1024 segments
+        # every grid makes 1024 segments; `later` is an energy of a later block
         if case == "bsec-scan line":
             # segments of 160 steps: the 45 energies fall in the cells [2, 4),
             # [4, 8) and [8, 16), whose 24 Chebyshev energies are stepped in 2
-            # blocks of 16 (too few of its segments repeat for runs to be shared)
+            # blocks of 16, two cells to a block, so E = 8.1 (energy 19) is
+            # interpolated from the second (too few of its segments repeat for
+            # runs to be shared)
             k = 3.0
             v = bsec_whole_line(k, 1.0, half_width=80.0 * math.pi)
-            energies, stepped, blocks = k * k + 0.3 * np.arange(-22, 23), 24, 2
+            energies, stepped, blocks, later = k * k + 0.3 * np.arange(-22, 23), 24, 2, 19
         elif case == "line with deltas":
             # its delta jumps are steps of the segment maps; the spikes split the
             # zero body into runs, and the plan's widest level holds 9 maps, so the
-            # 103 energies fill one block and no helper starts
+            # 103 energies fill one block
             v = with_deltas(free_line(), [3000, 3004, 9000, 15000])
-            energies, stepped, blocks = np.linspace(0.05, 12.0, 103), 103, 1
+            energies, stepped, blocks, later = np.linspace(0.05, 12.0, 103), 103, 1, 50
         else:  # the same spikes on a body with no equal neighbours: blocks of 16,
-            # and the jumps are stepped in the helpers too
+            # and the jumps are stepped in every block
             v = with_deltas(soliton_well(), [3000, 3004, 9000, 15000])
-            energies, stepped, blocks = np.linspace(0.05, 12.0, 103), 103, 7
+            energies, stepped, blocks, later = np.linspace(0.05, 12.0, 103), 103, 7, 50
         assert blocks == -(-stepped // self.block(v))
-        one, one_ledger, one_threads = self.scan(monkeypatch, v, energies, 1)
-        assert len(one_threads["_segment_maps"]) == 1
-        # two CPUs, and more CPUs than threads, with threads switching every microsecond
-        for workers in (2, 8):
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                got, ledger, threads = self.scan(monkeypatch, v, energies, workers)
-            finally:
-                sys.setswitchinterval(interval)
-            assert got == one
-            assert ledger == one_ledger
-            assert len(threads["_segment_maps"]) == min(workers, solver_module._SCAN_THREADS, blocks)
-            assert threads["_numerov"] == set()
-        assert one_ledger["scattering"]["calls"] == 1
-        assert one_ledger["scattering"]["stepped_energies"] == stepped
-        assert one_ledger["numerov_calls"] == one_ledger["nodes_swept"] == 0
+        got, ledger, swept = self.scan(monkeypatch, v, energies)
+        assert len(swept) == blocks and sum(b.size for b in swept) == stepped
+        # the energy, or the Chebyshev points around it, lie in a block after the first
+        spans = [i for i, b in enumerate(swept) if b.min() <= energies[later] <= b.max()]
+        assert blocks == 1 or min(spans) > 0
+        for i in (0, later, -1):
+            single = scattering(v, energies[i])
+            assert (single.R, single.T) == got[i]
+        assert ledger["scattering"]["calls"] == 1
+        assert ledger["scattering"]["stepped_energies"] == stepped
+        assert ledger["numerov_calls"] == ledger["nodes_swept"] == 0
 
-    def test_vanishing_coefficient_in_a_helper_raises_without_warnings(self, monkeypatch):
+    def test_vanishing_coefficient_in_a_later_block_raises_without_warnings(self, monkeypatch):
         # h = 1/2 and 1024 segments; the body has no equal neighbours, so no
         # run is shared and the 40 energies fall in 3 blocks of 16
         g = make_grid(-4096.0, 4096.0, 16385)
@@ -994,40 +1003,19 @@ class TestScanThreads:
         v = Potential(SampledFn(g, body), "decaying-line")
         assert self.block(v) == 16
         energies = np.linspace(0.05, 2.0, 40)
-        energies[20] = 1.0  # in the second block, which the helper sweeps
-        swept = []  # (thread, whether E = 1 is among its energies) of each block
+        energies[20] = 1.0  # in the second block
+        swept = []  # whether E = 1 is among each block's energies
 
         def spy(v, h, energies, *args, _inner=_segment_maps):
-            swept.append((threading.current_thread(), 1.0 in energies))
+            swept.append(1.0 in energies)
             return _inner(v, h, energies, *args)
 
         monkeypatch.setattr(solver_module, "_segment_maps", spy)
-        monkeypatch.setattr(solver_module, "_cpus", lambda: 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailure, match="node 8000$"):
                 scattering_curve(v, energies)
-        assert [t is threading.current_thread() for t, failing in swept if failing] == [False]
-
-    def test_failures_are_raised_after_every_thread_stops(self, monkeypatch):
-        def task(item):
-            ran[item] = threading.current_thread()
-            if item == failing:
-                raise ValueError(f"item {item}")
-
-        # on one thread, no item after the failing one is taken
-        monkeypatch.setattr(solver_module, "_cpus", lambda: 1)
-        ran, failing = {}, 2
-        with pytest.raises(ValueError, match="item 2"):
-            solver_module._on_cpus(task, range(9))
-        assert sorted(ran) == [0, 1, 2]
-        # a helper's failure reaches the caller once every thread has stopped
-        monkeypatch.setattr(solver_module, "_cpus", lambda: 3)
-        ran, failing = {}, 1
-        with pytest.raises(ValueError, match="item 1"):
-            solver_module._on_cpus(task, range(9))
-        assert ran[1] is not threading.current_thread()
-        assert not any(t.is_alive() for t in ran.values())
+        assert swept == [False, True, False]
 
 
 def same_states(a, b) -> bool:

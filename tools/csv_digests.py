@@ -24,6 +24,10 @@ run's ``scattering.csv``, of a free line with a barrier of 2 on |x| < 1
 (``barrier_line_digests``): the scan shares one stepped map among each run
 of equal neighbouring segments, and this line has such runs on both sides
 of its barrier.
+Then the scattering curve, at 40 energies over [10, 1000], of the
+``bsec-scan`` line at k = 3, lambda = 1 (``sparse_scan_digests``): its
+energies fall in 40 interpolation cells, which are stepped in several groups
+(no other run here has more than one group).
 Then come the artifacts and ``oracle_work`` of a ``band`` run at e_max 10 on
 each comb of ``COMBS``, whose lowest zone is 7e-10 down to about 1e-20 wide,
 in three of them narrower than the rounding of the discriminant
@@ -38,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -49,6 +54,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from specdesign import cli, csvio  # noqa: E402
+from specdesign.darboux import bsec_whole_line  # noqa: E402
 from specdesign.potentials import Potential, free_line  # noqa: E402
 from specdesign.solver import (  # noqa: E402
     _segment_bounds, bound_states, oracle_scope, scattering_curve)
@@ -131,6 +137,12 @@ def barrier_line_digests():
     yield "barrier-line/oracle_work", _work_digest(work.ledger())
 
 
+def sparse_scan_digests():
+    v = bsec_whole_line(3.0, 1.0, half_width=80.0 * math.pi)
+    curve = scattering_curve(v, np.linspace(10.0, 1000.0, 40))
+    yield "sparse-scan/scattering.csv", _sha(csvio.scattering_bytes(curve))
+
+
 def comb_digests(out_root: Path):
     for period, strength in COMBS:
         run = f"band/comb_{period:g}_{strength:g}"
@@ -145,7 +157,8 @@ def main() -> int:
             for key, digest in workload_digests(name, count, Path(tmp)):
                 print(key, digest)
         for key, digest in itertools.chain(figure_digests(Path(tmp)), spike_line_digests(),
-                                           barrier_line_digests(), comb_digests(Path(tmp))):
+                                           barrier_line_digests(), sparse_scan_digests(),
+                                           comb_digests(Path(tmp))):
             print(key, digest)
     return 0
 
