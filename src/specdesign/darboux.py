@@ -476,30 +476,39 @@ def bargmann_reflectionless(levels, norms, *, half_width: float | None = None,
     return TransformResult(v_new, (), log)
 
 
-def _bsec_denominator(k: float, lam: float, x: np.ndarray) -> np.ndarray:
-    """D = 1 + lam int_0^x sin^2(ks) ds."""
-    return 1.0 + lam * (x / 2.0 - np.sin(2.0 * k * x) / (4.0 * k))
-
-
-def _bsec_potential(k: float, lam: float, x: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """-2 (ln D)'' from den = D at x."""
-    return (-2.0 * lam * k * np.sin(2.0 * k * x) / den
-            + 2.0 * (lam * np.sin(k * x) ** 2 / den) ** 2)
+def _bsec(k: float, lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, D, sin kx) at x, D = 1 + lam int_0^x sin^2(ks) ds and V = -2 (ln D)'' =
+    -2 lam k sin(2kx) / D + 2 (lam sin^2(kx) / D)^2, from one sine of each, in place."""
+    v = np.sin(2.0 * k * x)
+    den = x / 2.0
+    den -= v / (4.0 * k)
+    den *= lam
+    den += 1.0
+    v *= -2.0 * lam * k
+    v /= den
+    sin = np.sin(k * x)
+    term = np.square(sin)
+    term *= lam
+    term /= den
+    np.square(term, out=term)
+    term *= 2.0
+    v += term
+    return v, den, sin
 
 
 def bsec_potential_values(k: float, lam: float, x: np.ndarray) -> np.ndarray:
     """The embedded-state potential -2 (ln D)'' with D = 1 + lam int_0^x sin^2(ks) ds."""
-    return _bsec_potential(k, lam, x, _bsec_denominator(k, lam, x))
+    return _bsec(k, lam, x)[0]
 
 
 def embed_bsec(k: float, lam: float, grid: Grid) -> TransformResult:
     """Embed a normalizable state at E = k^2 inside the half-line continuum.
 
     V = -2 d^2/dx^2 ln(1 + lam int_0^x sin^2(ks) ds), evaluated analytically;
-    the confined state is psi = sin(kx) / (1 + lam int_0^x sin^2).  Its exact
-    norm on [0, inf) is 1/lam, and the mass beyond the truncation L is
-    1/(lam D(L)); both are recorded in the step log together with the grid
-    norm so the convergence of the norm integral is checkable.
+    the confined state is psi = sin(kx) / D, with V, D and sin(kx) from one
+    ``_bsec`` call.  Its exact norm on [0, inf) is 1/lam, and the mass beyond
+    the truncation L is 1/(lam D(L)); both are recorded in the step log together
+    with the grid norm so the convergence of the norm integral is checkable.
     """
     if not 0.0 < lam < math.inf:
         raise ValidationError(f"lambda must be finite and positive, got {lam}")
@@ -507,12 +516,10 @@ def embed_bsec(k: float, lam: float, grid: Grid) -> TransformResult:
         raise ValidationError(f"k must be finite and positive, got {k}")
     if abs(grid.x_min) > 1e-12:
         raise ValidationError("half-line grid must start at 0")
-    x = grid.x
-    den = _bsec_denominator(k, lam, x)
-    vvals = _bsec_potential(k, lam, x, den)
+    vvals, den, psi = _bsec(k, lam, grid.x)
     v_new = Potential(SampledFn(grid, vvals), DECAYING_HALF_LINE)
 
-    psi = np.sin(k * x) / den
+    psi /= den
     grid_norm = integrate(SampledFn(grid, psi * psi))
     d_l = float(den[-1])
     tail_fraction = 1.0 / d_l           # exact: (mass beyond L) / (1/lam)
@@ -531,7 +538,7 @@ def embed_bsec(k: float, lam: float, grid: Grid) -> TransformResult:
 def bsec_whole_line(k: float, lam: float, *, half_width: float = 120.0 * math.pi,
                     n_points: int | None = None) -> Potential:
     """Whole-line extension of the embedded-state potential to [-6, half_width]:
-    zero for x < 0."""
+    ``_bsec``'s V on the whole grid, set to zero for x < 0."""
     if n_points is None:
         n_points = default_points(half_width + 6.0)
     g = make_grid(-6.0, half_width, n_points)

@@ -558,8 +558,8 @@ class _Matcher:
 
 def _first_lobe_positive(y: np.ndarray) -> np.ndarray:
     """Sign convention of every state: y or -y, positive where |y| first tops 5% of its peak."""
-    peak = np.max(np.abs(y))
-    first = np.nonzero(np.abs(y) > 0.05 * peak)[0][0]
+    size = np.abs(y)
+    first = np.argmax(size > 0.05 * size.max())
     return -y if y[first] < 0 else y
 
 
@@ -1110,14 +1110,21 @@ def _cell_maps(v, h, points, point_rows, bounds, jumps, segments) -> tuple[np.nd
 
 def _interpolated(maps, top, points, cells, energies) -> tuple[np.ndarray, np.ndarray]:
     """Segment maps (2, 2, E, S) at the energies, whose cells are `cells`, mixed from
-    their cells' maps at the Chebyshev points (``_cell_maps``), and their exponents (E, S)."""
+    their cells' maps at the Chebyshev points (``_cell_maps``), and their exponents (E, S).
+    Each run of energies in one cell copies its cell's maps, broadcast, with no gather,
+    and multiplies them in place: m_0 w_0, plus m_1 w_1, ..., each operation rounded."""
     weights = _barycentric(points[cells], energies)
-    mix = maps[:, :, cells, 0]
-    mix *= weights[:, 0, None]
-    for i in range(1, points.shape[1]):
-        term = maps[:, :, cells, i]
-        term *= weights[:, i, None]
-        mix += term
+    mix, term = np.empty((2,) + maps.shape[:2] + (cells.size, maps.shape[-1]))
+    spread = np.empty(mix.shape[2:])  # weights (E, S): (E, 1) or out= products were slower
+    cuts = [0, *(np.flatnonzero(cells[1:] != cells[:-1]) + 1), cells.size]
+    for i in range(points.shape[1]):
+        out = term if i else mix
+        for lo, hi in zip(cuts, cuts[1:]):
+            np.copyto(out[:, :, lo:hi], maps[:, :, cells[lo], i, None])
+        np.copyto(spread, weights[:, i, None])
+        out *= spread
+        if i:
+            mix += term
     return mix, top[cells]
 
 

@@ -15,6 +15,7 @@ from specdesign.lattice import BAND_HI, BAND_LO, LatticeState, LatticeSystem, la
 from specdesign.potentials import DECAYING_LINE, HARD_WALLS, Potential, free_line
 from specdesign.solver import (
     _Matcher,
+    _barycentric,
     _cell_deltas,
     _match_index,
     _normalised,
@@ -72,6 +73,29 @@ def pairwise_chain(m, exps) -> tuple[np.ndarray, np.ndarray]:
             prod_exps = np.concatenate((prod_exps, exps[:, -1:]), axis=-1)
         m, exps = prod, prod_exps
     return m[..., 0], exps[:, 0]
+
+
+def gathered_mix(maps, top, points, cells, energies) -> tuple[np.ndarray, np.ndarray]:
+    """``solver._interpolated`` by gathers: for each Chebyshev point in turn, a copy
+    of every energy's cell maps (2, 2, E, S) times the energy's barycentric weight,
+    summed in point order.  Returns the mix and the exponents of its cells."""
+    weights = _barycentric(points[cells], energies)
+    mix = maps[:, :, cells, 0]
+    mix *= weights[:, 0, None]
+    for i in range(1, points.shape[1]):
+        term = maps[:, :, cells, i]
+        term *= weights[:, i, None]
+        mix += term
+    return mix, top[cells]
+
+
+def bsec_two_expressions(k: float, lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, psi) of the embedded state at x, from the construction written as two
+    expressions: D = 1 + lam (x / 2 - sin(2kx) / (4k)) first, then
+    V = -2 lam k sin(2kx) / D + 2 (lam sin^2(kx) / D)^2 and psi = sin(kx) / D."""
+    den = 1.0 + lam * (x / 2.0 - np.sin(2.0 * k * x) / (4.0 * k))
+    v = -2.0 * lam * k * np.sin(2.0 * k * x) / den + 2.0 * (lam * np.sin(k * x) ** 2 / den) ** 2
+    return v, np.sin(k * x) / den
 
 
 def single_delta(strength: float, position: float = 0.0,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from specdesign.darboux import (
     _mix_seed,
     bargmann_reflectionless,
     bsec_potential_values,
+    bsec_whole_line,
     darboux_create,
     darboux_remove_ground,
     embed_bsec,
@@ -19,7 +21,7 @@ from specdesign.darboux import (
 from specdesign.errors import SingularityError, ValidationError
 from specdesign.grid import SampledFn, default_points, integrate, make_grid
 from specdesign.potentials import HARD_WALLS, Potential, box, free_line, half_line, soliton_well
-from specdesign.solver import bound_states, oracle_scope, scattering_curve
+from specdesign.solver import _normalised, bound_states, oracle_scope, scattering_curve
 from specdesign.verify import (
     delta_v_sign_pattern,
     isospectral_check,
@@ -28,6 +30,7 @@ from specdesign.verify import (
 from references import (
     ClosedFormDiscrepancyWarning,
     box_shift_closed_form,
+    bsec_two_expressions,
     interval_mass,
     single_delta,
 )
@@ -513,6 +516,40 @@ class TestBsec:
         second_half = m * math.pi / k + 3 * quarter
         assert np.all(bsec_potential_values(k, lam, first_half) < 0)
         assert np.all(bsec_potential_values(k, lam, second_half) > 0)
+
+    @pytest.mark.parametrize("k, lam", [(3.0, 1.0), (math.sqrt(10.0), 0.5),
+                                        (math.sqrt(13.5), 1e-8)])
+    def test_builds_equal_the_two_expressions(self, k, lam):
+        # bit for bit: one sine of 2kx serves D and V, one of kx serves V and psi
+        length = 80.0 * math.pi
+        grid = make_grid(0.0, length, default_points(length))
+        v, psi = bsec_two_expressions(k, lam, grid.x)
+        res = embed_bsec(k, lam, grid)
+        assert np.array_equal(res.potential.values, v)
+        assert np.array_equal(res.states[0].psi.values, _normalised(grid, k * k, psi))
+        assert res.step_log[0]["norm_on_grid"] == integrate(SampledFn(grid, psi * psi))
+        line = bsec_whole_line(k, lam, half_width=length)
+        x = line.grid.x
+        want = bsec_two_expressions(k, lam, x)[0]
+        want[x < 0] = 0.0
+        assert np.array_equal(line.values, want)
+
+    def test_builds_hold_no_more_arrays_than_two_expressions(self):
+        # tracemalloc peaks after a warm call with the builds written as
+        # bsec_two_expressions writes them: 6,564,863 bytes (embed_bsec) and
+        # 6,557,032 (bsec_whole_line)
+        k, lam, length = 3.0, 1.0, 80.0 * math.pi
+        grid = make_grid(0.0, length, default_points(length))
+        for build, bound in ((lambda: embed_bsec(k, lam, grid), 6_564_863),
+                             (lambda: bsec_whole_line(k, lam, half_width=length), 6_557_032)):
+            build()
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound + 4096
 
     def test_validations(self):
         grid = make_grid(0.0, 10.0, 1001)

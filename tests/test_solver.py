@@ -22,6 +22,7 @@ from specdesign.solver import (
     _cell_deltas,
     _count_sign_changes,
     _energy_cells,
+    _first_lobe_positive,
     _interpolated,
     _normalised,
     _numerov,
@@ -38,7 +39,7 @@ from specdesign.solver import (
     scattering,
     scattering_curve,
 )
-from references import pairwise_chain, single_delta, transfer_matrix
+from references import gathered_mix, pairwise_chain, single_delta, transfer_matrix
 
 
 def poschl_teller(n_points=2001, cap=1e6):
@@ -413,6 +414,11 @@ class TestPropagator:
         assert _count_sign_changes([1.0, 2.0, -1e-300]) == 1
         assert _count_sign_changes([0.0, 0.0]) == 0
 
+    def test_first_lobe_is_the_first_sample_above_5_percent_of_the_peak(self):
+        y = np.array([0.0, 0.05, -0.0500001, 1.0, -0.5])  # the peak's 5% is 0.05
+        assert np.array_equal(_first_lobe_positive(y), -y)
+        assert np.array_equal(_first_lobe_positive(-y), -y)
+
     def test_scalar_discriminant_is_one_point_curve(self):
         cell = comb_cell()
         for e in (0.5, 1.0, 2.2, 7.9):
@@ -771,6 +777,26 @@ class TestInterpolatedMaps:
         assert error.max() < 32 * self.EPS
         assert np.array_equal(got[:, :, -1], want[:, :, -1])
 
+    def test_mix_equals_the_gathered_mix(self):
+        # bit for bit, signed zeros included: the last energy lies on a point, so
+        # its weights are 0 and 1, and the zero maps of segment 0 mix to -0.0
+        rng = np.random.default_rng(36)
+        maps = rng.standard_normal((2, 2, 3, 8, 5))
+        maps[..., 0] = -0.0
+        maps[..., 1] = np.copysign(0.0, rng.standard_normal((2, 2, 3, 8)))
+        top = rng.integers(-60, 60, (3, 5))
+        angles = (2 * np.arange(8) + 1) * (0.5 * np.pi / 8)
+        lowers = np.array([2.0, 4.0, 8.0])
+        points = lowers[:, None] + 0.5 * (1.0 + np.cos(angles)) * lowers[:, None]
+        cells = np.array([0, 0, 1, 1, 1, 2])
+        energies = lowers[cells] * (1.0 + rng.uniform(size=cells.size))
+        energies[-1] = points[2, 3]
+        got, exps = _interpolated(maps, top, points, cells, energies)
+        want, want_exps = gathered_mix(maps, top, points, cells, energies)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(exps, want_exps)
+        assert np.signbit(got[..., -1, 0]).all() and (got[..., -1, 0] == 0.0).all()
+
     @pytest.mark.parametrize("kind", ["barrier", "spikes"])
     def test_scan_matches_directly_stepped_scan(self, monkeypatch, kind):
         # measured: R within 2804 eps (barrier) and 1399 eps (spikes), T within
@@ -928,7 +954,7 @@ class TestSharedRuns:
         assert stepped == [1024] * 3
 
 
-class TestScanThreads:
+class TestScanBlocks:
     """scattering_curve's energy blocks, swept one after another on the calling thread."""
 
     @staticmethod
@@ -960,7 +986,7 @@ class TestScanThreads:
 
     @pytest.mark.parametrize("case", ["bsec-scan line", "line with deltas",
                                       "soliton line with deltas"])
-    def test_results_do_not_depend_on_the_thread_count(self, monkeypatch, case):
+    def test_results_do_not_depend_on_the_block(self, monkeypatch, case):
         # every grid makes 1024 segments; `later` is an energy of a later block
         if case == "bsec-scan line":
             # segments of 160 steps: the 45 energies fall in the cells [2, 4),

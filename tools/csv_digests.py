@@ -10,10 +10,11 @@ The runs are the first 48 ``design-chain`` operations of seed 5, two
 built by ``cli.run_figure`` as the ``figure`` command builds it.  Each
 output line is ``<run>/<file> <sha256>``; a ``design-chain``,
 ``band-track`` or figure run also gets one line for its manifest's
-``oracle_work`` block, which holds counts only: the sha256 of its sorted JSON,
-then that JSON in compact form, so that a diff names the count that moved.  Manifests themselves carry
-timings and are not digested.  A ``bsec-scan`` run writes no files: its
-embedded potential and its scattering curve are digested as the CLI would
+``oracle_work`` block, which holds counts only: the sha256 of its sorted
+JSON, then that JSON in compact form, so that a diff names the count that
+moved.  Manifests themselves carry timings and are not digested.  A
+``bsec-scan`` run writes no files: its embedded potential, its embedded
+state, its step log and its scattering curve are digested as the CLI would
 write them.  Last come the body, delta spikes, spectrum and 40-energy
 scattering curve of a free line with spikes of both signs where the scan's
 segments start and end, and the ``oracle_work`` of solving them
@@ -78,6 +79,8 @@ def workload_digests(name: str, count: int, out_root: Path):
         if name == "bsec-scan":
             res, curve = result
             yield f"{run}/potential.csv", _sha(csvio.sampled_fn_bytes(res.potential.body, "V"))
+            yield f"{run}/states.csv", _sha(csvio.states_bytes(res.potential.grid, res.states))
+            yield f"{run}/steplog.csv", _sha(csvio.steplog_bytes(res.step_log))
             yield f"{run}/scattering.csv", _sha(csvio.scattering_bytes(curve))
             continue
         yield from _manifest_digests(run, result)
