@@ -1,9 +1,13 @@
 import json
+import math
 import os
 from pathlib import Path
 import subprocess
 import sys
+import tracemalloc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from specdesign.cli import (
     run_figure,
 )
 from specdesign.csvio import (
+    _cells,
     _grid_table,
     _table,
     _x_cells,
@@ -21,7 +26,7 @@ from specdesign.csvio import (
 )
 from specdesign.errors import ValidationError
 from specdesign.grid import SampledFn, make_grid
-from specdesign.potentials import DECAYING_LINE, HARD_WALLS, Potential, half_line
+from specdesign.potentials import DECAYING_LINE, HARD_WALLS, Potential, free_line, half_line
 from specdesign.solver import bound_states
 from specdesign.verify import peak_width
 
@@ -40,6 +45,9 @@ def _no_constant(name):
     """parse_constant for json.loads: Infinity, -Infinity and NaN are not JSON."""
     raise ValueError(f"{name} is not RFC 8259 JSON")
 
+
+#: six samples on [0, 1] with no header line
+HEADLESS_CSV = "0,1\n0.2,2\n0.4,3\n0.6,4\n0.8,5\n1.0,6\n"
 
 CHAIN_CFG = """
 # headline shift
@@ -558,13 +566,16 @@ class TestMainEntry:
         ("run.cfg", "missing.csv", "cannot read "), ("run.cfg", ".", "cannot read "),
         ("run.cfg", "words.csv", "sampled-function CSV row 'foo,bar'"),
         ("run.cfg", "three.csv", "sampled-function CSV row '1,2,3'"),
+        ("run.cfg", "headless.csv", "sampled-function CSV has no header: its first line is '0,1'"),
     ], ids=["config-missing", "config-directory", "csv-missing", "csv-directory",
-            "csv-not-a-number", "csv-three-cells"])
+            "csv-not-a-number", "csv-three-cells", "csv-no-header"])
     def test_unreadable_file_exit_code(self, tmp_path, capsys, config, path, message):
         # a config file or potential-csv path that is missing or a directory,
-        # and a potential-csv row that is not two numbers, are invalid input
+        # a potential-csv row that is not two numbers and a potential-csv
+        # without a header are invalid input
         (tmp_path / "words.csv").write_text("x,V\n1,2\nfoo,bar\n")
         (tmp_path / "three.csv").write_text("x,V\n1,2,3\n2,2\n3,1\n")
+        (tmp_path / "headless.csv").write_text(HEADLESS_CSV)
         if path is not None:
             (tmp_path / "run.cfg").write_text(f"base = potential-csv\npath = {tmp_path / path}\n")
         out = tmp_path / "out"
@@ -885,6 +896,29 @@ def test_one_timing_per_step(tmp_path, argv):
     assert len(manifest["timing"]["steps_ms"]) == len(manifest["steps"])
 
 
+#: format(x, ".17g")'s hard cases: signed zeros, NaN and infinities, the extremes, each
+#: power of ten with both neighbours, ties at the 17th digit, the switches between fixed
+#: and exponent notation, and cells that are ints or bools
+FORMAT_EDGES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf,
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    *(y for k in range(-300, 301)
+      for y in (math.nextafter(10.0**k, 0.0), 10.0**k, math.nextafter(10.0**k, math.inf))),
+    1000000000000000.25, 1000000000000000.75, 123456789012345.625,
+    9.9999999999999995e-05, 1e-4, 1e-5, 1e16, 1e17, 99999999999999999.0,
+    *range(-3, 4), 2**53 - 1, 2**53 + 1, 2**60 + 1, True,
+]
+
+
+def _text(cells) -> list[str]:
+    """Cells of the column formatter as str, its NUL fill dropped."""
+    return [bytes(row).replace(b"\0", b"").decode() for row in cells]
+
+
+def _reference(values) -> list[str]:
+    return [format(float(x), ".17g") for x in values]
+
+
 class TestCsvRoundTrip:
     def test_sampled_fn_lossless(self):
         g = make_grid(-1.0, 2.0, 501)
@@ -932,6 +966,48 @@ class TestCsvRoundTrip:
         assert twin is not g
         assert _x_cells(twin) is first
         assert _x_cells.cache_info().hits == hits + 1
+        assert not first.flags.writeable
+        assert _text(first) == _reference(g.x)
+
+    def test_headerless_csv_is_rejected(self):
+        # the first data row used to be skipped as the header: a 5-node grid on [0.2, 1]
+        with pytest.raises(ValidationError, match="no header: its first line is '0,1'"):
+            read_sampled_fn(HEADLESS_CSV)
+        assert read_sampled_fn("x,V\n" + HEADLESS_CSV[:-6]).grid == make_grid(0.0, 0.8, 5)
+
+    def test_formatter_matches_format_on_edge_cases(self):
+        assert _text(_cells(FORMAT_EDGES)) == _reference(FORMAT_EDGES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_formatter_matches_format_on_floats(self, xs):
+        assert _text(_cells(xs)) == _reference(xs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_formatter_matches_format_on_bit_patterns(self, bits):
+        xs = np.array(bits, np.uint64).view(np.float64)
+        assert _text(_cells(xs)) == _reference(xs)
+
+    def test_formatter_matches_format_on_random_bit_patterns(self):
+        bits = np.random.default_rng(37).integers(0, 2**64, 40_000, np.uint64, endpoint=False)
+        xs = bits.view(np.float64)
+        assert _text(_cells(xs)) == _reference(xs)
+
+    def test_table_working_set_does_not_grow(self):
+        # the %-format formatter peaked at 2,541,732 bytes on this table, its x
+        # memo of str warm too
+        grid = free_line().grid
+        v = -2.0 / np.cosh(grid.x) ** 2
+        _grid_table(["x", "V"], grid, [v])
+        tracemalloc.start()
+        try:
+            _grid_table(["x", "V"], grid, [v])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.n_points == 19_109
+        assert peak <= 2_541_732
 
 
 class TestThreadCount:

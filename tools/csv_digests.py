@@ -33,6 +33,11 @@ Then come the artifacts and ``oracle_work`` of a ``band`` run at e_max 10 on
 each comb of ``COMBS``, whose lowest zone is 7e-10 down to about 1e-20 wide,
 in three of them narrower than the rounding of the discriminant
 (``comb_digests``).
+Last comes a one-column table, through ``csvio``, of the hard cases of
+``format(x, ".17g")``: signed zeros, NaN and infinities, the extremes, each
+power of ten from 1e-300 to 1e300 with both neighbours, ties at the 17th
+digit, the switches between fixed and exponent notation, ints and a bool
+(``format_edge_digests``).
 
 A change that must keep the program's output is checked by running this on
 both commits and comparing the two outputs with ``diff``.
@@ -65,6 +70,17 @@ SEED = 5
 OPERATIONS = {"design-chain": 48, "band-track": 2, "bsec-scan": 2}
 #: (period, strength) of the tight-binding combs of ``comb_digests``
 COMBS = ((10.0, -5.0), (15.0, -4.0), (15.0, -5.0), (20.0, -3.0), (20.0, -4.0), (20.0, -5.0))
+
+#: the cells of ``format_edge_digests``
+FORMAT_EDGES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf,
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    *(y for k in range(-300, 301)
+      for y in (math.nextafter(10.0**k, 0.0), 10.0**k, math.nextafter(10.0**k, math.inf))),
+    1000000000000000.25, 1000000000000000.75, 123456789012345.625,
+    9.9999999999999995e-05, 1e-4, 1e-5, 1e16, 1e17, 99999999999999999.0,
+    *range(-3, 4), 2**53 - 1, 2**53 + 1, 2**60 + 1, True,
+]
 
 
 def _sha(data: bytes) -> str:
@@ -154,6 +170,10 @@ def comb_digests(out_root: Path):
         yield from _manifest_digests(run, cli.run(config))
 
 
+def format_edge_digests():
+    yield "format-edges/table.csv", _sha(csvio._table(["value"], ((x,) for x in FORMAT_EDGES)))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, count in OPERATIONS.items():
@@ -161,7 +181,7 @@ def main() -> int:
                 print(key, digest)
         for key, digest in itertools.chain(figure_digests(Path(tmp)), spike_line_digests(),
                                            barrier_line_digests(), sparse_scan_digests(),
-                                           comb_digests(Path(tmp))):
+                                           comb_digests(Path(tmp)), format_edge_digests()):
             print(key, digest)
     return 0
 
